@@ -55,3 +55,19 @@ def emit(report: Report) -> None:
 def run_once(benchmark, func, *args, **kwargs):
     """Time one execution of ``func`` (DSE runs are deterministic; one round suffices)."""
     return benchmark.pedantic(func, args=args, kwargs=kwargs, rounds=1, iterations=1)
+
+
+try:
+    import pytest_benchmark  # noqa: F401  (its plugin supplies the ``benchmark`` fixture)
+except ImportError:
+
+    class _RunOnce:
+        """The part of pytest-benchmark's fixture :func:`run_once` uses, untimed."""
+
+        def pedantic(self, func, args=(), kwargs=None, rounds=1, iterations=1):
+            return func(*args, **(kwargs or {}))
+
+    @pytest.fixture
+    def benchmark():
+        """Stand-in ``benchmark`` fixture, so the figure suite runs without pytest-benchmark."""
+        return _RunOnce()

@@ -14,8 +14,8 @@ import heapq
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
+from repro.core.placement import block_geometry
 from repro.core.plan import MemPair, StagePlacement
-from repro.interconnect.routing import path_links, xy_path
 
 
 @dataclass(frozen=True)
@@ -39,18 +39,17 @@ class DramAllocator:
 
     def __init__(self, placement: StagePlacement) -> None:
         self.placement = placement
+        # The Eq. 2 geometry table that placement and GA fitness also read; stage ``s``
+        # sits on table row ``self._at[s]``.
+        self._geometry = block_geometry(placement.stage_dies)
+        self._at = self._geometry.locate(placement.stage_dies)
         # Links used by the pipeline path; balance paths crossing them are penalised.
-        self._pipeline_links = set()
-        for stage in range(placement.num_stages - 1):
-            src, dst = placement.boundary_dies(stage, stage + 1)
-            self._pipeline_links.update(path_links(xy_path(src, dst)))
+        self._pipeline_links = self._geometry.pipeline_links(self._at)
 
     def _cost(self, sender: int, helper: int) -> float:
         """Distance plus conflict penalty between a Sender and a candidate Helper."""
-        src, dst = self.placement.boundary_dies(sender, helper)
-        path = xy_path(src, dst)
-        gamma = sum(1 for link in path_links(path) if link in self._pipeline_links)
-        distance = self.placement.stage_distance(sender, helper)
+        distance, links = self._geometry.pair(self._at[sender], self._at[helper])
+        gamma = (links & self._pipeline_links).bit_count()
         return distance * (1.0 + gamma)
 
     def allocate(

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from repro.api.registry import resolve_wafer, resolve_workload
 from repro.core.central_scheduler import CentralScheduler
 from repro.core.dram_allocation import DramAllocator
 from repro.core.evaluator import EvaluationResult, Evaluator
@@ -12,7 +13,7 @@ from repro.core.placement import serpentine_placement
 from repro.core.plan import MemPair, RecomputeConfig, TrainingPlan
 from repro.core.recomputation import GcmrScheduler
 from repro.hardware.faults import FaultModel
-from repro.parallelism.strategies import ParallelismConfig
+from repro.parallelism.strategies import ParallelismConfig, enumerate_tp_pp
 from repro.units import GB
 from repro.workloads.workload import TrainingWorkload
 
@@ -266,6 +267,48 @@ class TestCentralScheduler:
         scheduler = CentralScheduler(small_wafer, max_tp=2)
         records = scheduler.explore(tiny_workload)
         assert all(r.plan.parallelism.tp <= 2 for r in records)
+
+    @pytest.mark.parametrize("wafer_ref, workload_ref", [
+        ("tiny", "tiny"),
+        ("config3", {"model": "llama2-30b", "global_batch_size": 128,
+                     "micro_batch_size": 4, "sequence_length": 4096}),
+    ])
+    def test_explore_builds_once_per_candidate_for_every_collective(
+        self, wafer_ref, workload_ref
+    ):
+        wafer, workload = resolve_wafer(wafer_ref), resolve_workload(workload_ref)
+        reference = CentralScheduler(wafer, evaluator=Evaluator(wafer))
+        plans, rejected = [], []
+        for tp, pp in enumerate_tp_pp(wafer.num_dies, workload.model.num_layers):
+            for strategy in reference.split_strategies:
+                for collective in reference.search_collectives:
+                    plan = reference.build_plan(workload, tp, pp, strategy, collective)
+                    if plan is None:
+                        rejected.append((tp, pp, strategy, collective))
+                    else:
+                        plans.append(plan)
+        expected = [reference.evaluator.evaluate(workload, plan) for plan in plans]
+
+        scheduler = CentralScheduler(wafer, evaluator=Evaluator(wafer))
+        built = []
+        build_plan = scheduler.build_plan
+
+        def counting_build_plan(workload, tp, pp, strategy, *args):
+            plan = build_plan(workload, tp, pp, strategy, *args)
+            built.append(((tp, pp, strategy), plan))
+            return plan
+
+        scheduler.build_plan = counting_build_plan
+        records = scheduler.explore(workload)
+        assert [record.plan for record in records] == plans
+        assert [record.result for record in records] == expected
+        candidates = [candidate for candidate, _ in built]
+        assert len(candidates) == len(set(candidates))
+        assert [
+            candidate + (collective,)
+            for candidate, plan in built if plan is None
+            for collective in scheduler.search_collectives
+        ] == rejected
 
 
 class TestGeneticOptimizer:
