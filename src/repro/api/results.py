@@ -6,13 +6,13 @@ maps stable ``cell_id`` keys (see :func:`repro.api.sweep.cell_key`) to one recor
 per completed cell, written through as each cell finishes, so an interrupted sweep
 resumes by skipping every id already present.
 
-The backend split mirrors the evaluation cache exactly (``open_store`` in
-:mod:`repro.core.evalcache`): :func:`open_result_store` picks JSONL (append-only
-spill, torn last line skipped on load) or sqlite (keyed upserts) from the path
-suffix, stores carry a versioned namespace so a schema bump degrades to a cold
-start instead of serving stale rows, and a corrupt or foreign file is preserved at
-``<path>.corrupt`` rather than truncated — recovery means starting cold, never an
-error and never data loss.
+Both backends sit on :mod:`repro.recordlog`, the one record log the evaluation
+cache and the lease journal use too: :func:`open_result_store` picks JSONL
+(append-only) or sqlite (keyed upserts) from the path suffix, and the log owns the
+recovery rules — a schema bump (namespace) degrades to a cold start instead of
+serving stale rows, a foreign file is preserved at ``<path>.corrupt`` rather than
+truncated, a torn last line is skipped and closed before the next append, and
+rewrites are atomic.  This module keeps only the row layout and the queries.
 
 Each record separates the deterministic from the volatile:
 
@@ -27,16 +27,13 @@ Each record separates the deterministic from the volatile:
 from __future__ import annotations
 
 import csv
-import json
 import os
-import sqlite3
-import tempfile
 import time
 from collections import Counter, OrderedDict
 from typing import Any, Dict, List, Optional, Sequence, TextIO, Tuple, Union
 
-from repro.core.evalcache import _move_aside
 from repro.obs import tracer as _obs
+from repro.recordlog import JsonlLog, SqliteLog, is_sqlite_path
 
 __all__ = [
     "RESULTS_SCHEMA_VERSION",
@@ -83,28 +80,39 @@ def record_status(record: Dict[str, Any]) -> str:
 class ResultStore:
     """One record per completed sweep cell, queryable and safe to interrupt.
 
-    Subclasses implement the persistence primitives (:meth:`load`, :meth:`put`,
-    :meth:`get`, :meth:`replace_all`); the query surface (:meth:`stats`,
-    :meth:`tail`, :meth:`cell_ids`) is shared.  :meth:`load` returns records in
-    completion order with later duplicates winning — the same discipline as the
-    evaluation cache's JSONL spill.
+    Each backend wraps one :mod:`repro.recordlog` log, which owns the file
+    discipline, and supplies only its row layout (``_encode``/``_decode``); the
+    write path and the query surface (:meth:`stats`, :meth:`tail`,
+    :meth:`cell_ids`) are shared.  :meth:`load` returns records in completion
+    order with later duplicates winning — the same discipline as the evaluation
+    cache's JSONL spill.
     """
-
-    #: Rows skipped during the most recent :meth:`load` (corruption).
-    load_errors: int = 0
 
     def __init__(self, path: str, namespace: Optional[str] = None) -> None:
         self.path = str(path)
         self.namespace = namespace or results_namespace()
+        self._log = self._open_log()
+
+    def _open_log(self):
+        raise NotImplementedError
+
+    @property
+    def load_errors(self) -> int:
+        """Rows skipped during the most recent :meth:`load` (corruption)."""
+        return self._log.errors
 
     # ------------------------------------------------------------------ primitives
     def load(self) -> "OrderedDict[str, Dict[str, Any]]":
         """All records in completion order (``{}`` for missing/corrupt/foreign)."""
-        raise NotImplementedError
+        records: "OrderedDict[str, Dict[str, Any]]" = OrderedDict()
+        for cell_id, record in self._log.rows(self._decode):
+            records.pop(cell_id, None)  # later duplicates win in position
+            records[cell_id] = record
+        return records
 
     def put(self, cell_id: str, record: Dict[str, Any]) -> None:
         """Write one completed cell through to disk immediately."""
-        raise NotImplementedError
+        self._write([(cell_id, record)], cell_id)
 
     def get(self, cell_id: str) -> Optional[Dict[str, Any]]:
         """One record, or ``None``."""
@@ -114,24 +122,26 @@ class ResultStore:
         """Write a batch of ``(cell_id, record)`` rows, in order.
 
         Semantically identical to calling :meth:`put` per row (same records, same
-        order, later duplicates win); backends override it to amortize the
-        per-write cost — one file open for JSONL, one transaction for sqlite —
-        which is what lets the online engine's ``flush_every`` batching pay off.
+        order, later duplicates win), but one write — one file open for JSONL,
+        one transaction for sqlite — which is what lets the online engine's
+        ``flush_every`` batching pay off.
         """
-        for cell_id, record in items:
-            self.put(cell_id, record)
+        if items:
+            self._write(items, f"batch:{len(items)}")
+
+    def _write(self, items: Sequence[Tuple[str, Dict[str, Any]]], tag: str) -> None:
+        t0 = _obs.now() if _obs.enabled else 0.0
+        self._log.append(self._encode(cell_id, record) for cell_id, record in items)
+        if _obs.enabled:
+            _obs.add("store.put", t0, _obs.now(), tag=tag)
 
     def replace_all(self, records: "OrderedDict[str, Dict[str, Any]]") -> None:
         """Atomically rewrite the store to exactly ``records`` (schema resets)."""
-        raise NotImplementedError
+        self._log.rewrite(self._encode(cell_id, record) for cell_id, record in records.items())
 
     def physical_rows(self) -> int:
-        """Rows physically on disk, duplicates included (what :meth:`compact` folds).
-
-        The base implementation equals the deduped cell count; append-only
-        backends override it to count raw rows.
-        """
-        return len(self.load())
+        """Rows physically on disk, duplicates included (what :meth:`compact` folds)."""
+        return self._log.count()
 
     def compact(self) -> Dict[str, int]:
         """Fold duplicate rows to one per ``cell_id`` (later wins), via replace_all.
@@ -147,8 +157,9 @@ class ResultStore:
             self.replace_all(records)
         return {"before": before, "after": len(records), "cells": len(records)}
 
-    def close(self) -> None:  # pragma: no cover - trivial default
+    def close(self) -> None:
         """Release any held resources (sqlite connections)."""
+        self._log.close()
 
     def __enter__(self) -> "ResultStore":
         return self
@@ -235,352 +246,54 @@ class ResultStore:
 class JsonlResultStore(ResultStore):
     """Append-only JSONL: one header line, then one ``{"c": …, "v": …}`` row each.
 
-    Append-only writes make interruption safe (a torn last line is skipped on the
-    next load) and write-through is a single ``O(1)`` append per completed cell.
+    Write-through is a single ``O(1)`` append per completed cell, and a torn last
+    line left by a kill is skipped on the next load.
     """
 
-    _HEADER_FORMAT = "watos-results-jsonl"
+    #: Bound in this class's own namespace: the benchmark harness
+    #: (``cellbench/layers.py``) wraps ``JsonlResultStore.__dict__["put"]``.
+    put = ResultStore.put
 
-    def __init__(self, path: str, namespace: Optional[str] = None) -> None:
-        super().__init__(path, namespace)
-        #: Set when the header check found a file that is not ours; the first
-        #: write moves it aside to ``<path>.corrupt`` rather than truncating it.
-        self._foreign_file = False
-        #: Whether the on-disk header has been validated (load() or _check_file()).
-        #: Writes must never append blind: a ``resume=False`` sweep reaches put()
-        #: without any load(), and appending to a foreign or stale-namespace file
-        #: would corrupt it / write rows the next load() discards.
-        self._checked = False
-
-    def _check_file(self) -> None:
-        """Validate the header before the first blind write (no full row scan)."""
-        if self._checked:
-            return
-        self._checked = True
-        self._foreign_file = False
-        if not os.path.exists(self.path):
-            return
-        try:
-            with open(self.path, "r", encoding="utf-8") as handle:
-                header = self._parse_header(handle.readline())
-        except OSError:
-            return
-        if header is None:
-            self._foreign_file = True
-        elif header.get("namespace") != self.namespace:
-            # Our file, stale schema: safe to reset in place.
-            self.replace_all(OrderedDict())
-
-    def load(self) -> "OrderedDict[str, Dict[str, Any]]":
-        self.load_errors = 0
-        self._checked = True
-        self._foreign_file = False
-        if not os.path.exists(self.path):
-            return OrderedDict()
-        records: "OrderedDict[str, Dict[str, Any]]" = OrderedDict()
-        try:
-            with open(self.path, "r", encoding="utf-8") as handle:
-                header = self._parse_header(handle.readline())
-                if header is None:
-                    self._foreign_file = True
-                    return OrderedDict()
-                if header.get("namespace") != self.namespace:
-                    # Our file, stale schema: safe to reset in place.
-                    self.replace_all(OrderedDict())
-                    return OrderedDict()
-                for line in handle:
-                    line = line.strip()
-                    if not line:
-                        continue
-                    try:
-                        row = json.loads(line)
-                        cell_id, record = str(row["c"]), dict(row["v"])
-                        records.pop(cell_id, None)  # later duplicates win in position
-                        records[cell_id] = record
-                    except (ValueError, KeyError, TypeError):
-                        self.load_errors += 1
-        except OSError:
-            return OrderedDict()
-        return records
-
-    def _parse_header(self, header_line: str) -> Optional[Dict]:
-        try:
-            header = json.loads(header_line)
-        except ValueError:
-            return None
-        if isinstance(header, dict) and header.get("format") == self._HEADER_FORMAT:
-            return header
-        return None
-
-    def _header(self) -> str:
-        return json.dumps({"format": self._HEADER_FORMAT, "namespace": self.namespace})
+    def _open_log(self) -> JsonlLog:
+        return JsonlLog(self.path, {"format": "watos-results-jsonl", "namespace": self.namespace})
 
     @staticmethod
-    def _ends_with_newline(path: str) -> bool:
-        try:
-            with open(path, "rb") as handle:
-                handle.seek(-1, os.SEEK_END)
-                return handle.read(1) == b"\n"
-        except (OSError, ValueError):  # empty file: seek(-1) raises
-            return True
+    def _encode(cell_id: str, record: Dict[str, Any]) -> Dict[str, Any]:
+        return {"c": cell_id, "v": record}
 
-    def physical_rows(self) -> int:
-        """Raw data lines on disk — duplicates from ``--no-resume`` re-runs included."""
-        if not os.path.exists(self.path):
-            return 0
-        try:
-            with open(self.path, "r", encoding="utf-8") as handle:
-                if self._parse_header(handle.readline()) is None:
-                    return 0
-                return sum(1 for line in handle if line.strip())
-        except OSError:
-            return 0
-
-    def put(self, cell_id: str, record: Dict[str, Any]) -> None:
-        t0 = _obs.now() if _obs.enabled else 0.0
-        self._check_file()
-        if self._foreign_file:
-            _move_aside(self.path)
-            self._foreign_file = False
-        fresh = not os.path.exists(self.path)
-        # A kill mid-append leaves a torn last line; appending straight after it
-        # would concatenate the new row onto the fragment and lose both.  Close
-        # the torn line first so only the fragment is sacrificed.
-        torn = not fresh and not self._ends_with_newline(self.path)
-        with open(self.path, "a", encoding="utf-8") as handle:
-            if fresh:
-                handle.write(self._header() + "\n")
-            elif torn:
-                handle.write("\n")
-            handle.write(json.dumps({"c": cell_id, "v": record}) + "\n")
-        if _obs.enabled:
-            _obs.add("store.put", t0, _obs.now(), tag=cell_id)
-
-    def put_many(self, items: Sequence[Tuple[str, Dict[str, Any]]]) -> None:
-        """One append-mode open for the whole batch (rows identical to per-put)."""
-        if not items:
-            return
-        t0 = _obs.now() if _obs.enabled else 0.0
-        self._check_file()
-        if self._foreign_file:
-            _move_aside(self.path)
-            self._foreign_file = False
-        fresh = not os.path.exists(self.path)
-        torn = not fresh and not self._ends_with_newline(self.path)
-        with open(self.path, "a", encoding="utf-8") as handle:
-            if fresh:
-                handle.write(self._header() + "\n")
-            elif torn:
-                handle.write("\n")
-            for cell_id, record in items:
-                handle.write(json.dumps({"c": cell_id, "v": record}) + "\n")
-        if _obs.enabled:
-            _obs.add("store.put", t0, _obs.now(), tag=f"batch:{len(items)}")
-
-    def replace_all(self, records: "OrderedDict[str, Dict[str, Any]]") -> None:
-        self._check_file()  # no-op when re-entered from the check itself
-        if self._foreign_file:
-            _move_aside(self.path)
-            self._foreign_file = False
-        directory = os.path.dirname(os.path.abspath(self.path))
-        fd, tmp_path = tempfile.mkstemp(prefix=".results-", dir=directory)
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                handle.write(self._header() + "\n")
-                for cell_id, record in records.items():
-                    handle.write(json.dumps({"c": cell_id, "v": record}) + "\n")
-            os.replace(tmp_path, self.path)
-        except BaseException:
-            if os.path.exists(tmp_path):
-                os.unlink(tmp_path)
-            raise
+    @staticmethod
+    def _decode(row: Any) -> Tuple[str, Dict[str, Any]]:
+        return str(row["c"]), dict(row["v"])
 
 
 class SqliteResultStore(ResultStore):
-    """Sqlite backend for big matrices: keyed upserts, point lookups, rowid order."""
+    """Sqlite backend for big matrices: ``results(cell_id, record, written_at)``.
 
-    def __init__(self, path: str, namespace: Optional[str] = None) -> None:
-        super().__init__(path, namespace)
-        self._conn: Optional[sqlite3.Connection] = None
+    Keyed upserts, point lookups, rowid (completion) order.
+    """
 
-    def _connect(self) -> sqlite3.Connection:
-        if self._conn is None:
-            existed = os.path.exists(self.path)
-            self._conn = sqlite3.connect(self.path)
-            if existed and self._is_foreign(self._conn):
-                # A valid sqlite database that is not ours (a mistyped --results
-                # path): preserve it at <path>.corrupt instead of injecting our
-                # tables into the user's data.
-                self._reset()
-                self._conn = sqlite3.connect(self.path)
-            self._conn.execute(
-                "CREATE TABLE IF NOT EXISTS meta (key TEXT PRIMARY KEY, value TEXT)"
-            )
-            self._conn.execute(
-                "CREATE TABLE IF NOT EXISTS results "
-                "(cell_id TEXT PRIMARY KEY, record TEXT, written_at REAL DEFAULT 0)"
-            )
-            self._conn.commit()
-        return self._conn
+    def _open_log(self) -> SqliteLog:
+        return SqliteLog(self.path, self.namespace, "results", ("cell_id", "record", "written_at"))
 
     @staticmethod
-    def _is_foreign(conn: sqlite3.Connection) -> bool:
-        """Whether an existing database holds someone else's tables (ours absent)."""
-        tables = {
-            row[0]
-            for row in conn.execute("SELECT name FROM sqlite_master WHERE type = 'table'")
-        }
-        return bool(tables) and not {"meta", "results"}.issubset(tables)
+    def _encode(cell_id: str, record: Dict[str, Any]) -> Tuple[str, Dict[str, Any], float]:
+        return str(cell_id), record, float(record.get("written_at") or 0.0)
 
-    def _reset(self) -> None:
-        """Preserve an unreadable database at ``<path>.corrupt`` and start fresh."""
-        self.close()
-        _move_aside(self.path)
-
-    def _stored_namespace(self, conn: sqlite3.Connection) -> Optional[str]:
-        row = conn.execute("SELECT value FROM meta WHERE key = 'namespace'").fetchone()
-        return row[0] if row else None
-
-    def _validated(self) -> Optional[sqlite3.Connection]:
-        """A connection with the namespace checked, or ``None`` after recovery."""
-        try:
-            conn = self._connect()
-            stored = self._stored_namespace(conn)
-            if stored is not None and stored != self.namespace:
-                conn.execute("DELETE FROM results")
-                conn.execute(
-                    "INSERT OR REPLACE INTO meta VALUES ('namespace', ?)",
-                    (self.namespace,),
-                )
-                conn.commit()
-            return conn
-        except sqlite3.DatabaseError:
-            self._reset()
-            return None
-
-    def load(self) -> "OrderedDict[str, Dict[str, Any]]":
-        self.load_errors = 0
-        if not os.path.exists(self.path):
-            return OrderedDict()
-        conn = self._validated()
-        if conn is None:
-            return OrderedDict()
-        try:
-            rows = conn.execute(
-                "SELECT cell_id, record FROM results ORDER BY rowid"
-            ).fetchall()
-        except sqlite3.DatabaseError:
-            self._reset()
-            return OrderedDict()
-        records: "OrderedDict[str, Dict[str, Any]]" = OrderedDict()
-        for cell_id, blob in rows:
-            try:
-                records[str(cell_id)] = dict(json.loads(blob))
-            except (ValueError, TypeError):
-                self.load_errors += 1
-        return records
+    @staticmethod
+    def _decode(row: Tuple[Any, Any, float]) -> Tuple[str, Dict[str, Any]]:
+        cell_id, record, _ = row
+        return str(cell_id), dict(record)
 
     def get(self, cell_id: str) -> Optional[Dict[str, Any]]:
-        if not os.path.exists(self.path):
-            return None
-        conn = self._validated()
-        if conn is None:
-            return None
-        try:
-            row = conn.execute(
-                "SELECT record FROM results WHERE cell_id = ?", (str(cell_id),)
-            ).fetchone()
-        except sqlite3.DatabaseError:
-            return None
-        if row is None:
-            return None
-        try:
-            return dict(json.loads(row[0]))
-        except (ValueError, TypeError):
-            self.load_errors += 1
-            return None
-
-    def physical_rows(self) -> int:
-        """Row count in the results table (keyed upserts never hold duplicates)."""
-        if not os.path.exists(self.path):
-            return 0
-        conn = self._validated()
-        if conn is None:
-            return 0
-        try:
-            return int(conn.execute("SELECT COUNT(*) FROM results").fetchone()[0])
-        except sqlite3.DatabaseError:
-            return 0
-
-    def put(self, cell_id: str, record: Dict[str, Any]) -> None:
-        t0 = _obs.now() if _obs.enabled else 0.0
-        conn = self._validated()
-        if conn is None:
-            conn = self._connect()
-        conn.execute(
-            "INSERT OR REPLACE INTO meta VALUES ('namespace', ?)", (self.namespace,)
-        )
-        conn.execute(
-            "INSERT OR REPLACE INTO results VALUES (?, ?, ?)",
-            (str(cell_id), json.dumps(record), float(record.get("written_at") or 0.0)),
-        )
-        conn.commit()
-        if _obs.enabled:
-            _obs.add("store.put", t0, _obs.now(), tag=cell_id)
-
-    def put_many(self, items: Sequence[Tuple[str, Dict[str, Any]]]) -> None:
-        """One transaction for the whole batch (rows identical to per-put)."""
-        if not items:
-            return
-        t0 = _obs.now() if _obs.enabled else 0.0
-        conn = self._validated()
-        if conn is None:
-            conn = self._connect()
-        conn.execute(
-            "INSERT OR REPLACE INTO meta VALUES ('namespace', ?)", (self.namespace,)
-        )
-        conn.executemany(
-            "INSERT OR REPLACE INTO results VALUES (?, ?, ?)",
-            [
-                (str(cell_id), json.dumps(record), float(record.get("written_at") or 0.0))
-                for cell_id, record in items
-            ],
-        )
-        conn.commit()
-        if _obs.enabled:
-            _obs.add("store.put", t0, _obs.now(), tag=f"batch:{len(items)}")
-
-    def replace_all(self, records: "OrderedDict[str, Dict[str, Any]]") -> None:
-        conn = self._validated()
-        if conn is None:
-            conn = self._connect()
-        conn.execute("DELETE FROM results")
-        conn.execute(
-            "INSERT OR REPLACE INTO meta VALUES ('namespace', ?)", (self.namespace,)
-        )
-        conn.executemany(
-            "INSERT OR REPLACE INTO results VALUES (?, ?, ?)",
-            [
-                (str(cell_id), json.dumps(record), float(record.get("written_at") or 0.0))
-                for cell_id, record in records.items()
-            ],
-        )
-        conn.commit()
-
-    def close(self) -> None:
-        if self._conn is not None:
-            self._conn.close()
-            self._conn = None
-
-
-_SQLITE_SUFFIXES = (".sqlite", ".sqlite3", ".db")
+        row = self._log.get(cell_id, self._decode)
+        return None if row is None else row[1]
 
 
 def open_result_store(
     path: Union[str, os.PathLike], namespace: Optional[str] = None
 ) -> ResultStore:
     """Pick a backend from the path suffix (sqlite for ``.sqlite/.db``, else JSONL)."""
-    if str(path).lower().endswith(_SQLITE_SUFFIXES):
+    if is_sqlite_path(path):
         return SqliteResultStore(str(path), namespace)
     return JsonlResultStore(str(path), namespace)
 

@@ -39,6 +39,7 @@ from dataclasses import dataclass, field
 from typing import List, Optional
 
 from repro.core import parallel_map
+from repro.recordlog import is_sqlite_path
 
 __all__ = ["ChaosMonkey", "KILL_EXIT_CODE", "tear_last_append"]
 
@@ -298,9 +299,6 @@ class ChaosMonkey:
 
 
 # ---------------------------------------------------------------------- store chaos
-_SQLITE_SUFFIXES = (".sqlite", ".sqlite3", ".db")
-
-
 def tear_last_append(path: str) -> bool:
     """Simulate a result-store writer killed mid-``append``.
 
@@ -315,7 +313,7 @@ def tear_last_append(path: str) -> bool:
     """
     if not os.path.exists(path):
         return False
-    if str(path).lower().endswith(_SQLITE_SUFFIXES):
+    if is_sqlite_path(path):
         conn = sqlite3.connect(path)
         try:
             row = conn.execute("SELECT max(rowid) FROM results").fetchone()

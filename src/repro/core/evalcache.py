@@ -25,7 +25,9 @@ entries loaded from disk are reported in :attr:`CacheStats.loaded`, new results 
 spilled with :meth:`EvaluationCache.flush`, and stores carry a versioned fingerprint
 namespace — bumping :data:`CACHE_SCHEMA_VERSION` (or evaluating with a different
 fingerprint vocabulary) invalidates stale stores instead of serving wrong results.
-Corrupt rows or a truncated store degrade to a cold start, never an error.
+The file discipline — namespace check, ``<path>.corrupt`` preservation, torn-tail
+recovery, atomic rewrites — is :mod:`repro.recordlog`'s, shared with the result
+store and the lease journal; this module keeps only the row layout and value codec.
 
 **Scale-out.**  Worker processes evaluate against a private cache seeded from the
 parent's entries (:meth:`seed`), and the parent merges each worker's freshly priced
@@ -45,10 +47,7 @@ import bisect
 import enum
 import hashlib
 import importlib
-import json
 import os
-import sqlite3
-import tempfile
 import threading
 import time
 from collections import OrderedDict
@@ -56,6 +55,7 @@ from dataclasses import fields, is_dataclass
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from repro.obs import tracer as _obs
+from repro.recordlog import JsonlLog, SqliteLog, is_sqlite_path
 
 __all__ = [
     "CACHE_SCHEMA_VERSION",
@@ -232,14 +232,14 @@ def _resolve_type(ref: str) -> type:
 class CacheStore:
     """Backend interface for persisting cache entries across processes.
 
-    A store is namespaced: :meth:`load` returns entries only when the on-disk namespace
-    matches (otherwise the stale store is discarded), and every implementation must
-    survive a corrupt or truncated file by degrading to an empty store.  Rows that fail
-    to decode are skipped and counted in :attr:`load_errors`.
+    Each backend wraps one :mod:`repro.recordlog` log, which owns the file
+    discipline: a store under another namespace loads empty and is reset, a
+    foreign file is preserved at ``<path>.corrupt``, a torn last line is skipped,
+    and rewrites are atomic.  A backend supplies only its row layout
+    (``_encode``/``_decode``).  Rows that fail to decode are skipped and counted
+    in :attr:`load_errors`.
     """
 
-    #: Rows skipped during the most recent :meth:`load` (corruption / stale classes).
-    load_errors: int = 0
     #: Whether :meth:`get` answers single-key lookups without a full :meth:`load`
     #: (required for the read-through mode of :class:`EvaluationCache`).
     supports_point_lookup: bool = False
@@ -251,10 +251,27 @@ class CacheStore:
         #: written before timestamps existed report 0.0 (treated as oldest by the
         #: age-based eviction in :meth:`EvaluationCache.compact`).
         self.row_times: Dict[str, float] = {}
+        self._log = self._open_log()
+
+    def _open_log(self):
+        raise NotImplementedError
+
+    @property
+    def load_errors(self) -> int:
+        """Rows skipped during the most recent :meth:`load` (corruption / stale classes)."""
+        return self._log.errors
 
     def load(self) -> Dict[str, Any]:
         """All valid entries, or ``{}`` for a missing/corrupt/foreign-namespace store."""
-        raise NotImplementedError
+        entries: Dict[str, Any] = {}
+        self.row_times = {}
+        for key, value, priced_at in self._log.rows(self._decode):
+            # Later duplicates win in *position* too: a re-appended key must rank
+            # as newest for compact(max_entries=) eviction.
+            entries.pop(key, None)
+            entries[key] = value
+            self.row_times[key] = priced_at
+        return entries
 
     def get(self, key: str) -> Optional[Any]:
         """Point lookup of one entry, or ``None`` (unsupported, missing or corrupt)."""
@@ -275,16 +292,24 @@ class CacheStore:
         ``times`` carries per-key ``priced_at`` timestamps; keys without one are
         stamped with the current time.
         """
-        raise NotImplementedError
+        self._log.append(self._rows(entries, times))
 
     def replace_all(
         self, entries: Mapping[str, Any], times: Optional[Mapping[str, float]] = None
     ) -> None:
         """Atomically rewrite the store to exactly ``entries`` (compaction)."""
-        raise NotImplementedError
+        self._log.rewrite(self._rows(entries, times))
 
-    def close(self) -> None:  # pragma: no cover - trivial default
+    def _rows(self, entries: Mapping[str, Any], times: Optional[Mapping[str, float]]):
+        now = time.time()
+        times = times or {}
+        for key, value in entries.items():
+            priced = times.get(key)
+            yield self._encode(key, value, now if priced is None else priced)
+
+    def close(self) -> None:
         """Release any held resources (sqlite connections)."""
+        self._log.close()
 
     def __enter__(self) -> "CacheStore":
         return self
@@ -293,291 +318,55 @@ class CacheStore:
         self.close()
 
 
-def _move_aside(path: str) -> None:
-    """Preserve an unreadable/foreign file at ``<path>.corrupt`` instead of deleting it.
-
-    A mistyped ``--cache`` path must never destroy user data: recovery means starting
-    cold, not truncating whatever sat at the path.
-    """
-    if os.path.exists(path):
-        os.replace(path, path + ".corrupt")
-
-
 class JsonlCacheStore(CacheStore):
-    """Append-only JSONL spill: one header line, then one ``{"k":…, "v":…}`` row each.
+    """Append-only JSONL spill: one header line, then one ``{"k", "v", "t"}`` row each.
 
-    Append-only writes make concurrent sweeps safe-ish (a torn last line is skipped on
-    the next load) and keep the warm-start path a single sequential read.
+    Append-only writes keep the warm-start path a single sequential read; a torn
+    last line from a killed writer is skipped on the next load.
     """
 
-    _HEADER_FORMAT = "watos-evalcache-jsonl"
-
-    def __init__(self, path: str, namespace: Optional[str] = None) -> None:
-        super().__init__(path, namespace)
-        #: Set when load() found a file that is not ours; the first write moves it
-        #: aside to ``<path>.corrupt`` rather than truncating it in place.
-        self._foreign_file = False
-
-    def load(self) -> Dict[str, Any]:
-        self.load_errors = 0
-        self._foreign_file = False
-        self.row_times = {}
-        if not os.path.exists(self.path):
-            return {}
-        entries: Dict[str, Any] = {}
-        try:
-            with open(self.path, "r", encoding="utf-8") as handle:
-                header_line = handle.readline()
-                header = self._parse_header(header_line)
-                if header is None:
-                    # Not an evalcache file at all: leave it untouched until a write
-                    # actually needs the path, then preserve it at <path>.corrupt.
-                    self._foreign_file = True
-                    return {}
-                if header.get("namespace") != self.namespace:
-                    # Our file, stale namespace: safe to reset in place.
-                    self.replace_all({})
-                    return {}
-                for line in handle:
-                    line = line.strip()
-                    if not line:
-                        continue
-                    try:
-                        row = json.loads(line)
-                        key, value = str(row["k"]), decode_value(row["v"])
-                        # Later duplicates win in *position* too: a re-appended key
-                        # must rank as newest for compact(max_entries=) eviction.
-                        entries.pop(key, None)
-                        entries[key] = value
-                        # Pre-timestamp rows report 0.0 (oldest) to age eviction.
-                        self.row_times[key] = float(row.get("t", 0.0))
-                    except (ValueError, KeyError, TypeError, AttributeError, ImportError):
-                        self.load_errors += 1
-        except OSError:
-            return {}
-        return entries
-
-    def _parse_header(self, header_line: str) -> Optional[Dict]:
-        try:
-            header = json.loads(header_line)
-        except ValueError:
-            return None
-        if isinstance(header, dict) and header.get("format") == self._HEADER_FORMAT:
-            return header
-        return None
-
-    def _header(self) -> str:
-        return json.dumps({"format": self._HEADER_FORMAT, "namespace": self.namespace})
+    def _open_log(self) -> JsonlLog:
+        return JsonlLog(self.path, {"format": "watos-evalcache-jsonl", "namespace": self.namespace})
 
     @staticmethod
-    def _row(key: str, value: Any, priced_at: float) -> str:
-        return json.dumps({"k": key, "v": encode_value(value), "t": priced_at})
+    def _encode(key: str, value: Any, priced_at: float) -> Dict[str, Any]:
+        return {"k": key, "v": encode_value(value), "t": priced_at}
 
-    def append(
-        self, entries: Mapping[str, Any], times: Optional[Mapping[str, float]] = None
-    ) -> None:
-        if not entries:
-            return
-        if self._foreign_file:
-            _move_aside(self.path)
-            self._foreign_file = False
-        now = time.time()
-        times = times or {}
-        fresh = not os.path.exists(self.path)
-        with open(self.path, "a", encoding="utf-8") as handle:
-            if fresh:
-                handle.write(self._header() + "\n")
-            for key, value in entries.items():
-                priced = times.get(key)
-                handle.write(self._row(key, value, now if priced is None else priced) + "\n")
-
-    def replace_all(
-        self, entries: Mapping[str, Any], times: Optional[Mapping[str, float]] = None
-    ) -> None:
-        if self._foreign_file:
-            _move_aside(self.path)
-            self._foreign_file = False
-        now = time.time()
-        times = times or {}
-        directory = os.path.dirname(os.path.abspath(self.path))
-        fd, tmp_path = tempfile.mkstemp(prefix=".evalcache-", dir=directory)
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                handle.write(self._header() + "\n")
-                for key, value in entries.items():
-                    priced = times.get(key)
-                    handle.write(self._row(key, value, now if priced is None else priced) + "\n")
-            os.replace(tmp_path, self.path)
-        except BaseException:
-            if os.path.exists(tmp_path):
-                os.unlink(tmp_path)
-            raise
+    @staticmethod
+    def _decode(row: Any) -> Tuple[str, Any, float]:
+        # Pre-timestamp rows report 0.0 (oldest) to age eviction.
+        return str(row["k"]), decode_value(row["v"]), float(row.get("t", 0.0))
 
 
 class SqliteCacheStore(CacheStore):
-    """Sqlite spill for large sweeps: keyed upserts, no whole-file rewrite on append."""
+    """Sqlite spill for large sweeps: ``entries(key, value, priced_at)``, keyed upserts."""
 
     supports_point_lookup = True
 
-    def __init__(self, path: str, namespace: Optional[str] = None) -> None:
-        super().__init__(path, namespace)
-        self._conn: Optional[sqlite3.Connection] = None
+    def _open_log(self) -> SqliteLog:
+        return SqliteLog(self.path, self.namespace, "entries", ("key", "value", "priced_at"))
 
-    # ------------------------------------------------------------------ connection
-    def _connect(self) -> sqlite3.Connection:
-        if self._conn is None:
-            self._conn = sqlite3.connect(self.path)
-            self._conn.execute(
-                "CREATE TABLE IF NOT EXISTS meta (key TEXT PRIMARY KEY, value TEXT)"
-            )
-            self._conn.execute(
-                "CREATE TABLE IF NOT EXISTS entries "
-                "(key TEXT PRIMARY KEY, value TEXT, priced_at REAL DEFAULT 0)"
-            )
-            # Stores written before timestamps existed lack the column; migrate in
-            # place (their rows report priced_at 0 — oldest — to age eviction).
-            columns = {
-                row[1] for row in self._conn.execute("PRAGMA table_info(entries)")
-            }
-            if "priced_at" not in columns:
-                self._conn.execute(
-                    "ALTER TABLE entries ADD COLUMN priced_at REAL DEFAULT 0"
-                )
-            self._conn.commit()
-        return self._conn
+    @staticmethod
+    def _encode(key: str, value: Any, priced_at: float) -> Tuple[str, Any, float]:
+        return key, encode_value(value), priced_at
 
-    def _reset(self) -> None:
-        """Preserve an unreadable database file at ``<path>.corrupt`` and start fresh."""
-        self.close()
-        _move_aside(self.path)
+    @staticmethod
+    def _decode(row: Tuple[Any, Any, float]) -> Tuple[str, Any, float]:
+        key, value, priced_at = row
+        return str(key), decode_value(value), float(priced_at or 0.0)
 
-    def __getstate__(self):
-        # sqlite connections are process-local; workers reconnect lazily if they
-        # ever touch the store (they normally never do — see EvaluationCache).
-        state = self.__dict__.copy()
-        state["_conn"] = None
-        return state
-
-    def _stored_namespace(self, conn: sqlite3.Connection) -> Optional[str]:
-        row = conn.execute("SELECT value FROM meta WHERE key = 'namespace'").fetchone()
-        return row[0] if row else None
-
-    # ------------------------------------------------------------------ CacheStore
-    def load(self) -> Dict[str, Any]:
-        self.load_errors = 0
-        self.row_times = {}
-        if not os.path.exists(self.path):
-            return {}
-        try:
-            conn = self._connect()
-            stored = self._stored_namespace(conn)
-            if stored is not None and stored != self.namespace:
-                conn.execute("DELETE FROM entries")
-                conn.execute(
-                    "INSERT OR REPLACE INTO meta VALUES ('namespace', ?)", (self.namespace,)
-                )
-                conn.commit()
-                return {}
-            rows = conn.execute("SELECT key, value, priced_at FROM entries").fetchall()
-        except sqlite3.DatabaseError:
-            self._reset()
-            return {}
-        entries: Dict[str, Any] = {}
-        for key, blob, priced_at in rows:
-            try:
-                entries[str(key)] = decode_value(json.loads(blob))
-                self.row_times[str(key)] = float(priced_at or 0.0)
-            except (ValueError, KeyError, TypeError, AttributeError, ImportError):
-                self.load_errors += 1
-        return entries
+    def get(self, key: str) -> Optional[Any]:
+        row = self._log.get(key, self._decode)
+        return None if row is None else row[1]
 
     def prepare(self) -> None:
         """Namespace validation for read-through use: repair, never a full row scan."""
-        if not os.path.exists(self.path):
-            return
-        try:
-            conn = self._connect()
-            stored = self._stored_namespace(conn)
-            if stored is not None and stored != self.namespace:
-                conn.execute("DELETE FROM entries")
-                conn.execute(
-                    "INSERT OR REPLACE INTO meta VALUES ('namespace', ?)", (self.namespace,)
-                )
-                conn.commit()
-        except sqlite3.DatabaseError:
-            self._reset()
-
-    def get(self, key: str) -> Optional[Any]:
-        try:
-            conn = self._connect()
-            row = conn.execute(
-                "SELECT value FROM entries WHERE key = ?", (str(key),)
-            ).fetchone()
-        except sqlite3.DatabaseError:
-            return None
-        if row is None:
-            return None
-        try:
-            return decode_value(json.loads(row[0]))
-        except (ValueError, KeyError, TypeError, AttributeError, ImportError):
-            self.load_errors += 1
-            return None
-
-    def append(
-        self, entries: Mapping[str, Any], times: Optional[Mapping[str, float]] = None
-    ) -> None:
-        if not entries:
-            return
-        try:
-            conn = self._connect()
-        except sqlite3.DatabaseError:
-            self._reset()
-            conn = self._connect()
-        now = time.time()
-        times = times or {}
-        conn.execute(
-            "INSERT OR REPLACE INTO meta VALUES ('namespace', ?)", (self.namespace,)
-        )
-        conn.executemany(
-            "INSERT OR REPLACE INTO entries VALUES (?, ?, ?)",
-            [
-                (
-                    key,
-                    json.dumps(encode_value(value)),
-                    now if times.get(key) is None else times[key],
-                )
-                for key, value in entries.items()
-            ],
-        )
-        conn.commit()
-
-    def replace_all(
-        self, entries: Mapping[str, Any], times: Optional[Mapping[str, float]] = None
-    ) -> None:
-        try:
-            conn = self._connect()
-        except sqlite3.DatabaseError:
-            self._reset()
-            conn = self._connect()
-        conn.execute("DELETE FROM entries")
-        conn.execute(
-            "INSERT OR REPLACE INTO meta VALUES ('namespace', ?)", (self.namespace,)
-        )
-        conn.commit()
-        self.append(entries, times)
-
-    def close(self) -> None:
-        if self._conn is not None:
-            self._conn.close()
-            self._conn = None
-
-
-_SQLITE_SUFFIXES = (".sqlite", ".sqlite3", ".db")
+        self._log.prepare()
 
 
 def open_store(path: str, namespace: Optional[str] = None) -> CacheStore:
     """Pick a store backend from the path suffix (sqlite for ``.sqlite/.db``, else JSONL)."""
-    if str(path).lower().endswith(_SQLITE_SUFFIXES):
+    if is_sqlite_path(path):
         return SqliteCacheStore(path, namespace)
     return JsonlCacheStore(path, namespace)
 

@@ -12,23 +12,29 @@ recovery.  The result store already records every *completed* cell; the journal
 records the queue's other transitions (cell registered, lease granted, cell
 requeued, cell settled), so a restarted coordinator can rebuild exactly the pending
 set and per-cell attempt counts — no cell lost, none forgotten mid-lease.  Rows are
-JSON lines under the same torn-tail discipline as every other append-only store in
-the repo: a row cut short by a kill is skipped on replay, costing at most one
-transition that lease expiry then re-derives.
+JSON lines in a :class:`~repro.recordlog.JsonlLog`, the record log every store in
+the repo shares: a row cut short by a kill is skipped on replay (costing at most
+one transition, which lease expiry re-derives) and the next append starts on a
+fresh line, and a file that is not a journal is moved to ``<path>.corrupt``
+rather than appended into.
 """
 
 from __future__ import annotations
 
-import json
-import os
 import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
+
+from repro.recordlog import JsonlLog
 
 __all__ = ["CellState", "Lease", "LeaseJournal", "LeaseTable"]
 
 #: Journal format marker (first line of the file).
 _JOURNAL_FORMAT = "watos-lease-journal"
+
+
+def _decode_event(row: Any) -> Tuple[str, str, Dict[str, Any]]:
+    return str(row["e"]), str(row["c"]), row
 
 
 @dataclass
@@ -126,29 +132,20 @@ class LeaseJournal:
 
     def __init__(self, path: str) -> None:
         self.path = str(path)
-        self._handle = None
-        #: Rows skipped during the most recent :meth:`replay` (torn tail, noise).
-        self.replay_errors = 0
+        self._log = JsonlLog(self.path, {"format": _JOURNAL_FORMAT})
+
+    @property
+    def replay_errors(self) -> int:
+        """Rows skipped during the most recent :meth:`replay` (torn tail, noise)."""
+        return self._log.errors
 
     # ------------------------------------------------------------------ writing
-    def _open(self):
-        if self._handle is None:
-            fresh = not os.path.exists(self.path)
-            self._handle = open(self.path, "a", encoding="utf-8")
-            if fresh:
-                self._handle.write(json.dumps({"format": _JOURNAL_FORMAT}) + "\n")
-                self._handle.flush()
-        return self._handle
-
     def append(self, event: str, cell_id: str, **fields: Any) -> None:
-        handle = self._open()
-        handle.write(json.dumps({"e": event, "c": cell_id, **fields}) + "\n")
-        handle.flush()
+        """Record one transition; it reaches the OS before this returns."""
+        self._log.append([{"e": event, "c": cell_id, **fields}])
 
     def close(self) -> None:
-        if self._handle is not None:
-            self._handle.close()
-            self._handle = None
+        self._log.close()
 
     # ------------------------------------------------------------------ replay
     def replay(self) -> Tuple[Dict[str, CellState], List[str], List[str]]:
@@ -161,56 +158,35 @@ class LeaseJournal:
         later completes one anyway, the result store's later-duplicates-win put
         makes the double harmless.
         """
-        self.replay_errors = 0
         cells: Dict[str, CellState] = {}
         pending: List[str] = []
         leased: List[str] = []
         done: set = set()
-        if not os.path.exists(self.path):
-            return cells, pending, leased
-        with open(self.path, "r", encoding="utf-8") as handle:
-            first = handle.readline()
-            try:
-                header = json.loads(first) if first.endswith("\n") else None
-            except ValueError:
-                header = None
-            if not isinstance(header, dict) or header.get("format") != _JOURNAL_FORMAT:
-                self.replay_errors += 1
-                return cells, pending, leased
-            for line in handle:
-                if not line.endswith("\n"):
-                    self.replay_errors += 1  # torn tail: the transition is re-derived
-                    break
-                try:
-                    row = json.loads(line)
-                    event, cell_id = str(row["e"]), str(row["c"])
-                except (ValueError, KeyError, TypeError):
-                    self.replay_errors += 1
-                    continue
-                if event == "reg":
-                    if cell_id not in cells:
-                        cells[cell_id] = CellState(cell_id, meta=dict(row.get("m") or {}))
-                        pending.append(cell_id)
-                elif event == "grant":
-                    state = cells.setdefault(cell_id, CellState(cell_id))
-                    state.attempts = int(row.get("a", state.attempts + 1))
-                    if cell_id in pending:
-                        pending.remove(cell_id)
-                    if cell_id not in leased:
-                        leased.append(cell_id)
-                elif event == "requeue":
-                    state = cells.setdefault(cell_id, CellState(cell_id))
-                    state.attempts = int(row.get("a", state.attempts))
-                    if cell_id in leased:
-                        leased.remove(cell_id)
-                    if cell_id not in pending:
-                        pending.append(cell_id)
-                elif event == "done":
-                    done.add(cell_id)
-                    if cell_id in pending:
-                        pending.remove(cell_id)
-                    if cell_id in leased:
-                        leased.remove(cell_id)
+        for event, cell_id, row in self._log.rows(_decode_event):
+            if event == "reg":
+                if cell_id not in cells:
+                    cells[cell_id] = CellState(cell_id, meta=dict(row.get("m") or {}))
+                    pending.append(cell_id)
+            elif event == "grant":
+                state = cells.setdefault(cell_id, CellState(cell_id))
+                state.attempts = int(row.get("a", state.attempts + 1))
+                if cell_id in pending:
+                    pending.remove(cell_id)
+                if cell_id not in leased:
+                    leased.append(cell_id)
+            elif event == "requeue":
+                state = cells.setdefault(cell_id, CellState(cell_id))
+                state.attempts = int(row.get("a", state.attempts))
+                if cell_id in leased:
+                    leased.remove(cell_id)
+                if cell_id not in pending:
+                    pending.append(cell_id)
+            elif event == "done":
+                done.add(cell_id)
+                if cell_id in pending:
+                    pending.remove(cell_id)
+                if cell_id in leased:
+                    leased.remove(cell_id)
         for cell_id in done:
             cells.pop(cell_id, None)
         return cells, pending, leased

@@ -1,24 +1,28 @@
 """Versioned JSONL span log: what ``Session(trace=...)`` writes, ``repro profile`` reads.
 
-File layout mirrors the result-store discipline (``repro.api.results``): a single
-JSON header line identifying the format and schema version, then one compact JSON
-object per record.  Records use short keys to keep big traces small::
+File layout follows the record log every store shares (:mod:`repro.recordlog`): a
+single JSON header line identifying the format and schema version, then one compact
+JSON object per record, written through :func:`repro.recordlog.atomic_write`.
+Records use short keys to keep big traces small::
 
     {"format": "watos-trace-spans", "version": 1, "fingerprint": "…", "cells": 4}
     {"k": "S", "n": "pricing", "b": 12.001, "e": 12.034, "g": "", "p": 71, "w": 0, "d": 0, "v": 1.0}
 
-The reader tolerates a torn final line (a crash mid-write) by skipping it, the
-same recovery rule the result store uses, so ``repro profile`` still works on a
-trace from an interrupted run.
+The reader skips a torn line (say, from a copy cut short), the same rule the stores
+use, so ``repro profile`` still works on a damaged trace.  It stays strict about
+the header, though: it reads a file the user names, so a wrong file raises an
+actionable error instead of reading as an empty trace.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.obs import tracer
+from repro.recordlog import atomic_write
 
 TRACE_FORMAT = "watos-trace-spans"
 TRACE_VERSION = 1
@@ -38,25 +42,21 @@ def write_trace(
 
     ``records`` may be raw tracer ring tuples or span dicts.  ``meta`` is folded
     into the header line (e.g. the sweep fingerprint, which is stable across a
-    resume of the same matrix).  The file is replaced atomically so a torn write
-    never corrupts an existing trace.
+    resume of the same matrix).  The file is replaced atomically
+    (:func:`repro.recordlog.atomic_write`), so an interrupted write never
+    corrupts an existing trace and leaves no temp file behind.
     """
     spans = tracer.as_dicts(records)
     header: Dict[str, Any] = {"format": TRACE_FORMAT, "version": TRACE_VERSION}
     for key, value in (meta or {}).items():
         if key not in ("format", "version"):
             header[key] = value
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    tmp_path = f"{path}.tmp.{os.getpid()}"
-    with open(tmp_path, "w", encoding="utf-8") as handle:
-        handle.write(json.dumps(header, sort_keys=True) + "\n")
-        for span in spans:
-            row = {_TO_SHORT[field]: span.get(field) for field in tracer.FIELDS}
-            handle.write(json.dumps(row) + "\n")
-        handle.flush()
-        os.fsync(handle.fileno())
-    os.replace(tmp_path, path)
+    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+    rows = ({_TO_SHORT[field]: span.get(field) for field in tracer.FIELDS} for span in spans)
+    atomic_write(
+        path,
+        itertools.chain([json.dumps(header, sort_keys=True)], (json.dumps(row) for row in rows)),
+    )
     return len(spans)
 
 

@@ -23,6 +23,7 @@ off it, so renaming a trace file never invalidates a result store.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
@@ -33,6 +34,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core.evalcache import fingerprint
 from repro.hardware.faults import FaultEvent, FaultInjector
+from repro.recordlog import atomic_write
 
 __all__ = [
     "JobRequest",
@@ -208,11 +210,17 @@ class Trace:
 
 
 def write_trace(trace: Trace, path: Union[str, os.PathLike]) -> int:
-    """Serialize a trace to a JSONL file; returns the event count."""
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(json.dumps(trace.header()) + "\n")
-        for event in trace.events:
-            handle.write(json.dumps(event.to_dict()) + "\n")
+    """Serialize a trace to a JSONL file, atomically; returns the event count.
+
+    An interrupted rewrite leaves the previous file intact, never a shorter trace
+    that :func:`read_trace` would accept.
+    """
+    atomic_write(
+        path,
+        itertools.chain(
+            [json.dumps(trace.header())], (json.dumps(event.to_dict()) for event in trace.events)
+        ),
+    )
     return len(trace.events)
 
 

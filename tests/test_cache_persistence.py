@@ -337,8 +337,9 @@ class TestAgeCompaction:
         if isinstance(store, JsonlCacheStore):
             # Hand-write a legacy row without a "t" field.
             store.append({}, None)  # no-op, just materialise nothing
+            header = {"format": "watos-evalcache-jsonl", "namespace": default_namespace()}
             with open(store_path, "w", encoding="utf-8") as handle:
-                handle.write(store._header() + "\n")
+                handle.write(json.dumps(header) + "\n")
                 handle.write(json.dumps({"k": "legacy", "v": 7}) + "\n")
         else:
             store.append({"legacy": 7}, {"legacy": 0.0})

@@ -8,7 +8,9 @@ The contract under test:
 * Mistyped knob paths and spec fields fail with a did-you-mean suggestion, never a
   bare ``KeyError``.
 * ``ResultStore`` (JSONL + sqlite) round-trips ``RunResult.to_dict()`` rows
-  exactly, recovers cold from corrupt stores, and later duplicates win.
+  exactly, recovers cold from corrupt stores, and later duplicates win.  The
+  recovery cases also drive the evaluation-cache store and the lease journal,
+  which share the result store's record log.
 * ``Session.sweep`` streams results, writes through to the store, and a
   kill-and-resume produces byte-identical rows to a fresh serial run for all four
   loop kinds.
@@ -36,7 +38,9 @@ from repro.api.results import (
 )
 from repro.api.sweep import apply_knob, cell_key, resolve_knob, stream_seed
 from repro.core import runtime
+from repro.core.evalcache import open_store as open_cache_store
 from repro.core.genetic import GAConfig
+from repro.fabric.leases import LeaseJournal
 
 
 @pytest.fixture(autouse=True)
@@ -242,6 +246,62 @@ class _FakeRun:
         return data
 
 
+# The result store, the evaluation-cache store and the lease journal share one
+# record log (repro.recordlog), so the recovery tests below drive all three
+# through one surface: write keys as rows, read the keys back in load order.
+class _ResultRows:
+    name = "results"
+
+    def __init__(self, path):
+        self.store = open_result_store(path)
+
+    def write(self, keys):
+        for key in keys:
+            self.store.put(key, make_record(_FakeRun(key, {}), now=1.0))
+
+    def read(self):
+        return list(self.store.load())
+
+    def errors(self):
+        return self.store.load_errors
+
+    def close(self):
+        self.store.close()
+
+
+class _CacheRows(_ResultRows):
+    name = "cache"
+
+    def __init__(self, path):
+        self.store = open_cache_store(path)
+
+    def write(self, keys):
+        self.store.append({key: 1 for key in keys}, {key: 1.0 for key in keys})
+
+
+class _JournalRows:
+    name = "journal"
+
+    def __init__(self, path):
+        self.journal = LeaseJournal(path)
+
+    def write(self, keys):
+        for key in keys:
+            self.journal.append("reg", key, m={})
+
+    def read(self):
+        return self.journal.replay()[1]  # pending cells, in registration order
+
+    def errors(self):
+        return self.journal.replay_errors
+
+    def close(self):
+        self.journal.close()
+
+
+FAMILIES = {".jsonl": (_ResultRows, _CacheRows, _JournalRows), ".sqlite": (_ResultRows, _CacheRows)}
+
+
 @pytest.mark.parametrize("suffix", [".jsonl", ".sqlite"])
 class TestResultStore:
     def test_round_trip_is_exact(self, tmp_path, suffix):
@@ -292,28 +352,33 @@ class TestResultStore:
         assert stats["newest_written_at"] == 20.0
 
     def test_foreign_file_is_preserved_not_truncated(self, tmp_path, suffix):
-        path = str(tmp_path / f"results{suffix}")
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write("precious user data, definitely not a result store\n")
-        with open_result_store(path) as store:
-            assert store.load() == {}  # cold start, no error
-            store.put("a", make_record(_FakeRun("a", {}), now=1.0))
-            assert list(store.load()) == ["a"]
-        with open(path + ".corrupt", encoding="utf-8") as handle:
-            assert "precious" in handle.read()
+        for family in FAMILIES[suffix]:
+            path = str(tmp_path / f"{family.name}{suffix}")
+            with open(path, "wb") as handle:  # not even UTF-8
+                handle.write(b"precious user data, definitely not a result store\n\xff\xfe\n")
+            rows = family(path)
+            assert rows.read() == [], family.name  # cold start, no error
+            rows.write(["a"])
+            assert rows.read() == ["a"], family.name
+            rows.close()
+            with open(path + ".corrupt", "rb") as handle:
+                assert b"precious" in handle.read(), family.name
 
     def test_blind_put_never_appends_to_a_foreign_file(self, tmp_path, suffix):
         # The resume=False path writes without ever calling load(); the store must
         # still notice a foreign file and move it aside instead of polluting it.
-        path = str(tmp_path / f"results{suffix}")
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write("precious user data, definitely not a result store\n")
-        with open_result_store(path) as store:
-            store.put("a", make_record(_FakeRun("a", {}), now=1.0))
-        with open_result_store(path) as store:
-            assert list(store.load()) == ["a"]
-        with open(path + ".corrupt", encoding="utf-8") as handle:
-            assert "precious" in handle.read()
+        for family in FAMILIES[suffix]:
+            path = str(tmp_path / f"{family.name}{suffix}")
+            with open(path, "w", encoding="utf-8") as handle:
+                handle.write("precious user data, definitely not a result store\n")
+            rows = family(path)
+            rows.write(["a"])
+            rows.close()
+            rows = family(path)
+            assert rows.read() == ["a"], family.name
+            rows.close()
+            with open(path + ".corrupt", encoding="utf-8") as handle:
+                assert "precious" in handle.read(), family.name
 
     def test_blind_put_resets_a_stale_namespace_file(self, tmp_path, suffix):
         path = str(tmp_path / f"results{suffix}")
@@ -338,22 +403,24 @@ class TestResultStore:
 def test_foreign_valid_sqlite_database_is_preserved(tmp_path):
     import sqlite3
 
-    path = str(tmp_path / "users.sqlite")
-    conn = sqlite3.connect(path)
-    conn.execute("CREATE TABLE mydata (id INTEGER PRIMARY KEY, payload TEXT)")
-    conn.execute("INSERT INTO mydata VALUES (1, 'precious')")
-    conn.commit()
-    conn.close()
+    for family in FAMILIES[".sqlite"]:
+        path = str(tmp_path / f"users-{family.name}.sqlite")
+        conn = sqlite3.connect(path)
+        conn.execute("CREATE TABLE mydata (id INTEGER PRIMARY KEY, payload TEXT)")
+        conn.execute("INSERT INTO mydata VALUES (1, 'precious')")
+        conn.commit()
+        conn.close()
 
-    with open_result_store(path) as store:
-        store.put("a", make_record(_FakeRun("a", {}), now=1.0))
-        assert list(store.load()) == ["a"]
-    # The user's database was moved aside intact, not mutated in place.
-    conn = sqlite3.connect(path + ".corrupt")
-    assert conn.execute("SELECT payload FROM mydata").fetchone() == ("precious",)
-    tables = {r[0] for r in conn.execute("SELECT name FROM sqlite_master WHERE type='table'")}
-    conn.close()
-    assert tables == {"mydata"}
+        rows = family(path)
+        rows.write(["a"])
+        assert rows.read() == ["a"], family.name
+        rows.close()
+        # The user's database was moved aside intact, not mutated in place.
+        conn = sqlite3.connect(path + ".corrupt")
+        assert conn.execute("SELECT payload FROM mydata").fetchone() == ("precious",)
+        tables = {r[0] for r in conn.execute("SELECT name FROM sqlite_master WHERE type='table'")}
+        conn.close()
+        assert tables == {"mydata"}, family.name
 
 
 def test_jsonl_torn_last_line_is_skipped(tmp_path):
@@ -371,20 +438,21 @@ def test_jsonl_torn_last_line_is_skipped(tmp_path):
 
 def test_jsonl_append_after_torn_line_does_not_concatenate(tmp_path):
     # The kill-and-resume workflow: the killed run left a torn last line, the
-    # resumed run re-prices that cell and appends it — the new row must start on
-    # its own line, not merge into the fragment and lose both.
-    path = str(tmp_path / "results.jsonl")
-    with open_result_store(path) as store:
-        store.put("a", make_record(_FakeRun("a", {"v": 1}), now=1.0))
-    with open(path, "a", encoding="utf-8") as handle:
-        handle.write('{"c": "b", "v": {"result"')  # torn mid-write by a kill
-    with open_result_store(path) as store:
-        store.put("b", make_record(_FakeRun("b", {"v": 2}), now=2.0))
-    with open_result_store(path) as store:
-        loaded = store.load()
-        assert list(loaded) == ["a", "b"]
-        assert loaded["b"]["result"]["metrics"]["v"] == 2
-        assert store.load_errors == 1  # only the torn fragment was sacrificed
+    # resumed run appends again — the first new row must start on its own line,
+    # not merge into the fragment and lose both.
+    for family in FAMILIES[".jsonl"]:
+        path = str(tmp_path / f"{family.name}.jsonl")
+        rows = family(path)
+        rows.write(["a"])
+        rows.close()
+        with open(path, "a", encoding="utf-8") as handle:
+            handle.write('{"c": "b", "v": {"result"')  # torn mid-write by a kill
+        rows = family(path)
+        rows.write(["c", "d"])
+        rows.close()
+        rows = family(path)
+        assert rows.read() == ["a", "c", "d"], family.name
+        assert rows.errors() == 1, family.name  # only the torn fragment was sacrificed
 
 
 def test_csv_export_one_row_per_cell(tmp_path):

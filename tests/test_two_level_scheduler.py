@@ -87,12 +87,15 @@ class TestJobsBitIdentity:
             [ExperimentSpec.from_dict(spec) for spec in ALL_KINDS_SPECS]
         )
         serial = str(tmp_path / f"serial.{suffix}")
-        with Session() as session:
+        with Session(store=str(tmp_path / f"serial-cache.{suffix}")) as session:
             serial_runs = list(session.sweep(sweep, results=serial))
         assert len(serial_runs) == len(ALL_KINDS_SPECS)
 
+        # The cache store on the same backend: cell threads look entries up in it
+        # (read-through on sqlite) and flush to it, and the session closes it.
         threaded = str(tmp_path / f"threaded.{suffix}")
-        with Session() as session:
+        cache = str(tmp_path / f"threaded-cache.{suffix}")
+        with Session(store=cache, read_through=True) as session:
             runs = list(session.sweep(sweep, results=threaded, jobs=3))
         # Streamed yield order is preserved even though cells finish out of order.
         assert [run.cell_id for run in runs] == [run.cell_id for run in serial_runs]
