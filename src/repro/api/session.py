@@ -88,16 +88,20 @@ class Session:
         forked lazily on first use and joined when the session closes.
     workers:
         Deprecated alias of ``pool`` (warns once; kept for pre-PoolConfig callers).
-    cache / store:
-        Either an existing :class:`EvaluationCache` to adopt (flushed but not
-        closed on exit — the caller owns it), or a store path (``.jsonl`` /
-        ``.sqlite``) the session opens (and closes) itself.  With neither, the
-        session builds a fresh in-memory cache.  A ``store`` of the shape
-        ``host:port[/namespace]`` instead connects to a ``repro serve``
-        coordinator: the coordinator owns the authoritative cache/result stores,
-        this session keeps an in-memory cache warm-started (and delta-synced)
-        over the wire, and :meth:`sweep` claims cells from the coordinator's
-        leased queue instead of walking the matrix locally.
+    cache:
+        An existing :class:`EvaluationCache` to adopt (flushed but not closed on
+        exit — the caller owns it).  A path here is a ``TypeError``: name a store
+        path with ``store=``.
+    store:
+        A cache store path (``.jsonl`` / ``.sqlite``) the session opens (and
+        closes) itself; a missing parent directory is created on the first write.
+        With neither ``cache`` nor ``store``, the session builds a fresh in-memory
+        cache.  A ``store`` of the shape ``host:port[/namespace]`` instead
+        connects to a ``repro serve`` coordinator: the coordinator owns the
+        authoritative cache/result stores, this session keeps an in-memory cache
+        warm-started (and delta-synced) over the wire, and :meth:`sweep` claims
+        cells from the coordinator's leased queue instead of walking the matrix
+        locally.
     read_through / max_entries / namespace:
         Forwarded to :class:`EvaluationCache` when the session builds it.
     compact_on_exit / compact_max_entries / compact_max_age_s:
@@ -139,6 +143,11 @@ class Session:
         retry: Optional[RetryPolicy] = None,
         trace: Optional[Union[str, os.PathLike]] = None,
     ) -> None:
+        if isinstance(cache, (str, os.PathLike)):
+            raise TypeError(
+                f"cache= takes an EvaluationCache object, not the path {os.fspath(cache)!r}; "
+                "pass the path as store= to open (and close) a persistent cache store"
+            )
         if cache is not None and store is not None:
             raise ValueError("pass either cache= (adopted) or store= (owned), not both")
         if workers is not None:

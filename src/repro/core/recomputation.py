@@ -20,7 +20,7 @@ the Mem_pair set that the memory scheduler (placement + DRAM allocation) refines
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.core.plan import MemPair, RecomputeConfig
 from repro.core.tp_engine import TPEngine
@@ -64,7 +64,63 @@ class GcmrScheduler:
         self.tp_engine = tp_engine or TPEngine(wafer)
 
     # ------------------------------------------------------------------ frontiers
-    def _stage_options(
+    def _frontiers(
+        self,
+        workload: TrainingWorkload,
+        tp: int,
+        pp: int,
+        num_microbatches: int,
+    ) -> List[List[StageOption]]:
+        """Every stage's monotone recomputation frontier (option 0 = no recompute).
+
+        Option ``k`` recomputes, in every stage, the ``k`` recomputable operators that
+        save the most checkpoint bytes per second of recompute latency, so the order,
+        the prefix sets and their checkpoint fractions are built once.  A stage's time
+        depends only on its layer count and whether it is an edge stage (at most four
+        signatures per split), and only the checkpoint term of its footprint depends
+        on the fraction, so each stage costs one
+        :meth:`~TrainingMemoryModel.stage_breakdown`.  Bit-identical to
+        :meth:`_stage_options_reference` per stage.
+        """
+        memory = TrainingMemoryModel(workload.model)
+        operators = workload.layer_operators()
+
+        def efficiency(op: Operator) -> float:
+            latency = self.tp_engine.profile.latency(op.sharded(tp))
+            return op.checkpoint_bytes / (latency + 1e-12)
+
+        ordered = sorted(
+            (op for op in operators if op.recomputable), key=efficiency, reverse=True
+        )
+        prefixes = [frozenset(op.name for op in ordered[:k]) for k in range(len(ordered) + 1)]
+        fractions = [
+            RecomputeConfig(stages=(names,)).recompute_fraction(0, operators)
+            for names in prefixes
+        ]
+        layers = memory.layers_per_stage(pp)
+        times_by_signature: Dict[Tuple[int, bool], List[float]] = {}
+        frontiers: List[List[StageOption]] = []
+        for stage in range(pp):
+            signature = (layers[stage], stage == 0 or stage == pp - 1)
+            times = times_by_signature.get(signature)
+            if times is None:
+                times = times_by_signature[signature] = []
+                for names in prefixes:
+                    priced = self.tp_engine.stage_times(
+                        workload, stage, layers[stage], tp, pp, recomputed_ops=names
+                    )
+                    times.append(priced.forward + priced.backward_total)
+            footprints = memory.stage_footprints(
+                stage, pp, tp, workload.micro_batch_size, workload.seq_len,
+                num_microbatches, fractions,
+            )
+            frontiers.append([
+                StageOption(recomputed=names, memory_bytes=footprint, stage_time=seconds)
+                for names, footprint, seconds in zip(prefixes, footprints, times)
+            ])
+        return frontiers
+
+    def _stage_options_reference(
         self,
         workload: TrainingWorkload,
         stage: int,
@@ -72,7 +128,8 @@ class GcmrScheduler:
         pp: int,
         num_microbatches: int,
     ) -> List[StageOption]:
-        """The monotone recomputation frontier of one stage (option 0 = no recompute)."""
+        """One stage's frontier built from scratch: the oracle :meth:`_frontiers`
+        is tested against (``tests/test_gcmr_frontier.py``)."""
         memory = TrainingMemoryModel(workload.model)
         operators = workload.layer_operators()
         recomputable = [op for op in operators if op.recomputable]
@@ -124,7 +181,7 @@ class GcmrScheduler:
         capacity = self.wafer.die.dram_capacity
         wafer_budget = capacity * pp
 
-        frontiers = [self._stage_options(workload, s, tp, pp, n) for s in range(pp)]
+        frontiers = self._frontiers(workload, tp, pp, n)
 
         # Candidate maximum stage times: every option's time is a potential optimum.
         candidates = sorted({opt.stage_time for frontier in frontiers for opt in frontier})

@@ -52,7 +52,11 @@ class TPEngine:
     signature — (workload, layer count, TP degree, recompute set, edge-stage flag,
     link/compute quality) — so they are priced once instead of ``pp`` times, and the
     memo persists across :meth:`stage_times` calls so GA generations re-pricing the
-    same stage shapes pay nothing.  Set ``memoize=False`` to benchmark the raw path.
+    same stage shapes pay nothing.  Beneath it, the sharded layer latencies are
+    memoized per (workload shape, TP degree) and the layer's TP communication time per
+    (workload shape, TP degree, link quality), so a new stage signature neither
+    re-shards nor re-profiles the layer graph.  Set ``memoize=False`` to benchmark the
+    raw path.
     """
 
     def __init__(
@@ -73,6 +77,8 @@ class TPEngine:
         self._embedding_ops: Dict[Tuple, Operator] = {}
         self._stage_times: Dict[Tuple, StageTimes] = {}
         self._stage_flops: Dict[Tuple, float] = {}
+        self._layer_latencies: Dict[Tuple, Tuple[float, ...]] = {}
+        self._layer_tp_comm: Dict[Tuple, float] = {}
 
     # ------------------------------------------------------------------ memoized inputs
     def _workload_key(self, workload: TrainingWorkload) -> Tuple:
@@ -106,6 +112,36 @@ class TPEngine:
             ).sharded(tp)
             self._embedding_ops[key] = op
         return op
+
+    def _sharded_latencies(
+        self, workload: TrainingWorkload, operators: Sequence[Operator], tp: int
+    ) -> Sequence[float]:
+        """Latency of each of the layer graph's ``operators`` sharded ``tp`` ways."""
+        key = self._workload_key(workload) + (tp,)
+        latencies = self._layer_latencies.get(key) if self.memoize else None
+        if latencies is None:
+            # Batch-profile the whole layer graph: one struct-of-arrays roofline pass
+            # on a cold profile table instead of an operator-by-operator walk.
+            latencies = tuple(self.profile.latencies([op.sharded(tp) for op in operators]))
+            if self.memoize:
+                self._layer_latencies[key] = latencies
+        return latencies
+
+    def _tp_comm_time(
+        self,
+        workload: TrainingWorkload,
+        operators: Sequence[Operator],
+        tp: int,
+        link_quality: float,
+    ) -> float:
+        """:meth:`layer_tp_comm_time` of the layer graph's ``operators``."""
+        key = self._workload_key(workload) + (tp, link_quality)
+        tp_comm = self._layer_tp_comm.get(key) if self.memoize else None
+        if tp_comm is None:
+            tp_comm = self.layer_tp_comm_time(operators, tp, link_quality)
+            if self.memoize:
+                self._layer_tp_comm[key] = tp_comm
+        return tp_comm
 
     # ------------------------------------------------------------------ collectives
     def _collective_model(self, tp: int, link_quality: float = 1.0) -> CollectiveModel:
@@ -193,10 +229,7 @@ class TPEngine:
     ) -> StageTimes:
         """Price one stage signature (the memoized body of :meth:`stage_times`)."""
         operators = self._layer_graph(workload)
-
-        # Batch-profile the whole layer graph: one struct-of-arrays roofline pass on a
-        # cold profile table instead of an operator-by-operator walk.
-        latencies = self.profile.latencies([op.sharded(tp) for op in operators])
+        latencies = self._sharded_latencies(workload, operators, tp)
         fwd_compute = 0.0
         recompute_time = 0.0
         for op, base_latency in zip(operators, latencies):
@@ -204,7 +237,7 @@ class TPEngine:
             fwd_compute += latency
             if op.name in recomputed_ops:
                 recompute_time += latency
-        tp_comm = self.layer_tp_comm_time(operators, tp, link_quality)
+        tp_comm = self._tp_comm_time(workload, operators, tp, link_quality)
 
         fwd_layer = fwd_compute + tp_comm
         bwd_layer = 2.0 * fwd_compute + tp_comm

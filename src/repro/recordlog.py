@@ -18,6 +18,8 @@ The recovery rules are the same for every store:
   junk) is never written into: reads treat it as empty, and the first write
   moves it to ``<path>.corrupt`` and starts a fresh file;
 * a file of ours under a stale namespace is reset in place (a cold start);
+* a path under a missing directory reads as empty and creates nothing; the
+  first write creates the directory;
 * a row that fails to parse or decode is skipped and counted in ``errors``.
   That includes a torn last line left by a killed writer, and the next append
   closes that line first, so only the fragment is lost;
@@ -72,6 +74,11 @@ def _move_aside(path: str) -> None:
     """
     if os.path.exists(path):
         os.replace(path, path + ".corrupt")
+
+
+def _make_parent(path: str) -> None:
+    """Create the missing directories above ``path`` (before its first write)."""
+    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
 
 
 def atomic_write(path: Union[str, os.PathLike], lines: Iterable[str]) -> None:
@@ -134,7 +141,8 @@ class JsonlLog:
         return True
 
     def _claim(self) -> None:
-        """Before a write: classify the file once and move a foreign one aside.
+        """Before a write: classify the file once, move a foreign one aside and
+        create a missing parent directory.
 
         Writes never append blind: a writer can reach its first write without
         any read (a sweep with ``resume=False``), and appending to a foreign or
@@ -146,6 +154,7 @@ class JsonlLog:
                     first = handle.readline()
             except FileNotFoundError:
                 first = b""
+                _make_parent(self.path)
             self._check(first)
         if self._foreign:
             _move_aside(self.path)
@@ -241,7 +250,9 @@ class SqliteLog:
         self._lock = threading.RLock()
 
     def _attach(self) -> sqlite3.Connection:
-        """Open the database and make it a current store of ours, or raise."""
+        """Open (or create, parent directory included) the database and make it a
+        current store of ours, or raise."""
+        _make_parent(self.path)
         conn = sqlite3.connect(self.path, check_same_thread=False)
         try:
             tables = {

@@ -163,6 +163,32 @@ class TrainingMemoryModel:
             checkpoint_bytes=ckpt,
         )
 
+    def stage_footprints(
+        self,
+        stage: int,
+        pp: int,
+        tp: int,
+        micro_batch: int,
+        seq: int,
+        num_microbatches: int,
+        recompute_fractions: Sequence[float],
+    ) -> List[float]:
+        """``stage_breakdown(…, fraction).total_bytes`` for each fraction, from one breakdown.
+
+        Only the checkpoint term depends on the fraction; it is scaled by
+        ``1 - fraction`` in the same float order as :meth:`stage_breakdown`, so every
+        value is bit-identical to a call per fraction.
+        """
+        base = self.stage_breakdown(stage, pp, tp, micro_batch, seq, num_microbatches)
+        footprints = []
+        for fraction in recompute_fractions:
+            if not 0.0 <= fraction <= 1.0:
+                raise ValueError("recompute fraction must be within [0, 1]")
+            footprints.append(
+                base.model_state_bytes + base.checkpoint_bytes * (1.0 - fraction)
+            )
+        return footprints
+
     def pipeline_breakdown(
         self,
         pp: int,

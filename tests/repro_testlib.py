@@ -1,4 +1,5 @@
-"""Shared test helpers: a small fast wafer and tiny models for unit tests.
+"""Shared test helpers: a small fast wafer and tiny models for unit tests, plus the
+paper-scale shapes (the §V workloads and Fig. 25 die designs) differential tests use.
 
 These used to live in ``tests/conftest.py`` and be imported as ``from conftest import
 ...``, but a bare ``conftest`` import is ambiguous at the repo root: pytest loads
@@ -10,6 +11,9 @@ from any invocation directory.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
+from repro.core.hardware_dse import DieGranularityDse
 from repro.hardware.template import (
     ComputeDieConfig,
     CoreConfig,
@@ -18,7 +22,8 @@ from repro.hardware.template import (
     WaferConfig,
 )
 from repro.units import GB, tbps, tflops
-from repro.workloads.models import ModelConfig, ModelFamily
+from repro.workloads.models import ModelConfig, ModelFamily, get_model
+from repro.workloads.workload import TrainingWorkload
 
 
 def make_small_wafer(
@@ -91,3 +96,25 @@ def make_small_moe_model() -> ModelConfig:
         num_experts=8,
         experts_per_token=2,
     )
+
+
+def paper_workloads() -> dict:
+    """The four §V evaluation workloads (``benchmarks/conftest.py::paper_workloads``)."""
+    return {
+        "llama2-30b": TrainingWorkload(get_model("llama2-30b"), 128, 4, 4096),
+        "llama3-70b": TrainingWorkload(get_model("llama3-70b"), 128, 4, 4096),
+        "gshard-137b": TrainingWorkload(get_model("gshard-137b"), 128, 4, 2048),
+        "gpt-175b": TrainingWorkload(get_model("gpt-175b"), 128, 4, 2048),
+    }
+
+
+def fig25_wafer(area_mm2: float, aspect_ratio: float) -> WaferConfig:
+    """The wafer tiled with one Fig. 25 die design (area in mm², aspect ratio)."""
+    return DieGranularityDse(paper_workloads()["gpt-175b"]).build_wafer(area_mm2, aspect_ratio)
+
+
+def scale_dram(wafer: WaferConfig, factor: float) -> WaferConfig:
+    """``wafer`` with every DRAM chiplet's capacity scaled by ``factor``."""
+    die = wafer.die
+    chiplet = replace(die.dram_chiplet, capacity_bytes=die.dram_chiplet.capacity_bytes * factor)
+    return replace(wafer, die=replace(die, dram_chiplet=chiplet))

@@ -1,5 +1,7 @@
 """Core plan data structures, TP engine, PP engine and placement."""
 
+import itertools
+
 import pytest
 
 from repro.core.placement import (
@@ -204,6 +206,20 @@ class TestTPEngine:
     def test_degraded_links_slow_comm(self, engine, tiny_workload):
         ops = tiny_workload.layer_operators()
         assert engine.layer_tp_comm_time(ops, 4, link_quality=0.5) > engine.layer_tp_comm_time(ops, 4)
+
+    def test_memoized_stage_times_match_the_raw_path(self, small_wafer, tiny_workload):
+        # One memoized engine prices every signature, interleaving TP degrees and link
+        # and compute quality, so a memo keyed on too little would answer one
+        # signature with another's value; the raw engine prices each from scratch.
+        memoized = TPEngine(small_wafer)
+        raw = TPEngine(small_wafer, memoize=False)
+        recompute = frozenset({"mlp_up_proj", "qkv_proj"})
+        for _ in range(2):  # the second round is served from the memos
+            for tp, link, compute, stage, ops in itertools.product(
+                (1, 2, 4), (1.0, 0.5), (1.0, 0.7), (0, 1), (frozenset(), recompute)
+            ):
+                args = (tiny_workload, stage, 2, tp, 4, ops, link, compute)
+                assert memoized.stage_times(*args) == raw.stage_times(*args), args
 
     def test_stage_forward_flops_counts_layers(self, engine, tiny_workload):
         one = engine.stage_forward_flops(tiny_workload, 1, 1, pp=4)

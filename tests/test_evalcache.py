@@ -4,6 +4,7 @@ fingerprint sensitivity, the event-driven 1F1B simulator and the parallel search
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import replace
 
@@ -182,17 +183,20 @@ class TestFingerprintSensitivity:
 class TestEventDriven1F1B:
     def test_randomized_equivalence_grid(self):
         rng = random.Random(1234)
-        for pp in range(1, 7):
-            for n in range(1, 17):
-                forward = [rng.uniform(0.0, 2.0) for _ in range(pp)]
-                backward = [rng.uniform(0.05, 3.0) for _ in range(pp)]
-                comm = [rng.uniform(0.0, 0.5) for _ in range(pp - 1)]
-                inputs = PipelineCostInputs(forward, backward, comm, n)
-                new = simulate_1f1b(inputs)
-                old = simulate_1f1b_reference(inputs)
-                assert new.iteration_time == old.iteration_time, (pp, n)
-                assert new.stage_busy_time == old.stage_busy_time, (pp, n)
-                assert new.stage_finish_time == old.stage_finish_time, (pp, n)
+        # Small shapes exhaustively, then the paper-scale pipelines: the PP degrees of
+        # the (TP, PP) splits on the 56-die Table II wafers at 8 and 32 micro-batches.
+        shapes = list(itertools.product(range(1, 7), range(1, 17)))
+        shapes += list(itertools.product((7, 14, 28, 56), (8, 32)))
+        for pp, n in shapes:
+            forward = [rng.uniform(0.0, 2.0) for _ in range(pp)]
+            backward = [rng.uniform(0.05, 3.0) for _ in range(pp)]
+            comm = [rng.uniform(0.0, 0.5) for _ in range(pp - 1)]
+            inputs = PipelineCostInputs(forward, backward, comm, n)
+            new = simulate_1f1b(inputs)
+            old = simulate_1f1b_reference(inputs)
+            assert new.iteration_time == old.iteration_time, (pp, n)
+            assert new.stage_busy_time == old.stage_busy_time, (pp, n)
+            assert new.stage_finish_time == old.stage_finish_time, (pp, n)
 
     def test_heterogeneous_stages_still_match(self):
         inputs = PipelineCostInputs(

@@ -5,6 +5,7 @@ the hardware DSE, and the vectorized predictor batch path.
 
 from __future__ import annotations
 
+import itertools
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -15,12 +16,13 @@ from repro.core.evalcache import EvaluationCache
 from repro.core.framework import Watos
 from repro.core.genetic import GAConfig
 from repro.core.hardware_dse import DieGranularityDse
+from repro.hardware.configs import wafer_config2, wafer_config3
 from repro.predictor.analytical import AnalyticalPredictor
 from repro.predictor.lookup import OperatorProfileTable
-from repro.workloads.transformer import build_layer_graph
+from repro.workloads.transformer import build_layer_graph, embedding_operator
 from repro.workloads.workload import TrainingWorkload
 
-from repro_testlib import make_small_wafer, make_tiny_model
+from repro_testlib import fig25_wafer, make_small_wafer, make_tiny_model, paper_workloads
 
 # The multi-wafer GA driver lives with the figure benchmarks.
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "benchmarks"))
@@ -241,9 +243,22 @@ class TestVectorizedPredictor:
         return [op.sharded(tp) for op in build_layer_graph(model, 4, 1024)]
 
     def test_estimate_batch_bitidentical_to_scalar(self, wafer):
-        predictor = AnalyticalPredictor(wafer.die)
-        ops = self._sharded_ops()
-        assert predictor.estimate_batch(ops) == [predictor.estimate(op) for op in ops]
+        # The tiny layer graph, then each §V model's layer graph plus its embedding,
+        # sharded at TP 1/2/4/8, on the Table II config2/config3 dies and the
+        # 200 mm² ×1.0 and 600 mm² ×1.6 Fig. 25 dies.
+        batches = [(wafer.die, self._sharded_ops())]
+        dies = [wafer_config2().die, wafer_config3().die,
+                fig25_wafer(200.0, 1.0).die, fig25_wafer(600.0, 1.6).die]
+        for die, workload, tp in itertools.product(
+            dies, paper_workloads().values(), (1, 2, 4, 8)
+        ):
+            ops = workload.layer_operators() + [
+                embedding_operator(workload.model, workload.micro_batch_size, workload.seq_len)
+            ]
+            batches.append((die, [op.sharded(tp) for op in ops]))
+        for die, ops in batches:
+            predictor = AnalyticalPredictor(die)
+            assert predictor.estimate_batch(ops) == [predictor.estimate(op) for op in ops]
 
     def test_lookup_many_matches_sequential_lookups(self, wafer):
         predictor = AnalyticalPredictor(wafer.die)

@@ -84,6 +84,29 @@ class TestLifecycle:
         cache.put("post-close", 1)  # store still usable: the caller owns it
         cache.close()
 
+    def test_cache_path_is_refused_with_a_pointer_to_store(self, tmp_path):
+        # A path is a store, not a cache: accepting it used to fail every cell.
+        for path in ("cache.jsonl", tmp_path / "cache.sqlite"):
+            with pytest.raises(TypeError, match="store="):
+                Session(cache=path)
+        assert list(tmp_path.iterdir()) == []  # nothing was opened or created
+
+    def test_duck_typed_cache_is_adopted(self):
+        class Delegating:
+            """Any object with the cache's interface, not an EvaluationCache."""
+
+            def __init__(self, inner):
+                self.inner = inner
+
+            def __getattr__(self, name):
+                return getattr(self.inner, name)
+
+        cache = Delegating(EvaluationCache())
+        with Session(cache=cache) as session:
+            assert session.cache is cache
+            assert session.run(ExperimentSpec(kind="scheduler", wafer="tiny", workload="tiny"))
+        assert cache.inner.stats.misses > 0
+
     def test_serial_session_has_no_pool(self):
         with Session() as session:
             assert session.pool is None

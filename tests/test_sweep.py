@@ -380,6 +380,19 @@ class TestResultStore:
             with open(path + ".corrupt", encoding="utf-8") as handle:
                 assert "precious" in handle.read(), family.name
 
+    def test_first_write_creates_a_missing_directory(self, tmp_path, suffix):
+        for family in FAMILIES[suffix]:
+            parent = tmp_path / family.name
+            path = str(parent / "missing" / f"{family.name}{suffix}")
+            rows = family(path)
+            assert rows.read() == [], family.name
+            assert not parent.exists(), family.name  # reads never create anything
+            rows.write(["a"])
+            rows.close()
+            rows = family(path)
+            assert rows.read() == ["a"], family.name
+            rows.close()
+
     def test_blind_put_resets_a_stale_namespace_file(self, tmp_path, suffix):
         path = str(tmp_path / f"results{suffix}")
         store_cls = JsonlResultStore if suffix == ".jsonl" else SqliteResultStore
@@ -533,6 +546,18 @@ class TestStreamingSweep:
         with Session() as session:
             assert list(session.sweep(sweep, results=resumed)) == []
         assert _rows(resumed) == before
+
+    @pytest.mark.parametrize("suffix", [".jsonl", ".sqlite"])
+    def test_stores_under_missing_directories_price_the_cell_once(self, tmp_path, suffix):
+        results = str(tmp_path / "no-results-dir" / f"cells{suffix}")
+        store = str(tmp_path / "no-cache-dir" / f"cache{suffix}")
+        sweep = SweepSpec.from_specs(ALL_KINDS_SPECS[:1])
+        with Session(store=store) as session:
+            (run,) = list(session.sweep(sweep, results=results))
+        assert not run.failed and run.attempts == 1
+        assert len(_rows(results)) == 1
+        with Session(store=store) as session:
+            assert session.cache.stats.loaded > 0  # the cache store was written too
 
     def test_no_resume_reruns_everything(self, tmp_path):
         path = str(tmp_path / "sweep.jsonl")
