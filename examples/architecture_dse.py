@@ -33,7 +33,7 @@ def main() -> None:
     # The matrix is one grid: candidate architectures (three Table II presets — an
     # enumerator could be used instead) × the workload mix, every cell a scheduler
     # seed + GA refinement.  The session owns the shared evaluation cache each cell
-    # prices against; add Session(workers=4) to fan the search loops out.
+    # prices against; add Session(pool=4) to fan the search loops out.
     sweep = SweepSpec(
         name="arch-dse",
         base={"kind": "ga", "population": 8, "generations": 6, "seed": 0},

@@ -36,7 +36,7 @@ from repro.api.session import (
     default_session,
 )
 from repro.api.spec import ExperimentSpec
-from repro.api.sweep import ScheduleConfig, SweepCell, SweepSpec
+from repro.api.sweep import SweepCell, SweepSpec
 from repro.core.parallel_map import PoolConfig, WorkerPool
 from repro.core.retry import RetryPolicy
 
@@ -46,7 +46,6 @@ __all__ = [
     "ResultStore",
     "RetryPolicy",
     "RunResult",
-    "ScheduleConfig",
     "Session",
     "SweepCell",
     "SweepCellError",

@@ -88,10 +88,6 @@ def add_session_arguments(parser: argparse.ArgumentParser) -> None:
              "coordinator, which then owns the stores and the sweep queue",
     )
     parser.add_argument(
-        "--read-through", action="store_true",
-        help="sqlite stores only: answer misses from the file instead of preloading",
-    )
-    parser.add_argument(
         "--compact-on-exit", action="store_true",
         help="fold the store to one row per key when the session closes",
     )
@@ -107,7 +103,6 @@ def session_from_args(args: argparse.Namespace) -> Session:
         return Session(
             pool=args.workers,
             store=args.store,
-            read_through=getattr(args, "read_through", False),
             compact_on_exit=getattr(args, "compact_on_exit", False),
             trace=getattr(args, "trace", None),
         )
@@ -164,7 +159,6 @@ def _specs_from_args(args: argparse.Namespace) -> List[ExperimentSpec]:
                 population=args.population,
                 generations=args.generations,
                 seed=args.seed,
-                nest=args.nest,
             )
         ]
     return specs
@@ -191,7 +185,22 @@ def _retry_from_args(args: argparse.Namespace) -> RetryPolicy:
     )
 
 
+def _check_sweep_flags(args: argparse.Namespace) -> None:
+    """Out-of-range ``repro sweep`` flags exit with one line, before any work."""
+    bounds = (
+        ("--jobs", args.jobs, 1, "at least 1"),
+        ("--retries", args.retries, 1, "at least 1"),
+        ("--retry-backoff", args.retry_backoff, 0, "non-negative"),
+    )
+    for flag, value, low, wanted in bounds:
+        if value is not None and value < low:
+            raise SystemExit(f"repro sweep: {flag} must be {wanted}, not {value:g}")
+    if args.cell_timeout is not None and args.cell_timeout <= 0:
+        raise SystemExit(f"repro sweep: --cell-timeout must be positive, not {args.cell_timeout:g}")
+
+
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    _check_sweep_flags(args)
     sweep = SweepSpec.from_payload(_load_spec_payload(args.spec))
     cells = sweep.expand()
     store = open_result_store(args.results) if args.results else None
@@ -574,10 +583,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--population", type=int, default=16, help="GA population")
     run.add_argument("--generations", type=int, default=30, help="GA generations")
     run.add_argument("--seed", type=int, default=0, help="GA RNG seed")
-    run.add_argument(
-        "--nest", choices=("points", "inner"), default="points",
-        help="watos: which loop level the pool accelerates",
-    )
     add_session_arguments(run)
     run.add_argument(
         "--json", metavar="OUT", default=None,

@@ -6,19 +6,19 @@ The paper's workflow is one pipeline — workload × wafer → plan search → D
 * the process :class:`~repro.core.parallel_map.WorkerPool` (forked lazily, shared by
   every loop the session runs, joined on exit),
 * the shared :class:`~repro.core.evalcache.EvaluationCache` (optionally persistent,
-  read-through, compacted on exit), and
+  compacted on exit), and
 * the wafer/workload registry declarative specs resolve against.
 
 ``Session.run(spec)`` executes an :class:`~repro.api.ExperimentSpec` on any of the
 four search loops and returns a uniform :class:`~repro.api.RunResult`; entering the
-session (``with Session(...):``) additionally makes it *ambient*, so legacy-style
-bare loop calls inside the block share its pool and cache instead of building
-ephemeral ones.  :func:`default_session` parks one process-wide session for scripts
-that want sharing without a ``with`` block.
+session (``with Session(...):``) additionally makes it *ambient*, so bare loop calls
+inside the block share its pool and cache instead of building ephemeral ones.
+:func:`default_session` parks one process-wide session for scripts that want
+sharing without a ``with`` block.
 
 Everything a session does is pure orchestration — pool pricing is memoization, cache
-warm starts round-trip exactly — so ``Session.run`` is bit-identical to the legacy
-direct-call path (asserted in ``tests/test_session.py``).
+warm starts round-trip exactly — so ``Session.run`` is bit-identical to calling the
+loops directly (asserted in ``tests/test_session.py``).
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ import queue
 import threading
 import time
 import traceback
-from typing import Any, Dict, Iterable, Iterator, Mapping, Optional, Union
+from typing import Any, Dict, Iterator, Optional, Union
 
 from repro.obs import tracer as _obs
 from repro.obs.report import fold_timings
@@ -49,7 +49,7 @@ from repro.api import registry
 from repro.api.result import RunResult
 from repro.api.results import ResultStore, make_record, open_result_store
 from repro.api.spec import ExperimentSpec
-from repro.api.sweep import ScheduleConfig, SweepSpec, as_sweep_spec
+from repro.api.sweep import SweepSpec
 from repro.fabric.protocol import FabricConnectionError, looks_like_endpoint, parse_endpoint
 
 __all__ = [
@@ -78,16 +78,16 @@ class SweepCellError(RuntimeError):
 class Session:
     """Owns the worker pool, the evaluation cache and the experiment registry.
 
+    Every parameter is keyword-only.
+
     Parameters
     ----------
     pool:
-        The worker runtime shared by every loop this session runs: a
-        :class:`~repro.core.parallel_map.PoolConfig` (elastic sizing), a plain
-        worker count (``None``/0/1 serial, negative = all CPUs), or an existing
+        The worker runtime shared by every loop this session runs: a plain worker
+        count (``None``/0/1 serial, negative = all CPUs), a
+        :class:`~repro.core.parallel_map.PoolConfig`, or an existing
         :class:`WorkerPool` to adopt (the caller owns and closes it).  The pool is
         forked lazily on first use and joined when the session closes.
-    workers:
-        Deprecated alias of ``pool`` (warns once; kept for pre-PoolConfig callers).
     cache:
         An existing :class:`EvaluationCache` to adopt (flushed but not closed on
         exit — the caller owns it).  A path here is a ``TypeError``: name a store
@@ -102,7 +102,7 @@ class Session:
         warm-started (and delta-synced) over the wire, and :meth:`sweep` claims
         cells from the coordinator's leased queue instead of walking the matrix
         locally.
-    read_through / max_entries / namespace:
+    max_entries / namespace:
         Forwarded to :class:`EvaluationCache` when the session builds it.
     compact_on_exit / compact_max_entries / compact_max_age_s:
         When set, :meth:`close` compacts the attached store (fold append-only
@@ -127,12 +127,10 @@ class Session:
 
     def __init__(
         self,
-        workers: Optional[Union[int, WorkerPool]] = None,
-        cache: Optional[EvaluationCache] = None,
-        store: Optional[str] = None,
         *,
         pool: Optional[Union[int, PoolConfig, WorkerPool]] = None,
-        read_through: bool = False,
+        cache: Optional[EvaluationCache] = None,
+        store: Optional[str] = None,
         max_entries: Optional[int] = 65536,
         namespace: Optional[str] = None,
         compact_on_exit: bool = False,
@@ -150,16 +148,6 @@ class Session:
             )
         if cache is not None and store is not None:
             raise ValueError("pass either cache= (adopted) or store= (owned), not both")
-        if workers is not None:
-            if pool is not None:
-                raise ValueError(
-                    "pass either pool= or the deprecated workers= alias, not both"
-                )
-            runtime.warn_legacy(
-                "Session(workers=...)",
-                hint="pass pool= (an int, PoolConfig or WorkerPool) instead",
-            )
-            pool = workers
         #: Connected :class:`~repro.fabric.client.FabricClient` when ``store`` names
         #: a ``repro serve`` coordinator (``host:port[/namespace]``), else ``None``.
         self.fabric = None
@@ -180,12 +168,7 @@ class Session:
         self.cache: EvaluationCache = (
             cache
             if cache is not None
-            else EvaluationCache(
-                max_entries=max_entries,
-                store=store,
-                namespace=namespace,
-                read_through=read_through,
-            )
+            else EvaluationCache(max_entries=max_entries, store=store, namespace=namespace)
         )
         self._adopted_pool = isinstance(pool, WorkerPool)
         self._pool: Optional[WorkerPool] = pool if self._adopted_pool else None
@@ -195,7 +178,7 @@ class Session:
         if self._adopted_pool:
             self.workers: int = pool.workers
         elif self._pool_config is not None:
-            self.workers = self._pool_config.resolved()[1]
+            self.workers = self._pool_config.resolved()
         else:
             self.workers = resolve_workers(pool)
         self.compact_on_exit = (
@@ -343,10 +326,15 @@ class Session:
         keep_going: bool = True,
         skip_failed: bool = False,
         jobs: Optional[int] = None,
-        schedule: Optional[ScheduleConfig] = None,
-    ) -> Iterable[RunResult]:
+    ) -> Iterator[RunResult]:
         """Stream a :class:`SweepSpec` matrix: yield each :class:`RunResult` as it
         completes, on one shared pool and one warm cache.
+
+        ``sweep`` is anything :meth:`SweepSpec.from_payload` takes: a
+        :class:`SweepSpec`, a sweep or spec dict, one :class:`ExperimentSpec`, or a
+        list/tuple of specs (an explicit cell list, exactly like
+        ``SweepSpec.from_specs``).  Any other iterable — a generator, say — is a
+        ``TypeError``: wrap it in ``list(...)``.
 
         With a result store attached — the ``results=`` argument (path or open
         :class:`~repro.api.results.ResultStore`), else the session's own
@@ -370,9 +358,8 @@ class Session:
         :class:`SweepCellError` right after recording the failure.  On resume,
         failed cells are re-attempted unless ``skip_failed=True``.
 
-        **Two-level scheduling.**  ``jobs=N`` (or ``schedule=ScheduleConfig(...)``,
-        which also carries a ``max_buffered`` back-pressure bound; a ``jobs`` field
-        on the :class:`SweepSpec` itself is the fallback) runs up to N whole cells
+        **Two-level scheduling.**  ``jobs=N`` (a ``jobs`` field on the
+        :class:`SweepSpec` itself is the fallback) runs up to N whole cells
         concurrently on threads, while each running cell's search loop fans out on
         the shared session pool — the pool leases slots per map call, so wide
         fan-outs backfill capacity a narrow sibling leaves idle.  Results are
@@ -381,34 +368,10 @@ class Session:
         order — resume and export key by ``cell_id`` and never cared about row
         order), retry/quarantine still applies per cell, and every row is
         bit-identical to the serial walk because pricing is pure.
-
-        A bare ``list`` of :class:`ExperimentSpec` still works exactly as before —
-        wrapped as a trivial :class:`SweepSpec` after a one-time
-        ``DeprecationWarning``, and run *eagerly* to an indexable list, the PR 4
-        contract.  Pass ``SweepSpec.from_specs([...])`` to get the streaming
-        generator (and no warning) for an explicit cell list.
         """
         if self._closed:
             raise RuntimeError("session is closed")
-        if (
-            not isinstance(sweep, (SweepSpec, ExperimentSpec, Mapping, str, bytes))
-            and not isinstance(sweep, (list, tuple))
-            and hasattr(sweep, "__iter__")
-        ):
-            # PR 4 accepted any iterable of specs; keep generators/iterators on
-            # the same shim path as bare lists.
-            sweep = list(sweep)
-        legacy_list = isinstance(sweep, (list, tuple))
-        if legacy_list:
-            runtime.warn_legacy(
-                "Session.sweep(list)",
-                hint="wrap the specs in a SweepSpec "
-                "(repro.api.SweepSpec.from_specs) instead",
-            )
-            # The PR 4 contract was one result per spec, positionally — never
-            # skip, even when a store already holds some of the cells.
-            resume = False
-        spec = as_sweep_spec(sweep)
+        spec = SweepSpec.from_payload(sweep)
         cells = spec.expand()
         if self._trace_path is not None:
             # Content-derived matrix fingerprint for the trace header: stable
@@ -417,16 +380,10 @@ class Session:
                 "\n".join(cell.cell_id for cell in cells).encode("utf-8")
             ).hexdigest()[:16]
             self._trace_meta = {"fingerprint": digest, "cells": len(cells)}
-        if schedule is not None and jobs is not None:
-            raise ValueError("pass either jobs= or schedule=ScheduleConfig(...), not both")
         if jobs is not None and jobs < 1:
             raise ValueError("jobs must be at least 1")
-        effective_jobs = schedule.jobs if schedule is not None else jobs
-        if effective_jobs is None:
-            effective_jobs = spec.jobs if spec.jobs is not None else 1
-        if legacy_list:
-            effective_jobs = 1  # the positional-list contract predates scheduling
-        max_buffered = schedule.max_buffered if schedule is not None else None
+        if jobs is None:
+            jobs = spec.jobs if spec.jobs is not None else 1
         owns_store = isinstance(results, (str, os.PathLike))
         store: Optional[ResultStore]
         if owns_store:
@@ -438,24 +395,20 @@ class Session:
         else:
             store = runtime.current_results()
         policy = retry or self.retry or RetryPolicy()
-        if self.fabric is not None and not legacy_list:
+        if self.fabric is not None:
             # Distributed mode: the coordinator owns the queue, resume semantics
             # and the authoritative store.  A local ``results=``/ambient store (if
             # any) still gets rows written through, so each host keeps a replica.
             return self._sweep_fabric_iter(
                 cells, store, owns_store, policy, keep_going, skip_failed
             )
-        if effective_jobs > 1 and len(cells) > 1:
-            stream = self._sweep_parallel_iter(
-                cells, store, resume, owns_store, completed, policy, keep_going,
-                skip_failed, effective_jobs, max_buffered,
+        if jobs > 1 and len(cells) > 1:
+            return self._sweep_parallel_iter(
+                cells, store, resume, owns_store, completed, policy, keep_going, skip_failed, jobs
             )
-        else:
-            stream = self._sweep_iter(
-                cells, store, resume, owns_store, completed, policy, keep_going,
-                skip_failed,
-            )
-        return list(stream) if legacy_list else stream
+        return self._sweep_iter(
+            cells, store, resume, owns_store, completed, policy, keep_going, skip_failed
+        )
 
     def _sweep_iter(
         self,
@@ -501,7 +454,6 @@ class Session:
         keep_going: bool,
         skip_failed: bool,
         jobs: int,
-        max_buffered: Optional[int],
     ) -> Iterator[RunResult]:
         """Level 1 of the two-level scheduler: whole cells on concurrent threads.
 
@@ -538,7 +490,6 @@ class Session:
             cursor_lock = threading.Lock()
             cursor = [0]
             stop = threading.Event()
-            gate = threading.BoundedSemaphore(max_buffered) if max_buffered else None
 
             def claim() -> Optional[int]:
                 with cursor_lock:
@@ -550,16 +501,8 @@ class Session:
 
             def cell_worker() -> None:
                 while True:
-                    if gate is not None:
-                        # Timed re-checks instead of a bare acquire, so stopping
-                        # the sweep can never strand a thread on the semaphore.
-                        while not gate.acquire(timeout=0.05):
-                            if stop.is_set():
-                                return
                     position = claim()
                     if position is None:
-                        if gate is not None:
-                            gate.release()
                         return
                     cell = todo[position]
                     try:
@@ -589,8 +532,6 @@ class Session:
                         raise exc
                     if store is not None:
                         store.put(cell.cell_id, make_record(run, cell.spec))
-                    if gate is not None:
-                        gate.release()
                     if run.failed and not keep_going:
                         # Record first (done above), then fail fast: stop handing
                         # out new cells; in-flight siblings drain in `finally`.
@@ -951,7 +892,7 @@ class Session:
         watos = Watos(
             candidates=wafers, ga_config=spec.ga_config(), session=self, **kwargs
         )
-        result = watos.explore(workloads, session=self._handle(spec), nest=spec.nest)
+        result = watos.explore(workloads, session=self._handle(spec))
         best_wafer = result.best_wafer()
         best = None
         for outcome in result.outcomes:
@@ -972,26 +913,25 @@ class Session:
 
     # ------------------------------------------------------------------ default
     @classmethod
-    def default(cls, workers: Optional[int] = None, **kwargs: Any) -> "Session":
+    def default(cls, **kwargs: Any) -> "Session":
         """The process-wide default session (see :func:`default_session`)."""
-        return default_session(workers, **kwargs)
+        return default_session(**kwargs)
 
 
-def default_session(workers: Optional[int] = None, **kwargs: Any) -> Session:
+def default_session(**kwargs: Any) -> Session:
     """The process-wide shared session, created on first call.
 
     Later calls return the same object (arguments are ignored once it exists), so
     library code and scripts can say ``default_session().run(spec)`` — or configure
-    workers once (``default_session(workers=8)``) and have every bare loop call in
-    the process share that pool instead of building ephemeral ones.  The session is
-    closed automatically at interpreter exit (joining the pool and flushing any
-    store); :func:`close_default_session` closes it earlier.
+    the pool once (``default_session(pool=8)``) and have every bare loop call in the
+    process share it instead of building ephemeral ones.  ``kwargs`` are the
+    :class:`Session` keywords.  The session is closed automatically at interpreter
+    exit (joining the pool and flushing any store); :func:`close_default_session`
+    closes it earlier.
     """
     existing = runtime.get_default_session()
     if existing is not None and not existing.closed:
         return existing
-    if workers is not None:  # the documented shorthand, not the deprecated kwarg
-        kwargs.setdefault("pool", workers)
     session = Session(**kwargs)
     runtime.set_default_session(session)
     return session

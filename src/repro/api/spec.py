@@ -85,9 +85,6 @@ class ExperimentSpec:
     #: Worker count to use when the executing session has no pool of its own
     #: (ephemeral; a session pool always wins).
     workers: Optional[int] = None
-    #: Which loop level a ``watos`` run parallelises: ``"points"`` fans the
-    #: wafer × workload product out, ``"inner"`` lends the pool to the nested loops.
-    nest: str = "points"
     #: Free-form label carried into :class:`RunResult` and reports.
     name: str = ""
     extras: Dict[str, Any] = field(default_factory=dict)
@@ -95,8 +92,6 @@ class ExperimentSpec:
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
             raise ValueError(f"kind must be one of {KINDS}, not {self.kind!r}")
-        if self.nest not in ("points", "inner"):
-            raise ValueError(f"nest must be 'points' or 'inner', not {self.nest!r}")
 
     # ------------------------------------------------------------------ accessors
     def ga_config(self) -> GAConfig:

@@ -38,7 +38,7 @@ from repro.core.evalcache import fingerprint
 from repro.core.genetic import GAConfig
 from repro.api.spec import ExperimentSpec, did_you_mean
 
-__all__ = ["ScheduleConfig", "SweepCell", "SweepSpec", "as_sweep_spec", "stream_seed"]
+__all__ = ["SweepCell", "SweepSpec", "stream_seed"]
 
 #: Dotted knob groups: ``ga.population`` etc. alias the flat ExperimentSpec fields.
 KNOB_GROUPS: Dict[str, Tuple[str, ...]] = {
@@ -182,29 +182,6 @@ class SweepCell(NamedTuple):
     spec: ExperimentSpec
 
 
-@dataclass(frozen=True)
-class ScheduleConfig:
-    """How ``Session.sweep`` schedules whole cells onto the runtime.
-
-    ``jobs`` is how many cells may be in flight at once (level 1 of the two-level
-    scheduler; each running cell's search loop still fans out on the shared pool).
-    ``max_buffered`` bounds how many completed-but-not-yet-yielded results the
-    in-order stream may hold before dispatch pauses — back-pressure for consumers
-    much slower than pricing (``None`` = unbounded).  Cell results, store rows and
-    resume behaviour are identical for every ``jobs`` value; only wall-clock
-    changes.
-    """
-
-    jobs: int = 1
-    max_buffered: Optional[int] = None
-
-    def __post_init__(self) -> None:
-        if self.jobs < 1:
-            raise ValueError("jobs must be at least 1")
-        if self.max_buffered is not None and self.max_buffered < 1:
-            raise ValueError("max_buffered must be at least 1 (or None for unbounded)")
-
-
 def cell_key(spec: ExperimentSpec) -> str:
     """The stable content-derived id of one cell.
 
@@ -236,8 +213,8 @@ class SweepSpec:
     """A compact description of an experiment matrix (see module docstring).
 
     ``specs`` is the escape hatch for matrices that are already an explicit list of
-    :class:`ExperimentSpec` cells (what the legacy ``Session.sweep([...])`` call
-    wraps itself in); it cannot be combined with the grammar axes.
+    :class:`ExperimentSpec` cells (what ``Session.sweep([...])`` wraps a list in);
+    it cannot be combined with the grammar axes.
     """
 
     base: Union[Dict[str, Any], ExperimentSpec] = field(default_factory=dict)
@@ -246,9 +223,9 @@ class SweepSpec:
     seeds: int = 1
     name: str = ""
     specs: Optional[List[Union[Dict[str, Any], ExperimentSpec]]] = None
-    #: Default cell concurrency when the ``Session.sweep`` call passes neither
-    #: ``jobs=`` nor ``schedule=`` — a sweep file can declare "run me 4 cells
-    #: wide".  Purely a scheduling hint: results are identical for any value.
+    #: Default cell concurrency when the ``Session.sweep`` call passes no ``jobs=``
+    #: — a sweep file can declare "run me 4 cells wide".  Purely a scheduling
+    #: hint: results are identical for any value.
     jobs: Optional[int] = None
 
     #: The keys :meth:`from_dict` accepts (everything else is a typo).
@@ -288,8 +265,7 @@ class SweepSpec:
         explicit ``specs`` list instead get a deterministic ``-N`` id suffix.
         """
         if self.specs is not None:
-            # Explicit lists are user-authored, so repeated content is allowed
-            # (the legacy Session.sweep(list) shim ran such lists happily);
+            # Explicit lists are user-authored, so repeated content is allowed;
             # repeats get a deterministic position suffix instead of an error.
             cells: List[SweepCell] = []
             occurrences: Dict[str, int] = {}
@@ -402,11 +378,14 @@ class SweepSpec:
             if any(key in payload for key in cls.FIELDS if key != "name"):
                 return cls.from_dict(payload)
             return cls.from_specs([ExperimentSpec.from_dict(dict(payload))])
-        raise TypeError(f"cannot build a SweepSpec from {type(payload).__name__}")
+        raise TypeError(
+            f"cannot build a SweepSpec from {type(payload).__name__}; pass a SweepSpec, "
+            "a dict, an ExperimentSpec or a list of specs"
+        )
 
     @classmethod
     def load(cls, path: Union[str, os.PathLike]) -> "SweepSpec":
-        """Load a sweep (or a legacy spec array / single spec) from a JSON file."""
+        """Load a sweep (or a plain spec array / single spec) from a JSON file."""
         with open(path, "r", encoding="utf-8") as handle:
             return cls.from_payload(json.load(handle))
 
@@ -430,8 +409,3 @@ class SweepSpec:
         if self.jobs is not None:
             data["jobs"] = self.jobs
         return data
-
-
-def as_sweep_spec(sweep: Any) -> SweepSpec:
-    """Coerce any ``Session.sweep`` argument shape into a :class:`SweepSpec`."""
-    return SweepSpec.from_payload(sweep)

@@ -10,12 +10,10 @@ DRAM allocation), evaluates every surviving plan and keeps the best.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import List, Optional, Sequence, Union
+from typing import List, Optional, Sequence
 
 from repro.core.dram_allocation import DramAllocator
-from repro.core.evalcache import EvaluationCache
 from repro.core.evaluator import EvaluationResult, Evaluator
-from repro.core.parallel_map import WorkerPool
 from repro.core.placement import PlacementOptimizer, serpentine_placement
 from repro.core.plan import RecomputeConfig, TrainingPlan
 from repro.core.recomputation import GcmrScheduler
@@ -47,13 +45,10 @@ class CentralScheduler:
 
     wafer: WaferConfig
     evaluator: Optional[Evaluator] = None
-    #: Shared evaluation cache used when no explicit ``evaluator`` is supplied.
-    #: Deprecated in favour of ``session=`` — a :class:`repro.api.Session` supplies
-    #: both the cache and the worker pool; the kwarg remains as a one-warning shim.
-    cache: Optional[EvaluationCache] = None
     #: The owning :class:`repro.api.Session` (or any object with ``.cache`` /
-    #: ``.parallel``).  When neither it nor ``cache``/``evaluator`` is given, the
-    #: ambient session (``with Session(...):`` / ``default_session()``) is used.
+    #: ``.parallel``); it supplies the cache the default evaluator prices against
+    #: and the worker pool.  Without one, the ambient session (``with
+    #: Session(...):`` / ``default_session()``) is used.
     session: Optional[object] = None
     collective: CollectiveAlgorithm = CollectiveAlgorithm.BIDIRECTIONAL_RING
     #: Collective algorithms the TP engine is allowed to explore (§IV-E-1: "can also be
@@ -67,11 +62,7 @@ class CentralScheduler:
     optimize_placement: bool = True
 
     def __post_init__(self) -> None:
-        resolved = resolve_loop_session(
-            self.session,
-            cache=self.cache if self.evaluator is None else None,
-            api="CentralScheduler(cache=)",
-        )
+        resolved = resolve_loop_session(self.session)
         if self.session is None:
             self.session = resolved
         if self.evaluator is None:
@@ -172,7 +163,6 @@ class CentralScheduler:
         self,
         workload: TrainingWorkload,
         model_parallel_dies: Optional[int] = None,
-        parallel: Union[int, WorkerPool, None] = None,
         session=None,
     ) -> List[ExplorationRecord]:
         """Evaluate every surviving (TP, PP, split-strategy) candidate.
@@ -180,15 +170,9 @@ class CentralScheduler:
         ``session`` supplies the worker pool the surviving candidates are priced on
         (defaulting to the scheduler's own session, then the ambient one); candidate
         construction and result order are unchanged, so the records match the serial
-        run exactly.  ``parallel`` is the deprecated spelling (a :class:`WorkerPool`
-        or an integer for an ephemeral pool, negative = all CPUs); it warns once.
+        run exactly.
         """
-        resolved = resolve_loop_session(
-            session,
-            parallel=parallel,
-            api="CentralScheduler.explore(parallel=)",
-            fallback=self.session,
-        )
+        resolved = resolve_loop_session(session, fallback=self.session)
         parallel = resolved.parallel if resolved is not None else None
         mp = model_parallel_dies or self.wafer.num_dies
         if mp > self.wafer.num_dies:
@@ -214,15 +198,12 @@ class CentralScheduler:
         self,
         workload: TrainingWorkload,
         model_parallel_dies: Optional[int] = None,
-        parallel: Union[int, WorkerPool, None] = None,
         session=None,
     ) -> Optional[ExplorationRecord]:
         """The highest-throughput record, or ``None`` when everything was pruned."""
         records = [
             record
-            for record in self.explore(
-                workload, model_parallel_dies, parallel=parallel, session=session
-            )
+            for record in self.explore(workload, model_parallel_dies, session=session)
             if not record.result.oom
         ]
         if not records:

@@ -36,9 +36,7 @@ multi-wafer or wafer×workload fan-out.  For *long-lived* workers (the persisten
 :class:`~repro.core.parallel_map.WorkerPool`), entries carry monotonic sequence
 numbers so both directions of that flow are delta-only: :meth:`export_since` ships
 only entries priced after a per-worker watermark, and :meth:`take_carry` ships only
-work done since the previous carry.  Very large warm stores can skip snapshot
-shipping entirely with ``read_through=True`` on a sqlite store: entries are fetched
-from the store file on demand instead of being loaded (or pickled) up front.
+work done since the previous carry.
 """
 
 from __future__ import annotations
@@ -240,10 +238,6 @@ class CacheStore:
     in :attr:`load_errors`.
     """
 
-    #: Whether :meth:`get` answers single-key lookups without a full :meth:`load`
-    #: (required for the read-through mode of :class:`EvaluationCache`).
-    supports_point_lookup: bool = False
-
     def __init__(self, path: str, namespace: Optional[str] = None) -> None:
         self.path = str(path)
         self.namespace = namespace or default_namespace()
@@ -272,17 +266,6 @@ class CacheStore:
             entries[key] = value
             self.row_times[key] = priced_at
         return entries
-
-    def get(self, key: str) -> Optional[Any]:
-        """Point lookup of one entry, or ``None`` (unsupported, missing or corrupt)."""
-        return None
-
-    def prepare(self) -> None:
-        """Validate/repair the on-disk namespace without loading every entry.
-
-        Read-through caches call this instead of :meth:`load`; the default is a no-op
-        because stores without point lookups are always fully loaded anyway.
-        """
 
     def append(
         self, entries: Mapping[str, Any], times: Optional[Mapping[str, float]] = None
@@ -341,8 +324,6 @@ class JsonlCacheStore(CacheStore):
 class SqliteCacheStore(CacheStore):
     """Sqlite spill for large sweeps: ``entries(key, value, priced_at)``, keyed upserts."""
 
-    supports_point_lookup = True
-
     def _open_log(self) -> SqliteLog:
         return SqliteLog(self.path, self.namespace, "entries", ("key", "value", "priced_at"))
 
@@ -355,14 +336,6 @@ class SqliteCacheStore(CacheStore):
         key, value, priced_at = row
         return str(key), decode_value(value), float(priced_at or 0.0)
 
-    def get(self, key: str) -> Optional[Any]:
-        row = self._log.get(key, self._decode)
-        return None if row is None else row[1]
-
-    def prepare(self) -> None:
-        """Namespace validation for read-through use: repair, never a full row scan."""
-        self._log.prepare()
-
 
 def open_store(path: str, namespace: Optional[str] = None) -> CacheStore:
     """Pick a store backend from the path suffix (sqlite for ``.sqlite/.db``, else JSONL)."""
@@ -374,10 +347,10 @@ def open_store(path: str, namespace: Optional[str] = None) -> CacheStore:
 class CacheStats:
     """Mutable hit/miss accounting shared by cache users."""
 
-    __slots__ = ("hits", "misses", "evictions", "loaded", "flushed", "shipped", "store_hits")
+    __slots__ = ("hits", "misses", "evictions", "loaded", "flushed", "shipped")
 
     #: Counter fields folded by :meth:`add_counts` and shipped in worker carries.
-    COUNT_FIELDS = ("hits", "misses", "evictions", "loaded", "flushed", "shipped", "store_hits")
+    COUNT_FIELDS = ("hits", "misses", "evictions", "loaded", "flushed", "shipped")
 
     def __init__(self) -> None:
         self.hits = 0
@@ -390,8 +363,6 @@ class CacheStats:
         #: Entries shipped to pool workers via watermarked incremental export —
         #: the delta-sync replacement for pickling a full snapshot per fan-out.
         self.shipped = 0
-        #: Lookups answered by the read-through store instead of resident memory.
-        self.store_hits = 0
 
     @property
     def lookups(self) -> int:
@@ -429,12 +400,6 @@ class EvaluationCache:
     :func:`open_store`), construction warm-starts from disk and :meth:`flush` spills
     every entry priced since the last flush — including entries the LRU has since
     evicted, so disk coverage can exceed the in-memory bound.
-
-    ``read_through=True`` on a store with point lookups (sqlite) skips the up-front
-    load entirely: misses fall through to the store file, and entries adopted that
-    way stay out of :meth:`delta`/:meth:`export_since` (every process sharing the
-    store can fetch them itself).  Stores without point lookups (JSONL) degrade to
-    the ordinary full warm start.
     """
 
     def __init__(
@@ -442,7 +407,6 @@ class EvaluationCache:
         max_entries: Optional[int] = 65536,
         store: Optional[object] = None,
         namespace: Optional[str] = None,
-        read_through: bool = False,
     ) -> None:
         if max_entries is not None and max_entries < 0:
             raise ValueError("max_entries cannot be negative")
@@ -473,21 +437,16 @@ class EvaluationCache:
         #: cells on concurrent threads that all price against (and flush) the one
         #: session cache.  Reentrant because flush/compact/close nest.
         self._lock = threading.RLock()
-        self.read_through = False
         self.store: Optional[CacheStore] = (
             open_store(store, namespace) if isinstance(store, (str, os.PathLike)) else store
         )
         if self.store is not None:
-            if read_through and self.store.supports_point_lookup:
-                self.read_through = True
-                self.store.prepare()
-            else:
-                loaded = self.store.load()
-                self.seed(loaded)
-                # Warm-started entries keep the timestamp of their original pricing,
-                # so repeated warm runs never rejuvenate old rows.
-                self._priced_at.update(self.store.row_times)
-                self.stats.loaded = len(loaded)
+            loaded = self.store.load()
+            self.seed(loaded)
+            # Warm-started entries keep the timestamp of their original pricing,
+            # so repeated warm runs never rejuvenate old rows.
+            self._priced_at.update(self.store.row_times)
+            self.stats.loaded = len(loaded)
 
     # ------------------------------------------------------------------ dict protocol
     def __len__(self) -> int:
@@ -498,12 +457,7 @@ class EvaluationCache:
 
     # ------------------------------------------------------------------ access
     def get(self, key: str) -> Optional[Any]:
-        """Return the cached result for ``key``, counting a hit or miss.
-
-        In read-through mode a memory miss falls through to the attached store; an
-        entry found there is adopted as seeded (it is the store's, not this cache's
-        pricing) and counted as both a hit and a :attr:`CacheStats.store_hits`.
-        """
+        """Return the cached result for ``key``, counting a hit or miss."""
         with self._lock:
             entry = self._entries.get(key)
             if entry is not None:
@@ -512,15 +466,6 @@ class EvaluationCache:
                 if _obs.enabled:
                     _obs.count("cache.hit")
                 return entry
-            if self.read_through and self.store is not None:
-                entry = self.store.get(key)
-                if entry is not None:
-                    self._adopt_from_store(key, entry)
-                    self.stats.hits += 1
-                    self.stats.store_hits += 1
-                    if _obs.enabled:
-                        _obs.count("cache.hit")
-                    return entry
             self.stats.misses += 1
             if _obs.enabled:
                 _obs.count("cache.miss")
@@ -588,16 +533,6 @@ class EvaluationCache:
             self._log_seqs = [seq for seq, _ in live]
             self._log_keys = [key for _, key in live]
 
-    def _adopt_from_store(self, key: str, value: Any) -> None:
-        """Adopt a read-through entry: resident and seeded, but never exported."""
-        self._entries[key] = value
-        self._entries.move_to_end(key)
-        self._seeded.add(key)
-        if self.max_entries is not None and len(self._entries) > self.max_entries:
-            evicted, _ = self._entries.popitem(last=False)
-            self._entry_seq.pop(evicted, None)
-            self.stats.evictions += 1
-
     # ------------------------------------------------------------------ scale-out
     def __getstate__(self):
         """Pickled caches (shipped to pool workers) drop the store.
@@ -608,7 +543,6 @@ class EvaluationCache:
         """
         state = self.__dict__.copy()
         state["store"] = None
-        state["read_through"] = False
         # Locks are process-local (and unpicklable); the worker recreates one.
         state["_lock"] = None
         return state
@@ -658,8 +592,7 @@ class EvaluationCache:
         watermark per worker and ships ``export_since(previous)`` instead of a full
         :meth:`export` snapshot.  Monotonically advancing watermarks partition the
         entry stream — nothing is shipped twice, nothing is missed.  Entries the LRU
-        has already evicted are skipped (the store, not the workers, keeps history),
-        and read-through adoptions never appear (workers read the same store file).
+        has already evicted are skipped (the store, not the workers, keeps history).
         """
         with _obs.span("cache.sync", tag="export_since"), self._lock:
             if watermark >= self._seq:

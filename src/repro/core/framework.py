@@ -10,18 +10,13 @@ refines it.  The result object carries the best architecture, the mapping scheme
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.central_scheduler import CentralScheduler, ExplorationRecord
 from repro.core.evalcache import EvaluationCache
 from repro.core.evaluator import EvaluationResult, Evaluator
 from repro.core.genetic import GAConfig, GeneticOptimizer
-from repro.core.parallel_map import (
-    WorkerPool,
-    parallel_map_merge,
-    resolve_workers,
-    task_cache,
-)
+from repro.core.parallel_map import parallel_map_merge, task_cache
 from repro.core.plan import TrainingPlan
 from repro.core.runtime import SessionHandle, resolve_loop_session
 from repro.hardware.enumerator import ArchitectureEnumerator
@@ -104,21 +99,13 @@ class _ExplorePointTask:
         self.max_tp = watos.max_tp
 
     def __call__(self, point: Tuple[WaferConfig, TrainingWorkload]):
-        return self.price(point, cache=task_cache())
-
-    def price(self, point: Tuple[WaferConfig, TrainingWorkload], cache, inner_pool=None):
-        """Price one point; ``inner_pool`` lets the nested loops borrow a session pool.
-
-        The trajectory is pool-independent (pool pricing is pure memoization), so
-        the result is bit-identical whether the inner loops run serial, on a borrowed
-        pool, or inside an outer fan-out worker.
-        """
         wafer, workload = point
+        cache = task_cache()
         evaluator = Evaluator(wafer, cache=cache) if cache is not None else Evaluator(wafer)
-        # Always hand the nested loops an explicit session handle (possibly empty):
-        # pricing one point must be a pure function of the point, never of whatever
-        # ambient session happens to be active in the calling process.
-        inner = SessionHandle(parallel=inner_pool)
+        # Always hand the nested loops an explicit (empty) session handle: pricing
+        # one point must be a pure function of the point, never of whatever ambient
+        # session happens to be active in the calling process.
+        inner = SessionHandle()
         scheduler = CentralScheduler(
             wafer,
             evaluator=evaluator,
@@ -162,7 +149,6 @@ class Watos:
         collective: CollectiveAlgorithm = CollectiveAlgorithm.BIDIRECTIONAL_RING,
         split_strategies: Sequence[TPSplitStrategy] = (TPSplitStrategy.HIDDEN,),
         max_tp: int = 0,
-        cache: Optional[EvaluationCache] = None,
         session=None,
     ) -> None:
         if candidates is None and enumerator is None:
@@ -175,10 +161,9 @@ class Watos:
         self.collective = collective
         self.split_strategies = tuple(split_strategies)
         self.max_tp = max_tp
-        #: The owning :class:`repro.api.Session`; it supplies the shared cache and
-        #: worker pool.  The legacy ``cache=`` kwarg warns once and behaves as an
-        #: implicit single-knob session; without either, the ambient session is used.
-        self.session = resolve_loop_session(session, cache=cache, api="Watos(cache=)")
+        #: The owning :class:`repro.api.Session` (or a ``SessionHandle``); it supplies
+        #: the shared cache and worker pool.  Without one, the ambient session is used.
+        self.session = resolve_loop_session(session)
         #: One content-addressed cache shared by every (wafer, workload) point — the
         #: fingerprint covers the wafer, so heterogeneous candidates coexist safely.
         #: Attach a store (``EvaluationCache(store=path)``) to persist across runs.
@@ -197,7 +182,7 @@ class Watos:
         """
         resolved = resolve_loop_session(session, fallback=self.session)
         # Pools and integers both pass straight through to the nested loops (an
-        # integer means ephemeral pools inside them, the legacy semantics).
+        # integer means an ephemeral pool per nested call).
         inner = SessionHandle(parallel=resolved.parallel if resolved is not None else None)
         evaluator = Evaluator(wafer, cache=self.cache)
         scheduler = CentralScheduler(
@@ -225,67 +210,28 @@ class Watos:
         )
 
     # ------------------------------------------------------------------ full DSE
-    def explore(
-        self,
-        workloads: Sequence[TrainingWorkload],
-        parallel: Union[int, WorkerPool, None] = None,
-        session=None,
-        nest: str = "points",
-    ) -> WatosResult:
+    def explore(self, workloads: Sequence[TrainingWorkload], session=None) -> WatosResult:
         """Run the co-exploration over every candidate wafer and every workload.
 
         ``session`` supplies the worker pool (defaulting to the Watos instance's own
-        session, then the ambient one); ``parallel`` is the deprecated spelling — a
-        persistent :class:`WorkerPool` shared with other sweeps, or an integer for an
-        ephemeral pool (negative = all CPUs) — and warns once.
+        session, then the ambient one); its ``parallel`` is a persistent
+        :class:`~repro.core.parallel_map.WorkerPool` or an integer for an ephemeral
+        pool (negative = all CPUs).  The (wafer × workload) points fan out over the
+        workers; each point's inner scheduler/GA runs serially inside its worker.
 
-        ``nest`` picks which loop level the pool accelerates:
-
-        * ``"points"`` (default) — fan the (wafer × workload) points out over the
-          workers; each point's inner scheduler/GA runs serially inside its worker.
-        * ``"inner"`` — walk the points serially in this process and let the *nested*
-          loops (the central scheduler's candidate pricing, the GA's per-generation
-          scoring) borrow the pool.  Best when there are few points but deep inner
-          searches.
-
-        Both modes (and the serial run) are bit-identical: worker deltas are merged
+        The pooled run is bit-identical to the serial one: worker deltas are merged
         back in worker order and flushed to the shared cache's store when one is
         attached, and pricing is pure memoization — which prices directly against
         :attr:`cache` on the serial path, copying nothing.
         """
-        if nest not in ("points", "inner"):
-            raise ValueError(f"nest must be 'points' or 'inner', not {nest!r}")
-        resolved = resolve_loop_session(
-            session,
-            parallel=parallel,
-            api="Watos.explore(parallel=)",
-            fallback=self.session,
-        )
+        resolved = resolve_loop_session(session, fallback=self.session)
         parallel = resolved.parallel if resolved is not None else None
         points = [
             (wafer, workload) for wafer in self.candidates for workload in workloads
         ]
-        task = _ExplorePointTask(self)
-        if nest == "inner" and resolve_workers(parallel) > 1:
-            # Outer loop serial, inner loops on the borrowed pool: every point still
-            # prices against the shared cache directly (zero copies).  An integer
-            # still means "this many workers" — it is promoted to one pool that
-            # lives for the whole explore, not an ephemeral pool per inner call.
-            if isinstance(parallel, WorkerPool):
-                priced = [
-                    task.price(point, cache=self.cache, inner_pool=parallel)
-                    for point in points
-                ]
-            else:
-                with WorkerPool(resolve_workers(parallel), cache=self.cache) as pool:
-                    priced = [
-                        task.price(point, cache=self.cache, inner_pool=pool)
-                        for point in points
-                    ]
-        else:
-            priced = parallel_map_merge(
-                task, points, parallel=parallel, cache=self.cache
-            )
+        priced = parallel_map_merge(
+            _ExplorePointTask(self), points, parallel=parallel, cache=self.cache
+        )
         self.cache.flush()
 
         result = WatosResult()

@@ -235,27 +235,17 @@ class GeneticOptimizer:
         return survivors
 
     # ------------------------------------------------------------------ main loop
-    def optimize(
-        self,
-        seed_plan: TrainingPlan,
-        parallel: Union[int, WorkerPool, None] = None,
-        session=None,
-    ) -> GAResult:
+    def optimize(self, seed_plan: TrainingPlan, session=None) -> GAResult:
         """Run the GA starting from (and always retaining) the seed plan.
 
-        ``session`` (a :class:`repro.api.Session`) supplies the worker pool each
-        generation's unique individuals are priced on; without one, the ambient
-        session (``with Session(...):`` / ``repro.api.default_session()``) is used,
-        and without that the run is serial.  The GA trajectory — selection, best
-        plan, fitness history — is identical to the serial run for any worker count.
-
-        ``parallel`` is the deprecated spelling (a :class:`WorkerPool` or an integer
-        for an ephemeral pool, negative = all CPUs); it warns once and behaves as an
-        implicit single-knob session.
+        ``session`` (a :class:`repro.api.Session` or a ``SessionHandle``) supplies the
+        worker pool each generation's unique individuals are priced on; without one,
+        the ambient session (``with Session(...):`` / ``repro.api.default_session()``)
+        is used, and without that the run is serial.  The GA trajectory — selection,
+        best plan, fitness history — is identical to the serial run for any worker
+        count.
         """
-        resolved = resolve_loop_session(
-            session, parallel=parallel, api="GeneticOptimizer.optimize(parallel=)"
-        )
+        resolved = resolve_loop_session(session)
         parallel = resolved.parallel if resolved is not None else None
         population: List[TrainingPlan] = [seed_plan]
         while len(population) < self.config.population_size:

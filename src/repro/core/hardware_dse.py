@@ -11,12 +11,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple
 
 from repro.core.central_scheduler import CentralScheduler
-from repro.core.evalcache import EvaluationCache
 from repro.core.evaluator import Evaluator
-from repro.core.parallel_map import WorkerPool, parallel_map_merge, task_cache
+from repro.core.parallel_map import parallel_map_merge, task_cache
 from repro.core.runtime import resolve_loop_session
 from repro.hardware.area import AreaModel
 from repro.hardware.template import ComputeDieConfig, CoreConfig, DieConfig, DramChipletConfig, WaferConfig
@@ -60,7 +59,6 @@ class DieGranularityDse:
         dram_chiplet: Optional[DramChipletConfig] = None,
         wafer_edge_mm: float = 198.32,
         compute_density_tflops_per_mm2: float = 1.28,
-        cache: Optional[EvaluationCache] = None,
         session=None,
     ) -> None:
         self.workload = workload
@@ -70,13 +68,10 @@ class DieGranularityDse:
         self.wafer_edge_mm = wafer_edge_mm
         self.compute_density = compute_density_tflops_per_mm2
         self.area_model = AreaModel()
-        #: The owning :class:`repro.api.Session`; it supplies the shared cache and
-        #: the worker pool.  The legacy ``cache=`` kwarg warns once and behaves as an
-        #: implicit single-knob session; without either, the ambient session's cache
-        #: is adopted (or none at all).
-        self.session = resolve_loop_session(
-            session, cache=cache, api="DieGranularityDse(cache=)"
-        )
+        #: The owning :class:`repro.api.Session` (or a ``SessionHandle``); it
+        #: supplies the shared cache and the worker pool.  Without one, the ambient
+        #: session's cache is adopted (or none at all).
+        self.session = resolve_loop_session(session)
         #: Shared (optionally persistent) evaluation cache: every design point's
         #: evaluator prices against it, so repeated sweeps start warm and distinct
         #: points that reduce to the same (wafer, workload, plan) share one pricing.
@@ -129,12 +124,7 @@ class DieGranularityDse:
         )
 
     # ------------------------------------------------------------------ sweep
-    def sweep(
-        self,
-        max_tp: int = 8,
-        parallel: Union[int, WorkerPool, None] = None,
-        session=None,
-    ) -> List[DieDesignPoint]:
+    def sweep(self, max_tp: int = 8, session=None) -> List[DieDesignPoint]:
         """Evaluate every (area, aspect ratio) design point and normalise the objective.
 
         ``session`` supplies the worker pool whole design points are distributed over
@@ -142,15 +132,9 @@ class DieGranularityDse:
         results match the serial run.  With :attr:`cache` attached, worker deltas are
         merged back in worker order and spilled to the cache's store (when one is
         attached) before returning; the serial path prices directly against the shared
-        cache.  ``parallel`` is the deprecated spelling (a :class:`WorkerPool` or an
-        integer for an ephemeral pool, negative = all CPUs); it warns once.
+        cache.
         """
-        resolved = resolve_loop_session(
-            session,
-            parallel=parallel,
-            api="DieGranularityDse.sweep(parallel=)",
-            fallback=self.session,
-        )
+        resolved = resolve_loop_session(session, fallback=self.session)
         parallel = resolved.parallel if resolved is not None else None
         grid = [
             (area, aspect, max_tp) for area in self.areas for aspect in self.aspect_ratios

@@ -4,18 +4,15 @@ All the searchers are embarrassingly parallel across candidates: each candidate 
 priced by a pure function of picklable inputs (wafer/workload/plan dataclasses).  This
 module provides the execution runtime they share:
 
-* :class:`WorkerPool` — a **long-lived**, **elastic** fork pool that survives an
-  entire search (or a whole experiment matrix).  Sizing is described by a
-  :class:`PoolConfig` (``min_workers`` … ``max_workers``): the pool forks
-  ``min_workers`` up front, grows toward ``max_workers`` under queue pressure and
-  shrinks back after ``idle_shrink_s`` of slot idleness.  Each worker owns a private,
-  *resident* :class:`~repro.core.evalcache.EvaluationCache` shard that persists across
+* :class:`WorkerPool` — a **long-lived**, fixed-size fork pool that survives an
+  entire search (or a whole experiment matrix), sized by a :class:`PoolConfig` and
+  forked in full on first use.  Each worker owns a private, *resident*
+  :class:`~repro.core.evalcache.EvaluationCache` shard that persists across
   submissions.  Shards are seeded once when the pool first syncs, and thereafter kept
   coherent **delta-only** in both directions: the parent ships entries priced since a
   per-worker watermark (:meth:`EvaluationCache.export_since`), and workers ship back
   only their freshly priced entries (:meth:`EvaluationCache.take_carry`).  Entries a
-  worker itself priced are never echoed back to it.  A cache with a read-through
-  sqlite store skips even the initial seed: workers attach the store file directly.
+  worker itself priced are never echoed back to it.
 * :func:`parallel_map` — ordered map over a pool (a :class:`WorkerPool` or an
   ephemeral one built from an integer worker count).
 * :func:`parallel_map_merge` — the scatter/gather convention of the scale-out sweeps:
@@ -102,7 +99,7 @@ _TLS = threading.local()
 #: message).  Installed by the chaos harness; inherited by workers at fork time.
 _TASK_HOOK: Optional[Callable[[int, int, str], None]] = None
 #: Parent-side fault-injection hook: ``hook(worker_index)`` runs before every fork
-#: (initial spawns, growth and respawns); raising simulates an unspawnable worker.
+#: (initial spawns and respawns); raising simulates an unspawnable worker.
 _SPAWN_HOOK: Optional[Callable[[int], None]] = None
 
 
@@ -149,37 +146,24 @@ def resolve_workers(parallel: Union[int, "WorkerPool", None]) -> int:
 
 @dataclass(frozen=True)
 class PoolConfig:
-    """Declarative sizing and supervision knobs of a :class:`WorkerPool`.
+    """Sizing and supervision knobs of a :class:`WorkerPool`.
 
-    ``max_workers`` is the slot capacity (``None`` = every available CPU, negative
-    likewise); ``min_workers`` is how many workers fork up front and survive idle
-    shrinking (``None`` = same as ``max_workers``, i.e. a fixed-size pool — the
-    pre-elastic behaviour).  With ``min_workers < max_workers`` the pool is
-    *elastic*: a map call that finds fewer idle workers than its fair share grows
-    the pool toward capacity, and slots idle longer than ``idle_shrink_s`` seconds
-    are reaped back down to ``min_workers`` (``None`` = never shrink).
-    ``chunk_retries`` bounds how many times one map chunk may kill (and have
-    respawned) its worker before the chunk is declared poison.
+    ``max_workers`` is the number of workers (``None`` = every available CPU,
+    negative likewise); all of them fork on first use.  ``chunk_retries`` bounds how
+    many times one map chunk may kill (and have respawned) its worker before the
+    chunk is declared poison.
     """
 
-    min_workers: Optional[int] = None
     max_workers: Optional[int] = None
-    idle_shrink_s: Optional[float] = None
     chunk_retries: int = 1
 
     def __post_init__(self) -> None:
         if self.chunk_retries < 0:
             raise ValueError("chunk_retries cannot be negative")
-        if self.idle_shrink_s is not None and self.idle_shrink_s < 0:
-            raise ValueError("idle_shrink_s cannot be negative")
 
-    def resolved(self) -> Tuple[int, int]:
-        """The effective ``(min_workers, max_workers)`` pair on this machine."""
-        upper = resolve_workers(-1 if self.max_workers is None else self.max_workers)
-        if self.min_workers is None:
-            return upper, upper
-        lower = min(resolve_workers(self.min_workers), upper)
-        return max(1, lower), upper
+    def resolved(self) -> int:
+        """The effective worker count on this machine."""
+        return resolve_workers(-1 if self.max_workers is None else self.max_workers)
 
 
 def _context():
@@ -226,14 +210,6 @@ def _worker_main(task_conn, result_conn, index: int = 0) -> None:
             if shard is None:
                 shard = EvaluationCache(max_entries=None)
             shard.seed(message[1])
-        elif kind == "attach_store":
-            path, namespace = message[1], message[2]
-            try:
-                shard = EvaluationCache(
-                    max_entries=None, store=path, namespace=namespace, read_through=True
-                )
-            except Exception:  # corrupt/unreachable store: degrade to a cold shard
-                shard = EvaluationCache(max_entries=None)
         elif kind == "map":
             func, chunk, use_shard = message[1], message[2], message[3]
             tag = message[4] if len(message) > 4 else ""
@@ -278,22 +254,18 @@ def _worker_main(task_conn, result_conn, index: int = 0) -> None:
 
 # ---------------------------------------------------------------------- parent side
 class WorkerPool:
-    """A long-lived, supervised, elastic fork pool with worker-resident cache shards.
+    """A long-lived, supervised fork pool with worker-resident cache shards.
 
-    Create one pool per search — or per whole experiment matrix — and pass it
-    anywhere a ``parallel=`` argument accepts an integer::
+    Create one pool per search — or per whole experiment matrix — and hand it to
+    the loops through a session (``Session(pool=8)`` builds and owns one itself)::
 
-        with WorkerPool(cache=shared_cache, config=PoolConfig(max_workers=8)) as pool:
-            ga.optimize(seed_plan, parallel=pool)
-            scheduler.explore(workload, parallel=pool)
-            dse.sweep(parallel=pool)
+        with WorkerPool(config=PoolConfig(max_workers=8)) as pool:
+            with Session(pool=pool) as session:
+                ga.optimize(seed_plan, session=session)
+                scheduler.explore(workload, session=session)
 
-    Sizing comes from a :class:`PoolConfig`; the legacy bare-int form
-    (``WorkerPool(8)``) still works behind a one-time :class:`DeprecationWarning`
-    and means a fixed pool (``min == max``).  ``min_workers`` fork on first use;
-    elastic pools grow toward ``max_workers`` when a map finds too few idle slots
-    and shrink back after ``idle_shrink_s`` of idleness (``pool.grows`` /
-    ``pool.shrinks`` count the transitions).
+    Sizing comes from a :class:`PoolConfig` (``None`` = every CPU); every worker
+    forks on first use.
 
     :meth:`bind` attaches the shared :class:`EvaluationCache` whose contents the
     shards mirror; binding a *different* cache resets the shards (correct, merely
@@ -312,44 +284,20 @@ class WorkerPool:
 
     def __init__(
         self,
-        workers: Optional[int] = None,
-        cache: Optional[EvaluationCache] = None,
         *,
-        chunk_retries: Optional[int] = None,
         config: Optional[PoolConfig] = None,
+        cache: Optional[EvaluationCache] = None,
     ) -> None:
-        if config is not None:
-            if workers is not None or chunk_retries is not None:
-                raise ValueError(
-                    "pass either config=PoolConfig(...) or the legacy "
-                    "workers=/chunk_retries= knobs, not both"
-                )
-        else:
-            if workers is not None or chunk_retries is not None:
-                runtime.warn_legacy(
-                    "WorkerPool(workers=int)",
-                    hint="pass config=PoolConfig(max_workers=..., chunk_retries=...) "
-                    "instead",
-                )
-            config = PoolConfig(
-                max_workers=workers,
-                chunk_retries=1 if chunk_retries is None else chunk_retries,
-            )
         #: The :class:`PoolConfig` this pool was built from.
-        self.config = config
-        self.min_workers, self.workers = config.resolved()
-        self.idle_shrink_s = config.idle_shrink_s
+        self.config = config if config is not None else PoolConfig()
+        self.workers = self.config.resolved()
         #: How many times one chunk may kill (and have respawned) its worker within
         #: a single :meth:`map` before the chunk is declared poison.
-        self.chunk_retries = max(0, config.chunk_retries)
+        self.chunk_retries = self.config.chunk_retries
         #: Lifetime count of worker deaths the supervisor observed.
         self.crashes = 0
         #: Lifetime count of successful worker respawns.
         self.respawns = 0
-        #: Lifetime count of elastic slot growths (queue-pressure spawns).
-        self.grows = 0
-        #: Lifetime count of elastic slot shrinks (idle reaps).
-        self.shrinks = 0
         self._cache: Optional[EvaluationCache] = None
         self._watermarks: List[int] = [0] * self.workers
         self._origin: Dict[str, int] = {}
@@ -358,12 +306,8 @@ class WorkerPool:
         self._result_conns: List[Any] = []
         #: Slots whose worker could not be (re)spawned; served serially in-parent.
         self._dead: List[bool] = [False] * self.workers
-        #: Slots currently holding a live worker process (elastic pools keep cold
-        #: slots unspawned until queue pressure grows them).
-        self._spawned: List[bool] = [False] * self.workers
         #: Slots currently leased by an in-flight :meth:`map` call.
         self._busy: List[bool] = [False] * self.workers
-        self._idle_since: List[float] = [0.0] * self.workers
         self._active_maps = 0
         self._lock = threading.RLock()
         self._slot_free = threading.Condition(self._lock)
@@ -407,15 +351,12 @@ class WorkerPool:
             self._procs[index] = None
             self._task_conns[index] = None
             self._result_conns[index] = None
-            self._spawned[index] = False
             self._dead[index] = True
             return False
         self._procs[index] = proc
         self._task_conns[index] = task_conn
         self._result_conns[index] = result_conn
-        self._spawned[index] = True
         self._dead[index] = False
-        self._idle_since[index] = time.monotonic()
         return True
 
     def _ensure_started(self) -> None:
@@ -428,80 +369,8 @@ class WorkerPool:
             self._procs = [None] * self.workers
             self._task_conns = [None] * self.workers
             self._result_conns = [None] * self.workers
-            for index in range(self.min_workers):
+            for index in range(self.workers):
                 self._spawn_into(index)
-            self._attach_read_through_store()
-
-    def _grow_slot(self, index: int) -> bool:
-        """Spawn a cold slot under queue pressure (caller holds the lock)."""
-        if not self._spawn_into(index):
-            return False
-        self.grows += 1
-        self._watermarks[index] = 0
-        cache = self._cache
-        if cache is not None and cache.read_through and cache.store is not None:
-            self._task_conns[index].send(
-                ("attach_store", cache.store.path, cache.store.namespace)
-            )
-        return True
-
-    def _stop_slot(self, index: int) -> None:
-        """Reap one idle slot back to cold (caller holds the lock)."""
-        task_conn = self._task_conns[index]
-        if task_conn is not None:
-            try:
-                task_conn.send(("stop",))
-            except Exception:  # pragma: no cover - already broken
-                pass
-        proc = self._procs[index]
-        if proc is not None:
-            proc.join(timeout=1)
-            if proc.is_alive():  # pragma: no cover - wedged idle worker
-                proc.terminate()
-                proc.join(timeout=1)
-        for conns in (self._task_conns, self._result_conns):
-            if conns[index] is not None:
-                try:
-                    conns[index].close()
-                except Exception:  # pragma: no cover - already broken
-                    pass
-        self._procs[index] = None
-        self._task_conns[index] = None
-        self._result_conns[index] = None
-        self._spawned[index] = False
-        self._dead[index] = False
-        self._origin = {key: who for key, who in self._origin.items() if who != index}
-        self._watermarks[index] = 0
-        self.shrinks += 1
-
-    def _shrink_idle_locked(self, now: Optional[float] = None) -> int:
-        """Reap slots idle past ``idle_shrink_s``, never below ``min_workers``."""
-        if self.idle_shrink_s is None or not self._started:
-            return 0
-        now = time.monotonic() if now is None else now
-        live = self._live_slots()
-        spare = len(live) - self.min_workers
-        if spare <= 0:
-            return 0
-        stopped = 0
-        for index in reversed(live):  # shed the highest slots first
-            if spare <= 0:
-                break
-            if self._busy[index] or now - self._idle_since[index] < self.idle_shrink_s:
-                continue
-            self._stop_slot(index)
-            spare -= 1
-            stopped += 1
-        return stopped
-
-    def maybe_shrink(self, now: Optional[float] = None) -> int:
-        """Reap idle slots now; returns how many were stopped.
-
-        Shrinking also happens opportunistically at every :meth:`map` entry; this
-        entry point exists for deterministic tests and long-idle callers.
-        """
-        with self._lock:
-            return self._shrink_idle_locked(now)
 
     def _respawn(self, index: int) -> bool:
         """Replace the dead worker in slot ``index``; ``False`` if the fork failed.
@@ -527,15 +396,9 @@ class WorkerPool:
                 self._procs[index] = None
                 self._task_conns[index] = None
                 self._result_conns[index] = None
-                self._spawned[index] = False
                 self._dead[index] = True
                 return False
             self.respawns += 1
-            cache = self._cache
-            if cache is not None and cache.read_through and cache.store is not None:
-                self._task_conns[index].send(
-                    ("attach_store", cache.store.path, cache.store.namespace)
-                )
             return True
 
     def close(self, join_timeout: float = 5.0) -> None:
@@ -605,31 +468,17 @@ class WorkerPool:
             if self._started:
                 for index in self._live_slots():
                     self._task_conns[index].send(("reset",))
-                self._attach_read_through_store()
-
-    def _attach_read_through_store(self) -> None:
-        cache = self._cache
-        if cache is None or not cache.read_through or cache.store is None:
-            return
-        for index in self._live_slots():
-            self._task_conns[index].send(
-                ("attach_store", cache.store.path, cache.store.namespace)
-            )
 
     def _live_slots(self) -> List[int]:
-        return [
-            index
-            for index in range(self.workers)
-            if self._spawned[index] and not self._dead[index]
-        ]
+        return [index for index in range(self.workers) if not self._dead[index]]
 
     def _sync_shards(self, cache: EvaluationCache) -> None:
         """Ship each idle worker the entries priced since its watermark (delta-only).
 
         Watermarks normally advance in lock-step (:meth:`bind` and this method set
         them together), so one export serves every worker and only the origin filter
-        is per-worker.  A respawned or freshly grown worker breaks the lock-step —
-        its watermark is back at zero — so drifted watermarks fall through to a
+        is per-worker.  A respawned worker breaks the lock-step — its watermark is
+        back at zero — so drifted watermarks fall through to a
         per-worker export: the newcomer is re-seeded with the full resident history
         while its healthy siblings still receive only the fresh delta.  Slots busy
         under a sibling map are skipped (their pipes are mid-chunk); they catch up
@@ -682,28 +531,18 @@ class WorkerPool:
     def _lease(self, nitems: int) -> List[int]:
         """Claim a fair share of idle slots for one map call (caller holds the lock).
 
-        The share is ``ceil(max_workers / concurrent maps)`` bounded by the item
-        count — one map alone gets the whole pool (the pre-elastic chunking,
-        bit-for-bit), two concurrent cells split it, and a narrow map never hoards
-        slots a wide sibling could fill.  Too few idle slots grow the pool toward
-        capacity (queue pressure); none at all waits for a sibling to release —
-        unless every slot is dead, which degrades the map to in-process serial
-        (empty lease).
+        The share is ``ceil(workers / concurrent maps)`` bounded by the item count —
+        one map alone gets the whole pool, two concurrent cells split it, and a
+        narrow map never hoards slots a wide sibling could fill.  No idle slot at
+        all waits for a sibling to release — unless every slot is dead, which
+        degrades the map to in-process serial (empty lease).
         """
         while True:
             if self._closed:
                 raise RuntimeError("WorkerPool is closed")
-            self._shrink_idle_locked()
             idle = [index for index in self._live_slots() if not self._busy[index]]
             share = -(-self.workers // (self._active_maps + 1))  # ceil division
             want = max(1, min(nitems, share))
-            if len(idle) < want:
-                for index in range(self.workers):
-                    if len(idle) >= want:
-                        break
-                    if not self._spawned[index] and not self._dead[index]:
-                        if self._grow_slot(index):
-                            idle.append(index)
             if idle:
                 idle.sort()
                 take = idle[:want]
@@ -717,10 +556,8 @@ class WorkerPool:
 
     def _release(self, slots: Sequence[int]) -> None:
         with self._lock:
-            now = time.monotonic()
             for index in slots:
                 self._busy[index] = False
-                self._idle_since[index] = now
             self._active_maps -= 1
             self._slot_free.notify_all()
 
@@ -1000,7 +837,6 @@ def parallel_map(
     func: Callable[[T], R],
     items: Sequence[T],
     parallel: Union[int, WorkerPool, None] = None,
-    chunksize: int = 1,
 ) -> List[R]:
     """Map ``func`` over ``items``, optionally on a worker pool, preserving order.
 
@@ -1008,10 +844,8 @@ def parallel_map(
     (an ephemeral pool is created for the call).  The serial fallback (``parallel in
     (None, 0, 1)`` or fewer than two items) runs the exact same function in-process,
     so parallel and serial runs return identical results whenever ``func`` is
-    deterministic.  ``chunksize`` is accepted for backwards compatibility; items are
-    always split into contiguous balanced chunks.
+    deterministic.  Items are split into contiguous balanced chunks.
     """
-    del chunksize  # block partitioning made the knob moot
     if isinstance(parallel, WorkerPool):
         return parallel.map(func, items, sync=False)
     workers = resolve_workers(parallel)

@@ -7,14 +7,13 @@ the shared evaluation cache for a whole experiment; the four search loops — ``
 the thin, dependency-free meeting point between the two layers:
 
 * the **active-session stack** — ``with Session(...):`` pushes the session here, so
-  bare loop calls (no ``session=``, no legacy kwargs) inside the block share the
-  session's pool and cache instead of building ephemeral ones;
+  bare loop calls (no ``session=``) inside the block share the session's pool and
+  cache instead of building ephemeral ones;
 * the **default session** slot — ``repro.api.default_session()`` parks the
   process-wide session here; it is the fallback when no ``with`` block is active;
 * :class:`SessionHandle` — the minimal session protocol (``.cache`` / ``.parallel``)
-  the loops actually consume.  Legacy ``cache=`` / ``parallel=`` kwargs are wrapped
-  in one of these (after a one-time :class:`DeprecationWarning`), so loop bodies read
-  every knob from a session-shaped object no matter how they were called;
+  the loops actually consume, so a caller can hand a loop one cache or one worker
+  count without building a whole session;
 * the **worker reset** — pool workers are forked from a parent that may hold an
   active session whose :class:`~repro.core.parallel_map.WorkerPool` is meaningless
   (and dangerous — nested pools) in the child.  ``parallel_map`` calls
@@ -28,7 +27,6 @@ from __future__ import annotations
 
 import threading
 import time
-import warnings
 from typing import Any, List, Optional
 
 __all__ = [
@@ -45,15 +43,12 @@ __all__ = [
     "set_deadline",
     "set_task_tag",
     "task_tag",
-    "warn_legacy",
 ]
 
 #: Innermost-last stack of entered sessions (``with Session(...)``).
 _ACTIVE_SESSIONS: List[Any] = []
 #: The process-wide default session installed by ``repro.api.default_session()``.
 _DEFAULT_SESSION: Optional[Any] = None
-#: Legacy-kwarg call sites that already warned (DeprecationWarning fires once each).
-_WARNED: set = set()
 #: Per-thread ambient attempt state.  ``tag`` labels the unit of work currently
 #: executing (a sweep's cell id) — the pool forwards it to workers with every map
 #: message, so fault injectors (and any future tracing) can target work by *what*
@@ -113,9 +108,9 @@ class SessionHandle:
     """The minimal session protocol the search loops consume.
 
     A full :class:`repro.api.Session` provides the same two attributes (plus much
-    more); this bare holder is what legacy ``cache=`` / ``parallel=`` kwargs are
-    wrapped in, and what loop internals use to forward a pool to nested loops
-    without re-triggering the deprecation shim.
+    more); this bare holder gives a loop one cache or one worker count
+    (``SessionHandle(parallel=4)`` prices on an ephemeral 4-worker pool), and is
+    what loop internals use to forward a pool to nested loops.
     """
 
     __slots__ = ("cache", "results", "_parallel")
@@ -124,7 +119,7 @@ class SessionHandle:
         self.cache = cache
         #: The owning session's result store (``Session._handle`` forwards it), so
         #: session-shaped consumers see the same ``.results`` surface on a handle
-        #: as on a full ``Session``.  ``None`` for legacy-kwarg shims.
+        #: as on a full ``Session``.
         self.results = results
         self._parallel = parallel
 
@@ -195,58 +190,16 @@ def reset_for_worker() -> None:
     _AMBIENT.tag = ""
 
 
-# ---------------------------------------------------------------------- legacy shims
-def warn_legacy(api: str, hint: Optional[str] = None) -> None:
-    """Emit the deprecation warning for a legacy call site.
+# ---------------------------------------------------------------------- loop sessions
+def resolve_loop_session(session: Optional[Any], fallback: Optional[Any] = None) -> Optional[Any]:
+    """The session a loop entry point runs on.
 
-    Fires exactly once per ``api`` label for the life of the process — long sweeps
-    that call a deprecated entry point thousands of times see one line, not a flood.
-    ``hint`` overrides the default session-kwarg guidance for shims (like the bare
-    spec-list form of ``Session.sweep``) whose replacement is something else.
-    """
-    if api in _WARNED:
-        return
-    _WARNED.add(api)
-    warnings.warn(
-        f"{api} is deprecated; "
-        + (hint or "pass session=Session(...) (see repro.api) instead"),
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
-def reset_legacy_warnings() -> None:
-    """Forget which call sites already warned (test isolation helper)."""
-    _WARNED.clear()
-
-
-def resolve_loop_session(
-    session: Optional[Any],
-    *,
-    cache: Any = None,
-    parallel: Any = None,
-    api: str = "",
-    fallback: Optional[Any] = None,
-) -> Optional[Any]:
-    """Normalise a loop entry point's knobs to one session-shaped object.
-
-    Precedence: an explicit ``session=`` wins (mixing it with legacy kwargs is an
-    error); legacy ``cache=``/``parallel=`` kwargs warn once and become an implicit
-    :class:`SessionHandle`; otherwise ``fallback`` (a session stored on the owning
-    object at construction) and finally the ambient :func:`current_session`.
-    Returns ``None`` when no session exists anywhere — the loop runs standalone.
+    An explicit ``session=`` wins, then ``fallback`` (a session stored on the owning
+    object at construction), then the ambient :func:`current_session`.  Returns
+    ``None`` when no session exists anywhere — the loop runs standalone.
     """
     if session is not None:
-        if cache is not None or parallel is not None:
-            raise ValueError(
-                f"{api}: pass either session= or the legacy cache=/parallel= "
-                "kwargs, not both"
-            )
         return session
-    if cache is not None or parallel is not None:
-        if api:
-            warn_legacy(api)
-        return SessionHandle(cache=cache, parallel=parallel)
     if fallback is not None:
         return fallback
     return current_session()

@@ -63,17 +63,6 @@ def fault_aware_path(mesh: MeshTopology, src: Coord, dst: Coord) -> List[Coord]:
         return xy_path(src, dst)
 
 
-def all_shortest_paths(mesh: MeshTopology, src: Coord, dst: Coord, limit: int = 16) -> List[List[Coord]]:
-    """Up to ``limit`` distinct shortest paths between two dies (used by Eq. 2)."""
-    graph = mesh.graph()
-    paths = []
-    for path in nx.all_shortest_paths(graph, src, dst, weight="weight"):
-        paths.append(path)
-        if len(paths) >= limit:
-            break
-    return paths
-
-
 @dataclass
 class LinkLoadTracker:
     """Accumulates bytes routed over each mesh link and reports contention.

@@ -312,10 +312,6 @@ class SqliteLog:
                 _move_aside(self.path)
                 return []
 
-    def prepare(self) -> None:
-        """Validate (and repair) an existing file without reading its rows."""
-        self._read("SELECT 1")
-
     def rows(self, decode: Callable[[Tuple[Any, Any, float]], T]) -> Iterator[T]:
         """``decode((key, value, time))`` for each row in write order.
 

@@ -34,7 +34,7 @@ from repro.api import (
 from repro.api.cli import main as repro_main
 from repro.api.session import SweepCellError
 from repro.core.chaos import ChaosMonkey, tear_last_append
-from repro.core.parallel_map import WorkerPool
+from repro.core.parallel_map import PoolConfig, WorkerPool
 from repro.core.retry import RetryPolicy
 
 
@@ -131,7 +131,7 @@ class TestPoolUnderChaos:
     def test_kill_one_worker_map_completes(self, tmp_path):
         with ChaosMonkey(tmp_path) as chaos:
             chaos.kill(worker=1, at_task=1, times=1)
-            pool = WorkerPool(2)
+            pool = WorkerPool(config=PoolConfig(max_workers=2))
             try:
                 assert pool.map(_square, list(range(8))) == [x * x for x in range(8)]
                 assert pool.crashes == 1 and pool.respawns == 1
@@ -144,7 +144,7 @@ class TestPoolUnderChaos:
     def test_total_collapse_degrades_to_serial(self, tmp_path):
         with ChaosMonkey(tmp_path) as chaos:
             chaos.kill(times=None)
-            pool = WorkerPool(2)
+            pool = WorkerPool(config=PoolConfig(max_workers=2))
             try:
                 # Fork the (doomed) workers first, then make every respawn fail:
                 # both die at their first task and no replacement can be had.
@@ -166,7 +166,7 @@ class TestPoolUnderChaos:
     def test_spawn_denied_from_the_start_runs_serial(self, tmp_path):
         with ChaosMonkey(tmp_path) as chaos:
             chaos.deny_spawns()
-            pool = WorkerPool(2)
+            pool = WorkerPool(config=PoolConfig(max_workers=2))
             try:
                 with pytest.warns(RuntimeWarning, match="serial"):
                     assert pool.map(_square, [1, 2, 3]) == [1, 4, 9]
@@ -185,7 +185,7 @@ class TestSweepUnderChaos:
         chaotic = str(tmp_path / "chaotic.jsonl")
         with ChaosMonkey(tmp_path / "chaos") as chaos:
             chaos.kill(worker=1, at_task=2, times=1)
-            with Session(workers=2) as session:
+            with Session(pool=2) as session:
                 runs = list(session.sweep(sweep, results=chaotic))
                 assert session.pool.crashes == 1
                 assert session.pool.respawns == 1
@@ -204,8 +204,8 @@ class TestSweepUnderChaos:
             chaos.kill(tag=poison, worker=1, times=None)
             # chunk_retries=0 makes every worker crash fatal to its attempt, so
             # 3 retry attempts mean exactly 3 crashes (of worker 1, every time).
-            pool = WorkerPool(2, chunk_retries=0)
-            with Session(workers=pool) as session:
+            pool = WorkerPool(config=PoolConfig(max_workers=2, chunk_retries=0))
+            with Session(pool=pool) as session:
                 runs = {
                     run.cell_id: run
                     for run in session.sweep(sweep, results=results, retry=retry)
@@ -243,8 +243,8 @@ class TestSweepUnderChaos:
 
         with ChaosMonkey(tmp_path / "chaos") as chaos:
             chaos.kill(tag=poison, times=None)
-            pool = WorkerPool(2, chunk_retries=0)
-            with Session(workers=pool) as session:
+            pool = WorkerPool(config=PoolConfig(max_workers=2, chunk_retries=0))
+            with Session(pool=pool) as session:
                 list(session.sweep(sweep, results=results, retry=retry))
             pool.close()
 
@@ -267,8 +267,8 @@ class TestSweepUnderChaos:
 
         with ChaosMonkey(tmp_path / "chaos") as chaos:
             chaos.kill(tag=poison, times=None)
-            pool = WorkerPool(2, chunk_retries=0)
-            with Session(workers=pool) as session:
+            pool = WorkerPool(config=PoolConfig(max_workers=2, chunk_retries=0))
+            with Session(pool=pool) as session:
                 list(
                     session.sweep(
                         sweep,
@@ -290,7 +290,7 @@ class TestSweepUnderChaos:
 
         with ChaosMonkey(tmp_path / "chaos") as chaos:
             chaos.delay(30.0, tag=cell, times=1)
-            with Session(workers=2) as session:
+            with Session(pool=2) as session:
                 runs = list(session.sweep(sweep, retry=retry))
                 assert session.pool.crashes >= 1  # the straggler was killed
         assert chaos.claimed("delay") == 1

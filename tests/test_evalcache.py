@@ -21,6 +21,7 @@ from repro.core.evaluator import Evaluator
 from repro.core.genetic import GAConfig, GeneticOptimizer
 from repro.core.hardware_dse import DieGranularityDse
 from repro.core.plan import MemPair
+from repro.core.runtime import SessionHandle
 from repro.hardware.faults import FaultModel
 from repro.parallelism.partition import TPSplitStrategy
 from repro.parallelism.pipeline import (
@@ -236,7 +237,7 @@ class TestSearchLoops:
         config = GAConfig(population_size=6, generations=3, seed=5)
         serial = GeneticOptimizer(Evaluator(wafer), workload, config).optimize(seed_plan)
         parallel = GeneticOptimizer(Evaluator(wafer), workload, config).optimize(
-            seed_plan, parallel=2
+            seed_plan, session=SessionHandle(parallel=2)
         )
         assert parallel.best_fitness == serial.best_fitness
         assert parallel.history == serial.history
@@ -244,20 +245,22 @@ class TestSearchLoops:
 
     def test_scheduler_explore_parallel_matches_serial(self, wafer, workload):
         serial = CentralScheduler(wafer).explore(workload)
-        parallel = CentralScheduler(wafer).explore(workload, parallel=2)
+        parallel = CentralScheduler(wafer).explore(
+            workload, session=SessionHandle(parallel=2)
+        )
         assert [r.plan for r in parallel] == [r.plan for r in serial]
         assert [r.result for r in parallel] == [r.result for r in serial]
 
     def test_parallel_explore_counters_stay_honest(self, wafer, workload):
         scheduler = CentralScheduler(wafer)
-        first = scheduler.explore(workload, parallel=2)
+        first = scheduler.explore(workload, session=SessionHandle(parallel=2))
         evaluator = scheduler.evaluator
         raw_after_first = evaluator.raw_evaluations
         assert raw_after_first == len(first)  # every candidate priced exactly once
         # A warm re-exploration must be answered from the cache: no new raw pricing,
         # one hit per candidate.
         hits_before = evaluator.cache.hits
-        second = scheduler.explore(workload, parallel=2)
+        second = scheduler.explore(workload, session=SessionHandle(parallel=2))
         assert [r.result for r in second] == [r.result for r in first]
         assert evaluator.raw_evaluations == raw_after_first
         assert evaluator.cache.hits == hits_before + len(second)
@@ -267,5 +270,5 @@ class TestSearchLoops:
             workload, areas_mm2=(300.0, 500.0), aspect_ratios=(1.0,)
         )
         serial = dse.sweep(max_tp=4)
-        parallel = dse.sweep(max_tp=4, parallel=2)
+        parallel = dse.sweep(max_tp=4, session=SessionHandle(parallel=2))
         assert parallel == serial

@@ -5,7 +5,6 @@ import pytest
 from repro.hardware.faults import FaultModel
 from repro.interconnect.routing import (
     LinkLoadTracker,
-    all_shortest_paths,
     fault_aware_path,
     manhattan_hops,
     path_links,
@@ -51,12 +50,6 @@ class TestPaths:
         path = fault_aware_path(mesh, (0, 0), (2, 0))
         assert (1, 0) not in path
         assert path[0] == (0, 0) and path[-1] == (2, 0)
-
-    def test_all_shortest_paths_limited(self, mesh):
-        paths = all_shortest_paths(mesh, (0, 0), (2, 2), limit=3)
-        assert 1 <= len(paths) <= 3
-        for path in paths:
-            assert len(path) - 1 == manhattan_hops((0, 0), (2, 2))
 
 
 class TestLinkLoadTracker:

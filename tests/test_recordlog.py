@@ -324,7 +324,8 @@ def test_sqlite_store_shared_by_threads_loses_no_rows(tmp_path):
             for step in range(25):
                 key = f"t{index}-{step}"
                 store.append({key: step}, {key: 1.0})
-                assert store.get(key) == step
+                # A point read through the log, which holds the connection lock.
+                assert store._log.get(key, store._decode)[1] == step
         except BaseException as exc:  # surfaced below; a thread cannot fail the test
             errors.append(exc)
 

@@ -137,6 +137,19 @@ class TestSweepCommand:
         assert repro_main(["sweep", "--spec", "-"]) == 0
         assert "4 cells — 4 run" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--jobs", "0"), ("--retries", "0"), ("--retry-backoff", "-1"), ("--cell-timeout", "-1")],
+    )
+    def test_out_of_range_flag_is_a_one_line_error(self, tmp_path, flag, value):
+        spec = tmp_path / "matrix.json"
+        spec.write_text(json.dumps(MATRIX))
+        results = tmp_path / "results.jsonl"
+        with pytest.raises(SystemExit, match=f"^repro sweep: {flag} must be") as caught:
+            repro_main(["sweep", "--spec", str(spec), "--results", str(results), flag, value])
+        assert "\n" not in str(caught.value)
+        assert not results.exists()  # rejected before any store was opened
+
     def test_bad_knob_path_fails_with_suggestion(self, tmp_path):
         spec = tmp_path / "matrix.json"
         spec.write_text(json.dumps(

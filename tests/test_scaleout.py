@@ -16,6 +16,7 @@ from repro.core.evalcache import EvaluationCache
 from repro.core.framework import Watos
 from repro.core.genetic import GAConfig
 from repro.core.hardware_dse import DieGranularityDse
+from repro.core.runtime import SessionHandle
 from repro.hardware.configs import wafer_config2, wafer_config3
 from repro.predictor.analytical import AnalyticalPredictor
 from repro.predictor.lookup import OperatorProfileTable
@@ -125,7 +126,9 @@ class TestWatosParallel:
         config = GAConfig(population_size=4, generations=2, seed=3)
 
         serial = self._watos([wafer, other], config).explore(workloads)
-        parallel = self._watos([wafer, other], config).explore(workloads, parallel=2)
+        parallel = self._watos([wafer, other], config).explore(
+            workloads, session=SessionHandle(parallel=2)
+        )
 
         assert len(serial.outcomes) == len(parallel.outcomes) > 0
         for a, b in zip(serial.outcomes, parallel.outcomes):
@@ -139,11 +142,11 @@ class TestWatosParallel:
     def test_explore_merges_worker_deltas(self, wafer):
         workloads = [TrainingWorkload(make_tiny_model(), 16, 4, 1024)]
         watos = self._watos([wafer], GAConfig(population_size=4, generations=2, seed=3))
-        watos.explore(workloads, parallel=2)
+        watos.explore(workloads, session=SessionHandle(parallel=2))
         # The shared cache absorbed the worker's pricing: a re-exploration of the
         # same point re-prices nothing.
         misses_before = watos.cache.stats.misses
-        watos.explore(workloads, parallel=2)
+        watos.explore(workloads, session=SessionHandle(parallel=2))
         assert watos.cache.stats.misses == misses_before
 
     def test_explore_persists_across_instances(self, wafer, tmp_path):
@@ -152,12 +155,12 @@ class TestWatosParallel:
         path = str(tmp_path / "watos.sqlite")
 
         first = Watos(candidates=[wafer], ga_config=config,
-                      cache=EvaluationCache(store=path))
-        outcome_first = first.explore(workloads, parallel=2)
+                      session=SessionHandle(cache=EvaluationCache(store=path)))
+        outcome_first = first.explore(workloads, session=SessionHandle(parallel=2))
         first.cache.close()
 
         second = Watos(candidates=[wafer], ga_config=config,
-                       cache=EvaluationCache(store=path))
+                       session=SessionHandle(cache=EvaluationCache(store=path)))
         assert second.cache.stats.loaded > 0
         outcome_second = second.explore(workloads)
         assert second.cache.stats.misses == 0
@@ -177,14 +180,15 @@ class TestWatosParallel:
         path = str(tmp_path / "warm.sqlite")
 
         first = Watos(candidates=[wafer], ga_config=config,
-                      cache=EvaluationCache(store=path))
-        cold = first.explore(workloads, parallel=2)
+                      session=SessionHandle(cache=EvaluationCache(store=path)))
+        cold = first.explore(workloads, session=SessionHandle(parallel=2))
         first.cache.close()
 
         second = Watos(candidates=[wafer], ga_config=config,
-                       cache=EvaluationCache(store=path))
+                       session=SessionHandle(cache=EvaluationCache(store=path)))
         assert second.cache.stats.loaded > 0
-        warm = second.explore(workloads, parallel=2)  # used to raise TypeError
+        # This used to raise TypeError.
+        warm = second.explore(workloads, session=SessionHandle(parallel=2))
         assert [o.result for o in warm.outcomes] == [o.result for o in cold.outcomes]
         assert second.cache.stats.misses == 0
         second.cache.close()
@@ -198,37 +202,37 @@ class TestDseSharedCache:
         ).sweep(max_tp=4)
         cached_dse = DieGranularityDse(
             workload, areas_mm2=(300.0, 500.0), aspect_ratios=(1.0,),
-            cache=EvaluationCache(),
+            session=SessionHandle(cache=EvaluationCache()),
         )
         assert cached_dse.sweep(max_tp=4) == plain
         # Parallel sweep with the shared cache also matches.
-        assert cached_dse.sweep(max_tp=4, parallel=2) == plain
+        assert cached_dse.sweep(max_tp=4, session=SessionHandle(parallel=2)) == plain
 
     def test_repeat_sweep_is_all_hits(self, workload):
         # max_tp=16 so the 48-die (500 mm²) design point enumerates real splits
         # (tp=8/pp=6, tp=16/pp=3) — with max_tp=4 the grid prices nothing.
         dse = DieGranularityDse(
             workload, areas_mm2=(300.0, 500.0), aspect_ratios=(1.0,),
-            cache=EvaluationCache(),
+            session=SessionHandle(cache=EvaluationCache()),
         )
-        dse.sweep(max_tp=16, parallel=2)
+        dse.sweep(max_tp=16, session=SessionHandle(parallel=2))
         assert dse.cache.stats.misses > 0
         misses_before = dse.cache.stats.misses
-        dse.sweep(max_tp=16, parallel=2)
+        dse.sweep(max_tp=16, session=SessionHandle(parallel=2))
         assert dse.cache.stats.misses == misses_before
 
     def test_sweep_persists_to_store(self, workload, tmp_path):
         path = str(tmp_path / "dse.jsonl")
         dse = DieGranularityDse(
             workload, areas_mm2=(500.0,), aspect_ratios=(1.0, 1.6),
-            cache=EvaluationCache(store=path),
+            session=SessionHandle(cache=EvaluationCache(store=path)),
         )
-        points = dse.sweep(max_tp=16, parallel=2)
+        points = dse.sweep(max_tp=16, session=SessionHandle(parallel=2))
         dse.cache.close()
 
         warm = DieGranularityDse(
             workload, areas_mm2=(500.0,), aspect_ratios=(1.0, 1.6),
-            cache=EvaluationCache(store=path),
+            session=SessionHandle(cache=EvaluationCache(store=path)),
         )
         assert warm.cache.stats.loaded > 0
         assert warm.sweep(max_tp=16) == points

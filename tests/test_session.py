@@ -1,20 +1,17 @@
-"""Session runtime API: lifecycle, legacy-path equivalence, deprecation shims.
+"""Session runtime API: lifecycle, direct-call equivalence, ambient sessions.
 
-The contract under test (ISSUE 4 acceptance criteria):
+The contract under test:
 
 * ``Session`` owns the pool and the cache; context-manager exit joins the pool and
   flushes the store.
-* ``Session.run(spec)`` is bit-identical to the legacy direct-call path for all four
-  search loops (GA, CentralScheduler, DieGranularityDse, Watos), serial or pooled.
-* Legacy ``cache=`` / ``parallel=`` kwargs still work but emit a
-  ``DeprecationWarning`` exactly once per call site.
+* ``Session.run(spec)`` is bit-identical to calling the search loops directly for
+  all four of them (GA, CentralScheduler, DieGranularityDse, Watos), serial or
+  pooled.
 * An ambient session (``with Session(...):`` or ``default_session()``) supplies its
   pool and cache to bare loop calls, so nested sweeps share workers.
 """
 
 from __future__ import annotations
-
-import warnings
 
 import pytest
 
@@ -37,7 +34,7 @@ from repro.core.hardware_dse import DieGranularityDse
 
 @pytest.fixture(autouse=True)
 def _clean_runtime():
-    """Each test starts with no ambient/default session and fresh warn-once state."""
+    """Each test starts with no ambient/default session."""
     close_default_session()
     yield
     close_default_session()
@@ -60,7 +57,7 @@ GA_SPEC = dict(kind="ga", wafer="tiny", workload="tiny", population=6, generatio
 class TestLifecycle:
     def test_exit_joins_pool_and_flushes_store(self, tmp_path):
         path = str(tmp_path / "session.jsonl")
-        with Session(workers=2, store=path) as session:
+        with Session(pool=2, store=path) as session:
             run = session.run(ExperimentSpec(kind="scheduler", wafer="tiny", workload="tiny"))
             assert run
             pool = session.pool
@@ -171,7 +168,7 @@ class TestRunEquivalence:
     def test_ga_kind_pooled_matches_serial(self):
         with Session() as session:
             serial = session.run(ExperimentSpec(**GA_SPEC))
-        with Session(workers=2) as session:
+        with Session(pool=2) as session:
             pooled = session.run(ExperimentSpec(**GA_SPEC))
         assert pooled.metrics["best_fitness"] == serial.metrics["best_fitness"]
         assert pooled.details.history == serial.details.history
@@ -213,15 +210,13 @@ class TestRunEquivalence:
         )
         with Session() as session:
             serial = session.run(ExperimentSpec(**spec))
-        with Session(workers=2) as session:
-            outer = session.run(ExperimentSpec(**spec, nest="points"))
-        with Session(workers=2) as session:
-            inner = session.run(ExperimentSpec(**spec, nest="inner"))
-        # A pool-less session honours nest="inner" too: the spec's integer worker
-        # hint is promoted to one pool lent to the nested loops, not ignored.
+        with Session(pool=2) as session:
+            pooled = session.run(ExperimentSpec(**spec))
+        # A pool-less session takes the spec's integer worker hint instead (an
+        # ephemeral pool per fan-out) and still matches.
         with Session() as session:
-            inner_int = session.run(ExperimentSpec(**spec, nest="inner", workers=2))
-        for run in (outer, inner, inner_int):
+            hinted = session.run(ExperimentSpec(**spec, workers=2))
+        for run in (pooled, hinted):
             assert [o.result for o in run.details.outcomes] == [
                 o.result for o in serial.details.outcomes
             ]
@@ -234,47 +229,6 @@ class TestRunEquivalence:
         assert second.metrics["best_fitness"] == first.metrics["best_fitness"]
         # The second run re-priced nothing: every plan was already in the cache.
         assert session.cache.stats.misses == misses_after_first
-
-
-# ------------------------------------------------------------------- deprecation
-class TestDeprecationShims:
-    def test_legacy_kwargs_warn_exactly_once(self, wafer, workload):
-        runtime.reset_legacy_warnings()
-        with pytest.warns(DeprecationWarning, match="CentralScheduler"):
-            records = CentralScheduler(wafer, cache=EvaluationCache()).explore(workload)
-        assert records
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            CentralScheduler(wafer, cache=EvaluationCache()).explore(workload)
-        assert [w for w in caught if w.category is DeprecationWarning] == []
-
-    def test_legacy_parallel_kwarg_warns_and_matches(self, wafer, workload):
-        runtime.reset_legacy_warnings()
-        evaluator = Evaluator(wafer)
-        seed = CentralScheduler(wafer, evaluator=evaluator).best(workload)
-        config = GAConfig(population_size=4, generations=2)
-        serial = GeneticOptimizer(evaluator, workload, config).optimize(seed.plan)
-        with pytest.warns(DeprecationWarning, match="GeneticOptimizer"):
-            legacy = GeneticOptimizer(
-                Evaluator(wafer), workload, config
-            ).optimize(seed.plan, parallel=2)
-        assert legacy.history == serial.history
-
-    def test_session_plus_legacy_kwarg_is_an_error(self, wafer, workload):
-        with Session() as session:
-            with pytest.raises(ValueError):
-                CentralScheduler(wafer).explore(workload, parallel=2, session=session)
-
-    def test_legacy_watos_cache_kwarg_still_works(self, wafer, workload):
-        runtime.reset_legacy_warnings()
-        cache = EvaluationCache()
-        with pytest.warns(DeprecationWarning, match="Watos"):
-            watos = Watos(
-                candidates=[wafer], use_ga=False, cache=cache,
-            )
-        watos.explore([workload])
-        assert watos.cache is cache
-        assert cache.stats.misses > 0
 
 
 # ---------------------------------------------------------------- ambient/default
@@ -291,13 +245,13 @@ class TestAmbientSession:
 
     def test_with_block_supplies_pool_to_bare_calls(self, wafer, workload):
         serial = CentralScheduler(wafer).explore(workload)
-        with Session(workers=2) as session:
+        with Session(pool=2) as session:
             pooled = CentralScheduler(wafer).explore(workload)
             assert session.pool is not None and session.pool._started
         assert [r.result for r in pooled] == [r.result for r in serial]
 
     def test_default_session_is_a_singleton_shared_by_bare_calls(self, wafer, workload):
-        session = default_session(workers=2)
+        session = default_session(pool=2)
         assert default_session() is session
         evaluator = Evaluator(wafer, cache=session.cache)
         seed = CentralScheduler(wafer, evaluator=evaluator).best(workload)

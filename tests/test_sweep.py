@@ -19,6 +19,7 @@ The contract under test:
 from __future__ import annotations
 
 import json
+import types
 
 import pytest
 
@@ -566,54 +567,27 @@ class TestStreamingSweep:
             assert len(list(session.sweep(sweep, results=path))) == 1
             assert len(list(session.sweep(sweep, results=path, resume=False))) == 1
 
-    def test_bare_list_shim_warns_once_and_works(self):
-        runtime.reset_legacy_warnings()
-        # Name-only differences (and even exact repeats) were fine in the PR 4
-        # list form and must stay fine; the shim also keeps the eager-list return,
-        # so legacy callers can still index the result.
+    def test_spec_list_streams_like_from_specs(self, tmp_path):
+        # Specs differing only in name are fine in an explicit list: the repeated
+        # cell gets a position suffix instead of colliding on one cell id.
         spec = dict(ALL_KINDS_SPECS[0])
-        specs = [
-            ExperimentSpec(**spec, name="a"),
-            ExperimentSpec(**spec, name="b"),
-        ]
+        specs = [ExperimentSpec(**spec, name="a"), ExperimentSpec(**spec, name="b")]
+        listed = str(tmp_path / "listed.jsonl")
+        wrapped = str(tmp_path / "wrapped.jsonl")
         with Session() as session:
-            with pytest.warns(DeprecationWarning, match="SweepSpec"):
-                runs = session.sweep(specs)
-            assert isinstance(runs, list) and len(runs) == 2
-            assert runs[0].plan is not None
+            stream = session.sweep(specs, results=listed)
+            assert isinstance(stream, types.GeneratorType)
+            runs = list(stream)
             assert [run.label for run in runs] == ["a", "b"]
             assert runs[0].cell_id != runs[1].cell_id
-            # Second call: warned already; wrapping via from_specs never warns.
-            import warnings
+            # A second call resumes: both cells are in the store already.
+            assert list(session.sweep(specs, results=listed)) == []
+            list(session.sweep(SweepSpec.from_specs(specs), results=wrapped))
+        assert _rows(listed) == _rows(wrapped)
 
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                list(session.sweep(specs))
-                list(session.sweep(SweepSpec.from_specs(specs)))
-            assert [w for w in caught if w.category is DeprecationWarning] == []
-
-    def test_legacy_list_never_skips_despite_ambient_store(self, tmp_path):
-        # PR 4 contract: one result per spec, positionally — even when the
-        # session's result store already holds the cell.
-        runtime.reset_legacy_warnings()
-        path = str(tmp_path / "legacy.jsonl")
-        specs = [ExperimentSpec(**dict(ALL_KINDS_SPECS[0]))]
-        with Session(results=path) as session:
-            with pytest.warns(DeprecationWarning):
-                first = session.sweep(specs)
-            second = session.sweep(specs)
-        assert len(first) == len(second) == 1
-        assert second[0].plan is not None
-
-    def test_legacy_iterables_take_the_shim_path_too(self):
-        # PR 4's sweep iterated any iterable; generators must keep working.
-        runtime.reset_legacy_warnings()
         with Session() as session:
-            with pytest.warns(DeprecationWarning):
-                runs = session.sweep(
-                    ExperimentSpec(**dict(spec)) for spec in ALL_KINDS_SPECS[:1]
-                )
-        assert isinstance(runs, list) and len(runs) == 1
+            with pytest.raises(TypeError, match="list of specs"):
+                session.sweep(ExperimentSpec(**spec) for _ in range(2))
 
     def test_session_results_is_ambient(self, tmp_path):
         path = str(tmp_path / "ambient.jsonl")

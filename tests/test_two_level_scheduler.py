@@ -1,4 +1,4 @@
-"""Elastic two-level sweep scheduler (ISSUE 7).
+"""Two-level sweep scheduler.
 
 The contract under test:
 
@@ -6,25 +6,20 @@ The contract under test:
   search loop fans out over the shared :class:`WorkerPool`; results, yield order,
   resume bookkeeping and quarantine decisions are **bit-identical** to a serial
   walk for every spec kind and both store backends.
-* The pool is *elastic*: ``PoolConfig(min_workers, max_workers, idle_shrink_s)``
-  grows slots under queue pressure and reaps idle slots back to ``min_workers``.
 * Chaos (worker kills, poison cells) behaves under concurrency exactly as it does
   serially: kills respawn, poison cells quarantine while siblings stay in flight.
-* The API cleanup keeps old spellings working behind one deprecation warning:
-  ``WorkerPool(2)`` / ``Session(workers=...)`` shim onto ``config=``/``pool=``.
+* ``PoolConfig`` sizes the pool; ``jobs`` is the one cell-concurrency knob.
 """
 
 from __future__ import annotations
 
 import json
-import time
 
 import pytest
 
 from repro.api import (
     ExperimentSpec,
     PoolConfig,
-    ScheduleConfig,
     Session,
     SweepSpec,
     close_default_session,
@@ -38,7 +33,6 @@ from repro.core.chaos import ChaosMonkey
 from repro.core.evalcache import EvaluationCache
 from repro.core.parallel_map import WorkerPool
 from repro.core.retry import RetryPolicy
-from repro.core.runtime import reset_legacy_warnings
 
 
 @pytest.fixture(autouse=True)
@@ -46,10 +40,6 @@ def _clean_runtime():
     close_default_session()
     yield
     close_default_session()
-
-
-def _square(x):
-    return x * x
 
 
 def _rows(path):
@@ -91,11 +81,11 @@ class TestJobsBitIdentity:
             serial_runs = list(session.sweep(sweep, results=serial))
         assert len(serial_runs) == len(ALL_KINDS_SPECS)
 
-        # The cache store on the same backend: cell threads look entries up in it
-        # (read-through on sqlite) and flush to it, and the session closes it.
+        # The cache store on the same backend: cell threads flush to it, and the
+        # session closes it.
         threaded = str(tmp_path / f"threaded.{suffix}")
         cache = str(tmp_path / f"threaded-cache.{suffix}")
-        with Session(store=cache, read_through=True) as session:
+        with Session(store=cache) as session:
             runs = list(session.sweep(sweep, results=threaded, jobs=3))
         # Streamed yield order is preserved even though cells finish out of order.
         assert [run.cell_id for run in runs] == [run.cell_id for run in serial_runs]
@@ -124,17 +114,6 @@ class TestJobsBitIdentity:
         with Session() as session:
             list(session.sweep(sweep, results=via_spec))
         assert _rows(via_spec) == _rows(serial)
-
-        via_schedule = str(tmp_path / "schedule.jsonl")
-        with Session() as session:
-            list(
-                session.sweep(
-                    GA_SWEEP,
-                    results=via_schedule,
-                    schedule=ScheduleConfig(jobs=3, max_buffered=2),
-                )
-            )
-        assert _rows(via_schedule) == _rows(serial)
 
 
 # ------------------------------------------------------------------------- resume
@@ -243,103 +222,30 @@ class TestChaosUnderJobs:
             assert store.stats()["failed"] >= 1
 
 
-# ------------------------------------------------------------------- elastic pool
-class TestElasticPool:
-    def test_grows_under_pressure_and_shrinks_back_to_min(self):
-        pool = WorkerPool(
-            config=PoolConfig(min_workers=1, max_workers=3, idle_shrink_s=0.05)
-        )
-        try:
-            pool._ensure_started()
-            assert len(pool._live_slots()) == 1  # only min_workers fork up front
-            items = list(range(9))
-            assert pool.map(_square, items) == [x * x for x in items]
-            assert pool.grows == 2  # a 9-item map wants its full fair share
-            assert len(pool._live_slots()) == 3
-
-            time.sleep(0.1)
-            assert pool.maybe_shrink() == 2  # reaped back down, never below min
-            assert len(pool._live_slots()) == 1
-            assert pool.shrinks == 2
-            # The shrunken pool still serves maps (and may grow again).
-            assert pool.map(_square, [5]) == [25]
-        finally:
-            pool.close()
-
-    def test_fixed_pool_never_shrinks(self):
-        pool = WorkerPool(config=PoolConfig(max_workers=2, idle_shrink_s=0.01))
-        try:
-            pool._ensure_started()
-            assert len(pool._live_slots()) == 2
-            time.sleep(0.05)
-            assert pool.maybe_shrink() == 0  # min == max: nothing is reapable
-            assert len(pool._live_slots()) == 2
-        finally:
-            pool.close()
-
-    def test_small_map_on_elastic_pool_stays_small(self):
-        pool = WorkerPool(config=PoolConfig(min_workers=1, max_workers=4))
-        try:
-            assert pool.map(_square, [3]) == [9]
-            assert pool.grows == 0  # one item never asks for more than one slot
-            assert len(pool._live_slots()) == 1
-        finally:
-            pool.close()
-
-
 # -------------------------------------------------------------------- API cleanup
 class TestPoolConfigApi:
     def test_resolved_bounds(self):
-        assert PoolConfig(max_workers=4).resolved() == (4, 4)
-        assert PoolConfig(min_workers=1, max_workers=3).resolved() == (1, 3)
-        # min is clamped into [1, max].
-        assert PoolConfig(min_workers=9, max_workers=2).resolved() == (2, 2)
+        assert PoolConfig(max_workers=4).resolved() == 4
 
     def test_validation(self):
         with pytest.raises(ValueError):
             PoolConfig(chunk_retries=-1)
-        with pytest.raises(ValueError):
-            PoolConfig(idle_shrink_s=-0.5)
-
-    def test_legacy_int_form_warns_once(self):
-        reset_legacy_warnings()
-        with pytest.warns(DeprecationWarning, match="PoolConfig"):
-            pool = WorkerPool(2)
-        try:
-            assert pool.workers == 2 and pool.min_workers == 2
-        finally:
-            pool.close()
-
-    def test_config_conflicts_with_legacy_kwargs(self):
-        with pytest.raises(ValueError):
-            WorkerPool(2, config=PoolConfig(max_workers=2))
-
-    def test_session_workers_alias_warns_and_conflicts(self):
-        reset_legacy_warnings()
-        with pytest.warns(DeprecationWarning, match="pool="):
-            with Session(workers=2) as session:
-                assert session.workers == 2
-        with pytest.raises(ValueError):
-            Session(workers=2, pool=2)
 
     def test_session_accepts_pool_config(self):
-        with Session(pool=PoolConfig(min_workers=1, max_workers=2)) as session:
+        with Session(pool=PoolConfig(max_workers=2)) as session:
             assert session.workers == 2
-            assert session.pool.min_workers == 1
+
+    def test_pool_and_session_arguments_are_keyword_only(self):
+        # A bare count binds to no other parameter: it fails at construction.
+        with pytest.raises(TypeError):
+            WorkerPool(2)
+        with pytest.raises(TypeError):
+            Session(2)
 
 
-class TestScheduleConfigApi:
-    def test_validation(self):
-        assert ScheduleConfig(jobs=4).jobs == 4
-        with pytest.raises(ValueError):
-            ScheduleConfig(jobs=0)
-        with pytest.raises(ValueError):
-            ScheduleConfig(jobs=2, max_buffered=0)
-
+class TestSweepJobsApi:
     def test_sweep_rejects_conflicting_and_bad_jobs(self, tmp_path):
         with Session() as session:
-            with pytest.raises(ValueError, match="schedule"):
-                list(session.sweep(GA_SWEEP, jobs=2, schedule=ScheduleConfig(jobs=2)))
             with pytest.raises(ValueError):
                 list(session.sweep(GA_SWEEP, jobs=0))
 

@@ -1,8 +1,8 @@
 """Tests for the persistent worker runtime: watermarked incremental cache export
-(no entry shipped twice, none missed), incremental worker carries, the read-through
-sqlite mode, store compaction, and — the invariant the whole design hangs on —
-serial == fresh-pool == reused-``WorkerPool`` bit-identity across all four search
-loops (GA, CentralScheduler, DieGranularityDse, Watos).
+(no entry shipped twice, none missed), incremental worker carries, store
+compaction, and — the invariant the whole design hangs on — serial == fresh-pool ==
+reused-``WorkerPool`` bit-identity across all four search loops (GA,
+CentralScheduler, DieGranularityDse, Watos).
 """
 
 from __future__ import annotations
@@ -25,11 +25,13 @@ from repro.core.framework import Watos
 from repro.core.genetic import GAConfig, GeneticOptimizer
 from repro.core.hardware_dse import DieGranularityDse
 from repro.core.parallel_map import (
+    PoolConfig,
     WorkerCrashError,
     WorkerPool,
     parallel_map,
     resolve_workers,
 )
+from repro.core.runtime import SessionHandle
 from repro.hardware.faults import FaultModel
 from repro.workloads.workload import TrainingWorkload
 
@@ -140,52 +142,6 @@ class TestTakeCarry:
         assert sum(inc["misses"] for inc in increments) == shard.stats.misses
 
 
-# ------------------------------------------------------------------ read-through mode
-class TestReadThrough:
-    def _store_with_entries(self, tmp_path, entries):
-        path = str(tmp_path / "warm.sqlite")
-        writer = EvaluationCache(store=path)
-        for key, value in entries.items():
-            writer.put(key, value)
-        writer.close()
-        return path
-
-    def test_sqlite_read_through_skips_the_load(self, tmp_path):
-        path = self._store_with_entries(tmp_path, {"a": 1.5, "b": 2.5})
-        cache = EvaluationCache(store=path, read_through=True)
-        assert cache.read_through
-        assert cache.stats.loaded == 0 and len(cache) == 0
-        assert cache.get("a") == 1.5
-        assert cache.stats.store_hits == 1 and cache.stats.hits == 1
-        # Second lookup is resident, no further store traffic.
-        assert cache.get("a") == 1.5
-        assert cache.stats.store_hits == 1
-        assert cache.get("missing") is None
-        assert cache.stats.misses == 1
-        cache.close()
-
-    def test_read_through_adoptions_stay_out_of_sync_flows(self, tmp_path):
-        path = self._store_with_entries(tmp_path, {"a": 1.0})
-        cache = EvaluationCache(store=path, read_through=True)
-        assert cache.get("a") == 1.0
-        # Workers share the store file; adopted entries must not be re-shipped.
-        assert cache.export_since(0)[0] == {}
-        assert cache.delta() == {}
-        cache.put("fresh", 2.0)
-        assert cache.export_since(0)[0] == {"fresh": 2.0}
-        cache.close()
-
-    def test_jsonl_degrades_to_full_load(self, tmp_path):
-        path = str(tmp_path / "warm.jsonl")
-        writer = EvaluationCache(store=path)
-        writer.put("a", 1.0)
-        writer.close()
-        cache = EvaluationCache(store=path, read_through=True)
-        assert not cache.read_through
-        assert cache.stats.loaded == 1 and cache.peek("a") == 1.0
-        cache.close()
-
-
 # ------------------------------------------------------------------ store compaction
 class TestCompaction:
     def _rows(self, path):
@@ -280,18 +236,18 @@ def _wedge(token_path, value):
 
 class TestWorkerPoolMechanics:
     def test_map_preserves_order(self):
-        with WorkerPool(2) as pool:
+        with WorkerPool(config=PoolConfig(max_workers=2)) as pool:
             assert pool.map(_square, list(range(7))) == [i * i for i in range(7)]
             # The same long-lived workers serve follow-up submissions.
             assert pool.map(_square, [9, 3]) == [81, 9]
 
     def test_single_item_and_empty(self):
-        with WorkerPool(2) as pool:
+        with WorkerPool(config=PoolConfig(max_workers=2)) as pool:
             assert pool.map(_square, []) == []
             assert pool.map(_square, [4]) == [16]
 
     def test_exceptions_propagate_and_pool_survives(self):
-        with WorkerPool(2) as pool:
+        with WorkerPool(config=PoolConfig(max_workers=2)) as pool:
             with pytest.raises(ValueError, match="boom"):
                 pool.map(_boom, [1, 2, 3])
             assert pool.map(_square, [2, 3]) == [4, 9]
@@ -299,13 +255,13 @@ class TestWorkerPoolMechanics:
     def test_unpicklable_exception_does_not_hang(self):
         # Pipe sends pickle in the worker thread, so the fallback ("err", text,
         # None) path runs; a queue feeder would drop the message and hang the pool.
-        with WorkerPool(2) as pool:
+        with WorkerPool(config=PoolConfig(max_workers=2)) as pool:
             with pytest.raises(RuntimeError, match="_UnpicklableError"):
                 pool.map(_boom_unpicklable, [1, 2, 3])
             assert pool.map(_square, [2, 3]) == [4, 9]
 
     def test_unpicklable_result_does_not_hang(self):
-        with WorkerPool(2) as pool:
+        with WorkerPool(config=PoolConfig(max_workers=2)) as pool:
             with pytest.raises(Exception, match="[Pp]ickle"):
                 pool.map(_unpicklable_result, [1, 2, 3])
             assert pool.map(_square, [2, 3]) == [4, 9]
@@ -315,7 +271,7 @@ class TestWorkerPoolMechanics:
         # dispatch plus one respawned re-dispatch): the supervisor gives up on the
         # chunks, raises, but leaves the pool whole — both deaths were concurrent,
         # so this also regresses the multi-death drain hang.
-        pool = WorkerPool(2)
+        pool = WorkerPool(config=PoolConfig(max_workers=2))
         try:
             with pytest.raises(WorkerCrashError, match="died mid-task"):
                 pool.map(_exit_hard, [1, 2, 3])
@@ -330,7 +286,7 @@ class TestWorkerPoolMechanics:
         # map returns complete, order-preserving results, identical to a crash-free
         # run.  The kill token makes the crash strike exactly once.
         token = tmp_path / "die-once"
-        with WorkerPool(2) as pool:
+        with WorkerPool(config=PoolConfig(max_workers=2)) as pool:
             values = list(range(8))
             out = pool.map(partial(_exit_once, str(token)), values)
             assert out == [v * v for v in values]
@@ -340,7 +296,7 @@ class TestWorkerPoolMechanics:
         # A worker that ignores SIGTERM must not hang interpreter exit: close()
         # escalates join -> terminate -> kill, each bounded.
         token = tmp_path / "wedged"
-        pool = WorkerPool(1)
+        pool = WorkerPool(config=PoolConfig(max_workers=1))
         pool._ensure_started()
         pool._task_conns[0].send(("map", partial(_wedge, str(token)), [1], False, ""))
         deadline = time.monotonic() + 10
@@ -353,12 +309,12 @@ class TestWorkerPoolMechanics:
         assert all(p is None or not p.is_alive() for p in pool._procs)
 
     def test_pool_refuses_to_pickle(self):
-        with WorkerPool(1) as pool:
+        with WorkerPool(config=PoolConfig(max_workers=1)) as pool:
             with pytest.raises(TypeError):
                 pickle.dumps(pool)
 
     def test_map_after_close_raises(self):
-        pool = WorkerPool(1)
+        pool = WorkerPool(config=PoolConfig(max_workers=1))
         pool.map(_square, [1, 2])
         pool.close()
         pool.close()  # idempotent
@@ -366,11 +322,11 @@ class TestWorkerPoolMechanics:
             pool.map(_square, [1, 2])
 
     def test_resolve_workers_accepts_pools(self):
-        with WorkerPool(3) as pool:
+        with WorkerPool(config=PoolConfig(max_workers=3)) as pool:
             assert resolve_workers(pool) == 3
 
     def test_parallel_map_accepts_pools(self):
-        with WorkerPool(2) as pool:
+        with WorkerPool(config=PoolConfig(max_workers=2)) as pool:
             assert parallel_map(_square, [1, 2, 3], parallel=pool) == [1, 4, 9]
 
 
@@ -382,11 +338,11 @@ class TestPoolReuseDeterminism:
         evaluator = Evaluator(wafer, cache=cache) if cache is not None else Evaluator(wafer)
         seed_plan = CentralScheduler(wafer, evaluator=evaluator).best(workload).plan
         ga = GeneticOptimizer(evaluator, workload, ga_config)
-        return ga.optimize(seed_plan, parallel=parallel)
+        return ga.optimize(seed_plan, session=SessionHandle(parallel=parallel))
 
     def test_ga_fresh_and_reused_pool_match_serial(self, wafer, workload, ga_config):
         serial = self._ga(wafer, workload, ga_config)
-        with WorkerPool(2) as pool:
+        with WorkerPool(config=PoolConfig(max_workers=2)) as pool:
             fresh = self._ga(wafer, workload, ga_config, parallel=pool)
             reused = self._ga(wafer, workload, ga_config, parallel=pool)
         for outcome in (fresh, reused):
@@ -405,25 +361,26 @@ class TestPoolReuseDeterminism:
         serial_records = CentralScheduler(wafer).explore(workload)
         serial_sweep = DieGranularityDse(
             workload, areas_mm2=(300.0, 500.0), aspect_ratios=(1.0,),
-            cache=EvaluationCache(),
+            session=SessionHandle(cache=EvaluationCache()),
         ).sweep(max_tp=4)
         serial_rows = run_multiwafer_ga(wafer, workload, 3, ga_config, EvaluationCache())
         serial_watos = Watos(candidates=[wafer, other], ga_config=ga_config).explore(
             [small]
         )
 
-        with WorkerPool(2) as pool:
+        with WorkerPool(config=PoolConfig(max_workers=2)) as pool:
             pool_ga = self._ga(wafer, workload, ga_config, parallel=pool)
-            pool_records = CentralScheduler(wafer).explore(workload, parallel=pool)
+            on_pool = SessionHandle(parallel=pool)
+            pool_records = CentralScheduler(wafer).explore(workload, session=on_pool)
             pool_sweep = DieGranularityDse(
                 workload, areas_mm2=(300.0, 500.0), aspect_ratios=(1.0,),
-                cache=EvaluationCache(),
-            ).sweep(max_tp=4, parallel=pool)
+                session=SessionHandle(cache=EvaluationCache()),
+            ).sweep(max_tp=4, session=on_pool)
             pool_rows = run_multiwafer_ga(
                 wafer, workload, 3, ga_config, EvaluationCache(), parallel=pool
             )
             pool_watos = Watos(candidates=[wafer, other], ga_config=ga_config).explore(
-                [small], parallel=pool
+                [small], session=on_pool
             )
 
         assert pool_ga.best_fitness == serial_ga.best_fitness
@@ -441,10 +398,11 @@ class TestPoolReuseDeterminism:
         faults = FaultModel()
         evaluator = Evaluator(wafer, faults=faults)
         scheduler = CentralScheduler(wafer, evaluator=evaluator)
-        with WorkerPool(2) as pool:
-            healthy = scheduler.explore(workload, parallel=pool)
+        with WorkerPool(config=PoolConfig(max_workers=2)) as pool:
+            on_pool = SessionHandle(parallel=pool)
+            healthy = scheduler.explore(workload, session=on_pool)
             faults.add_die_fault((0, 0), 0.2)
-            degraded = scheduler.explore(workload, parallel=pool)
+            degraded = scheduler.explore(workload, session=on_pool)
 
         reference_faults = FaultModel()
         reference_faults.add_die_fault((0, 0), 0.2)
@@ -457,9 +415,9 @@ class TestPoolReuseDeterminism:
     def test_watos_explore_on_pool_matches_serial(self, wafer, ga_config):
         workloads = [TrainingWorkload(make_tiny_model(), 16, 4, 1024)]
         serial = Watos(candidates=[wafer], ga_config=ga_config).explore(workloads)
-        with WorkerPool(2) as pool:
+        with WorkerPool(config=PoolConfig(max_workers=2)) as pool:
             pooled = Watos(candidates=[wafer], ga_config=ga_config).explore(
-                workloads, parallel=pool
+                workloads, session=SessionHandle(parallel=pool)
             )
         assert pooled.outcomes == serial.outcomes
         assert pooled.exploration_records == serial.exploration_records
@@ -476,21 +434,22 @@ class TestDeltaOnlySync:
             TrainingWorkload(make_tiny_model(), 32, 8, 2048),
         ]
         watos = Watos(candidates=[wafer], ga_config=ga_config)
-        with WorkerPool(2) as pool:
-            watos.explore(workloads, parallel=pool)
+        with WorkerPool(config=PoolConfig(max_workers=2)) as pool:
+            on_pool = SessionHandle(parallel=pool)
+            watos.explore(workloads, session=on_pool)
             entries_after_first = len(watos.cache)
             shipped_first = watos.cache.stats.shipped
             # First pass: shards start empty, so only cross-worker deltas ship.
             assert shipped_first <= entries_after_first
 
-            watos.explore(workloads, parallel=pool)
+            watos.explore(workloads, session=on_pool)
             shipped_second = watos.cache.stats.shipped
             # Second pass re-prices nothing, so each worker receives at most the
             # other workers' first-pass entries — bounded by the cache size, far
             # below points × snapshot, and nothing the worker itself priced.
             assert shipped_second - shipped_first <= entries_after_first
 
-            watos.explore(workloads, parallel=pool)
+            watos.explore(workloads, session=on_pool)
             # Watermarks are caught up: a third pass ships nothing at all.
             assert watos.cache.stats.shipped == shipped_second
 
@@ -499,14 +458,15 @@ class TestDeltaOnlySync:
         cache = EvaluationCache()
         evaluator = Evaluator(wafer, cache=cache)
         seed_plan = CentralScheduler(wafer, evaluator=evaluator).best(workload).plan
-        with WorkerPool(2) as pool:
+        with WorkerPool(config=PoolConfig(max_workers=2)) as pool:
+            on_pool = SessionHandle(parallel=pool)
             GeneticOptimizer(evaluator, workload, ga_config).optimize(
-                seed_plan, parallel=pool
+                seed_plan, session=on_pool
             )
             shipped_cold = cache.stats.shipped
             # Every generation ships only that generation's freshly priced plans.
             assert 0 < shipped_cold <= evaluator.raw_evaluations * pool.workers
             GeneticOptimizer(evaluator, workload, ga_config).optimize(
-                seed_plan, parallel=pool
+                seed_plan, session=on_pool
             )
         assert cache.stats.shipped == shipped_cold
