@@ -5,8 +5,9 @@ Parses the workflow, then executes every ``run`` step of every job in-process on
 machine, with the workflow-level ``env`` applied.  ``uses:`` steps (checkout,
 setup-python, artifact upload) are structural on a local checkout and are skipped;
 ``run`` steps whose executable is not installed locally (e.g. ``ruff`` in a hermetic
-container) are reported as SKIP rather than failures.  Matrix jobs run once, on the
-interpreter executing this script.
+container) are reported as SKIP rather than failures; a step that opens with a bash
+keyword or builtin (``for``, ``cd``) runs.  Matrix jobs run once, on the interpreter
+executing this script.  Parsing the workflow needs PyYAML.
 
 Exit status is non-zero when any *executed* step fails — the same pass/fail signal the
 hosted workflow would give for the locally runnable subset::
@@ -20,6 +21,7 @@ from __future__ import annotations
 import argparse
 import os
 import re
+import shlex
 import shutil
 import subprocess
 import sys
@@ -53,6 +55,16 @@ def first_executable(command: str) -> str:
     return ""
 
 
+def runnable(executable: str) -> bool:
+    """Whether bash can run ``executable``: installed locally, or a shell keyword or builtin."""
+    if executable == "python" or shutil.which(executable) is not None:
+        return True
+    kind = subprocess.run(
+        ["bash", "-c", f"type -t {shlex.quote(executable)}"], capture_output=True, text=True
+    ).stdout.strip()
+    return kind in ("keyword", "builtin")
+
+
 def run_job(name: str, job: dict, env: dict) -> list:
     results = []
     for step in job.get("steps", []):
@@ -62,7 +74,7 @@ def run_job(name: str, job: dict, env: dict) -> list:
             results.append((name, label, "SKIP", "uses-step (structural on a local checkout)"))
             continue
         executable = first_executable(command)
-        if executable not in ("python",) and shutil.which(executable) is None:
+        if not runnable(executable):
             results.append((name, label, "SKIP", f"'{executable}' not installed locally"))
             continue
         if "pip install" in command:

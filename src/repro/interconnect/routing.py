@@ -5,9 +5,9 @@ and a link-load tracker used to detect contention between communication tasks.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
-
-import networkx as nx
+from heapq import heappop, heappush
+from itertools import count
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.interconnect.topology import MeshTopology
 
@@ -45,6 +45,59 @@ def path_links(path: Sequence[Coord]) -> List[Link]:
     return [_canonical((path[i], path[i + 1])) for i in range(len(path) - 1)]
 
 
+def _bidirectional_shortest_path(
+    adjacency: Dict[Coord, List[Coord]], src: Coord, dst: Coord
+) -> Optional[List[Coord]]:
+    """A fewest-hop route over ``adjacency``, or ``None`` when ``dst`` is unreachable.
+
+    Bidirectional Dijkstra on unit weights, breaking ties exactly as the graph-library
+    search these routes were first computed with: the two searches alternate, each heap
+    pops in (distance, insertion) order off one shared counter, and the route crosses at
+    the best meeting node seen so far.  Any other shortest path would change stored
+    results, so ``tests/test_interconnect_routing.py`` checks routes against that library.
+    """
+    if src == dst:
+        return [src]
+    # Index 0 is the search from src, index 1 the one from dst.
+    done: Tuple[Dict[Coord, int], ...] = ({}, {})
+    seen = ({src: 0}, {dst: 0})
+    preds: Tuple[Dict[Coord, Optional[Coord]], ...] = ({src: None}, {dst: None})
+    order = count()
+    fringe = ([(0, next(order), src)], [(0, next(order), dst)])
+    best: Optional[int] = None
+    meet: Optional[Coord] = None
+
+    def walk(die: Optional[Coord], side: int) -> List[Coord]:
+        out = []
+        while die is not None:
+            out.append(die)
+            die = preds[side][die]
+        return out
+
+    side = 1
+    while fringe[0] and fringe[1]:
+        side = 1 - side
+        dist, _, die = heappop(fringe[side])
+        if die in done[side]:
+            continue
+        done[side][die] = dist
+        if die in done[1 - side]:
+            return walk(meet, 0)[::-1] + walk(preds[1][meet], 1)
+        length = dist + 1
+        for nxt in adjacency[die]:
+            if nxt in done[side]:
+                continue
+            if nxt not in seen[side] or length < seen[side][nxt]:
+                seen[side][nxt] = length
+                heappush(fringe[side], (length, next(order), nxt))
+                preds[side][nxt] = die
+                if nxt in seen[1 - side]:
+                    total = length + seen[1 - side][nxt]
+                    if best is None or total < best:
+                        best, meet = total, nxt
+    return None
+
+
 def fault_aware_path(mesh: MeshTopology, src: Coord, dst: Coord) -> List[Coord]:
     """Shortest path that avoids failed dies/links, falling back to XY when healthy.
 
@@ -54,13 +107,11 @@ def fault_aware_path(mesh: MeshTopology, src: Coord, dst: Coord) -> List[Coord]:
     """
     if mesh.faults.is_empty:
         return xy_path(src, dst)
-    graph = mesh.graph()
-    if src not in graph or dst not in graph:
+    adjacency = mesh.healthy_adjacency()
+    if src not in adjacency or dst not in adjacency:
         return xy_path(src, dst)
-    try:
-        return nx.shortest_path(graph, src, dst, weight="weight")
-    except nx.NetworkXNoPath:
-        return xy_path(src, dst)
+    path = _bidirectional_shortest_path(adjacency, src, dst)
+    return path if path is not None else xy_path(src, dst)
 
 
 @dataclass

@@ -9,9 +9,7 @@ wafer-to-wafer fabric.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
-
-import networkx as nx
+from typing import Dict, List, Optional, Tuple
 
 from repro.hardware.faults import FaultModel
 from repro.hardware.template import WaferConfig
@@ -97,19 +95,18 @@ class MeshTopology:
     def link_quality(self, a: Coord, b: Coord) -> float:
         return self.faults.link_quality(_canonical((a, b)))
 
-    def graph(self) -> nx.Graph:
-        """A networkx view with dead dies/links removed and bandwidths as edge weights."""
-        g = nx.Graph()
-        for die in self.healthy_dies():
-            g.add_node(die)
+    def healthy_adjacency(self) -> Dict[Coord, List[Coord]]:
+        """Each working die's neighbours over working links, in :meth:`links` order.
+
+        Dead dies are absent, and so is every link of quality zero (a dead endpoint
+        zeroes it).  Built afresh on each call: the fault model is mutated in place.
+        """
+        adjacency: Dict[Coord, List[Coord]] = {die: [] for die in self.healthy_dies()}
         for a, b in self.links():
-            quality = self.faults.link_quality((a, b))
-            if quality <= 0.0:
-                continue
-            if a in g and b in g:
-                g.add_edge(a, b, bandwidth=self.link_bandwidth * quality,
-                           latency=self.link_latency, weight=1.0)
-        return g
+            if self.faults.link_quality((a, b)) > 0.0:
+                adjacency[a].append(b)
+                adjacency[b].append(a)
+        return adjacency
 
     def bisection_bandwidth(self) -> float:
         """Bandwidth across the narrower mid-cut of the mesh."""

@@ -40,7 +40,7 @@ from repro.online.clock import VirtualClock
 from repro.online.events import EventQueue
 from repro.online.metrics import JobMetrics, fleet_summary
 from repro.online.policy import OnlinePolicy, resolve_policy
-from repro.online.trace import JobRequest, Trace, as_trace
+from repro.online.trace import JobRequest, Trace, TraceEvent, as_trace
 
 __all__ = ["OnlineEngine", "ServeReport"]
 
@@ -85,6 +85,26 @@ class _Wafer:
             elapsed = max(0.0, now - self.last_update)
             self.work_remaining = max(0.0, self.work_remaining - elapsed * self.speed)
         self.last_update = now
+
+
+def _check_fault_target(event: TraceEvent, config: Any) -> None:
+    """Reject a trace fault on a die or link that the targeted wafer does not have."""
+    dies_x, dies_y = config.dies_x, config.dies_y
+    dies = {(x, y) for x in range(dies_x) for y in range(dies_y)}
+    fault = event.fault
+    if fault.die is not None:
+        if fault.die in dies:
+            return
+        kind, target = "die", str(fault.die)
+    else:
+        a, b = fault.link
+        if a in dies and b in dies and abs(a[0] - b[0]) + abs(a[1] - b[1]) == 1:
+            return
+        kind, target = "link", f"{a}-{b}"
+    raise ValueError(
+        f"fault event at t={event.time:g} targets {kind} {target}, which is not a "
+        f"{kind} of wafer {event.wafer}'s {dies_x}x{dies_y} die grid"
+    )
 
 
 @dataclass
@@ -234,6 +254,9 @@ class OnlineEngine:
             _Wafer(index=index, name=str(name), config=registry.resolve_wafer(name))
             for index, name in enumerate(fleet)
         ]
+        for event in trace.events:
+            if event.kind == "fault":
+                _check_fault_target(event, self._wafers[event.wafer].config)
         self._pending: List[_Pending] = []
         self._metrics: Dict[str, JobMetrics] = {}
         self._queue = EventQueue()

@@ -1,7 +1,16 @@
 """XY routing, fault-aware paths and the link-load tracker."""
 
+import itertools
+import os
+import random
+import subprocess
+import sys
+import textwrap
+from collections import Counter
+
 import pytest
 
+import repro
 from repro.hardware.faults import FaultModel
 from repro.interconnect.routing import (
     LinkLoadTracker,
@@ -16,6 +25,32 @@ from repro.interconnect.topology import MeshTopology
 @pytest.fixture
 def mesh() -> MeshTopology:
     return MeshTopology(dies_x=5, dies_y=5, link_bandwidth=1e12)
+
+
+def _networkx_route(nx, mesh, src, dst):
+    """The networkx routing ``fault_aware_path`` replaced, plus which outcome it took."""
+    if mesh.faults.is_empty:
+        return xy_path(src, dst), "healthy mesh"
+    graph = nx.Graph()
+    for die in mesh.healthy_dies():
+        graph.add_node(die)
+    for a, b in mesh.links():
+        quality = mesh.faults.link_quality((a, b))
+        if quality <= 0.0:
+            continue
+        if a in graph and b in graph:
+            graph.add_edge(
+                a, b, bandwidth=mesh.link_bandwidth * quality, latency=mesh.link_latency, weight=1.0
+            )
+    if src not in graph or dst not in graph:
+        return xy_path(src, dst), "dead endpoint"
+    try:
+        route = nx.shortest_path(graph, src, dst, weight="weight")
+    except nx.NetworkXNoPath:
+        return xy_path(src, dst), "no healthy path"
+    if src == dst:
+        return route, "same die"
+    return route, "xy" if route == xy_path(src, dst) else "detour"
 
 
 class TestPaths:
@@ -50,6 +85,66 @@ class TestPaths:
         path = fault_aware_path(mesh, (0, 0), (2, 0))
         assert (1, 0) not in path
         assert path[0] == (0, 0) and path[-1] == (2, 0)
+
+    def test_fault_aware_path_matches_networkx_exactly(self):
+        """Routes equal networkx's own, tie-breaks included, on seeded faulty wafers.
+
+        Stored evaluations are keyed on the wafer, faults, workload and plan but not on
+        the routing code, so a route that is merely another shortest path would make
+        cached rows disagree with fresh pricing.
+        """
+        nx = pytest.importorskip("networkx")
+        grids = ((8, 8), (7, 8), (6, 8), (4, 4))  # Table II configs 1-4, then `tiny`
+        states = itertools.product(grids, (0.15, 0.3, 0.6), (0.0, 0.2, 0.6), (0.2, 1.0))
+        outcomes = Counter()
+        mismatches = []
+        for seed, ((dies_x, dies_y), link_rate, die_rate, dead_share) in enumerate(states):
+            faults = FaultModel.random(
+                dies_x, dies_y, link_rate, die_rate, dead_share=dead_share, seed=seed
+            )
+            mesh = MeshTopology(dies_x, dies_y, 1e12, faults=faults)
+            rng = random.Random(seed)
+            dies = mesh.dies()
+            for _ in range(40):
+                src, dst = rng.choice(dies), rng.choice(dies)
+                expected, outcome = _networkx_route(nx, mesh, src, dst)
+                outcomes[outcome] += 1
+                if fault_aware_path(mesh, src, dst) != expected:
+                    mismatches.append((dies_x, dies_y, seed, src, dst))
+        assert mismatches == []
+        assert sum(outcomes.values()) == 2880
+        assert set(outcomes) == {"detour", "xy", "same die", "dead endpoint", "no healthy path"}
+
+
+def test_repro_imports_and_routes_without_networkx():
+    """``repro`` needs numpy alone: with networkx blocked it imports and routes."""
+    script = textwrap.dedent(
+        """
+        import sys
+
+        sys.modules["networkx"] = None  # any `import networkx` now raises
+        import repro.api, repro.fabric, repro.obs, repro.online
+        from repro.hardware.faults import FaultModel
+        from repro.interconnect.routing import fault_aware_path
+        from repro.interconnect.topology import MeshTopology
+
+        faults = FaultModel()
+        faults.add_die_fault((1, 0), 0.0)
+        path = fault_aware_path(MeshTopology(4, 4, 1e12, faults=faults), (0, 0), (2, 0))
+        assert path == [(0, 0), (0, 1), (1, 1), (2, 1), (2, 0)], path
+        """
+    )
+    # A subprocess: this test session may already have imported networkx.
+    src_dir = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    path = os.pathsep.join(filter(None, (src_dir, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 class TestLinkLoadTracker:

@@ -31,17 +31,21 @@ class TestMesh:
         assert mesh.link_bandwidth == pytest.approx(small_wafer.die.d2d_link_bandwidth)
         assert mesh.num_dies == small_wafer.num_dies
 
-    def test_graph_has_all_nodes_and_edges_when_healthy(self, mesh):
-        graph = mesh.graph()
-        assert graph.number_of_nodes() == 12
-        assert graph.number_of_edges() == len(mesh.links())
+    def test_adjacency_has_all_dies_and_links_when_healthy(self, mesh):
+        adjacency = mesh.healthy_adjacency()
+        assert len(adjacency) == 12
+        # Each link is listed once from either end.
+        assert sum(len(neighbours) for neighbours in adjacency.values()) == 2 * len(mesh.links())
+        # Neighbours come in links() order, which fault-aware routes break ties on.
+        assert adjacency[(1, 1)] == [(0, 1), (1, 0), (2, 1), (1, 2)]
 
-    def test_faults_remove_dead_dies_from_graph(self):
+    def test_faults_remove_dead_dies_from_adjacency(self):
         faults = FaultModel()
         faults.add_die_fault((0, 0), 0.0)
         mesh = MeshTopology(4, 4, 1e12, faults=faults)
-        graph = mesh.graph()
-        assert (0, 0) not in graph
+        adjacency = mesh.healthy_adjacency()
+        assert (0, 0) not in adjacency
+        assert all((0, 0) not in neighbours for neighbours in adjacency.values())
         assert len(mesh.healthy_dies()) == 15
 
     def test_degraded_link_reduces_bandwidth(self):

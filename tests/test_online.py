@@ -14,6 +14,7 @@ from __future__ import annotations
 import io
 import json
 import os
+import re
 from types import SimpleNamespace
 
 import pytest
@@ -452,6 +453,35 @@ class TestEngineSemantics:
         with Session() as session:
             with pytest.raises(ValueError, match="only 1 wafers"):
                 session.serve(trace, fleet=["tiny"], results=str(tmp_path / "x.jsonl"))
+
+    @pytest.mark.parametrize(
+        "fault, message",
+        [
+            (
+                FaultEvent(time=0.0, kind="die_fail", die=(99, 99)),
+                "targets die (99, 99), which is not a die of wafer 0's 4x4 die grid",
+            ),
+            (
+                FaultEvent(time=0.0, kind="link_fail", link=((0, 0), (3, 3))),
+                "targets link (0, 0)-(3, 3), which is not a link of wafer 0's 4x4 die grid",
+            ),
+            (
+                FaultEvent(time=0.0, kind="link_degrade", link=((3, 0), (4, 0)), value=0.5),
+                "targets link (3, 0)-(4, 0), which is not a link of wafer 0's 4x4 die grid",
+            ),
+        ],
+        ids=["off-grid-die", "non-adjacent-link", "off-grid-link"],
+    )
+    def test_fault_off_the_wafer_grid_is_rejected(self, tmp_path, fault, message):
+        # Served anyway, each would count as a dead die or link in the `tiny` wafer's
+        # effective speed and preempt the running job.
+        events = list(generate_trace(jobs=4, seed=3, iterations=50, fleet=["tiny"]).events)
+        events.insert(2, TraceEvent(time=events[1].time, kind="fault", wafer=0, fault=fault))
+        trace = Trace(events=events, fleet=["tiny"])
+        with Session() as session:
+            with pytest.raises(ValueError, match=re.escape(f"fault event at t=2.01833 {message}")):
+                session.serve(trace, results=str(tmp_path / "x.jsonl"))
+        assert not (tmp_path / "x.jsonl").exists()
 
     def test_pricing_is_memoized_across_jobs(self, tmp_path):
         report = _serve(_small_trace(), tmp_path / "store.jsonl")
