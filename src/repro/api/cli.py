@@ -64,7 +64,7 @@ from repro.api.spec import KINDS, ExperimentSpec
 from repro.api.sweep import SweepSpec
 from repro.core.evalcache import EvaluationCache, open_store
 from repro.core.retry import RetryPolicy
-from repro.fabric.protocol import FabricError, parse_endpoint
+from repro.fabric.protocol import FabricError, looks_like_endpoint, parse_endpoint
 
 __all__ = [
     "add_session_arguments",
@@ -197,6 +197,13 @@ def _check_sweep_flags(args: argparse.Namespace) -> None:
             raise SystemExit(f"repro sweep: {flag} must be {wanted}, not {value:g}")
     if args.cell_timeout is not None and args.cell_timeout <= 0:
         raise SystemExit(f"repro sweep: --cell-timeout must be positive, not {args.cell_timeout:g}")
+    jobs = args.jobs or 1
+    if looks_like_endpoint(args.store) and (jobs > 1 or args.no_resume):
+        flag = f"--jobs {jobs}" if jobs > 1 else "--no-resume"
+        raise SystemExit(
+            f"repro sweep: {flag} does not apply to a coordinator --store (each host "
+            "claims one cell at a time, and the coordinator decides which cells are settled)"
+        )
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
@@ -204,11 +211,12 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     sweep = SweepSpec.from_payload(_load_spec_payload(args.spec))
     cells = sweep.expand()
     store = open_result_store(args.results) if args.results else None
-    done_before = (
-        set(store.completed_ids(include_failed=args.skip_failed))
-        if (store is not None and not args.no_resume)
-        else set()
-    )
+    before = store.load() if store is not None else {}
+    done_before = set() if args.no_resume else {
+        cell_id
+        for cell_id, record in before.items()
+        if args.skip_failed or record_status(record) != "failed"
+    }
     skipped = sum(1 for cell in cells if cell.cell_id in done_before)
     # Keep only the JSON-sized summaries: a RunResult drags its full `details`
     # payload along, and a streamed matrix must not accumulate those in memory.
@@ -244,7 +252,18 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         failed += 1
         all_ok = False
     finally:
+        run_count = len(ran)
         if store is not None:
+            # Count the rows this invocation wrote, not the runs it printed: a
+            # stream closed early still records the cells it had in flight.
+            after = store.load()
+            recorded = [
+                after[cell.cell_id]
+                for cell in cells
+                if cell.cell_id in after and after[cell.cell_id] != before.get(cell.cell_id)
+            ]
+            run_count = len(recorded)
+            failed = sum(1 for record in recorded if record_status(record) == "failed")
             if args.no_resume:
                 # A forced re-run appended fresh rows over the old ones; fold the
                 # store back to one row per cell so its size stays bounded.
@@ -256,9 +275,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                         f"{report['after']} ({folded} duplicate rows folded)"
                     )
             store.close()
-    pending = len(cells) - skipped - len(ran)
+    pending = len(cells) - skipped - run_count
     print(
-        f"sweep: {len(cells)} cells — {len(ran)} run, {failed} failed, "
+        f"sweep: {len(cells)} cells — {run_count} run, {failed} failed, "
         f"{skipped} already complete, {pending} pending"
         + (f" (results in {args.results})" if args.results else "")
     )

@@ -25,12 +25,14 @@ from __future__ import annotations
 
 import atexit
 import hashlib
+import itertools
 import os
-import queue
 import threading
 import time
 import traceback
-from typing import Any, Dict, Iterator, Optional, Union
+from collections import deque
+from concurrent.futures import Future, wait as futures_wait
+from typing import Any, Callable, Deque, Dict, Iterator, Optional, Tuple, Union
 
 from repro.obs import tracer as _obs
 from repro.obs.report import fold_timings
@@ -73,6 +75,32 @@ class SweepCellError(RuntimeError):
         self.cell_id = cell_id
         self.label = label
         self.error = error
+
+
+def _quarantined(cell, error: str, attempts: int) -> RunResult:
+    """The ``status="failed"`` result a cell records when it could not complete."""
+    return RunResult(
+        kind=cell.spec.kind,
+        label=cell.spec.name or cell.spec.kind,
+        cell_id=cell.cell_id,
+        status="failed",
+        error=error,
+        attempts=attempts,
+    )
+
+
+def _on_thread(fn: Callable[[Any], RunResult], cell) -> Future:
+    """Run ``fn(cell)`` on its own daemon thread; the future holds the outcome."""
+    future: Future = Future()
+
+    def target() -> None:
+        try:
+            future.set_result(fn(cell))
+        except BaseException as exc:  # re-raised, in cell order, by the consumer
+            future.set_exception(exc)
+
+    threading.Thread(target=target, name=f"sweep-cell-{cell.cell_id}", daemon=True).start()
+    return future
 
 
 class Session:
@@ -327,8 +355,8 @@ class Session:
         skip_failed: bool = False,
         jobs: Optional[int] = None,
     ) -> Iterator[RunResult]:
-        """Stream a :class:`SweepSpec` matrix: yield each :class:`RunResult` as it
-        completes, on one shared pool and one warm cache.
+        """Stream a :class:`SweepSpec` matrix: yield each :class:`RunResult` in cell
+        order, on one shared pool and one warm cache.
 
         ``sweep`` is anything :meth:`SweepSpec.from_payload` takes: a
         :class:`SweepSpec`, a sweep or spec dict, one :class:`ExperimentSpec`, or a
@@ -358,21 +386,38 @@ class Session:
         :class:`SweepCellError` right after recording the failure.  On resume,
         failed cells are re-attempted unless ``skip_failed=True``.
 
-        **Two-level scheduling.**  ``jobs=N`` (a ``jobs`` field on the
-        :class:`SweepSpec` itself is the fallback) runs up to N whole cells
-        concurrently on threads, while each running cell's search loop fans out on
-        the shared session pool — the pool leases slots per map call, so wide
-        fan-outs backfill capacity a narrow sibling leaves idle.  Results are
-        still yielded in cell order (out-of-order completions are buffered), rows
-        still stream to the store the moment a cell completes (possibly out of
-        order — resume and export key by ``cell_id`` and never cared about row
-        order), retry/quarantine still applies per cell, and every row is
+        **Two-level scheduling.**  At most ``jobs`` cells (default 1) are admitted
+        and not yet yielded, and cells are admitted only while the consumer is
+        pulling, so a consumer that stops after one result leaves at most
+        ``1 + jobs`` rows.  ``jobs=1`` is the serial walk: each cell runs inline in
+        the calling thread when it is pulled, so the stream is lazy and Ctrl-C
+        interrupts the running cell.  Above 1, each cell runs on its own daemon
+        thread while its search loop fans out on the shared session pool — the pool
+        leases slots per map call, so wide fan-outs backfill capacity a narrow
+        sibling leaves idle.  Rows reach the store the moment a cell finishes
+        (possibly out of cell order — resume and export key by ``cell_id``), also
+        for cells still in flight when the stream closes or fails fast; yields stay
+        in cell order, retry/quarantine applies per cell, and every row is
         bit-identical to the serial walk because pricing is pure.
+
+        **Coordinator-backed sessions** (``Session(store="host:port")``) claim
+        cells from the coordinator's leased queue instead, one at a time, and yield
+        them in claim order.  The coordinator decides which cells are settled, so
+        ``jobs`` above 1 and ``resume=False`` raise a ``ValueError`` there.
         """
         if self._closed:
             raise RuntimeError("session is closed")
-        spec = SweepSpec.from_payload(sweep)
-        cells = spec.expand()
+        cells = SweepSpec.from_payload(sweep).expand()
+        jobs = 1 if jobs is None else jobs
+        if jobs < 1:
+            raise ValueError("jobs must be at least 1")
+        if self.fabric is not None and (jobs > 1 or not resume):
+            setting = f"jobs={jobs}" if jobs > 1 else "resume=False"
+            raise ValueError(
+                f"{setting} does not apply to a coordinator-backed session: it claims one "
+                "cell at a time (run more hosts for concurrency) and the coordinator's "
+                "store decides which cells are settled"
+            )
         if self._trace_path is not None:
             # Content-derived matrix fingerprint for the trace header: stable
             # across a resume of the same matrix (span timestamps are not).
@@ -380,204 +425,85 @@ class Session:
                 "\n".join(cell.cell_id for cell in cells).encode("utf-8")
             ).hexdigest()[:16]
             self._trace_meta = {"fingerprint": digest, "cells": len(cells)}
-        if jobs is not None and jobs < 1:
-            raise ValueError("jobs must be at least 1")
-        if jobs is None:
-            jobs = spec.jobs if spec.jobs is not None else 1
-        owns_store = isinstance(results, (str, os.PathLike))
-        store: Optional[ResultStore]
-        if owns_store:
-            store = open_result_store(results)
-        elif results is not None:
-            store = results
-        elif self.results is not None:
-            store = self.results
-        else:
-            store = runtime.current_results()
+        store, owns_store = self._result_store(results)
         policy = retry or self.retry or RetryPolicy()
         if self.fabric is not None:
-            # Distributed mode: the coordinator owns the queue, resume semantics
-            # and the authoritative store.  A local ``results=``/ambient store (if
-            # any) still gets rows written through, so each host keeps a replica.
-            return self._sweep_fabric_iter(
-                cells, store, owns_store, policy, keep_going, skip_failed
-            )
-        if jobs > 1 and len(cells) > 1:
-            return self._sweep_parallel_iter(
-                cells, store, resume, owns_store, completed, policy, keep_going, skip_failed, jobs
-            )
-        return self._sweep_iter(
-            cells, store, resume, owns_store, completed, policy, keep_going, skip_failed
-        )
+            # A local ``results=``/ambient store (if any) still gets rows written
+            # through, so each host keeps a replica.
+            source = self._fabric_cells(cells, store, policy, skip_failed)
+        else:
+            source = self._local_cells(cells, store, resume, completed, skip_failed, policy, jobs)
+        return self._stream(source, store if owns_store else None, keep_going)
 
-    def _sweep_iter(
-        self,
-        cells,
-        store: Optional[ResultStore],
-        resume: bool,
-        owns_store: bool,
-        completed: Optional[set],
-        retry: RetryPolicy,
-        keep_going: bool,
-        skip_failed: bool,
-    ) -> Iterator[RunResult]:
+    @staticmethod
+    def _stream(source, owned_store, keep_going: bool) -> Iterator[RunResult]:
+        """The one cell loop: yield ``source``'s runs, fail fast, close an owned store.
+
+        ``source`` yields ``(cell, run)`` pairs whose rows are already recorded.  It
+        is closed before the store, so cells it still has in flight drain first.
+        """
         try:
-            if not resume:
-                completed = set()
-            elif completed is None:
-                completed = (
-                    set(store.completed_ids(include_failed=skip_failed))
-                    if store is not None
-                    else set()
-                )
-            for cell in cells:
-                if cell.cell_id in completed:
-                    continue
-                run = self._run_cell(cell, retry)
-                if store is not None:
-                    store.put(cell.cell_id, make_record(run, cell.spec))
+            for cell, run in source:
                 if run.failed and not keep_going:
                     raise SweepCellError(cell.cell_id, run.label, run.error)
                 yield run
         finally:
-            if owns_store and store is not None:
-                store.close()
+            source.close()
+            if owned_store is not None:
+                owned_store.close()
 
-    def _sweep_parallel_iter(
-        self,
-        cells,
-        store: Optional[ResultStore],
-        resume: bool,
-        owns_store: bool,
-        completed: Optional[set],
-        retry: RetryPolicy,
-        keep_going: bool,
-        skip_failed: bool,
-        jobs: int,
-    ) -> Iterator[RunResult]:
-        """Level 1 of the two-level scheduler: whole cells on concurrent threads.
+    def _local_cells(
+        self, cells, store, resume: bool, completed, skip_failed: bool, retry, jobs: int
+    ) -> Iterator[tuple]:
+        """The local cell source: every cell the store does not settle, in cell order.
 
-        Up to ``jobs`` cell threads claim work from a shared cursor and run the
-        ordinary :meth:`_run_cell` retry loop; inside each, the search loops fan
-        out on the shared session pool, which leases worker slots per map call —
-        so the matrix and the intra-cell parallelism share one set of workers.
-        Cell state that must not leak between siblings (task tag, attempt
-        deadline) is already thread-local in :mod:`repro.core.runtime`, and the
-        session cache is lock-protected, so threads only meet at the pool's slot
-        lease and the completion queue below.
-
-        Only this generator thread touches the result store: completions arrive on
-        a queue and are recorded immediately (rows may land out of cell order —
-        resume and export never depended on row order), while yields are buffered
-        back into cell order so the stream looks exactly like the serial walk.
-        Early consumer exit (or fail-fast) stops the cursor, then drains — cells
-        already in flight finish and their rows are recorded, matching the serial
-        walk's record-before-raise contract.
+        Admission is bounded by ``jobs`` and paced by the consumer (see
+        :meth:`sweep`).  A ``jobs=1`` cell runs inline when it is pulled; above 1
+        each cell runs on its own daemon thread.  Cell state that must not leak
+        between siblings (task tag, attempt deadline) is thread-local in
+        :mod:`repro.core.runtime` and the session cache is lock-protected, so
+        threads only meet at the pool's slot lease and the store lock below.
+        Closing the source waits for the cells in flight, whose rows land as they
+        finish, matching the serial walk's record-before-raise contract.
         """
+        if not resume:
+            completed = set()
+        elif completed is None and store is not None:
+            completed = store.completed_ids(include_failed=skip_failed)
+        todo = (cell for cell in cells if cell.cell_id not in (completed or ()))
+        store_lock = threading.Lock()
+
+        def finish(cell) -> RunResult:
+            run = self._run_cell(cell, retry)
+            if store is not None:
+                with store_lock:
+                    store.put(cell.cell_id, make_record(run, cell.spec))
+            return run
+
+        admitted: Deque[Tuple[Any, Optional[Future]]] = deque()
         try:
-            if not resume:
-                completed = set()
-            elif completed is None:
-                completed = (
-                    set(store.completed_ids(include_failed=skip_failed))
-                    if store is not None
-                    else set()
-                )
-            todo = [cell for cell in cells if cell.cell_id not in completed]
-            if not todo:
-                return
-            done_queue: "queue.Queue" = queue.Queue()
-            cursor_lock = threading.Lock()
-            cursor = [0]
-            stop = threading.Event()
-
-            def claim() -> Optional[int]:
-                with cursor_lock:
-                    if stop.is_set() or cursor[0] >= len(todo):
-                        return None
-                    position = cursor[0]
-                    cursor[0] += 1
-                    return position
-
-            def cell_worker() -> None:
-                while True:
-                    position = claim()
-                    if position is None:
-                        return
-                    cell = todo[position]
-                    try:
-                        run = self._run_cell(cell, retry)
-                    except BaseException as exc:  # _run_cell quarantines Exceptions
-                        done_queue.put((position, cell, None, exc))
-                        return
-                    done_queue.put((position, cell, run, None))
-
-            threads = [
-                threading.Thread(
-                    target=cell_worker, name=f"sweep-cell-{index}", daemon=True
-                )
-                for index in range(min(jobs, len(todo)))
-            ]
-            for thread in threads:
-                thread.start()
-            buffered: Dict[int, RunResult] = {}
-            next_yield = 0
-            received = 0
-            failure: Optional[SweepCellError] = None
-            try:
-                while received < len(todo) and failure is None:
-                    position, cell, run, exc = done_queue.get()
-                    received += 1
-                    if exc is not None:
-                        raise exc
-                    if store is not None:
-                        store.put(cell.cell_id, make_record(run, cell.spec))
-                    if run.failed and not keep_going:
-                        # Record first (done above), then fail fast: stop handing
-                        # out new cells; in-flight siblings drain in `finally`.
-                        failure = SweepCellError(cell.cell_id, run.label, run.error)
-                        break
-                    buffered[position] = run
-                    while next_yield in buffered:
-                        yield buffered.pop(next_yield)
-                        next_yield += 1
-                if failure is not None:
-                    raise failure
-            finally:
-                stop.set()
-                for thread in threads:
-                    thread.join()
-                # Record whatever was still in flight when we stopped early —
-                # completed pricing must reach the store, as in the serial walk.
-                while True:
-                    try:
-                        position, cell, run, exc = done_queue.get_nowait()
-                    except queue.Empty:
-                        break
-                    if run is not None and store is not None:
-                        store.put(cell.cell_id, make_record(run, cell.spec))
+            while True:
+                for cell in itertools.islice(todo, jobs - len(admitted)):
+                    admitted.append((cell, None if jobs == 1 else _on_thread(finish, cell)))
+                if not admitted:
+                    return
+                cell, future = admitted.popleft()
+                yield cell, finish(cell) if future is None else future.result()
         finally:
-            if owns_store and store is not None:
-                store.close()
+            futures_wait([future for _, future in admitted])
+            for _, future in admitted:
+                future.result()  # a row that could not be written still raises
 
-    def _sweep_fabric_iter(
-        self,
-        cells,
-        store: Optional[ResultStore],
-        owns_store: bool,
-        retry: RetryPolicy,
-        keep_going: bool,
-        skip_failed: bool,
-    ) -> Iterator[RunResult]:
-        """Distributed sweep: claim cells from the coordinator's leased queue.
+    def _fabric_cells(self, cells, store, retry: RetryPolicy, skip_failed: bool) -> Iterator[tuple]:
+        """The coordinator cell source: claim cells from its leased queue.
 
         The local retry loop is replaced by the coordinator's *global* budget — one
         claim is one attempt, requeues carry the attempt count across hosts, and the
         coordinator (not this host) decides when a cell quarantines.  Each completed
         cell streams its row write-through to the coordinator plus a cache delta
         (``export_since`` watermark), so sibling hosts warm-start off each other's
-        pricing.  Yield order is claim order, not matrix order: with several hosts
-        draining one queue there is no meaningful global matrix order anyway.
+        pricing.  Cells come out in claim order, not matrix order: with several
+        hosts draining one queue there is no meaningful global matrix order anyway.
 
         Degradation: losing the coordinator mid-sweep first burns the client's
         bounded reconnect/backoff budget; once spent, the in-flight cell is
@@ -587,95 +513,79 @@ class Session:
         """
         client = self.fabric
         by_id = {cell.cell_id: cell for cell in cells}
-        current = None  # cell granted to us and not yet acknowledged
-        current_run: Optional[RunResult] = None
-        try:
-            client.register(
-                [
-                    {
-                        "id": cell.cell_id,
-                        "kind": cell.spec.kind,
-                        "label": cell.spec.name or cell.spec.kind,
-                        "spec": cell.spec.to_dict(),
-                    }
-                    for cell in cells
-                ],
-                max_attempts=retry.max_attempts,
-                skip_failed=skip_failed,
-            )
-            self.cache.seed(client.cache_pull())  # warm-start off sibling pricing
-            watermark = self.cache.sync_seq
-            client.start_heartbeats()
-            while True:
-                grant = client.claim()
-                if grant.get("drained"):
-                    break
-                if grant.get("wait"):
-                    time.sleep(float(grant.get("poll_s", 0.2)))
-                    continue
-                cell = by_id.get(str(grant.get("cell", "")))
-                if cell is None:  # pragma: no cover - defensive; claims are host-scoped
-                    continue
-                attempt = int(grant.get("attempt", 1))
-                current, current_run = cell, None
-                run, error = self._attempt_cell(cell, retry)
-                if run is not None:
-                    run.attempts = attempt
-                    current_run = run
-                    record = make_record(run, cell.spec)
+        client.register(
+            [
+                {
+                    "id": cell.cell_id,
+                    "kind": cell.spec.kind,
+                    "label": cell.spec.name or cell.spec.kind,
+                    "spec": cell.spec.to_dict(),
+                }
+                for cell in cells
+            ],
+            max_attempts=retry.max_attempts,
+            skip_failed=skip_failed,
+        )
+        self.cache.seed(client.cache_pull())  # warm-start off sibling pricing
+        watermark = self.cache.sync_seq
+        client.start_heartbeats()
+        while True:
+            grant = client.claim()
+            if grant.get("drained"):
+                return
+            if grant.get("wait"):
+                time.sleep(float(grant.get("poll_s", 0.2)))
+                continue
+            cell = by_id.get(str(grant.get("cell", "")))
+            if cell is None:  # pragma: no cover - defensive; claims are host-scoped
+                continue
+            attempt = int(grant.get("attempt", 1))
+            run = self._attempt_cell(cell, retry, attempt)
+            record = make_record(run, cell.spec)
+            try:
+                if run.failed:
+                    settled = bool(client.fail(cell.cell_id, record).get("quarantined"))
+                else:
                     client.complete(cell.cell_id, record)
                     delta, watermark = self.cache.export_since(watermark)
                     client.cache_push(delta)
-                    if store is not None:
-                        store.put(cell.cell_id, record)
-                    current = current_run = None
-                    yield run
-                    continue
-                failed = RunResult(
-                    kind=cell.spec.kind,
-                    label=cell.spec.name or cell.spec.kind,
-                    cell_id=cell.cell_id,
-                    status="failed",
-                    error=error,
-                    attempts=attempt,
-                )
-                reply = client.fail(cell.cell_id, make_record(failed, cell.spec))
-                current = None
-                if reply.get("quarantined"):
-                    if store is not None:
-                        store.put(cell.cell_id, make_record(failed, cell.spec))
-                    if not keep_going:
-                        raise SweepCellError(cell.cell_id, failed.label, error)
-                    yield failed
-                    continue
-                # Requeued (or a stale report the reaper already handled): back off
-                # with the policy's deterministic delay before claiming again.
-                delay = retry.delay_s(attempt, cell.cell_id)
-                if delay > 0:
-                    time.sleep(delay)
-        except FabricConnectionError:
-            if current is not None and store is not None:
-                if current_run is not None:
-                    # The cell finished pricing but the ack was lost: salvage the
-                    # real row locally so `repro results merge` can fold it back.
-                    store.put(current.cell_id, make_record(current_run, current.spec))
-                else:
-                    quarantined = RunResult(
-                        kind=current.spec.kind,
-                        label=current.spec.name or current.spec.kind,
-                        cell_id=current.cell_id,
-                        status="failed",
-                        error=(
+                    settled = True
+            except FabricConnectionError:
+                if store is not None:
+                    if run.failed:  # the coordinator never heard of this attempt
+                        lost = _quarantined(
+                            cell,
                             "connection to the sweep coordinator was lost while this "
-                            "cell was in flight; quarantined locally"
-                        ),
-                        attempts=1,
-                    )
-                    store.put(current.cell_id, make_record(quarantined, current.spec))
-            raise
-        finally:
-            if owns_store and store is not None:
-                store.close()
+                            "cell was in flight; quarantined locally",
+                            attempts=1,
+                        )
+                        record = make_record(lost, cell.spec)
+                    # A cell that finished pricing keeps its real row locally, so
+                    # `repro results merge` can fold it back.
+                    store.put(cell.cell_id, record)
+                raise
+            if settled:
+                if store is not None:
+                    store.put(cell.cell_id, record)
+                yield cell, run
+                continue
+            # Requeued (or a stale report the reaper already handled): back off
+            # with the policy's deterministic delay before claiming again.
+            delay = retry.delay_s(attempt, cell.cell_id)
+            if delay > 0:
+                time.sleep(delay)
+
+    def _result_store(self, results) -> Tuple[Optional[ResultStore], bool]:
+        """The store a sweep or serve writes to, and whether the call owns (closes) it.
+
+        A path is opened here and owned; otherwise the ``results=`` store, else the
+        session's own, else the ambient one.
+        """
+        if isinstance(results, (str, os.PathLike)):
+            return open_result_store(results), True
+        if results is None:
+            results = self.results if self.results is not None else runtime.current_results()
+        return results, False
 
     def serve(
         self,
@@ -707,16 +617,7 @@ class Session:
             raise RuntimeError("session is closed")
         from repro.online.engine import OnlineEngine  # late: avoids import cycles
 
-        owns_store = isinstance(results, (str, os.PathLike))
-        store: Optional[ResultStore]
-        if owns_store:
-            store = open_result_store(results)
-        elif results is not None:
-            store = results
-        elif self.results is not None:
-            store = self.results
-        else:
-            store = runtime.current_results()
+        store, owns_store = self._result_store(results)
         engine = OnlineEngine(
             self,
             fleet=fleet,
@@ -734,11 +635,12 @@ class Session:
         self.cache.flush()
         return report
 
-    def _attempt_cell(self, cell, retry: RetryPolicy):
-        """One tagged, deadline-armed attempt: ``(run, "")`` or ``(None, traceback)``.
+    def _attempt_cell(self, cell, retry: RetryPolicy, attempt: int) -> RunResult:
+        """One tagged, deadline-armed attempt; one that raises comes back quarantined.
 
         The single-attempt core of :meth:`_run_cell`, reused by the fabric claim
-        loop where the *coordinator* owns the retry budget.
+        loop where the *coordinator* owns the retry budget.  ``attempt`` is the
+        volatile ``attempts`` counter the result carries.
         """
         runtime.set_task_tag(cell.cell_id)
         if retry.timeout_s is not None:
@@ -747,13 +649,13 @@ class Session:
             with _obs.span("cell", tag=cell.cell_id):
                 run = self.run(cell.spec)
         except Exception:
-            return None, traceback.format_exc()
-        else:
-            run.cell_id = cell.cell_id
-            return run, ""
+            return _quarantined(cell, traceback.format_exc(), attempt)
         finally:
             runtime.set_task_tag("")
             runtime.set_deadline(None)
+        run.cell_id = cell.cell_id
+        run.attempts = attempt
+        return run
 
     def _run_cell(self, cell, retry: RetryPolicy) -> RunResult:
         """One sweep cell under the retry policy: attempt, back off, quarantine.
@@ -767,28 +669,15 @@ class Session:
         ``status="failed"`` result carrying the last traceback instead of raising,
         so one poison cell cannot sink the matrix.
         """
-        spec = cell.spec
-        last_error = ""
-        attempt = 0
+        attempt = 1
         while True:
-            attempt += 1
-            run, last_error = self._attempt_cell(cell, retry)
-            if run is not None:
-                run.attempts = attempt
+            run = self._attempt_cell(cell, retry, attempt)
+            if not run.failed or not retry.should_retry(attempt):
                 return run
-            if not retry.should_retry(attempt):
-                break
             delay = retry.delay_s(attempt, cell.cell_id)
             if delay > 0:
                 time.sleep(delay)
-        return RunResult(
-            kind=spec.kind,
-            label=spec.name or spec.kind,
-            cell_id=cell.cell_id,
-            status="failed",
-            error=last_error,
-            attempts=attempt,
-        )
+            attempt += 1
 
     def _spec_parallel(self, spec: ExperimentSpec):
         """The parallelism a spec runs with: the session pool, else the spec's hint."""

@@ -223,19 +223,13 @@ class SweepSpec:
     seeds: int = 1
     name: str = ""
     specs: Optional[List[Union[Dict[str, Any], ExperimentSpec]]] = None
-    #: Default cell concurrency when the ``Session.sweep`` call passes no ``jobs=``
-    #: — a sweep file can declare "run me 4 cells wide".  Purely a scheduling
-    #: hint: results are identical for any value.
-    jobs: Optional[int] = None
 
     #: The keys :meth:`from_dict` accepts (everything else is a typo).
-    FIELDS = ("base", "grid", "zip", "seeds", "name", "specs", "jobs")
+    FIELDS = ("base", "grid", "zip", "seeds", "name", "specs")
 
     def __post_init__(self) -> None:
         if self.seeds < 1:
             raise ValueError("seeds must be at least 1")
-        if self.jobs is not None and self.jobs < 1:
-            raise ValueError("jobs must be at least 1 (or omitted for serial)")
         if self.specs is not None and (self.grid or self.zip or self.seeds != 1 or self.base):
             raise ValueError(
                 "specs= is an explicit cell list; it cannot be combined with "
@@ -338,6 +332,11 @@ class SweepSpec:
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "SweepSpec":
         """Build a sweep from a plain dict; unknown keys error with a suggestion."""
+        if "jobs" in data:
+            raise ValueError(
+                "jobs: a sweep does not set its own cell concurrency; pass jobs= to "
+                "Session.sweep or --jobs to repro sweep"
+            )
         for key in data:
             if key not in cls.FIELDS:
                 hint = did_you_mean(str(key), cls.FIELDS)
@@ -366,7 +365,8 @@ class SweepSpec:
 
         A JSON array is an explicit cell list (the pre-grammar ``repro sweep``
         format); an object with any grammar key is a :class:`SweepSpec`; any other
-        object is a single :class:`ExperimentSpec` cell.
+        object is a single :class:`ExperimentSpec` cell.  A top-level ``"jobs"``
+        key is an error in either shape (see :meth:`from_dict`).
         """
         if isinstance(payload, SweepSpec):
             return payload
@@ -375,7 +375,7 @@ class SweepSpec:
         if isinstance(payload, (list, tuple)):
             return cls.from_specs(list(payload))
         if isinstance(payload, Mapping):
-            if any(key in payload for key in cls.FIELDS if key != "name"):
+            if "jobs" in payload or any(key in payload for key in cls.FIELDS if key != "name"):
                 return cls.from_dict(payload)
             return cls.from_specs([ExperimentSpec.from_dict(dict(payload))])
         raise TypeError(
@@ -406,6 +406,4 @@ class SweepSpec:
                 data["seeds"] = self.seeds
         if self.name:
             data["name"] = self.name
-        if self.jobs is not None:
-            data["jobs"] = self.jobs
         return data

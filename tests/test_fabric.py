@@ -340,6 +340,21 @@ class TestSessionFabric:
         assert again == []  # the coordinator's store already settles every cell
         coord.stop()
 
+    def test_sweep_rejects_jobs_and_no_resume(self, tmp_path):
+        # The coordinator hands out one cell per claim and owns resume, so the
+        # settings that cannot apply fail loudly instead of being ignored.
+        coord = FabricCoordinator(str(tmp_path / "fabric"), lease_s=5.0)
+        address = coord.start("127.0.0.1:0")
+        try:
+            with Session(store=address) as session:
+                with pytest.raises(ValueError, match="jobs=4"):
+                    session.sweep(SweepSpec.from_dict(GA_SWEEP), jobs=4)
+                with pytest.raises(ValueError, match="resume=False"):
+                    session.sweep(SweepSpec.from_dict(GA_SWEEP), resume=False)
+                assert len(list(session.sweep(SweepSpec.from_dict(GA_SWEEP), jobs=1))) == 2
+        finally:
+            coord.stop()
+
     def test_poison_cell_quarantines_under_global_budget(self, tmp_path):
         coord = FabricCoordinator(str(tmp_path / "fabric"), lease_s=5.0)
         address = coord.start("127.0.0.1:0")
@@ -526,6 +541,24 @@ class TestCli:
         coord.stop()
         assert len(_rows(str(tmp_path / "fabric" / "results.jsonl"))) == 2
         assert "2 cells" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "flags, named", [(["--jobs", "2"], "--jobs"), (["--no-resume"], "--no-resume")]
+    )
+    def test_sweep_jobs_and_no_resume_against_coordinator_are_one_line_errors(
+        self, tmp_path, flags, named
+    ):
+        coord = FabricCoordinator(str(tmp_path / "fabric"), lease_s=5.0)
+        address = coord.start("127.0.0.1:0")
+        spec = tmp_path / "matrix.json"
+        spec.write_text(json.dumps(GA_SWEEP))
+        try:
+            with pytest.raises(SystemExit, match=f"^repro sweep: {named} ") as caught:
+                repro_main(["sweep", "--spec", str(spec), "--store", address, *flags])
+        finally:
+            coord.stop()
+        assert "\n" not in str(caught.value)
+        assert _rows(str(tmp_path / "fabric" / "results.jsonl")) == {}  # nothing claimed
 
     def test_sweep_bad_store_endpoint_is_a_clean_error(self, tmp_path):
         spec = tmp_path / "matrix.json"

@@ -130,6 +130,24 @@ class TestSweepCommand:
         assert "4 cells — 0 run, 0 failed, 0 already complete, 4 pending" in capsys.readouterr().out
         assert not os.path.exists(results)  # nothing ran, nothing written
 
+    def test_early_stop_summary_counts_rows_the_drain_recorded(self, tmp_path, capsys):
+        # --jobs 2 --max-cells 1 closes the stream with a cell still in flight;
+        # its row lands anyway, and the summary counts it as run, not pending.
+        spec = tmp_path / "matrix.json"
+        spec.write_text(json.dumps(MATRIX))
+        results = str(tmp_path / "results.sqlite")
+        out = tmp_path / "sweep.json"
+        assert repro_main(["sweep", "--spec", str(spec), "--results", results,
+                           "--jobs", "2", "--max-cells", "1", "--json", str(out)]) == 0
+        payload = json.loads(out.read_text())
+        from repro.api import open_result_store
+
+        with open_result_store(results) as store:
+            stored = len(store)
+        assert payload["pending"] == payload["cells"] - stored
+        assert (f"4 cells — {stored} run, 0 failed, 0 already complete, "
+                f"{payload['pending']} pending") in capsys.readouterr().out
+
     def test_matrix_from_stdin(self, tmp_path, monkeypatch, capsys):
         import io
 

@@ -14,6 +14,8 @@ The contract under test:
 from __future__ import annotations
 
 import json
+import threading
+import time
 
 import pytest
 
@@ -103,17 +105,6 @@ class TestJobsBitIdentity:
             runs = list(session.sweep(sweep, results=pooled, jobs=2))
         assert all(run.status == "ok" for run in runs)
         assert _rows(pooled) == _rows(serial)
-
-    def test_schedule_config_and_spec_jobs_spellings(self, tmp_path):
-        sweep = dict(GA_SWEEP, jobs=2)  # sweep-file default concurrency
-        serial = str(tmp_path / "serial.jsonl")
-        with Session() as session:
-            list(session.sweep(GA_SWEEP, results=serial))
-
-        via_spec = str(tmp_path / "spec.jsonl")
-        with Session() as session:
-            list(session.sweep(sweep, results=via_spec))
-        assert _rows(via_spec) == _rows(serial)
 
 
 # ------------------------------------------------------------------------- resume
@@ -222,6 +213,37 @@ class TestChaosUnderJobs:
             assert store.stats()["failed"] >= 1
 
 
+# --------------------------------------------------------------- loop contract
+class TestCellLoopContract:
+    def test_early_close_leaves_at_most_one_plus_jobs_rows(self, tmp_path):
+        # Cells are admitted only while the consumer pulls: one that takes a
+        # run, dawdles and closes leaves the yielded cell plus those in flight.
+        jobs = 2
+        sweep = SweepSpec.from_payload(dict(GA_SWEEP, seeds=6))
+        path = str(tmp_path / "results.jsonl")
+        with Session() as session:
+            stream = session.sweep(sweep, results=path, jobs=jobs)
+            assert next(stream).status == "ok"
+            time.sleep(1.0)
+            stream.close()
+        with open_result_store(path) as store:
+            assert 1 <= len(store) <= 1 + jobs
+
+    def test_serial_cells_run_on_the_calling_thread(self, monkeypatch):
+        seen = []
+        run_ga = Session._run_ga
+
+        def spy(self, spec):
+            seen.append(threading.get_ident())
+            return run_ga(self, spec)
+
+        monkeypatch.setattr(Session, "_run_ga", spy)
+        with Session() as session:
+            runs = list(session.sweep(GA_SWEEP, jobs=1))
+        assert len(runs) == 4
+        assert seen == [threading.get_ident()] * 4
+
+
 # -------------------------------------------------------------------- API cleanup
 class TestPoolConfigApi:
     def test_resolved_bounds(self):
@@ -250,13 +272,15 @@ class TestSweepJobsApi:
                 list(session.sweep(GA_SWEEP, jobs=0))
 
     def test_sweep_spec_jobs_round_trip_and_suggestion(self):
-        spec = SweepSpec.from_payload(dict(GA_SWEEP, jobs=2))
-        assert spec.jobs == 2
-        assert SweepSpec.from_dict(spec.to_dict()).jobs == 2
-        with pytest.raises(ValueError, match="jobs"):
+        # Cell concurrency has one spelling: a "jobs" key in a sweep payload —
+        # sweep-shaped or a single spec — fails and points at jobs= / --jobs
+        # instead of landing in ExperimentSpec extras under a new cell id.
+        for payload in (dict(GA_SWEEP, jobs=2), dict(GA_SWEEP["base"], jobs=2)):
+            with pytest.raises(ValueError, match="pass jobs= to Session.sweep or --jobs"):
+                SweepSpec.from_payload(payload)
+        assert "jobs" not in SweepSpec.from_payload(GA_SWEEP).to_dict()
+        with pytest.raises(ValueError, match="jbos: unknown SweepSpec field"):
             SweepSpec.from_dict(dict(GA_SWEEP, jbos=2))
-        with pytest.raises(ValueError):
-            SweepSpec.from_payload(dict(GA_SWEEP, jobs=0))
 
 
 class TestOpenStoreDispatcher:
