@@ -43,9 +43,11 @@ from __future__ import annotations
 
 import bisect
 import enum
+import functools
 import hashlib
 import importlib
 import os
+import pickle
 import threading
 import time
 from collections import OrderedDict
@@ -60,6 +62,7 @@ __all__ = [
     "EvaluationCache",
     "CacheStats",
     "CacheStore",
+    "CanonicalTexts",
     "JsonlCacheStore",
     "SqliteCacheStore",
     "canonicalize",
@@ -118,6 +121,82 @@ def fingerprint(*values: Any) -> str:
         digest.update(repr(canonicalize(value)).encode("utf-8"))
         digest.update(b"\x00")
     return digest.hexdigest()
+
+
+#: Texts one :class:`CanonicalTexts` keeps; a full memo starts over.
+TEXT_MEMO_SIZE = 4096
+
+
+class CanonicalTexts:
+    """:func:`fingerprint` of dataclass values, with their fields' texts memoised.
+
+    ``fingerprint(value)`` hashes ``repr(canonicalize(value))``.  For a dataclass
+    that text is assembled here from one text per field, so a plan that keeps its
+    parent's placement, recompute config or parallelism re-canonicalises only what
+    changed; sha256 is fed exactly the bytes :func:`fingerprint` feeds it.
+
+    A field holding a dataclass has its text memoised under the field value's
+    pickle.  Equal pickles load as values of the same types and contents, so they
+    canonicalise to the same text; values that compare equal but are typed
+    differently (``1``, ``1.0``, ``True``) pickle differently and get their own
+    entries.  The pickle is taken on every lookup, so a value changed in place is
+    looked up under its new contents: a digest never depends on what was looked up
+    before.  A value pickle cannot write is canonicalised without the memo.
+    """
+
+    def __init__(self) -> None:
+        self._texts: Dict[bytes, str] = {}
+
+    def fingerprint(self, value: Any) -> str:
+        """Exactly :func:`fingerprint` ``(value)``."""
+        if _is_dataclass_value(value):
+            items = [
+                f"({name!r}, {self._field_text(getattr(value, name))})"
+                for name in _field_names(type(value))
+            ]
+            text = f"({type(value).__name__!r}, {_tuple_repr(items)})"
+        else:
+            text = repr(canonicalize(value))
+        return hashlib.sha256(text.encode("utf-8") + b"\x00").hexdigest()
+
+    def _field_text(self, value: Any) -> str:
+        """``repr(canonicalize(value))``, memoised for dataclass values."""
+        if not _is_dataclass_value(value):
+            return repr(canonicalize(value))
+        try:
+            key = pickle.dumps(value, protocol=4)
+        except (pickle.PicklingError, TypeError, AttributeError):  # e.g. a local class
+            return repr(canonicalize(value))
+        text = self._texts.get(key)
+        if text is None:
+            text = repr(canonicalize(value))
+            if len(self._texts) >= TEXT_MEMO_SIZE:
+                self._texts.clear()
+            self._texts[key] = text
+        return text
+
+
+#: Types :func:`canonicalize` tests before its dataclass branch.
+_BEFORE_DATACLASS = (bool, int, str, bytes, float, enum.Enum)
+
+
+def _is_dataclass_value(value: Any) -> bool:
+    """Whether :func:`canonicalize` takes its dataclass branch for ``value``."""
+    return hasattr(type(value), "__dataclass_fields__") and not isinstance(
+        value, _BEFORE_DATACLASS
+    )
+
+
+@functools.lru_cache(maxsize=64)
+def _field_names(cls: type) -> Tuple[str, ...]:
+    return tuple(f.name for f in fields(cls))
+
+
+def _tuple_repr(item_reprs: List[str]) -> str:
+    """``repr`` of a tuple, given the ``repr`` of each item."""
+    if len(item_reprs) == 1:
+        return f"({item_reprs[0]},)"
+    return f"({', '.join(item_reprs)})"
 
 
 def hardware_fingerprint(wafer, faults, fault_aware: bool) -> str:

@@ -26,9 +26,9 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core.evalcache import (
+    CanonicalTexts,
     EvaluationCache,
     combine_fingerprints,
-    fingerprint,
     hardware_fingerprint,
 )
 from repro.obs import tracer as _obs
@@ -183,13 +183,12 @@ class Evaluator:
         self._pp_engine = PPEngine(self.mesh)
         self._memory_models: Dict[object, TrainingMemoryModel] = {}
         self._layer_operators: Dict[Tuple, List] = {}
-        # Fingerprint component memos: the hardware digest is static while the fault
-        # model is empty (it is recomputed per call otherwise, so in-place fault
-        # injection still invalidates keys); workload/plan digests are memoized by
-        # structural equality, which is exactly what makes repeated GA elites cheap.
+        # Fingerprint memos: the hardware digest is static while the fault model is
+        # empty (it is recomputed per call otherwise, so in-place fault injection still
+        # invalidates keys); workload and plan digests are built from memoised texts of
+        # their frozen components, so a GA child re-canonicalises only what changed.
         self._hardware_fp: Optional[str] = None
-        self._workload_fps: Dict[TrainingWorkload, str] = {}
-        self._plan_fps: Dict[TrainingPlan, str] = {}
+        self._texts = CanonicalTexts()
         #: Identity token for worker-resident reuse: workers keep one live evaluator
         #: per parent instance, so repeated dispatches from the same evaluator find
         #: their memos warm.  (Per-process counter: fork-safe, never collides.)
@@ -201,8 +200,9 @@ class Evaluator:
         """A light copy for shipping to pool workers: no cache, no memo state.
 
         The copy shares the immutable inputs (wafer, faults, mesh, predictor) but
-        carries empty memo dicts — the worker's resident evaluator repopulates them
-        once and keeps them across submissions — and keeps the parent's
+        carries empty memos — fingerprint texts, stage pricing, routing; the worker's
+        resident evaluator repopulates them once and keeps them across
+        submissions — and keeps the parent's
         :attr:`_resident_token`, which is what ties the two together.  The hardware
         state digest stamps the copy so a worker can tell a genuinely changed
         evaluator (in-place fault mutation) from a repeat shipment.
@@ -212,8 +212,8 @@ class Evaluator:
         clone._tp_engines = {}
         clone._memory_models = {}
         clone._layer_operators = {}
-        clone._workload_fps = {}
-        clone._plan_fps = {}
+        clone._texts = CanonicalTexts()
+        clone._pp_engine = PPEngine(self.mesh)
         clone.raw_evaluations = 0
         if self.faults.is_empty:
             if self._hardware_fp is None:
@@ -332,17 +332,9 @@ class Evaluator:
         else:
             # Fault models can be mutated in place (robustness study); re-digest.
             hardware_fp = hardware_fingerprint(self.wafer, self.faults, self.fault_aware)
-        workload_fp = self._workload_fps.get(workload)
-        if workload_fp is None:
-            workload_fp = fingerprint(workload)
-            self._workload_fps[workload] = workload_fp
-        plan_fp = self._plan_fps.get(plan)
-        if plan_fp is None:
-            plan_fp = fingerprint(plan)
-            if len(self._plan_fps) >= 65536:
-                self._plan_fps.clear()
-            self._plan_fps[plan] = plan_fp
-        return combine_fingerprints(hardware_fp, workload_fp, plan_fp)
+        return combine_fingerprints(
+            hardware_fp, self._texts.fingerprint(workload), self._texts.fingerprint(plan)
+        )
 
     def evaluate(self, workload: TrainingWorkload, plan: TrainingPlan) -> EvaluationResult:
         """Price one training iteration of ``workload`` under ``plan``.

@@ -13,8 +13,14 @@ five operators the paper defines:
 * **Op5** A-crossover — exchange the Mem_pair allocations of two Senders.
 
 Selection mixes elitism and binary tournament; the ``omega`` knob is the elitism share
-whose convergence/quality trade-off Fig. 24b sweeps.  Fitness is ``t_max × GlobalCost``
-(lower is better), with out-of-memory individuals penalised to infinity.
+whose convergence/quality trade-off Fig. 24b sweeps.  The fitness (lower is better) is
+``iteration_time × (1 + GlobalCost / (10·pp))``: the priced iteration time, scaled by the
+plan's Eq. 2 ``global_cost`` normalised by its pipeline depth (at least 1).  An
+out-of-memory individual's fitness is infinity.
+
+Each :meth:`GeneticOptimizer.optimize` run remembers the fitness of every plan it has
+scored, so a plan that reappears (an elite, a clone, a mutation that undid itself) is
+priced once per run.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, replace
 from operator import itemgetter
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core.evaluator import EvaluationResult, Evaluator
 from repro.core.parallel_map import WorkerPool
@@ -30,6 +36,11 @@ from repro.core.runtime import resolve_loop_session
 from repro.core.placement import global_cost
 from repro.core.plan import MemPair, RecomputeConfig, TrainingPlan
 from repro.workloads.workload import TrainingWorkload
+
+#: Distinct plans one GA run remembers fitness for; a full memo starts over.
+FITNESS_MEMO_SIZE = 65536
+
+Scored = Tuple[float, EvaluationResult]
 
 
 @dataclass(frozen=True)
@@ -48,8 +59,10 @@ class GAConfig:
             raise ValueError("population must have at least two individuals")
         if self.generations < 1:
             raise ValueError("need at least one generation")
-        if not 0.0 <= self.omega <= 1.0:
-            raise ValueError("omega must be within [0, 1]")
+        for name in ("omega", "mutation_rate", "crossover_rate"):
+            # Written so that NaN fails too.
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ValueError(f"{name} must be within [0, 1]")
 
     def stream(self, index: int) -> "GAConfig":
         """This config with an independent, reproducible RNG stream for fan-out.
@@ -98,7 +111,7 @@ class GeneticOptimizer:
         self._operator_names = [op.name for op in workload.layer_operators() if op.recomputable]
 
     # ------------------------------------------------------------------ fitness
-    def fitness(self, plan: TrainingPlan) -> Tuple[float, EvaluationResult]:
+    def fitness(self, plan: TrainingPlan) -> Scored:
         """Paper fitness: iteration time × (1 + normalised GlobalCost); lower is better."""
         result = self.evaluator.evaluate(self.workload, plan)
         return self._fitness_of(plan, result), result
@@ -113,18 +126,27 @@ class GeneticOptimizer:
         return result.iteration_time * (1.0 + cost / (10.0 * normaliser))
 
     def _score_population(
-        self, population: Sequence[TrainingPlan], parallel: Union[int, WorkerPool, None]
-    ) -> List[Tuple[float, EvaluationResult]]:
-        """Price every individual, in population order.
+        self,
+        population: Sequence[TrainingPlan],
+        parallel: Union[int, WorkerPool, None],
+        memo: Dict[TrainingPlan, Scored],
+    ) -> List[Scored]:
+        """Score every individual, in population order.
 
-        Delegates to :meth:`Evaluator.evaluate_many` — the shared cache-aware pool
-        path — so the parallel run returns exactly what the serial run would.
+        Plans in ``memo`` (this run's scores so far) are not priced again.  The others
+        go, once each and in first-seen order, to :meth:`Evaluator.evaluate_many` — the
+        shared cache-aware pool path — so the parallel run returns exactly what the
+        serial run would.
         """
-        results = self.evaluator.evaluate_many(self.workload, list(population), parallel)
-        return [
-            (self._fitness_of(plan, result), result)
-            for plan, result in zip(population, results)
-        ]
+        if len(memo) >= FITNESS_MEMO_SIZE:
+            memo.clear()
+        scores = [memo.get(plan) for plan in population]
+        fresh = list(dict.fromkeys(p for p, score in zip(population, scores) if score is None))
+        if fresh:
+            results = self.evaluator.evaluate_many(self.workload, fresh, parallel)
+            for plan, result in zip(fresh, results):
+                memo[plan] = (self._fitness_of(plan, result), result)
+        return [score or memo[plan] for plan, score in zip(population, scores)]
 
     # ------------------------------------------------------------------ GA operators
     def _op1_toggle_recompute(self, plan: TrainingPlan) -> TrainingPlan:
@@ -239,7 +261,8 @@ class GeneticOptimizer:
         """Run the GA starting from (and always retaining) the seed plan.
 
         ``session`` (a :class:`repro.api.Session` or a ``SessionHandle``) supplies the
-        worker pool each generation's unique individuals are priced on; without one,
+        worker pool each generation's not-yet-scored individuals are priced on
+        (the run remembers every plan it has scored); without one,
         the ambient session (``with Session(...):`` / ``repro.api.default_session()``)
         is used, and without that the run is serial.  The GA trajectory — selection,
         best plan, fitness history — is identical to the serial run for any worker
@@ -253,13 +276,14 @@ class GeneticOptimizer:
 
         best_plan = seed_plan
         best_fitness, best_result = self.fitness(seed_plan)
+        memo: Dict[TrainingPlan, Scored] = {}
         history: List[float] = []
         throughput_history: List[float] = []
 
         for _ in range(self.config.generations):
             scored = []
             for plan, (fit, result) in zip(
-                population, self._score_population(population, parallel)
+                population, self._score_population(population, parallel, memo)
             ):
                 scored.append((fit, plan))
                 if fit < best_fitness:

@@ -1,10 +1,12 @@
 """Evaluator, GCMR recomputation scheduler, DRAM allocator, central scheduler and GA."""
 
 import math
+from dataclasses import replace
 
 import pytest
 
 from repro.api.registry import resolve_wafer, resolve_workload
+from repro.api.spec import ExperimentSpec
 from repro.core.central_scheduler import CentralScheduler
 from repro.core.dram_allocation import DramAllocator
 from repro.core.evaluator import EvaluationResult, Evaluator
@@ -363,3 +365,27 @@ class TestGeneticOptimizer:
             GAConfig(omega=1.5)
         with pytest.raises(ValueError):
             GAConfig(population_size=1)
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("mutation_rate", 1.7),
+            ("mutation_rate", -0.01),
+            ("mutation_rate", float("nan")),
+            ("crossover_rate", -0.3),
+            ("crossover_rate", 1.5),
+            ("crossover_rate", float("nan")),
+            ("omega", float("nan")),
+        ],
+    )
+    def test_rates_outside_unit_interval_rejected(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            GAConfig(**{name: value})
+        spec = ExperimentSpec.from_dict({"kind": "ga", "workload": "tiny", "wafer": "tiny"})
+        with pytest.raises(ValueError, match=name):
+            replace(spec, **{name: value}).ga_config()
+
+    @pytest.mark.parametrize("name", ["omega", "mutation_rate", "crossover_rate"])
+    def test_rates_accept_both_ends_of_unit_interval(self, name):
+        for value in (0.0, 1.0):
+            assert getattr(GAConfig(**{name: value}), name) == value

@@ -4,35 +4,48 @@ fingerprint sensitivity, the event-driven 1F1B simulator and the parallel search
 
 from __future__ import annotations
 
+import copy
 import itertools
+import pickle
 import random
+from collections import Counter
 from dataclasses import replace
 
 import pytest
 
+from repro.core import genetic as genetic_module
+from repro.core import pp_engine as pp_engine_module
 from repro.core.central_scheduler import CentralScheduler
 from repro.core.evalcache import (
+    CanonicalTexts,
     EvaluationCache,
     canonicalize,
     combine_fingerprints,
+    evaluation_fingerprint,
     fingerprint,
 )
 from repro.core.evaluator import Evaluator
 from repro.core.genetic import GAConfig, GeneticOptimizer
 from repro.core.hardware_dse import DieGranularityDse
-from repro.core.plan import MemPair
+from repro.core.placement import serpentine_placement
+from repro.core.plan import MemPair, RecomputeConfig, StagePlacement, TrainingPlan
+from repro.core.pp_engine import PPEngine
 from repro.core.runtime import SessionHandle
+from repro.hardware.configs import wafer_config2, wafer_config3
 from repro.hardware.faults import FaultModel
+from repro.interconnect.routing import LinkLoadTracker
+from repro.interconnect.topology import MeshTopology
 from repro.parallelism.partition import TPSplitStrategy
 from repro.parallelism.pipeline import (
     PipelineCostInputs,
     simulate_1f1b,
     simulate_1f1b_reference,
 )
+from repro.parallelism.strategies import ParallelismConfig
 from repro.interconnect.collectives import CollectiveAlgorithm
 from repro.workloads.workload import TrainingWorkload
 
-from repro_testlib import make_small_wafer, make_tiny_model
+from repro_testlib import make_small_wafer, make_tiny_model, paper_workloads
 
 
 @pytest.fixture
@@ -163,6 +176,22 @@ class TestFingerprintSensitivity:
         faults.add_die_fault((0, 0), 0.5)
         assert self.fp(Evaluator(wafer, faults=faults), workload, seed_plan) != base
 
+    def test_keys_do_not_depend_on_call_history(self, wafer, workload, seed_plan):
+        # Equal plans whose Mem_pair volume is typed differently canonicalise
+        # differently, so each must get its own key in any lookup order.
+        as_int = seed_plan.with_mem_pairs([MemPair(0, 1, 1)])
+        as_float = seed_plan.with_mem_pairs([MemPair(0, 1, 1.0)])
+        assert as_int == as_float
+        evaluator = Evaluator(wafer)
+        plans = [as_int, as_float, as_int, as_float]
+        keys = [evaluator.fingerprint(workload, plan) for plan in plans]
+        expected = [
+            evaluation_fingerprint(wafer, evaluator.faults, True, workload, plan)
+            for plan in plans
+        ]
+        assert keys == expected
+        assert keys[0] != keys[1]
+
     def test_in_place_fault_injection_invalidates(self, wafer, workload, seed_plan):
         faults = FaultModel()
         faults.add_link_fault(((0, 0), (0, 1)), 0.5)
@@ -272,3 +301,217 @@ class TestSearchLoops:
         serial = dse.sweep(max_tp=4)
         parallel = dse.sweep(max_tp=4, session=SessionHandle(parallel=2))
         assert parallel == serial
+
+
+# ------------------------------------------------ component keys and memos, paper scale
+@pytest.fixture(scope="module")
+def paper_plans():
+    """Every plan ``CentralScheduler.explore`` returns for config2/config3 × the four
+    §V models, each followed by 20 chained GA mutations, as (wafer, workload, plans)."""
+    cases = []
+    for wafer in (wafer_config2(), wafer_config3()):
+        for workload in paper_workloads().values():
+            evaluator = Evaluator(wafer)
+            ga = GeneticOptimizer(evaluator, workload, GAConfig(seed=0))
+            plans = []
+            for record in CentralScheduler(wafer, evaluator=evaluator).explore(workload):
+                plan = record.plan
+                plans.append(plan)
+                for _ in range(20):
+                    plan = ga.mutate(plan)
+                    plans.append(plan)
+            cases.append((wafer, workload, plans))
+    return cases
+
+
+def retyped_plan(one) -> TrainingPlan:
+    """The same config3 plan with every integer 1 in its dp degree, placement and
+    Mem_pair volume written as ``one`` (``1``, ``1.0`` or ``True``)."""
+    placement = serpentine_placement(7, 8, (2, 4), 7)
+    stage_dies = tuple(
+        tuple(tuple(one if c == 1 else c for c in die) for die in dies)
+        for dies in placement.stage_dies
+    )
+    return TrainingPlan(
+        parallelism=ParallelismConfig(dp=one, tp=8, pp=7),
+        tp_shape=(2, 4),
+        recompute=RecomputeConfig.none(7),
+        placement=StagePlacement(stage_dies),
+        mem_pairs=(MemPair(0, 6, one),),
+    )
+
+
+class TestComponentKeys:
+    def test_keys_equal_the_oracle_on_paper_plans_and_mutants(self, paper_plans):
+        placements = set()
+        for wafer, workload, plans in paper_plans:
+            evaluator = Evaluator(wafer)
+            for plan in plans:
+                assert evaluator.fingerprint(workload, plan) == evaluation_fingerprint(
+                    wafer, evaluator.faults, True, workload, plan
+                )
+            placements.update(plan.placement for plan in plans)
+        assert len(placements) > 100
+
+    def test_equal_components_typed_differently_get_their_own_keys(self):
+        wafer = wafer_config3()
+        workload = paper_workloads()["gshard-137b"]
+        variants = [retyped_plan(one) for one in (1, 1.0, True)]
+        assert variants[0] == variants[1] == variants[2]
+        # Mix the typed components across plans, so a component memo keyed by
+        # equality would hand one plan another's component text.
+        plans = [
+            replace(variants[a], placement=variants[b].placement, mem_pairs=variants[c].mem_pairs)
+            for a, b, c in itertools.product(range(3), repeat=3)
+        ]
+        workloads = [workload, replace(workload, micro_batch_size=4.0)]
+        oracle = {
+            (id(w), id(p)): evaluation_fingerprint(wafer, FaultModel(), True, w, p)
+            for w in workloads
+            for p in plans
+        }
+        assert len(set(oracle.values())) == len(oracle)
+        pairs = [(w, p) for w in workloads for p in plans]
+        for order in (pairs, pairs[::-1], random.Random(5).sample(pairs, len(pairs))):
+            evaluator = Evaluator(wafer)
+            for w, p in order:
+                assert evaluator.fingerprint(w, p) == oracle[(id(w), id(p))]
+        texts = CanonicalTexts()
+        assert [texts.fingerprint(p) for p in plans] == [fingerprint(p) for p in plans]
+
+    def test_a_component_changed_in_place_gets_a_fresh_key(self, wafer, workload, seed_plan):
+        # A placement built on lists can change in place; its key must follow it.
+        stage_dies = [list(dies) for dies in seed_plan.placement.stage_dies]
+        plan = seed_plan.with_placement(StagePlacement(stage_dies))
+        evaluator = Evaluator(wafer)
+        before = evaluator.fingerprint(workload, plan)
+        stage_dies[0][0], stage_dies[1][0] = stage_dies[1][0], stage_dies[0][0]
+        after = evaluator.fingerprint(workload, plan)
+        assert after != before
+        assert after == evaluation_fingerprint(wafer, evaluator.faults, True, workload, plan)
+
+    def test_stripped_evaluator_ships_no_memo_contents(self, paper_plans):
+        wafer, workload, plans = paper_plans[0]
+        evaluator = Evaluator(wafer)
+        evaluator.evaluate(workload, plans[0])
+        shipped = len(pickle.dumps(evaluator.stripped()))
+        for plan in plans[1:50]:
+            evaluator.evaluate(workload, plan)
+        assert len(pickle.dumps(evaluator.stripped())) == shipped
+
+
+class TestRoutingMemo:
+    def test_memoised_routing_matches_a_fresh_engine(self, paper_plans):
+        for wafer, workload, plans in paper_plans:
+            mesh = MeshTopology.from_wafer(wafer)
+            engine = PPEngine(mesh)
+            activation = PPEngine.activation_bytes(workload)
+            dram_time = activation / wafer.die.dram_bandwidth
+            routed = set()
+            for plan in plans:
+                args = (plan.placement, activation, plan.mem_pairs, dram_time)
+                memoised = engine.plan(*args)
+                if (plan.placement, plan.mem_pairs) not in routed:
+                    routed.add((plan.placement, plan.mem_pairs))
+                    assert memoised == PPEngine(mesh).plan(*args)
+                assert engine.plan(*args) == memoised
+
+    def test_placement_built_on_lists_is_routed_without_the_memo(self, wafer, workload, seed_plan):
+        listed = StagePlacement([list(dies) for dies in seed_plan.placement.stage_dies])
+        engine = PPEngine(MeshTopology.from_wafer(wafer))
+        activation = PPEngine.activation_bytes(workload)
+        assert engine.plan(listed, activation) == engine.plan(seed_plan.placement, activation)
+
+    def test_in_place_link_fault_on_a_used_route_reprices(self):
+        wafer = wafer_config3()
+        workload = paper_workloads()["gshard-137b"]
+        evaluator = Evaluator(wafer)
+        plan = CentralScheduler(wafer, evaluator=evaluator).best(workload).plan
+        healthy = evaluator.evaluate(workload, plan)
+        activation = PPEngine.activation_bytes(workload)
+        routed = PPEngine(evaluator.mesh).plan(
+            plan.placement, activation, plan.mem_pairs, activation / wafer.die.dram_bandwidth
+        )
+        path = next(task.path for task in routed.tasks if task.hops > 0)
+        link = (path[0], path[1])
+
+        evaluator.faults.add_link_fault(link, 0.0)
+        faulted = evaluator.evaluate(workload, plan)
+        assert faulted != healthy
+        assert faulted == Evaluator(wafer, faults=copy.deepcopy(evaluator.faults)).evaluate(
+            workload, plan
+        )
+        evaluator.faults.clear_link_fault(link)
+        assert evaluator.evaluate(workload, plan) == healthy
+
+
+@pytest.mark.perf_smoke
+class TestDistinctPlanCounts:
+    def test_ga_prices_and_costs_each_distinct_plan_once(
+        self, wafer, workload, seed_plan, monkeypatch
+    ):
+        evaluated, results, costs, scored = [], {}, [], []
+        evaluate, cost = Evaluator.evaluate, genetic_module.global_cost
+        score = GeneticOptimizer._score_population
+
+        def counting_evaluate(self, workload, plan):
+            evaluated.append(plan)
+            results[plan] = evaluate(self, workload, plan)
+            return results[plan]
+
+        def counting_cost(*args):
+            costs.append(args)
+            return cost(*args)
+
+        def recording_score(self, population, *rest):
+            scored.extend(population)
+            return score(self, population, *rest)
+
+        monkeypatch.setattr(Evaluator, "evaluate", counting_evaluate)
+        monkeypatch.setattr(genetic_module, "global_cost", counting_cost)
+        monkeypatch.setattr(GeneticOptimizer, "_score_population", recording_score)
+        config = GAConfig(population_size=8, generations=6, seed=0)
+        GeneticOptimizer(Evaluator(wafer), workload, config).optimize(seed_plan)
+
+        distinct = set(scored)
+        assert len(scored) == config.population_size * config.generations
+        assert len(distinct) < len(scored)
+        # The seed's baseline fitness() prices it once before the generations do.
+        assert Counter(evaluated) == Counter(distinct) + Counter([seed_plan])
+        assert len(costs) == sum(not results[plan].oom for plan in evaluated)
+
+    def test_healthy_mesh_routes_each_placement_and_pairs_once(
+        self, wafer, workload, seed_plan, monkeypatch
+    ):
+        routings = []
+
+        class CountingTracker(LinkLoadTracker):
+            def __init__(self, *args, **kwargs):
+                routings.append(1)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(pp_engine_module, "LinkLoadTracker", CountingTracker)
+        swapped = seed_plan.placement.permuted([1, 0])
+        recomputes = [frozenset(), frozenset({"attention.qkv"}), frozenset({"mlp.fc1"})]
+        plans = [
+            seed_plan.with_placement(placement)
+            .with_mem_pairs(pairs)
+            .with_recompute(RecomputeConfig((names, frozenset())))
+            for placement in (seed_plan.placement, swapped)
+            for pairs in ((), (MemPair(0, 1, 2.0**20),))
+            for names in recomputes
+        ]
+        healthy = Evaluator(wafer)
+        for plan in plans:
+            healthy.evaluate(workload, plan)
+        assert healthy.raw_evaluations == len(plans)
+        assert len(routings) == len({(p.placement, p.mem_pairs) for p in plans}) == 4
+
+        # A faulted mesh routes on every pricing.
+        routings.clear()
+        faults = FaultModel()
+        faults.add_link_fault(((0, 0), (0, 1)), 0.5)
+        faulted = Evaluator(wafer, faults=faults)
+        for plan in plans:
+            faulted.evaluate(workload, plan)
+        assert len(routings) == faulted.raw_evaluations == len(plans)
