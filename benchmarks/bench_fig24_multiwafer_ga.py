@@ -160,9 +160,10 @@ def run_multiwafer_ga(
     Wafer ``i`` runs on RNG stream ``ga_config.stream(i)``, so the per-wafer
     trajectories are independent of execution order and worker count: the parallel
     fan-out is bit-identical to the serial loop.  ``parallel`` takes a persistent
-    :class:`WorkerPool` (share one across the whole experiment matrix) or an integer;
-    worker cache deltas are merged back in worker order and flushed to the cache's
-    store when one is attached.
+    :class:`WorkerPool` (share one across the whole experiment matrix) or ``None``
+    (serial); each wafer slice's whole GA runs in one worker, worker cache deltas
+    are merged back in worker order and flushed to the cache's store when one is
+    attached.
     """
     slices = wafer_slice_workloads(workload, num_wafers)
     items = []

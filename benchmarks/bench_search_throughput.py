@@ -20,6 +20,11 @@ Both runs use the same RNG seed, so they must converge to the *identical*
 ``best_fitness`` — the fast path is pure memoization, not approximation.  The report
 (and ``--json``) tracks evaluations/sec, the cache hit rate and the speedup.
 
+``--parallel N`` also times the fast GA inside a ``Session(pool=N)``, then reruns it
+warm on the same evaluator.  The GA prices its plans in-process whatever the session
+holds, so these runs measure the fast path under a pool-owning session
+(``parallel_evals_per_sec``), not a process-pool speedup; no worker starts.
+
 Usage::
 
     PYTHONPATH=src python benchmarks/bench_search_throughput.py --json out.json
@@ -39,7 +44,6 @@ from repro.obs import tracer as obs_tracer
 from repro.core.central_scheduler import CentralScheduler
 from repro.core.evaluator import Evaluator
 from repro.core.genetic import GAConfig, GeneticOptimizer
-from repro.core.runtime import SessionHandle
 from repro.hardware.template import WaferConfig
 from repro.workloads.workload import TrainingWorkload
 
@@ -60,17 +64,16 @@ def run_ga(
 ):
     """One timed GA run; returns (elapsed seconds, GAResult, evaluator).
 
-    ``session`` supplies the worker pool :meth:`GeneticOptimizer.optimize` prices
-    generations on (a :class:`repro.api.Session` or a bare session handle); ``None``
-    runs serial.  Pass ``evaluator`` to rerun against an existing warm cache
-    (pool-reuse timing).
+    ``session`` is handed to :meth:`GeneticOptimizer.optimize`, which prices in
+    this process either way.  Pass ``evaluator`` to rerun against an existing warm
+    cache.
     """
     if evaluator is None:
         evaluator = Evaluator(wafer, use_cache=fast, memoize_stages=fast)
     seed_plan = CentralScheduler(wafer, evaluator=evaluator).best(workload).plan
     ga = GeneticOptimizer(evaluator, workload, config)
     start = time.perf_counter()
-    outcome = ga.optimize(seed_plan, session=session or SessionHandle())
+    outcome = ga.optimize(seed_plan, session=session)
     elapsed = time.perf_counter() - start
     return elapsed, outcome, evaluator
 
@@ -107,7 +110,7 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=0, help="GA RNG seed")
     parser.add_argument(
         "--parallel", type=int, default=None,
-        help="also time a process-pool GA run with this many workers (-1 = all CPUs)",
+        help="also time the GA inside a Session(pool=N) (it prices in-process)",
     )
     parser.add_argument(
         "--json", metavar="OUT", default=None,
@@ -193,11 +196,9 @@ def main(argv=None) -> int:
     }
 
     if args.parallel is not None:
-        # Headline parallel number: ONE Session (persistent WorkerPool) for the whole
-        # GA run.  The same session, evaluator and cache are then reused for a
-        # second, warm run: its per-generation cost is pure dispatch (every plan is
-        # a cache hit), which is what "near-constant dispatch cost as the cache
-        # grows" means operationally.
+        # The fast GA inside one pool-owning Session, then a warm rerun on the same
+        # session, evaluator and cache (every plan a cache hit).  The GA prices
+        # in-process, so the pool never forks.
         with Session(pool=args.parallel) as session:
             par_time, par_outcome, par_eval = run_ga(
                 wafer, workload, config, fast=True, session=session
@@ -205,18 +206,7 @@ def main(argv=None) -> int:
             reuse_time, reuse_outcome, _ = run_ga(
                 wafer, workload, config, fast=True, session=session, evaluator=par_eval
             )
-        # The pre-pool comparison path: an ephemeral pool per generation (an integer
-        # on the session handle keeps the legacy semantics without the deprecated
-        # kwarg spelling).
-        eph_time, eph_outcome, _ = run_ga(
-            wafer, workload, config, fast=True,
-            session=SessionHandle(parallel=args.parallel),
-        )
-        for label, outcome in (
-            ("parallel", par_outcome),
-            ("pool-reuse", reuse_outcome),
-            ("ephemeral", eph_outcome),
-        ):
+        for label, outcome in (("parallel", par_outcome), ("pool-reuse", reuse_outcome)):
             if outcome.best_fitness != base_outcome.best_fitness:
                 print(
                     f"ERROR: {label} best_fitness diverged from serial", file=sys.stderr
@@ -229,16 +219,10 @@ def main(argv=None) -> int:
         metrics["pool_reuse_seconds"] = reuse_time
         metrics["pool_reuse_evals_per_sec"] = logical_evals / reuse_time
         metrics["pool_reuse_per_generation_seconds"] = reuse_time / args.generations
-        metrics["ephemeral_parallel_seconds"] = eph_time
-        metrics["ephemeral_parallel_evals_per_sec"] = logical_evals / eph_time
-        metrics["pool_speedup"] = eph_time / par_time
-        metrics["cache_shipped_entries"] = par_eval.cache.stats.shipped
         print(
-            f"parallel x{args.parallel}: persistent pool {par_time:.3f}s "
-            f"({metrics['parallel_evals_per_sec']:.0f} evals/s, "
-            f"{metrics['cache_shipped_entries']} entries delta-shipped) vs "
-            f"ephemeral pools {eph_time:.3f}s ({metrics['pool_speedup']:.1f}x); "
-            f"warm pool reuse {reuse_time:.3f}s"
+            f"Session(pool={args.parallel}): GA priced in-process {par_time:.3f}s "
+            f"({metrics['parallel_evals_per_sec']:.0f} evals/s; no worker starts), "
+            f"warm rerun {reuse_time:.3f}s"
         )
 
     print(

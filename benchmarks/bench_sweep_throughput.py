@@ -6,7 +6,8 @@ one session:
 
 * **serial** — the pre-elastic walk: one cell at a time (``jobs=1``);
 * **scheduled** — the two-level scheduler: up to ``--jobs`` whole cells in flight,
-  each fanning its generations out over the shared worker pool.
+  each on its own thread.  GA cells price their plans in-process, so a
+  ``--workers`` pool is built but never forks.
 
 Both runs resolve the identical cell set from the same spec, so their result
 stores must agree **bit-identically** on every deterministic row (``rows_match``)
@@ -77,7 +78,7 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--workers", type=int, default=None,
-        help="shared pool size for intra-cell fan-out (default: no process pool)",
+        help="session pool size (GA cells price in-process; default: no pool)",
     )
     parser.add_argument(
         "--json", metavar="OUT", default=None,

@@ -8,7 +8,9 @@ Two modes:
   gated (each skipped when absent from the baseline, so older baselines still work):
 
   - ``evals_per_sec`` — serial fast-path search throughput;
-  - ``parallel_evals_per_sec`` — persistent-``WorkerPool`` search throughput;
+  - ``parallel_evals_per_sec`` — search throughput of the fast GA inside a
+    ``Session(pool=2)``; the GA prices in-process, so this gates the fast path
+    under a pool-owning session, not a process-pool speedup;
   - ``multiwafer_warm_hit_rate`` — warm-start hit rate of a second multi-wafer GA
     run against a persisted store (read from the ``--multiwafer`` metrics file);
   - ``sweep_cells_per_sec`` — two-level scheduler sweep throughput (read from the
@@ -237,9 +239,6 @@ def check(
     if "speedup" in current:
         print(f"      cache speedup {current['speedup']:.1f}x, "
               f"hit rate {current.get('cache_hit_rate', 0.0):.1%}")
-    if "pool_speedup" in current:
-        print(f"      persistent pool vs ephemeral pools {current['pool_speedup']:.1f}x, "
-              f"{current.get('cache_shipped_entries', 0)} entries delta-shipped")
     if failed:
         print("      refresh the baseline with: "
               "PYTHONPATH=src python benchmarks/perf_gate.py --refresh")

@@ -33,7 +33,9 @@ def main() -> None:
     # The matrix is one grid: candidate architectures (three Table II presets — an
     # enumerator could be used instead) × the workload mix, every cell a scheduler
     # seed + GA refinement.  The session owns the shared evaluation cache each cell
-    # prices against; add Session(pool=4) to fan the search loops out.
+    # prices against.  GA cells price their plans in-process; to run cells side by
+    # side, pass jobs=3 to session.sweep (a pool only helps Watos and DSE cells,
+    # which fan whole points out over it).
     sweep = SweepSpec(
         name="arch-dse",
         base={"kind": "ga", "population": 8, "generations": 6, "seed": 0},

@@ -1,7 +1,8 @@
 #!/usr/bin/env python
 """CI chaos smoke: a sweep under seeded fault injection must land bit-identical.
 
-Runs one small GA matrix four times:
+Runs one small DSE matrix (two cells of four whole design points, each fanned out
+over the pool) four times:
 
 1. **reference** — fault-free, serial (the ground truth store);
 2. **chaotic** — a 2-worker pool with a seeded :class:`ChaosMonkey` killing one
@@ -34,8 +35,8 @@ from repro.core.chaos import ChaosMonkey  # noqa: E402
 from repro.core.retry import RetryPolicy  # noqa: E402
 
 MATRIX = {
-    "base": {"kind": "ga", "wafer": "tiny", "workload": "tiny",
-             "population": 4, "generations": 2},
+    "base": {"kind": "dse", "workload": "tiny", "areas_mm2": [300, 400, 500, 600],
+             "aspect_ratios": [1.0]},
     "seeds": 2,
 }
 
@@ -68,7 +69,7 @@ def main() -> int:
         chaotic = os.path.join(tmp, "chaotic.jsonl")
         retry = RetryPolicy(max_attempts=3, backoff_s=0.0, timeout_s=5.0, seed=0)
         with ChaosMonkey(os.path.join(tmp, "tokens"), seed=0) as chaos:
-            chaos.kill(worker=1, at_task=2, times=1)  # crash mid-generation
+            chaos.kill(worker=1, at_task=2, times=1)  # crash mid-cell
             chaos.delay(30.0, tag=stalled, times=1)  # stall one cell past budget
             with Session(pool=2) as session:
                 runs = list(session.sweep(sweep, results=chaotic, retry=retry))

@@ -5,15 +5,15 @@ Generates one seeded 50-job trace with a mid-trace fault storm (all-fail faults,
 so running jobs really get preempted), serves it three times —
 
 * twice on fresh serial sessions into separate stores,
-* once on a ``pool=2`` session (warm worker pool) into a third store —
+* once on a ``pool=2`` session into a third store —
 
 and asserts:
 
 1. the result store holds exactly one row per job plus the fleet summary row;
 2. the storm preempted at least one job (the fault path actually ran);
 3. all three stores are **byte-identical** — virtual-clock stamping means replay
-   determinism is exact, and pool pricing is pure memoization so a warm pool
-   cannot change a single byte either.
+   determinism is exact, and the scheduler prices in-process on any session, so
+   a session with a pool cannot change a single byte either.
 
 Run it the way CI does::
 

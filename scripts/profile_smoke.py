@@ -1,7 +1,8 @@
 #!/usr/bin/env python
 """CI profile smoke: a traced sweep must produce a useful ``repro profile`` report.
 
-Runs one small GA matrix through the real CLI twice:
+Runs one small DSE matrix (two cells of four whole design points) through the real
+CLI twice:
 
 1. **traced sweep** — ``repro sweep --trace`` on a 2-worker pool writing a result
    store and a span trace; the trace must contain the pipeline's load-bearing
@@ -31,8 +32,8 @@ from repro.api.cli import main as cli_main  # noqa: E402
 from repro.obs.tracefile import read_trace  # noqa: E402
 
 MATRIX = {
-    "base": {"kind": "ga", "wafer": "tiny", "workload": "tiny",
-             "population": 4, "generations": 2},
+    "base": {"kind": "dse", "workload": "tiny", "areas_mm2": [300, 400, 500, 600],
+             "aspect_ratios": [1.0]},
     "seeds": 2,
 }
 

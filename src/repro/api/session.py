@@ -4,7 +4,7 @@ The paper's workflow is one pipeline — workload × wafer → plan search → D
 :class:`Session` is its one entry point.  A session owns
 
 * the process :class:`~repro.core.parallel_map.WorkerPool` (forked lazily, shared by
-  every loop the session runs, joined on exit),
+  every point-level fan-out the session runs, joined on exit),
 * the shared :class:`~repro.core.evalcache.EvaluationCache` (optionally persistent,
   compacted on exit), and
 * the wafer/workload registry declarative specs resolve against.
@@ -12,7 +12,10 @@ The paper's workflow is one pipeline — workload × wafer → plan search → D
 ``Session.run(spec)`` executes an :class:`~repro.api.ExperimentSpec` on any of the
 four search loops and returns a uniform :class:`~repro.api.RunResult`; entering the
 session (``with Session(...):``) additionally makes it *ambient*, so bare loop calls
-inside the block share its pool and cache instead of building ephemeral ones.
+inside the block share its cache (and, for the point-level loops, its pool).  Only
+whole points reach the pool — Watos (wafer, workload) points, DSE design points and,
+through :meth:`Session.sweep`, whole cells; the scheduler and the GA price their
+plans in-process.
 :func:`default_session` parks one process-wide session for scripts that want
 sharing without a ``with`` block.
 
@@ -45,7 +48,7 @@ from repro.core.evaluator import Evaluator
 from repro.core.framework import Watos
 from repro.core.genetic import GeneticOptimizer
 from repro.core.hardware_dse import DieGranularityDse
-from repro.core.parallel_map import PoolConfig, WorkerPool, resolve_workers
+from repro.core.parallel_map import PoolConfig, WorkerPool
 from repro.core.retry import RetryPolicy
 from repro.api import registry
 from repro.api.result import RunResult
@@ -111,8 +114,8 @@ class Session:
     Parameters
     ----------
     pool:
-        The worker runtime shared by every loop this session runs: a plain worker
-        count (``None``/0/1 serial, negative = all CPUs), a
+        The worker runtime whole points fan out over (Watos points, DSE design
+        points): a plain worker count (``None``/0/1 serial, negative = all CPUs), a
         :class:`~repro.core.parallel_map.PoolConfig`, or an existing
         :class:`WorkerPool` to adopt (the caller owns and closes it).  The pool is
         forked lazily on first use and joined when the session closes.
@@ -207,8 +210,8 @@ class Session:
             self.workers: int = pool.workers
         elif self._pool_config is not None:
             self.workers = self._pool_config.resolved()
-        else:
-            self.workers = resolve_workers(pool)
+        else:  # None/0/1 serial, negative = every CPU
+            self.workers = 1 if pool is None else PoolConfig(max_workers=pool).resolved()
         self.compact_on_exit = (
             compact_on_exit or compact_max_entries is not None or compact_max_age_s is not None
         )
@@ -238,16 +241,15 @@ class Session:
     def pool(self) -> Optional[WorkerPool]:
         """The session's persistent worker pool (``None`` when the session is serial).
 
-        Forked on first access, bound to the session cache, reused by every loop the
-        session runs — nested sweeps borrow these workers instead of building
-        ephemeral pools.
+        Built on first access (its workers fork on the first map) and reused by
+        every point-level fan-out the session runs, against the session cache.
         """
         if self._closed or self.workers <= 1:
             return None
         with self._pool_lock:  # concurrent cell threads must share one pool
             if self._pool is None:
                 config = self._pool_config or PoolConfig(max_workers=self.workers)
-                self._pool = WorkerPool(cache=self.cache, config=config)
+                self._pool = WorkerPool(config=config)
             return self._pool
 
     @property
@@ -316,8 +318,9 @@ class Session:
         """Execute one experiment spec and return a uniform :class:`RunResult`.
 
         Bit-identical to wiring the loop up by hand: the session only supplies the
-        shared cache and pool, and both are pure memoization/transport.  The cache
-        is flushed to its store (when one is attached) before returning.
+        shared cache and, to the point-level loops, the pool; both are pure
+        memoization/transport.  The cache is flushed to its store (when one is
+        attached) before returning.
         """
         if self._closed:
             raise RuntimeError("session is closed")
@@ -392,13 +395,14 @@ class Session:
         ``1 + jobs`` rows.  ``jobs=1`` is the serial walk: each cell runs inline in
         the calling thread when it is pulled, so the stream is lazy and Ctrl-C
         interrupts the running cell.  Above 1, each cell runs on its own daemon
-        thread while its search loop fans out on the shared session pool — the pool
-        leases slots per map call, so wide fan-outs backfill capacity a narrow
-        sibling leaves idle.  Rows reach the store the moment a cell finishes
-        (possibly out of cell order — resume and export key by ``cell_id``), also
-        for cells still in flight when the stream closes or fails fast; yields stay
-        in cell order, retry/quarantine applies per cell, and every row is
-        bit-identical to the serial walk because pricing is pure.
+        thread; a cell whose loop fans out whole points (``watos``, ``dse``) maps
+        them onto the shared session pool, which leases slots per map call, so wide
+        fan-outs backfill capacity a narrow sibling leaves idle.  ``scheduler`` and
+        ``ga`` cells price in their own thread.  Rows reach the store the moment a
+        cell finishes (possibly out of cell order — resume and export key by
+        ``cell_id``), also for cells still in flight when the stream closes or
+        fails fast; yields stay in cell order, retry/quarantine applies per cell,
+        and every row is bit-identical to the serial walk because pricing is pure.
 
         **Coordinator-backed sessions** (``Session(store="host:port")``) claim
         cells from the coordinator's leased queue instead, one at a time, and yield
@@ -603,7 +607,7 @@ class Session:
         ``trace`` is a :class:`~repro.online.trace.Trace` or a path to a
         ``watos-trace`` JSONL file (``repro trace gen`` writes them).  Jobs are
         placed on the fleet by the named :mod:`~repro.online.policy` (``fcfs``,
-        ``edf`` or ``affinity``), priced through this session's cache and pool by
+        ``edf`` or ``affinity``), priced through this session's cache by
         the paper's own :class:`~repro.core.central_scheduler.CentralScheduler`,
         and every job's queueing metrics stream write-through into the result
         store — the ``results=`` argument, else the session's own, else the
@@ -679,19 +683,6 @@ class Session:
                 time.sleep(delay)
             attempt += 1
 
-    def _spec_parallel(self, spec: ExperimentSpec):
-        """The parallelism a spec runs with: the session pool, else the spec's hint."""
-        pool = self.pool
-        if pool is not None:
-            return pool
-        return spec.workers
-
-    def _handle(self, spec: ExperimentSpec) -> runtime.SessionHandle:
-        """A session handle carrying this session's cache and the spec's parallelism."""
-        return runtime.SessionHandle(
-            cache=self.cache, parallel=self._spec_parallel(spec), results=self.results
-        )
-
     def _scheduler(self, spec: ExperimentSpec, wafer, evaluator=None) -> CentralScheduler:
         kwargs: Dict[str, Any] = {"max_tp": spec.max_tp}
         split = spec.resolved_split_strategies()
@@ -708,7 +699,7 @@ class Session:
         wafer = registry.resolve_wafer(spec.wafer_refs()[0])
         workload = registry.resolve_workload(spec.workload_refs()[0])
         scheduler = self._scheduler(spec, wafer)
-        records = scheduler.explore(workload, session=self._handle(spec))
+        records = scheduler.explore(workload)
         feasible = [r for r in records if not r.result.oom]
         best = max(feasible, key=lambda r: r.throughput) if feasible else None
         return RunResult(
@@ -729,11 +720,11 @@ class Session:
         workload = registry.resolve_workload(spec.workload_refs()[0])
         evaluator = Evaluator(wafer, cache=self.cache)
         scheduler = self._scheduler(spec, wafer, evaluator=evaluator)
-        seed = scheduler.best(workload, session=self._handle(spec))
+        seed = scheduler.best(workload)
         if seed is None:
             return RunResult(kind=spec.kind, metrics={"feasible": 0, "throughput": 0.0})
         ga = GeneticOptimizer(evaluator, workload, spec.ga_config())
-        outcome = ga.optimize(seed.plan, session=self._handle(spec))
+        outcome = ga.optimize(seed.plan)
         return RunResult(
             kind=spec.kind,
             plan=outcome.best_plan,
@@ -755,9 +746,7 @@ class Session:
             aspect_ratios=tuple(spec.aspect_ratios),
             session=self,
         )
-        points = dse.sweep(
-            max_tp=spec.max_tp or 8, session=self._handle(spec)
-        )
+        points = dse.sweep(max_tp=spec.max_tp or 8)
         best = DieGranularityDse.best_point(points) if points else None
         metrics: Dict[str, Any] = {"points": len(points)}
         if best is not None:
@@ -781,7 +770,7 @@ class Session:
         watos = Watos(
             candidates=wafers, ga_config=spec.ga_config(), session=self, **kwargs
         )
-        result = watos.explore(workloads, session=self._handle(spec))
+        result = watos.explore(workloads)
         best_wafer = result.best_wafer()
         best = None
         for outcome in result.outcomes:
@@ -812,11 +801,11 @@ def default_session(**kwargs: Any) -> Session:
 
     Later calls return the same object (arguments are ignored once it exists), so
     library code and scripts can say ``default_session().run(spec)`` — or configure
-    the pool once (``default_session(pool=8)``) and have every bare loop call in the
-    process share it instead of building ephemeral ones.  ``kwargs`` are the
-    :class:`Session` keywords.  The session is closed automatically at interpreter
-    exit (joining the pool and flushing any store); :func:`close_default_session`
-    closes it earlier.
+    the pool once (``default_session(pool=8)``) and have every bare point-level loop
+    call in the process (``Watos.explore``, ``DieGranularityDse.sweep``) share it.
+    ``kwargs`` are the :class:`Session` keywords.  The session is closed
+    automatically at interpreter exit (joining the pool and flushing any store);
+    :func:`close_default_session` closes it earlier.
     """
     existing = runtime.get_default_session()
     if existing is not None and not existing.closed:

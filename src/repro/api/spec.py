@@ -81,10 +81,7 @@ class ExperimentSpec:
     areas_mm2: Sequence[float] = (200.0, 300.0, 400.0, 500.0, 600.0)
     aspect_ratios: Sequence[float] = (1.0, 1.6)
 
-    # ------------------------------------------------------------ runtime hints
-    #: Worker count to use when the executing session has no pool of its own
-    #: (ephemeral; a session pool always wins).
-    workers: Optional[int] = None
+    # ------------------------------------------------------------ labels
     #: Free-form label carried into :class:`RunResult` and reports.
     name: str = ""
     extras: Dict[str, Any] = field(default_factory=dict)
@@ -140,8 +137,14 @@ class ExperimentSpec:
         Unknown keys land in :attr:`extras` — *except* when one is a near-miss of a
         real field (``populatoin``), which is almost certainly a typo that would
         otherwise silently configure nothing; those raise a ``ValueError`` naming
-        the key and the suggested spelling.
+        the key and the suggested spelling.  A ``workers`` key is an error too: the
+        worker pool belongs to the session running the spec.
         """
+        if "workers" in data:
+            raise ValueError(
+                "workers: a spec does not size the worker pool; pass Session(pool=N) "
+                "or --workers N to repro run / repro sweep"
+            )
         known = {f.name for f in dataclasses.fields(cls)}
         for key in data:
             if key not in known:

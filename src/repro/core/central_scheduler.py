@@ -4,7 +4,9 @@ The central scheduler owns the outer loop of the co-exploration engine for one w
 configuration: it enumerates feasible (TP, PP) splits of the model-parallel dies,
 prunes candidates whose modelP cannot possibly fit the aggregate DRAM, delegates
 memory-tight candidates to the downstream schedulers (GCMR recomputation, placement and
-DRAM allocation), evaluates every surviving plan and keeps the best.
+DRAM allocation), evaluates every surviving plan and keeps the best.  Plans are priced
+in the calling process: a paper-scale search has a dozen or so candidates, too few to
+pay for shipping them to workers.
 """
 
 from __future__ import annotations
@@ -45,10 +47,9 @@ class CentralScheduler:
 
     wafer: WaferConfig
     evaluator: Optional[Evaluator] = None
-    #: The owning :class:`repro.api.Session` (or any object with ``.cache`` /
-    #: ``.parallel``); it supplies the cache the default evaluator prices against
-    #: and the worker pool.  Without one, the ambient session (``with
-    #: Session(...):`` / ``default_session()``) is used.
+    #: The owning :class:`repro.api.Session` (or any object with ``.cache``); it
+    #: supplies the cache the default evaluator prices against.  Without one, the
+    #: ambient session (``with Session(...):`` / ``default_session()``) is used.
     session: Optional[object] = None
     collective: CollectiveAlgorithm = CollectiveAlgorithm.BIDIRECTIONAL_RING
     #: Collective algorithms the TP engine is allowed to explore (§IV-E-1: "can also be
@@ -160,20 +161,9 @@ class CentralScheduler:
 
     # ------------------------------------------------------------------ exploration
     def explore(
-        self,
-        workload: TrainingWorkload,
-        model_parallel_dies: Optional[int] = None,
-        session=None,
+        self, workload: TrainingWorkload, model_parallel_dies: Optional[int] = None
     ) -> List[ExplorationRecord]:
-        """Evaluate every surviving (TP, PP, split-strategy) candidate.
-
-        ``session`` supplies the worker pool the surviving candidates are priced on
-        (defaulting to the scheduler's own session, then the ambient one); candidate
-        construction and result order are unchanged, so the records match the serial
-        run exactly.
-        """
-        resolved = resolve_loop_session(session, fallback=self.session)
-        parallel = resolved.parallel if resolved is not None else None
+        """Evaluate every surviving (TP, PP, split-strategy) candidate, in order."""
         mp = model_parallel_dies or self.wafer.num_dies
         if mp > self.wafer.num_dies:
             raise ValueError("model-parallel dies exceed the wafer's die count")
@@ -188,22 +178,18 @@ class CentralScheduler:
                 plan = self.build_plan(workload, tp, pp, strategy, collectives[0])
                 if plan is not None:
                     plans.extend(replace(plan, collective=c) for c in collectives)
-        results = self.evaluator.evaluate_many(workload, plans, parallel)
         return [
-            ExplorationRecord(plan=plan, result=result)
-            for plan, result in zip(plans, results)
+            ExplorationRecord(plan=plan, result=self.evaluator.evaluate(workload, plan))
+            for plan in plans
         ]
 
     def best(
-        self,
-        workload: TrainingWorkload,
-        model_parallel_dies: Optional[int] = None,
-        session=None,
+        self, workload: TrainingWorkload, model_parallel_dies: Optional[int] = None
     ) -> Optional[ExplorationRecord]:
         """The highest-throughput record, or ``None`` when everything was pruned."""
         records = [
             record
-            for record in self.explore(workload, model_parallel_dies, session=session)
+            for record in self.explore(workload, model_parallel_dies)
             if not record.result.oom
         ]
         if not records:

@@ -31,12 +31,15 @@ store and the lease journal; this module keeps only the row layout and value cod
 
 **Scale-out.**  Worker processes evaluate against a private cache seeded from the
 parent's entries (:meth:`seed`), and the parent merges each worker's freshly priced
-entries back (:meth:`delta` / :meth:`absorb`), so one shared store serves a whole
-multi-wafer or wafer×workload fan-out.  For *long-lived* workers (the persistent
-:class:`~repro.core.parallel_map.WorkerPool`), entries carry monotonic sequence
-numbers so both directions of that flow are delta-only: :meth:`export_since` ships
-only entries priced after a per-worker watermark, and :meth:`take_carry` ships only
-work done since the previous carry.
+entries back (:meth:`absorb_carry`), so one shared store serves a whole multi-wafer
+or wafer×workload fan-out.  Entries carry monotonic sequence numbers so both
+directions of that flow are delta-only: :meth:`export_since` ships only entries
+adopted after a watermark — the parent's per-worker watermark on the way out, the
+worker shard's own watermark at the start of a chunk on the way back.
+
+A cache keeps per-key state only for resident entries and for entries still waiting
+to be flushed to its store, so ``max_entries`` bounds the memory of a cache without
+a store exactly.
 """
 
 from __future__ import annotations
@@ -478,7 +481,8 @@ class EvaluationCache:
     With ``store`` attached (a :class:`CacheStore` or a path accepted by
     :func:`open_store`), construction warm-starts from disk and :meth:`flush` spills
     every entry priced since the last flush — including entries the LRU has since
-    evicted, so disk coverage can exceed the in-memory bound.
+    evicted, so disk coverage can exceed the in-memory bound.  Without a store there
+    is nothing to spill: an evicted entry is gone.
     """
 
     def __init__(
@@ -492,9 +496,8 @@ class EvaluationCache:
         self.max_entries = max_entries or None
         self.stats = CacheStats()
         self._entries: "OrderedDict[str, Any]" = OrderedDict()
-        #: Keys adopted via :meth:`seed` (warm start) — excluded from :meth:`delta`.
-        self._seeded: set = set()
-        #: Entries priced since the last :meth:`flush` (survives LRU eviction).
+        #: Entries priced since the last :meth:`flush` (survives LRU eviction);
+        #: kept only while a store is attached to flush them to.
         self._dirty: Dict[str, Any] = {}
         #: Monotonic pricing sequence: every entry adopted via :meth:`put`/:meth:`seed`
         #: gets the next number, so :meth:`export_since` can ship watermark deltas.
@@ -505,13 +508,6 @@ class EvaluationCache:
         #: ``priced_at`` unix timestamp per resident/dirty key — flushed to the store
         #: so :meth:`compact` can expire rows by age (``max_age_s``).
         self._priced_at: Dict[str, float] = {}
-        #: Counter snapshot at the previous :meth:`take_carry` (incremental carries).
-        self._carry_counts: Dict[str, float] = {}
-        #: Keys priced since the previous :meth:`take_carry` — a key set, not a
-        #: value dict, so long-lived worker shards carry in O(delta) without this
-        #: cache pinning evicted values; :meth:`flush` prunes spilled keys so the
-        #: set stays bounded on store-backed parents that never carry.
-        self._unshipped: set = set()
         #: Guards every structural mutation: the two-level sweep scheduler runs
         #: cells on concurrent threads that all price against (and flush) the one
         #: session cache.  Reentrant because flush/compact/close nest.
@@ -524,7 +520,8 @@ class EvaluationCache:
             self.seed(loaded)
             # Warm-started entries keep the timestamp of their original pricing,
             # so repeated warm runs never rejuvenate old rows.
-            self._priced_at.update(self.store.row_times)
+            row_times = self.store.row_times
+            self._priced_at.update((key, row_times[key]) for key in self._entries)
             self.stats.loaded = len(loaded)
 
     # ------------------------------------------------------------------ dict protocol
@@ -558,16 +555,26 @@ class EvaluationCache:
         with self._lock:
             self._entries[key] = value
             self._entries.move_to_end(key)
-            self._dirty[key] = value
-            self._unshipped.add(key)
+            if self.store is not None:
+                self._dirty[key] = value
             self._priced_at[key] = time.time()
             self._assign_seq(key)
-            if self.max_entries is not None and len(self._entries) > self.max_entries:
-                evicted, _ = self._entries.popitem(last=False)
-                self._entry_seq.pop(evicted, None)
-                if evicted not in self._dirty:
-                    self._priced_at.pop(evicted, None)
-                self.stats.evictions += 1
+            self._evict_over_bound()
+
+    def _evict_over_bound(self) -> None:
+        """Drop least-recently-used entries beyond ``max_entries`` (caller holds the lock).
+
+        An evicted entry keeps its ``priced_at`` stamp only while it still waits in
+        the dirty set for the next :meth:`flush`.
+        """
+        if self.max_entries is None:
+            return
+        while len(self._entries) > self.max_entries:
+            evicted, _ = self._entries.popitem(last=False)
+            self._entry_seq.pop(evicted, None)
+            if evicted not in self._dirty:
+                self._priced_at.pop(evicted, None)
+            self.stats.evictions += 1
 
     def get_or_compute(self, key: str, compute) -> Any:
         """Return the cached value for ``key``, computing and storing it on a miss.
@@ -593,8 +600,6 @@ class EvaluationCache:
         with self._lock:
             self._entries.clear()
             self._dirty.clear()
-            self._seeded.clear()
-            self._unshipped.clear()
             self._entry_seq.clear()
             self._log_seqs.clear()
             self._log_keys.clear()
@@ -634,10 +639,9 @@ class EvaluationCache:
         """Adopt warm entries without touching hit/miss counters or the dirty set.
 
         Used for store warm-starts and for handing a parent cache's contents to a
-        worker process; seeded keys are excluded from :meth:`delta` so workers only
-        ship freshly priced results back.  ``max_entries`` still bounds the in-memory
-        result: when a persisted store has outgrown the bound, only the newest
-        entries stay resident (the store keeps everything).
+        worker process.  ``max_entries`` still bounds the in-memory result: when a
+        persisted store has outgrown the bound, only the newest entries stay
+        resident (the store keeps everything).
         """
         with self._lock:
             adopted = 0
@@ -646,12 +650,7 @@ class EvaluationCache:
                     self._entries[key] = value
                     self._assign_seq(key)
                     adopted += 1
-                self._seeded.add(key)
-            if self.max_entries is not None:
-                while len(self._entries) > self.max_entries:
-                    evicted, _ = self._entries.popitem(last=False)
-                    self._entry_seq.pop(evicted, None)
-                    self.stats.evictions += 1
+            self._evict_over_bound()
             return adopted
 
     def export(self) -> Dict[str, Any]:
@@ -685,17 +684,6 @@ class EvaluationCache:
                     entries[key] = self._entries[key]
             return entries, self._seq
 
-    def delta(self) -> Dict[str, Any]:
-        """Entries priced by *this* cache instance: everything not seeded into it."""
-        with self._lock:
-            fresh = {k: v for k, v in self._entries.items() if k not in self._seeded}
-            # Include dirty entries the LRU has already evicted — they were still
-            # priced here and the parent/store wants them.
-            for key, value in self._dirty.items():
-                if key not in self._seeded:
-                    fresh.setdefault(key, value)
-            return fresh
-
     def absorb(self, delta: Mapping[str, Any]) -> int:
         """Merge a worker's delta; new entries count toward the next :meth:`flush`."""
         with self._lock:
@@ -706,45 +694,8 @@ class EvaluationCache:
                     adopted += 1
             return adopted
 
-    def carry(self) -> Dict[str, Any]:
-        """What a worker ships back to the parent: its delta plus a counter snapshot."""
-        return {"delta": self.delta(), "stats": self.stats.as_dict()}
-
-    def take_carry(self) -> Dict[str, Any]:
-        """The worker→parent half of the delta-only sync, for *long-lived* shards.
-
-        Unlike :meth:`carry` (built for throwaway per-task caches), the shipped
-        entries are marked as adopted afterwards and the counters are shipped as
-        increments over the previous call, so a resident shard that survives many
-        submissions never re-ships work or double-counts stats.  The delta comes
-        from the side dict :meth:`put` maintains, so the cost is O(entries priced
-        since the last carry), not O(cache) — per-submission carry cost must not
-        grow with the life of the shard.
-        """
-        with _obs.span("cache.sync", tag="take_carry"), self._lock:
-            delta: Dict[str, Any] = {}
-            for key in self._unshipped:
-                if key in self._seeded:
-                    continue
-                value = self._entries.get(key)
-                if value is None:
-                    value = self._dirty.get(key)  # priced here but already LRU-evicted
-                if value is not None:
-                    delta[key] = value
-            self._unshipped.clear()
-            counts = {name: getattr(self.stats, name) for name in CacheStats.COUNT_FIELDS}
-            increment = {
-                name: value - self._carry_counts.get(name, 0)
-                for name, value in counts.items()
-            }
-            self._carry_counts = counts
-            self._seeded.update(delta)
-            return {"delta": delta, "stats": increment}
-
-    def absorb_carry(self, carry: Optional[Mapping[str, Any]]) -> None:
-        """Fold a worker's :meth:`carry` into this cache (entries and counters)."""
-        if carry is None:
-            return
+    def absorb_carry(self, carry: Mapping[str, Any]) -> None:
+        """Fold a worker's carry (``{"delta": entries, "stats": increments}``) in."""
         with self._lock:
             self.absorb(carry["delta"])
             self.stats.add_counts(carry["stats"])
@@ -762,10 +713,6 @@ class EvaluationCache:
                 )
             written = len(self._dirty)
             self.stats.flushed += written
-            self._seeded.update(self._dirty)
-            # Spilled keys can never be carried again (seeded); dropping them here
-            # keeps the unshipped set bounded on parents that flush but never carry.
-            self._unshipped.difference_update(self._dirty)
             # Timestamps of spilled keys the LRU has already evicted now live in the
             # store; dropping them keeps _priced_at bounded by the resident set on
             # long store-backed sweeps (put() keeps dirty-but-evicted stamps alive

@@ -17,13 +17,9 @@ time so that searchers can still rank it (and prune it).
 
 from __future__ import annotations
 
-import copy
-import itertools
 import math
-import os
-from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.evalcache import (
     CanonicalTexts,
@@ -32,7 +28,6 @@ from repro.core.evalcache import (
     hardware_fingerprint,
 )
 from repro.obs import tracer as _obs
-from repro.core.parallel_map import WorkerPool, parallel_map, resolve_workers, task_cache
 from repro.core.plan import RecomputeConfig, StagePlacement, TrainingPlan
 from repro.core.pp_engine import PPEngine
 from repro.core.tp_engine import TPEngine
@@ -101,52 +96,6 @@ class EvaluationResult:
         )
 
 
-#: Worker-resident evaluators, keyed by the parent instance's token.  Keeping the
-#: evaluator alive across submissions preserves its TP-engine stage memos and
-#: fingerprint memos — the PR-1 fast path — instead of rebuilding them (and
-#: re-pickling the populated memo dicts) every generation.
-_RESIDENT_EVALUATORS: "OrderedDict[str, Evaluator]" = OrderedDict()
-_RESIDENT_LIMIT = 8
-_EVALUATOR_IDS = itertools.count()
-
-
-def _resident_evaluator(prototype: "Evaluator") -> "Evaluator":
-    """The resident twin of a shipped evaluator, wired to the current task cache.
-
-    The twin is replaced when the prototype's hardware state digest changed — fault
-    models are mutated *in place* (robustness study), and pricing against a stale
-    twin would cache pre-mutation results under post-mutation fingerprints.
-    """
-    token = prototype._resident_token
-    evaluator = _RESIDENT_EVALUATORS.get(token)
-    if evaluator is None or evaluator._resident_state != prototype._resident_state:
-        _RESIDENT_EVALUATORS[token] = evaluator = prototype
-        while len(_RESIDENT_EVALUATORS) > _RESIDENT_LIMIT:
-            _RESIDENT_EVALUATORS.popitem(last=False)
-    # LRU on use, not insertion: the evaluator serving every generation must not be
-    # evicted just because other evaluators arrived after it.
-    _RESIDENT_EVALUATORS.move_to_end(token)
-    # Re-attach every call: the pool may have reset or re-bound its shards since.
-    evaluator.cache = task_cache()
-    return evaluator
-
-
-class _PoolEvaluationTask:
-    """Picklable closure pricing one plan in a worker process.
-
-    Ships a stripped evaluator — no result cache (the parent answers hits before
-    dispatch; worker-side hits come from the resident shard), no memo dicts (the
-    worker's resident evaluator keeps its own, warm across submissions).
-    """
-
-    def __init__(self, evaluator: "Evaluator", workload: TrainingWorkload) -> None:
-        self.evaluator = evaluator.stripped()
-        self.workload = workload
-
-    def __call__(self, plan: TrainingPlan) -> "EvaluationResult":
-        return _resident_evaluator(self.evaluator).evaluate(self.workload, plan)
-
-
 class Evaluator:
     """Prices training plans on a wafer configuration."""
 
@@ -189,43 +138,6 @@ class Evaluator:
         # their frozen components, so a GA child re-canonicalises only what changed.
         self._hardware_fp: Optional[str] = None
         self._texts = CanonicalTexts()
-        #: Identity token for worker-resident reuse: workers keep one live evaluator
-        #: per parent instance, so repeated dispatches from the same evaluator find
-        #: their memos warm.  (Per-process counter: fork-safe, never collides.)
-        self._resident_token = f"{os.getpid()}:{next(_EVALUATOR_IDS)}"
-        #: Hardware state digest stamped by :meth:`stripped` (None on live parents).
-        self._resident_state: Optional[str] = None
-
-    def stripped(self) -> "Evaluator":
-        """A light copy for shipping to pool workers: no cache, no memo state.
-
-        The copy shares the immutable inputs (wafer, faults, mesh, predictor) but
-        carries empty memos — fingerprint texts, stage pricing, routing; the worker's
-        resident evaluator repopulates them once and keeps them across
-        submissions — and keeps the parent's
-        :attr:`_resident_token`, which is what ties the two together.  The hardware
-        state digest stamps the copy so a worker can tell a genuinely changed
-        evaluator (in-place fault mutation) from a repeat shipment.
-        """
-        clone = copy.copy(self)
-        clone.cache = None
-        clone._tp_engines = {}
-        clone._memory_models = {}
-        clone._layer_operators = {}
-        clone._texts = CanonicalTexts()
-        clone._pp_engine = PPEngine(self.mesh)
-        clone.raw_evaluations = 0
-        if self.faults.is_empty:
-            if self._hardware_fp is None:
-                self._hardware_fp = hardware_fingerprint(
-                    self.wafer, self.faults, self.fault_aware
-                )
-            clone._resident_state = self._hardware_fp
-        else:
-            clone._resident_state = hardware_fingerprint(
-                self.wafer, self.faults, self.fault_aware
-            )
-        return clone
 
     # ------------------------------------------------------------------ helpers
     def _tp_engine(self, plan: TrainingPlan) -> TPEngine:
@@ -363,67 +275,6 @@ class Evaluator:
             _obs.add("pricing", t0, _obs.now())
         self.cache.put(key, result)
         return result
-
-    def evaluate_many(
-        self,
-        workload: TrainingWorkload,
-        plans: Sequence[TrainingPlan],
-        parallel: Union[int, WorkerPool, None] = None,
-    ) -> List[EvaluationResult]:
-        """Price many plans, optionally on a worker pool, preserving order.
-
-        This is the one pool-pricing path every search loop shares.  Plans the cache
-        already knows are answered locally (counted as hits); the remaining *unique*
-        plans are shipped behind a stripped evaluator, priced once each (counted as
-        misses/raw evaluations), and the results absorbed back into the parent cache.
-        With a persistent :class:`WorkerPool` the workers price against resident
-        shards the pool keeps delta-synced with this cache, so per-generation
-        dispatch cost no longer grows with the cache.  Results are identical to the
-        serial path for any worker count.
-        """
-        pool = parallel if isinstance(parallel, WorkerPool) else None
-        workers = resolve_workers(parallel)
-        if pool is None and (workers <= 1 or len(plans) < 2):
-            return [self.evaluate(workload, plan) for plan in plans]
-
-        results: List[Optional[EvaluationResult]] = [None] * len(plans)
-        keys: List[Optional[str]] = [None] * len(plans)
-        pending: "Dict[TrainingPlan, List[int]]" = {}
-        for index, plan in enumerate(plans):
-            if self.cache is not None:
-                key = self.fingerprint(workload, plan)
-                keys[index] = key
-                cached = self.cache.get(key)
-                if cached is not None:
-                    results[index] = cached
-                    continue
-            pending.setdefault(plan, []).append(index)
-
-        if pending:
-            unique_plans = list(pending)
-            task = _PoolEvaluationTask(self, workload)
-            if pool is not None:
-                pool.bind(self.cache)
-                merge = None
-                if self.cache is not None:
-                    # No-op merge: the loop below puts every pending result into the
-                    # parent cache itself (the carry's keys are a subset of those),
-                    # and the parent already counted one miss per pending plan, so
-                    # absorbing the carry would double-store entries and double-book
-                    # shard counters.  The pool still records carry origins, which
-                    # is what keeps entries from being echoed back to their pricer.
-                    merge = lambda carry: None  # noqa: E731
-                priced = pool.map(task, unique_plans, merge=merge)
-            else:
-                priced = parallel_map(task, unique_plans, parallel=workers)
-            for plan, result in zip(unique_plans, priced):
-                self.raw_evaluations += 1  # priced once per unique plan, pool-side
-                for index in pending[plan]:
-                    results[index] = result
-                    if self.cache is not None and keys[index] is not None:
-                        self.cache.put(keys[index], result)
-
-        return results  # type: ignore[return-value]
 
     def _evaluate_uncached(
         self, workload: TrainingWorkload, plan: TrainingPlan

@@ -18,7 +18,7 @@ from repro.core.evaluator import EvaluationResult, Evaluator
 from repro.core.genetic import GAConfig, GeneticOptimizer
 from repro.core.parallel_map import parallel_map_merge, task_cache
 from repro.core.plan import TrainingPlan
-from repro.core.runtime import SessionHandle, resolve_loop_session
+from repro.core.runtime import resolve_loop_session
 from repro.hardware.enumerator import ArchitectureEnumerator
 from repro.hardware.template import WaferConfig
 from repro.interconnect.collectives import CollectiveAlgorithm
@@ -100,40 +100,40 @@ class _ExplorePointTask:
 
     def __call__(self, point: Tuple[WaferConfig, TrainingWorkload]):
         wafer, workload = point
-        cache = task_cache()
-        evaluator = Evaluator(wafer, cache=cache) if cache is not None else Evaluator(wafer)
-        # Always hand the nested loops an explicit (empty) session handle: pricing
-        # one point must be a pure function of the point, never of whatever ambient
-        # session happens to be active in the calling process.
-        inner = SessionHandle()
+        return self.run(wafer, workload, task_cache())
+
+    def run(
+        self, wafer: WaferConfig, workload: TrainingWorkload, cache: Optional[EvaluationCache]
+    ) -> Tuple[List[ExplorationRecord], Optional[WorkloadOutcome]]:
+        """Seed, then refine: the scheduler's best plan, then the GA around it.
+
+        The GA plan replaces the seed when its throughput is not lower.  Returns every
+        explored record and the outcome (``None`` when no plan fits).  Both loops
+        price in this process on one evaluator over ``cache``.
+        """
+        evaluator = Evaluator(wafer, cache=cache)
         scheduler = CentralScheduler(
             wafer,
             evaluator=evaluator,
-            session=inner,
             collective=self.collective,
             split_strategies=self.split_strategies,
             max_tp=self.max_tp,
         )
         records = scheduler.explore(workload)
-        outcome: Optional[WorkloadOutcome] = None
         feasible = [r for r in records if not r.result.oom]
-        if feasible:
-            best = max(feasible, key=lambda r: r.result.throughput)
-            plan, best_result = best.plan, best.result
-            ga_history: Tuple[float, ...] = ()
-            if self.use_ga:
-                optimizer = GeneticOptimizer(evaluator, workload, self.ga_config)
-                ga_outcome = optimizer.optimize(plan, session=inner)
-                if ga_outcome.best_result.throughput >= best_result.throughput:
-                    plan, best_result = ga_outcome.best_plan, ga_outcome.best_result
-                ga_history = ga_outcome.history
-            outcome = WorkloadOutcome(
-                wafer=wafer,
-                workload=workload,
-                plan=plan,
-                result=best_result,
-                ga_history=ga_history,
-            )
+        if not feasible:
+            return records, None
+        best = max(feasible, key=lambda r: r.result.throughput)
+        plan, result = best.plan, best.result
+        ga_history: Tuple[float, ...] = ()
+        if self.use_ga:
+            ga_outcome = GeneticOptimizer(evaluator, workload, self.ga_config).optimize(plan)
+            if ga_outcome.best_result.throughput >= result.throughput:
+                plan, result = ga_outcome.best_plan, ga_outcome.best_result
+            ga_history = ga_outcome.history
+        outcome = WorkloadOutcome(
+            wafer=wafer, workload=workload, plan=plan, result=result, ga_history=ga_history
+        )
         return records, outcome
 
 
@@ -162,7 +162,8 @@ class Watos:
         self.split_strategies = tuple(split_strategies)
         self.max_tp = max_tp
         #: The owning :class:`repro.api.Session` (or a ``SessionHandle``); it supplies
-        #: the shared cache and worker pool.  Without one, the ambient session is used.
+        #: the shared cache and the worker pool :meth:`explore` fans points out over.
+        #: Without one, the ambient session is used.
         self.session = resolve_loop_session(session)
         #: One content-addressed cache shared by every (wafer, workload) point — the
         #: fingerprint covers the wafer, so heterogeneous candidates coexist safely.
@@ -171,53 +172,25 @@ class Watos:
         self.cache = session_cache if session_cache is not None else EvaluationCache()
 
     # ------------------------------------------------------------------ single point
-    def optimize(
-        self, wafer: WaferConfig, workload: TrainingWorkload, session=None
-    ) -> Optional[WorkloadOutcome]:
-        """Find the best training plan for one workload on one wafer.
+    def optimize(self, wafer: WaferConfig, workload: TrainingWorkload) -> Optional[WorkloadOutcome]:
+        """Find the best training plan for one workload on one wafer, in this process.
 
-        With a session (explicit, the instance's own, or the ambient one) the nested
-        scheduler and GA loops borrow its worker pool; results are identical to the
-        serial run.
+        The same seed-then-refine body as every point of :meth:`explore`, priced
+        against :attr:`cache` (flushed to its store before returning).
         """
-        resolved = resolve_loop_session(session, fallback=self.session)
-        # Pools and integers both pass straight through to the nested loops (an
-        # integer means an ephemeral pool per nested call).
-        inner = SessionHandle(parallel=resolved.parallel if resolved is not None else None)
-        evaluator = Evaluator(wafer, cache=self.cache)
-        scheduler = CentralScheduler(
-            wafer,
-            evaluator=evaluator,
-            session=inner,
-            collective=self.collective,
-            split_strategies=self.split_strategies,
-            max_tp=self.max_tp,
-        )
-        best = scheduler.best(workload)
-        if best is None:
-            return None
-        plan, result = best.plan, best.result
-        ga_history: Tuple[float, ...] = ()
-        if self.use_ga:
-            optimizer = GeneticOptimizer(evaluator, workload, self.ga_config)
-            ga_result = optimizer.optimize(plan, session=inner)
-            if ga_result.best_result.throughput >= result.throughput:
-                plan, result = ga_result.best_plan, ga_result.best_result
-            ga_history = ga_result.history
+        _, outcome = _ExplorePointTask(self).run(wafer, workload, self.cache)
         self.cache.flush()
-        return WorkloadOutcome(
-            wafer=wafer, workload=workload, plan=plan, result=result, ga_history=ga_history
-        )
+        return outcome
 
     # ------------------------------------------------------------------ full DSE
     def explore(self, workloads: Sequence[TrainingWorkload], session=None) -> WatosResult:
         """Run the co-exploration over every candidate wafer and every workload.
 
         ``session`` supplies the worker pool (defaulting to the Watos instance's own
-        session, then the ambient one); its ``parallel`` is a persistent
-        :class:`~repro.core.parallel_map.WorkerPool` or an integer for an ephemeral
-        pool (negative = all CPUs).  The (wafer × workload) points fan out over the
-        workers; each point's inner scheduler/GA runs serially inside its worker.
+        session, then the ambient one); its ``parallel`` is a
+        :class:`~repro.core.parallel_map.WorkerPool` or ``None`` (serial).  The
+        (wafer × workload) points fan out over the workers; each point's scheduler
+        and GA run serially inside its worker.
 
         The pooled run is bit-identical to the serial one: worker deltas are merged
         back in worker order and flushed to the shared cache's store when one is

@@ -20,7 +20,8 @@ out-of-memory individual's fitness is infinity.
 
 Each :meth:`GeneticOptimizer.optimize` run remembers the fitness of every plan it has
 scored, so a plan that reappears (an elite, a clone, a mutation that undid itself) is
-priced once per run.
+priced once per run.  Plans are priced in the calling process: after the memo a
+generation has about two new plans to price, too few to pay for shipping to workers.
 """
 
 from __future__ import annotations
@@ -28,11 +29,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, replace
 from operator import itemgetter
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.evaluator import EvaluationResult, Evaluator
-from repro.core.parallel_map import WorkerPool
-from repro.core.runtime import resolve_loop_session
 from repro.core.placement import global_cost
 from repro.core.plan import MemPair, RecomputeConfig, TrainingPlan
 from repro.workloads.workload import TrainingWorkload
@@ -117,7 +116,7 @@ class GeneticOptimizer:
         return self._fitness_of(plan, result), result
 
     def _fitness_of(self, plan: TrainingPlan, result: EvaluationResult) -> float:
-        """The fitness of an already-priced plan (shared by serial and parallel paths)."""
+        """The fitness of an already-priced plan."""
         if result.oom:
             return float("inf")
         placement = plan.placement or self.evaluator.default_placement(plan)
@@ -126,25 +125,19 @@ class GeneticOptimizer:
         return result.iteration_time * (1.0 + cost / (10.0 * normaliser))
 
     def _score_population(
-        self,
-        population: Sequence[TrainingPlan],
-        parallel: Union[int, WorkerPool, None],
-        memo: Dict[TrainingPlan, Scored],
+        self, population: Sequence[TrainingPlan], memo: Dict[TrainingPlan, Scored]
     ) -> List[Scored]:
         """Score every individual, in population order.
 
-        Plans in ``memo`` (this run's scores so far) are not priced again.  The others
-        go, once each and in first-seen order, to :meth:`Evaluator.evaluate_many` — the
-        shared cache-aware pool path — so the parallel run returns exactly what the
-        serial run would.
+        Plans in ``memo`` (this run's scores so far) are not priced again; the others
+        are priced once each, in first-seen order.
         """
         if len(memo) >= FITNESS_MEMO_SIZE:
             memo.clear()
         scores = [memo.get(plan) for plan in population]
-        fresh = list(dict.fromkeys(p for p, score in zip(population, scores) if score is None))
-        if fresh:
-            results = self.evaluator.evaluate_many(self.workload, fresh, parallel)
-            for plan, result in zip(fresh, results):
+        for plan, score in zip(population, scores):
+            if score is None and plan not in memo:
+                result = self.evaluator.evaluate(self.workload, plan)
                 memo[plan] = (self._fitness_of(plan, result), result)
         return [score or memo[plan] for plan, score in zip(population, scores)]
 
@@ -260,16 +253,11 @@ class GeneticOptimizer:
     def optimize(self, seed_plan: TrainingPlan, session=None) -> GAResult:
         """Run the GA starting from (and always retaining) the seed plan.
 
-        ``session`` (a :class:`repro.api.Session` or a ``SessionHandle``) supplies the
-        worker pool each generation's not-yet-scored individuals are priced on
-        (the run remembers every plan it has scored); without one,
-        the ambient session (``with Session(...):`` / ``repro.api.default_session()``)
-        is used, and without that the run is serial.  The GA trajectory — selection,
-        best plan, fitness history — is identical to the serial run for any worker
-        count.
+        The GA prices every plan in-process on :attr:`evaluator` (and its cache), so
+        it does not use ``session``; the keyword is accepted for callers that pass
+        one.
         """
-        resolved = resolve_loop_session(session)
-        parallel = resolved.parallel if resolved is not None else None
+        del session
         population: List[TrainingPlan] = [seed_plan]
         while len(population) < self.config.population_size:
             population.append(self.mutate(seed_plan))
@@ -283,7 +271,7 @@ class GeneticOptimizer:
         for _ in range(self.config.generations):
             scored = []
             for plan, (fit, result) in zip(
-                population, self._score_population(population, parallel, memo)
+                population, self._score_population(population, memo)
             ):
                 scored.append((fit, plan))
                 if fit < best_fitness:

@@ -1,27 +1,27 @@
-"""Persistent worker runtime for the search loops (GA, central scheduler, DSE, Watos).
+"""Persistent worker runtime for whole search points (Watos points, DSE designs).
 
-All the searchers are embarrassingly parallel across candidates: each candidate is
-priced by a pure function of picklable inputs (wafer/workload/plan dataclasses).  This
-module provides the execution runtime they share:
+The co-exploration fans out over independent points — (wafer, workload) pairs, die
+designs, wafer slices, whole sweep cells — each priced by a pure function of picklable
+inputs.  Plans inside one point are priced in-process by the searchers themselves;
+this module provides the runtime the point-level fan-out shares:
 
 * :class:`WorkerPool` — a **long-lived**, fixed-size fork pool that survives an
-  entire search (or a whole experiment matrix), sized by a :class:`PoolConfig` and
-  forked in full on first use.  Each worker owns a private, *resident*
+  entire experiment matrix, sized by a :class:`PoolConfig` and forked in full on
+  first use.  Each worker owns a private, *resident*
   :class:`~repro.core.evalcache.EvaluationCache` shard that persists across
   submissions.  Shards are seeded once when the pool first syncs, and thereafter kept
   coherent **delta-only** in both directions: the parent ships entries priced since a
-  per-worker watermark (:meth:`EvaluationCache.export_since`), and workers ship back
-  only their freshly priced entries (:meth:`EvaluationCache.take_carry`).  Entries a
-  worker itself priced are never echoed back to it.
-* :func:`parallel_map` — ordered map over a pool (a :class:`WorkerPool` or an
-  ephemeral one built from an integer worker count).
+  per-worker watermark (:meth:`EvaluationCache.export_since`), and each worker ships
+  back only the entries its chunk priced (``export_since`` of the shard's own
+  watermark, read before the chunk).  Entries a worker itself priced are never
+  echoed back to it.
 * :func:`parallel_map_merge` — the scatter/gather convention of the scale-out sweeps:
   tasks price whole points against the cache returned by :func:`task_cache` — the
   parent's cache *directly* on the serial path (zero copies), the worker's resident
   shard inside a pool — and the runtime, not the task, moves cache state around.
 
 :meth:`WorkerPool.map` is **thread-safe**: the two-level sweep scheduler runs whole
-cells on concurrent threads, and each cell's search loop maps onto the same shared
+cells on concurrent threads, and each cell's point fan-out maps onto the same shared
 pool.  A map call *leases* a fair share of the idle worker slots (``ceil(workers /
 concurrent maps)``, at least one), supervises only its leased slots, and releases
 them when the chunks drain — so wide fan-outs backfill idle capacity and a narrow
@@ -48,8 +48,8 @@ Conventions that keep results identical to the serial path:
   ``functools.partial`` over one, or an instance of a module-level class;
 * worker carries are merged in worker-index order (deterministic for any schedule,
   and pricing is pure, so merge order can never change a value);
-* ``workers in (None, 0, 1)`` short-circuits to a plain serial loop, which keeps unit
-  tests deterministic and avoids pool startup for small searches.
+* ``parallel=None`` runs :func:`parallel_map_merge` as a plain serial loop; a pool
+  comes only from ``Session(pool=N)`` or a :class:`WorkerPool` the caller builds.
 
 On Linux the ``fork`` start method shares the parent's imported modules with near-zero
 startup; where ``fork`` is unavailable the default context is used.
@@ -65,10 +65,10 @@ import traceback
 import warnings
 from dataclasses import dataclass
 from multiprocessing import connection as mp_connection
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, TypeVar, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
 
 from repro.core import runtime
-from repro.core.evalcache import EvaluationCache
+from repro.core.evalcache import CacheStats, EvaluationCache
 from repro.obs import tracer as _obs
 
 T = TypeVar("T")
@@ -78,9 +78,7 @@ __all__ = [
     "PoolConfig",
     "WorkerCrashError",
     "WorkerPool",
-    "parallel_map",
     "parallel_map_merge",
-    "resolve_workers",
     "set_spawn_hook",
     "set_task_hook",
     "task_cache",
@@ -129,21 +127,6 @@ def task_cache() -> Optional[EvaluationCache]:
     return getattr(_TLS, "cache", None)
 
 
-def resolve_workers(parallel: Union[int, "WorkerPool", None]) -> int:
-    """Normalise a ``parallel=`` argument to an effective worker count.
-
-    ``None``, 0 and 1 mean serial; negative values mean "use every available CPU";
-    a :class:`WorkerPool` means that pool's capacity (``max_workers``).
-    """
-    if parallel is None:
-        return 1
-    if isinstance(parallel, WorkerPool):
-        return parallel.workers
-    if parallel < 0:
-        return max(1, os.cpu_count() or 1)
-    return max(1, parallel)
-
-
 @dataclass(frozen=True)
 class PoolConfig:
     """Sizing and supervision knobs of a :class:`WorkerPool`.
@@ -162,8 +145,10 @@ class PoolConfig:
             raise ValueError("chunk_retries cannot be negative")
 
     def resolved(self) -> int:
-        """The effective worker count on this machine."""
-        return resolve_workers(-1 if self.max_workers is None else self.max_workers)
+        """The effective worker count on this machine (at least one)."""
+        if self.max_workers is None or self.max_workers < 0:
+            return max(1, os.cpu_count() or 1)
+        return max(1, self.max_workers)
 
 
 def _context():
@@ -179,7 +164,10 @@ def _worker_main(task_conn, result_conn, index: int = 0) -> None:
 
     The worker's resident shard lives here, across submissions; ``seed`` adopts a
     parent delta (never re-shipped back), ``map`` runs a chunk with the shard exposed
-    through :func:`task_cache` and returns the shard's incremental carry.
+    through :func:`task_cache` and returns what the chunk priced.  Seeds arrive only
+    between chunks, so the entries the shard adopted after its watermark at the start
+    of the chunk are exactly the chunk's own pricing — that export, plus the
+    counters' increments over the chunk, is the carry.
 
     The channels are pipes, not queues, on purpose: ``Connection.send`` pickles in
     the calling thread, so an unpicklable payload or exception raises *here*, where
@@ -223,6 +211,9 @@ def _worker_main(task_conn, result_conn, index: int = 0) -> None:
                 shard = EvaluationCache(max_entries=None)
             _TLS.cache = shard if use_shard else None
             try:
+                if use_shard:
+                    mark = shard.sync_seq
+                    counts = shard.stats.as_dict()
                 chunk_t0 = _obs.now() if _obs.enabled else 0.0
                 payloads = []
                 for item in chunk:
@@ -232,14 +223,18 @@ def _worker_main(task_conn, result_conn, index: int = 0) -> None:
                     payloads.append(func(item))
                 if _obs.enabled:
                     _obs.add("worker.chunk", chunk_t0, _obs.now(), tag=tag)
-                carry = shard.take_carry() if use_shard else None
+                carry: Dict[str, Any] = {}
+                if use_shard:
+                    carry["delta"] = shard.export_since(mark)[0]
+                    carry["stats"] = {
+                        name: getattr(shard.stats, name) - counts[name]
+                        for name in CacheStats.COUNT_FIELDS
+                    }
                 if _obs.enabled:
                     # Flush this submission's spans back through the carry path so
                     # they merge into the parent's timeline (worker-slot order).
                     spans = _obs.drain()
                     if spans:
-                        if carry is None:
-                            carry = {"delta": {}, "stats": {}}
                         carry["spans"] = spans
                 result_conn.send(("ok", payloads, carry))
             except BaseException as exc:
@@ -256,23 +251,23 @@ def _worker_main(task_conn, result_conn, index: int = 0) -> None:
 class WorkerPool:
     """A long-lived, supervised fork pool with worker-resident cache shards.
 
-    Create one pool per search — or per whole experiment matrix — and hand it to
-    the loops through a session (``Session(pool=8)`` builds and owns one itself)::
+    Create one pool per experiment matrix and hand it to the point-level loops
+    through a session (``Session(pool=8)`` builds and owns one itself)::
 
         with WorkerPool(config=PoolConfig(max_workers=8)) as pool:
             with Session(pool=pool) as session:
-                ga.optimize(seed_plan, session=session)
-                scheduler.explore(workload, session=session)
+                Watos(candidates=wafers).explore(workloads)
+                DieGranularityDse(workload).sweep()
 
     Sizing comes from a :class:`PoolConfig` (``None`` = every CPU); every worker
     forks on first use.
 
-    :meth:`bind` attaches the shared :class:`EvaluationCache` whose contents the
-    shards mirror; binding a *different* cache resets the shards (correct, merely
-    cold — but never re-bind while maps are in flight).  Entries always flow as
-    deltas: the parent keeps one watermark per worker and an origin map so no entry
-    is ever shipped twice to the same worker — :attr:`CacheStats.shipped` counts
-    exactly the entries that crossed.  Pools are process-local and refuse pickling.
+    The shards mirror the :class:`EvaluationCache` a :meth:`map` call names; a map
+    naming a *different* cache resets them (correct, merely cold — but never switch
+    caches while maps are in flight).  Entries always flow as deltas: the parent
+    keeps one watermark per worker and an origin map so no entry is ever shipped
+    twice to the same worker — :attr:`CacheStats.shipped` counts exactly the
+    entries that crossed.  Pools are process-local and refuse pickling.
 
     Supervision (see the module docstring): a worker that dies mid-task is respawned
     and its chunk re-dispatched, up to ``chunk_retries`` respawns per chunk per map;
@@ -282,12 +277,7 @@ class WorkerPool:
     call leases its fair share of idle slots and supervises only those.
     """
 
-    def __init__(
-        self,
-        *,
-        config: Optional[PoolConfig] = None,
-        cache: Optional[EvaluationCache] = None,
-    ) -> None:
+    def __init__(self, *, config: Optional[PoolConfig] = None) -> None:
         #: The :class:`PoolConfig` this pool was built from.
         self.config = config if config is not None else PoolConfig()
         self.workers = self.config.resolved()
@@ -314,8 +304,6 @@ class WorkerPool:
         self._started = False
         self._closed = False
         self._warned_degraded = False
-        if cache is not None:
-            self.bind(cache)
 
     def __reduce__(self):
         raise TypeError("WorkerPool is process-local and cannot be pickled")
@@ -452,22 +440,19 @@ class WorkerPool:
             pass
 
     # ------------------------------------------------------------------ cache sync
-    def bind(self, cache: Optional[EvaluationCache]) -> None:
-        """Attach the shared cache the worker shards mirror.
+    def _mirror(self, cache: EvaluationCache) -> None:
+        """Point the shards at ``cache`` (caller holds the lock).
 
-        Re-binding the same object is free (watermarks survive — that is what makes
-        a reused pool cheap).  Binding a different cache resets the shards; never
-        do that while maps are in flight on other threads.
+        The same cache again is free (watermarks survive — that is what makes a
+        reused pool cheap); a different one resets every live shard.
         """
-        with self._lock:
-            if cache is self._cache:
-                return
-            self._cache = cache
-            self._watermarks = [0] * self.workers
-            self._origin = {}
-            if self._started:
-                for index in self._live_slots():
-                    self._task_conns[index].send(("reset",))
+        if cache is self._cache:
+            return
+        self._cache = cache
+        self._watermarks = [0] * self.workers
+        self._origin = {}
+        for index in self._live_slots():
+            self._task_conns[index].send(("reset",))
 
     def _live_slots(self) -> List[int]:
         return [index for index in range(self.workers) if not self._dead[index]]
@@ -475,9 +460,9 @@ class WorkerPool:
     def _sync_shards(self, cache: EvaluationCache) -> None:
         """Ship each idle worker the entries priced since its watermark (delta-only).
 
-        Watermarks normally advance in lock-step (:meth:`bind` and this method set
-        them together), so one export serves every worker and only the origin filter
-        is per-worker.  A respawned worker breaks the lock-step — its watermark is
+        Watermarks normally advance in lock-step (:meth:`_mirror` and this method
+        set them together), so one export serves every worker and only the origin
+        filter is per-worker.  A respawned worker breaks the lock-step — its watermark is
         back at zero — so drifted watermarks fall through to a
         per-worker export: the newcomer is re-seeded with the full resident history
         while its healthy siblings still receive only the fresh delta.  Slots busy
@@ -566,15 +551,14 @@ class WorkerPool:
         self,
         func: Callable[[T], R],
         items: Sequence[T],
-        merge: Optional[Callable[[Dict[str, Any]], None]] = None,
-        sync: bool = True,
+        cache: Optional[EvaluationCache] = None,
     ) -> List[R]:
         """Map ``func`` over ``items`` on the resident workers, preserving order.
 
-        With a bound cache (and ``sync=True``) the shards are delta-synced before
-        dispatch and their carries folded back afterwards — through ``merge`` when
-        given (e.g. entries-only absorption), else ``cache.absorb_carry`` — in
-        worker-index order.  Items are split into contiguous, balanced chunks over
+        With a ``cache`` the shards are delta-synced with it before dispatch, tasks
+        see their worker's shard through :func:`task_cache`, and the shards' carries
+        are folded back into ``cache`` in worker-index order; without one the
+        tasks ship plain.  Items are split into contiguous, balanced chunks over
         the slots this call leases (see :meth:`_lease`); concurrent calls from
         sweep-cell threads share the pool without stepping on each other.
 
@@ -590,16 +574,16 @@ class WorkerPool:
             return []
         with self._lock:
             self._ensure_started()
-            cache = self._cache if sync else None
             if cache is not None:
+                self._mirror(cache)
                 with _obs.span("cache.sync", tag="ship"):
                     self._sync_shards(cache)
             slots = self._lease(len(items))
         if not slots:
             # Total pool collapse: serve the whole map in-process, once-warned.
-            return self._serial_map(func, items, cache, merge)
+            return self._serial_map(func, items, cache)
         try:
-            return self._run_on_slots(func, items, slots, cache, merge)
+            return self._run_on_slots(func, items, slots, cache)
         finally:
             self._release(slots)
 
@@ -609,7 +593,6 @@ class WorkerPool:
         items: List[T],
         slots: List[int],
         cache: Optional[EvaluationCache],
-        merge: Optional[Callable[[Dict[str, Any]], None]],
     ) -> List[R]:
         """Dispatch, supervise and reassemble one map over its leased slots."""
         tag = runtime.task_tag()
@@ -630,7 +613,7 @@ class WorkerPool:
                     )
 
         payloads: Dict[int, List[R]] = {}
-        carries: List[Tuple[int, Optional[Dict[str, Any]]]] = []
+        carries: List[Tuple[int, Dict[str, Any]]] = []
         pending: Dict[int, List[T]] = dict(chunks)
         crashes: Dict[int, int] = {slot: 0 for slot in slots}
         orphaned: Dict[int, List[T]] = {}  # slots lost to failed respawns
@@ -729,37 +712,29 @@ class WorkerPool:
             _obs.add("drain", drain_t0, _obs.now(), tag=tag)
 
         # Absorb the successful workers' carries even when another worker failed:
-        # their shards already marked those entries as shipped (take_carry), so
-        # dropping the carries here would lose the priced work for good.
+        # each carry is the only copy of what its chunk priced.  Worker span rings
+        # ride the carry too; both are absorbed in the deterministic worker-slot
+        # order the sort establishes.
         carries.sort(key=lambda pair: pair[0])
         with self._lock:
             for slot, carry in carries:
-                if not carry:
-                    continue
-                # Worker span rings ride the carry; absorb them here — in the
-                # deterministic worker-slot order the sort just established — and
-                # not in merge(), which callers may no-op (see evaluate_many).
                 spans = carry.pop("spans", None)
                 if spans:
                     _obs.absorb(spans)
-                    if not carry["delta"] and not carry["stats"]:
-                        continue  # trace-only carry (sync=False map): nothing to merge
+                if cache is None:
+                    continue
                 for key in carry["delta"]:
                     self._origin[key] = slot
-                if merge is not None:
-                    merge(carry)
-                elif cache is not None:
-                    cache.absorb_carry(carry)
+                cache.absorb_carry(carry)
 
         for slot, chunk in orphaned.items():
             if task_failure is not None or crash_failure is not None or timed_out:
                 break  # the map is failing anyway; don't run orphans serially
             self._warn_degraded()
-            status, payload, exc = self._run_chunk_inline(func, chunk, cache)
-            if status == "err":
-                task_failure = (payload, exc)
-            else:
-                payloads[slot] = payload
+            try:
+                payloads[slot] = _map_inline(func, chunk, cache)
+            except BaseException as exc:
+                task_failure = (traceback.format_exc(), exc)
 
         if task_failure is not None:
             detail, exc = task_failure
@@ -792,77 +767,40 @@ class WorkerPool:
             stacklevel=3,
         )
 
-    def _run_chunk_inline(
-        self, func: Callable[[T], R], chunk: Sequence[T], cache: Optional[EvaluationCache]
-    ):
-        """Price one chunk in the parent (last resort), against the parent cache.
-
-        Entries land directly in the shared cache — the exact serial-path
-        convention of :func:`parallel_map_merge` — so results stay bit-identical;
-        there is no carry to merge and no origin to record.
-        """
-        previous = getattr(_TLS, "cache", None)
-        _TLS.cache = cache
-        try:
-            payloads = []
-            for item in chunk:
-                runtime.check_deadline()
-                payloads.append(func(item))
-            return "ok", payloads, None
-        except BaseException as exc:
-            return "err", traceback.format_exc(), exc
-        finally:
-            _TLS.cache = previous
-
     def _serial_map(
-        self,
-        func: Callable[[T], R],
-        items: Sequence[T],
-        cache: Optional[EvaluationCache],
-        merge: Optional[Callable[[Dict[str, Any]], None]],
+        self, func: Callable[[T], R], items: Sequence[T], cache: Optional[EvaluationCache]
     ) -> List[R]:
         """The whole-map fallback once every worker slot is unspawnable."""
-        del merge  # entries go straight into the parent cache; nothing to merge
         self._warn_degraded()
-        status, payloads, exc = self._run_chunk_inline(func, items, cache)
-        if status == "err":
-            if isinstance(exc, BaseException):
-                raise exc
-            raise RuntimeError(f"pool worker failed:\n{payloads}")
-        return payloads
+        return _map_inline(func, items, cache)
 
 
-# ---------------------------------------------------------------------- functional API
-def parallel_map(
-    func: Callable[[T], R],
-    items: Sequence[T],
-    parallel: Union[int, WorkerPool, None] = None,
+def _map_inline(
+    func: Callable[[T], R], items: Sequence[T], cache: Optional[EvaluationCache]
 ) -> List[R]:
-    """Map ``func`` over ``items``, optionally on a worker pool, preserving order.
+    """Run ``func`` over ``items`` in this process, with ``cache`` as the task cache.
 
-    ``parallel`` is a :class:`WorkerPool` (reused, workers stay warm) or an integer
-    (an ephemeral pool is created for the call).  The serial fallback (``parallel in
-    (None, 0, 1)`` or fewer than two items) runs the exact same function in-process,
-    so parallel and serial runs return identical results whenever ``func`` is
-    deterministic.  Items are split into contiguous balanced chunks.
+    The serial path of :func:`parallel_map_merge` and the pool's last resort:
+    entries land directly in the shared cache, so results stay bit-identical and
+    there is no carry to merge and no origin to record.
     """
-    if isinstance(parallel, WorkerPool):
-        return parallel.map(func, items, sync=False)
-    workers = resolve_workers(parallel)
-    if workers <= 1 or len(items) < 2:
+    previous = getattr(_TLS, "cache", None)
+    _TLS.cache = cache
+    try:
         results = []
         for item in items:
             runtime.check_deadline()
             results.append(func(item))
         return results
-    with WorkerPool(config=PoolConfig(max_workers=min(workers, len(items)))) as pool:
-        return pool.map(func, items, sync=False)
+    finally:
+        _TLS.cache = previous
 
 
+# ---------------------------------------------------------------------- functional API
 def parallel_map_merge(
     func: Callable[[T], R],
     items: Sequence[T],
-    parallel: Union[int, WorkerPool, None] = None,
+    parallel: Optional[WorkerPool] = None,
     cache: Optional[EvaluationCache] = None,
 ) -> List[R]:
     """Fan whole-point tasks out with a shared evaluation cache, returning payloads.
@@ -870,29 +808,18 @@ def parallel_map_merge(
     This is the convention the scale-out sweeps share.  Tasks obtain their cache via
     :func:`task_cache` instead of carrying (or being pickled with) a snapshot:
 
-    * **serial** — the task sees ``cache`` itself; nothing is copied at all;
-    * **pool** — the task sees the worker's resident shard, which the pool keeps
-      coherent with ``cache`` by watermarked deltas and whose carry (freshly priced
-      entries + counter increments) is absorbed back in worker-index order.
+    * **serial** (``parallel=None``) — the task sees ``cache`` itself; nothing is
+      copied at all;
+    * **pool** (a :class:`WorkerPool`) — the task sees the worker's resident shard,
+      which the pool keeps coherent with ``cache`` by watermarked deltas and whose
+      carry (freshly priced entries + counter increments) is absorbed back in
+      worker-index order.
 
     Results and cache end state are identical for any worker count because pricing
     is a pure function of the point — the cache only changes *what is recomputed*.
     """
     if isinstance(parallel, WorkerPool):
-        parallel.bind(cache)
-        return parallel.map(func, items)
-    workers = resolve_workers(parallel)
-    if workers <= 1 or len(items) < 2:
-        previous = getattr(_TLS, "cache", None)
-        _TLS.cache = cache
-        try:
-            results = []
-            for item in items:
-                runtime.check_deadline()
-                results.append(func(item))
-            return results
-        finally:
-            _TLS.cache = previous
-    pool_config = PoolConfig(max_workers=min(workers, len(items)))
-    with WorkerPool(cache=cache, config=pool_config) as pool:
-        return pool.map(func, items)
+        return parallel.map(func, items, cache=cache)
+    if parallel is not None:
+        raise runtime.not_a_pool(parallel)
+    return _map_inline(func, items, cache)

@@ -7,17 +7,17 @@ the shared evaluation cache for a whole experiment; the four search loops — ``
 the thin, dependency-free meeting point between the two layers:
 
 * the **active-session stack** — ``with Session(...):`` pushes the session here, so
-  bare loop calls (no ``session=``) inside the block share the session's pool and
-  cache instead of building ephemeral ones;
+  bare loop calls (no ``session=``) inside the block share the session's cache, and
+  the point-level loops its pool;
 * the **default session** slot — ``repro.api.default_session()`` parks the
   process-wide session here; it is the fallback when no ``with`` block is active;
 * :class:`SessionHandle` — the minimal session protocol (``.cache`` / ``.parallel``)
   the loops actually consume, so a caller can hand a loop one cache or one worker
-  count without building a whole session;
+  pool without building a whole session;
 * the **worker reset** — pool workers are forked from a parent that may hold an
   active session whose :class:`~repro.core.parallel_map.WorkerPool` is meaningless
-  (and dangerous — nested pools) in the child.  ``parallel_map`` calls
-  :func:`reset_for_worker` at the top of every worker loop.
+  (and dangerous — nested pools) in the child.  The pool's worker loop calls
+  :func:`reset_for_worker` before it takes any work.
 
 Nothing here imports from the rest of the package, which is what keeps the layering
 acyclic: ``repro.core.* → repro.core.runtime ← repro.api``.
@@ -36,6 +36,7 @@ __all__ = [
     "current_results",
     "current_session",
     "deadline",
+    "not_a_pool",
     "pop_session",
     "push_session",
     "reset_for_worker",
@@ -104,29 +105,32 @@ def check_deadline() -> None:
         )
 
 
+def not_a_pool(parallel: Any) -> TypeError:
+    """The error for a ``parallel=`` that is not a worker pool (a worker count, say)."""
+    return TypeError(
+        f"parallel= takes a WorkerPool or None, not {parallel!r}; build a pool with "
+        "Session(pool=N) or WorkerPool(config=PoolConfig(max_workers=N))"
+    )
+
+
 class SessionHandle:
     """The minimal session protocol the search loops consume.
 
-    A full :class:`repro.api.Session` provides the same two attributes (plus much
-    more); this bare holder gives a loop one cache or one worker count
-    (``SessionHandle(parallel=4)`` prices on an ephemeral 4-worker pool), and is
-    what loop internals use to forward a pool to nested loops.
+    A full :class:`repro.api.Session` provides the same attributes (plus much
+    more); this bare holder gives a loop one cache or one
+    :class:`~repro.core.parallel_map.WorkerPool` (``parallel=``, ``None`` for
+    serial).  A worker count is a ``TypeError``: ``Session(pool=N)`` builds and
+    owns a pool of that size.
     """
 
-    __slots__ = ("cache", "results", "_parallel")
+    __slots__ = ("cache", "parallel")
 
-    def __init__(self, cache: Any = None, parallel: Any = None, results: Any = None) -> None:
+    def __init__(self, cache: Any = None, parallel: Any = None) -> None:
+        if parallel is not None and not callable(getattr(parallel, "map", None)):
+            raise not_a_pool(parallel)
         self.cache = cache
-        #: The owning session's result store (``Session._handle`` forwards it), so
-        #: session-shaped consumers see the same ``.results`` surface on a handle
-        #: as on a full ``Session``.
-        self.results = results
-        self._parallel = parallel
-
-    @property
-    def parallel(self) -> Any:
-        """What to pass to a ``parallel=`` runtime argument (pool, int or ``None``)."""
-        return self._parallel
+        #: What the point-level loops pass to ``parallel=`` (a pool or ``None``).
+        self.parallel = parallel
 
 
 # ---------------------------------------------------------------------- active stack

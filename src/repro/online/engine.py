@@ -23,8 +23,8 @@ Placements are priced through the paper's own scheduler —
 engine memoizes one price per distinct ``(wafer, workload)`` pair, which is what
 lets thousands of scheduled jobs amortize a handful of real searches (the
 ``jobs_per_sec`` bench gate).  All timestamps in stored rows are *virtual*, so
-serving the same trace twice writes byte-identical stores; a warm or cold worker
-pool cannot change rows either, because pool pricing is pure memoization.
+serving the same trace twice writes byte-identical stores.  The scheduler prices in
+this process, so a session with a worker pool serves exactly what a serial one does.
 """
 
 from __future__ import annotations
@@ -162,7 +162,7 @@ class ServeReport:
 
 
 class OnlineEngine:
-    """Serve traces against a fleet on one session's cache and pool.
+    """Serve traces against a fleet on one session's cache.
 
     ``fleet`` overrides the trace's own fleet (wafer registry names); ``store``
     receives one row per job plus a closing fleet-summary row, keyed by
@@ -225,7 +225,7 @@ class OnlineEngine:
                 wafer.config, session=self.session, max_tp=self.max_tp
             )
             self._schedulers[wafer.name] = scheduler
-        record = scheduler.best(self._workload(job), session=self.session)
+        record = scheduler.best(self._workload(job))
         price = record.result.iteration_time if record is not None else None
         self._prices[key] = price
         return price

@@ -4,8 +4,10 @@ invalidation, corrupt-store recovery and the warm-start accounting.
 
 from __future__ import annotations
 
+import gc
 import json
 import sqlite3
+import weakref
 
 import pytest
 
@@ -263,13 +265,54 @@ class TestEvaluatorWarmStart:
         parent.put("p", 1)
         child = EvaluationCache()
         child.seed(parent.export())
+        mark = child.sync_seq  # the child's delta: what it adopts after the seed
         assert child.get("p") == 1 and child.stats.hits == 1
         child.put("q", 2)
-        assert child.delta() == {"q": 2}
-        assert parent.absorb(child.delta()) == 1
+        delta, _ = child.export_since(mark)
+        assert delta == {"q": 2}
+        assert parent.absorb(delta) == 1
         assert parent.peek("q") == 2
         # Re-absorbing the same delta is a no-op.
-        assert parent.absorb(child.delta()) == 0
+        assert parent.absorb(delta) == 0
+
+
+# -------------------------------------------------------------------- memory bound
+def _keyed_state(cache: EvaluationCache) -> dict:
+    """Size of every per-key map or set the cache holds."""
+    return {
+        name: len(value)
+        for name, value in vars(cache).items()
+        if isinstance(value, (dict, set))
+    }
+
+
+class TestPerKeyStateBound:
+    """``max_entries`` bounds what a cache keeps per key, with a store or without."""
+
+    def test_cache_without_store_keeps_only_resident_values_alive(self):
+        cache = EvaluationCache(max_entries=4)
+        refs = []
+        for index in range(100):
+            value = sample_result(float(index + 1))
+            refs.append(weakref.ref(value))
+            cache.put(f"k{index}", value)
+            del value
+        gc.collect()
+        assert sum(ref() is not None for ref in refs) == len(cache) == 4
+        assert max(_keyed_state(cache).values()) <= 4
+
+    def test_store_backed_cache_keeps_no_key_state_past_a_flush(self, store_path):
+        cache = EvaluationCache(max_entries=4, store=store_path)
+        for index in range(1000):
+            cache.put(f"k{index}", index)
+            if index % 10 == 9:
+                cache.flush()
+        assert max(_keyed_state(cache).values()) <= 4
+        cache.close()
+        warm = EvaluationCache(max_entries=4, store=store_path)
+        assert warm.stats.loaded == 1000  # the store keeps the history
+        assert max(_keyed_state(warm).values()) <= 4
+        warm.close()
 
 
 # ------------------------------------------------------------------- age eviction

@@ -4,7 +4,7 @@ The contract under test:
 
 * :class:`ChaosMonkey` injects worker kills, delays and spawn denials at
   deterministic points (Nth task, tagged cell, token-bounded firings).
-* A 2-worker pool with one worker killed mid-generation completes
+* A 2-worker pool with one worker killed mid-cell completes
   ``Session.sweep`` with a store **bit-identical** to a fault-free serial run.
 * A poison cell that crashes its worker on every attempt is quarantined as a
   ``status="failed"`` row (traceback captured) while every other cell succeeds,
@@ -58,9 +58,10 @@ def _rows(path):
         }
 
 
-GA_SWEEP = {
-    "base": {"kind": "ga", "wafer": "tiny", "workload": "tiny",
-             "population": 4, "generations": 2},
+#: Two DSE cells of four whole design points each: every cell fans out on the pool.
+DSE_SWEEP = {
+    "base": {"kind": "dse", "workload": "tiny", "areas_mm2": [300, 400, 500, 600],
+             "aspect_ratios": [1.0]},
     "seeds": 2,
 }
 
@@ -177,7 +178,7 @@ class TestPoolUnderChaos:
 # ----------------------------------------------------------- sweeps under chaos
 class TestSweepUnderChaos:
     def test_worker_kill_mid_sweep_is_bit_identical_to_serial(self, tmp_path):
-        sweep = SweepSpec.from_payload(GA_SWEEP)
+        sweep = SweepSpec.from_payload(DSE_SWEEP)
         fresh = str(tmp_path / "fresh.jsonl")
         with Session() as session:  # fault-free serial reference
             assert len(list(session.sweep(sweep, results=fresh))) == 2
@@ -194,7 +195,7 @@ class TestSweepUnderChaos:
         assert _rows(chaotic) == _rows(fresh)
 
     def test_poison_cell_is_quarantined_and_surfaced(self, tmp_path, capsys):
-        sweep = SweepSpec.from_payload(GA_SWEEP)
+        sweep = SweepSpec.from_payload(DSE_SWEEP)
         cells = sweep.expand()
         poison = cells[0].cell_id
         results = str(tmp_path / "results.sqlite")
@@ -219,7 +220,7 @@ class TestSweepUnderChaos:
         assert failed.attempts == 3
         assert "died mid-task" in failed.error
         healthy = runs[cells[1].cell_id]
-        assert healthy.status == "ok" and healthy.plan is not None
+        assert healthy.status == "ok" and len(healthy.details) == 4  # design points
 
         with open_result_store(results) as store:
             stats = store.stats()
@@ -235,7 +236,7 @@ class TestSweepUnderChaos:
         assert poison in tail_out and "FAILED" in tail_out
 
     def test_resume_reattempts_failed_cells_and_heals(self, tmp_path):
-        sweep = SweepSpec.from_payload(GA_SWEEP)
+        sweep = SweepSpec.from_payload(DSE_SWEEP)
         cells = sweep.expand()
         poison = cells[0].cell_id
         results = str(tmp_path / "results.jsonl")
@@ -261,7 +262,7 @@ class TestSweepUnderChaos:
         assert _rows(results) == _rows(fresh)
 
     def test_skip_failed_leaves_quarantined_cells_alone(self, tmp_path):
-        sweep = SweepSpec.from_payload(GA_SWEEP)
+        sweep = SweepSpec.from_payload(DSE_SWEEP)
         poison = sweep.expand()[0].cell_id
         results = str(tmp_path / "results.jsonl")
 
@@ -284,7 +285,7 @@ class TestSweepUnderChaos:
             assert store.stats()["failed"] == 1
 
     def test_straggler_is_killed_and_retried_within_budget(self, tmp_path):
-        sweep = SweepSpec.from_payload({"base": GA_SWEEP["base"]})
+        sweep = SweepSpec.from_payload({"base": DSE_SWEEP["base"]})
         cell = sweep.expand()[0].cell_id
         retry = RetryPolicy(max_attempts=2, backoff_s=0.0, timeout_s=0.6)
 

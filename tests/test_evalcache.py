@@ -6,7 +6,6 @@ from __future__ import annotations
 
 import copy
 import itertools
-import pickle
 import random
 from collections import Counter
 from dataclasses import replace
@@ -29,6 +28,8 @@ from repro.core.genetic import GAConfig, GeneticOptimizer
 from repro.core.hardware_dse import DieGranularityDse
 from repro.core.placement import serpentine_placement
 from repro.core.plan import MemPair, RecomputeConfig, StagePlacement, TrainingPlan
+from repro.api import Session
+from repro.core.parallel_map import PoolConfig, WorkerPool
 from repro.core.pp_engine import PPEngine
 from repro.core.runtime import SessionHandle
 from repro.hardware.configs import wafer_config2, wafer_config3
@@ -263,33 +264,39 @@ class TestSearchLoops:
         assert evaluator.cache.hits > 0
 
     def test_ga_parallel_matches_serial(self, wafer, workload, seed_plan):
+        # A GA handed a pool prices in-process: the same run, and no worker starts.
         config = GAConfig(population_size=6, generations=3, seed=5)
         serial = GeneticOptimizer(Evaluator(wafer), workload, config).optimize(seed_plan)
-        parallel = GeneticOptimizer(Evaluator(wafer), workload, config).optimize(
-            seed_plan, session=SessionHandle(parallel=2)
-        )
+        with WorkerPool(config=PoolConfig(max_workers=2)) as pool:
+            parallel = GeneticOptimizer(Evaluator(wafer), workload, config).optimize(
+                seed_plan, session=SessionHandle(parallel=pool)
+            )
+            assert not pool._started
         assert parallel.best_fitness == serial.best_fitness
         assert parallel.history == serial.history
         assert parallel.best_plan == serial.best_plan
 
     def test_scheduler_explore_parallel_matches_serial(self, wafer, workload):
         serial = CentralScheduler(wafer).explore(workload)
-        parallel = CentralScheduler(wafer).explore(
-            workload, session=SessionHandle(parallel=2)
-        )
+        with WorkerPool(config=PoolConfig(max_workers=2)) as pool:
+            with Session(pool=pool):
+                parallel = CentralScheduler(wafer).explore(workload)
+            assert not pool._started
         assert [r.plan for r in parallel] == [r.plan for r in serial]
         assert [r.result for r in parallel] == [r.result for r in serial]
 
     def test_parallel_explore_counters_stay_honest(self, wafer, workload):
-        scheduler = CentralScheduler(wafer)
-        first = scheduler.explore(workload, session=SessionHandle(parallel=2))
-        evaluator = scheduler.evaluator
-        raw_after_first = evaluator.raw_evaluations
-        assert raw_after_first == len(first)  # every candidate priced exactly once
-        # A warm re-exploration must be answered from the cache: no new raw pricing,
-        # one hit per candidate.
-        hits_before = evaluator.cache.hits
-        second = scheduler.explore(workload, session=SessionHandle(parallel=2))
+        with WorkerPool(config=PoolConfig(max_workers=2)) as pool:
+            with Session(pool=pool):
+                scheduler = CentralScheduler(wafer)
+                first = scheduler.explore(workload)
+                evaluator = scheduler.evaluator
+                raw_after_first = evaluator.raw_evaluations
+                assert raw_after_first == len(first)  # every candidate priced once
+                # A warm re-exploration must be answered from the cache: no new raw
+                # pricing, one hit per candidate.
+                hits_before = evaluator.cache.hits
+                second = scheduler.explore(workload)
         assert [r.result for r in second] == [r.result for r in first]
         assert evaluator.raw_evaluations == raw_after_first
         assert evaluator.cache.hits == hits_before + len(second)
@@ -299,7 +306,8 @@ class TestSearchLoops:
             workload, areas_mm2=(300.0, 500.0), aspect_ratios=(1.0,)
         )
         serial = dse.sweep(max_tp=4)
-        parallel = dse.sweep(max_tp=4, session=SessionHandle(parallel=2))
+        with WorkerPool(config=PoolConfig(max_workers=2)) as pool:
+            parallel = dse.sweep(max_tp=4, session=SessionHandle(parallel=pool))
         assert parallel == serial
 
 
@@ -389,15 +397,6 @@ class TestComponentKeys:
         after = evaluator.fingerprint(workload, plan)
         assert after != before
         assert after == evaluation_fingerprint(wafer, evaluator.faults, True, workload, plan)
-
-    def test_stripped_evaluator_ships_no_memo_contents(self, paper_plans):
-        wafer, workload, plans = paper_plans[0]
-        evaluator = Evaluator(wafer)
-        evaluator.evaluate(workload, plans[0])
-        shipped = len(pickle.dumps(evaluator.stripped()))
-        for plan in plans[1:50]:
-            evaluator.evaluate(workload, plan)
-        assert len(pickle.dumps(evaluator.stripped())) == shipped
 
 
 class TestRoutingMemo:

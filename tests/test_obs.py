@@ -38,6 +38,13 @@ SWEEP_PAYLOAD = {
     "seeds": 2,
 }
 
+#: Two DSE cells whose four design points each fan out over a pool.
+DSE_SWEEP_PAYLOAD = {
+    "base": {"kind": "dse", "workload": "tiny", "areas_mm2": [300, 400, 500, 600],
+             "aspect_ratios": [1.0]},
+    "seeds": 2,
+}
+
 
 # ------------------------------------------------------------------------ tracer core
 class TestTracer:
@@ -110,7 +117,7 @@ class TestWorkerMerge:
         tracer.enable()
         mark = tracer.mark()
         with WorkerPool(config=PoolConfig(max_workers=2)) as pool:
-            assert pool.map(_traced_square, list(range(8)), sync=False) == [
+            assert pool.map(_traced_square, list(range(8))) == [
                 x * x for x in range(8)
             ]
         spans = [r for r in tracer.records(since=mark) if r[1] == "task"]
@@ -124,7 +131,7 @@ class TestWorkerMerge:
         assert not tracer.enabled
         mark = tracer.mark()
         with WorkerPool(config=PoolConfig(max_workers=2)) as pool:
-            pool.map(_traced_square, list(range(4)), sync=False)
+            pool.map(_traced_square, list(range(4)))
         assert [r for r in tracer.records(since=mark) if r[1] == "task"] == []
 
 
@@ -204,7 +211,7 @@ class TestSessionTracing:
 
     def test_session_trace_writes_profile_readable_file(self, tmp_path):
         trace_path = tmp_path / "trace.jsonl"
-        sweep = SweepSpec.from_payload(SWEEP_PAYLOAD)
+        sweep = SweepSpec.from_payload(DSE_SWEEP_PAYLOAD)
         with Session(pool=2, trace=str(trace_path)) as session:
             list(session.sweep(sweep))
         assert not tracer.enabled  # the session disables what it enabled

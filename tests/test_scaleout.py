@@ -16,6 +16,7 @@ from repro.core.evalcache import EvaluationCache
 from repro.core.framework import Watos
 from repro.core.genetic import GAConfig
 from repro.core.hardware_dse import DieGranularityDse
+from repro.core.parallel_map import PoolConfig, WorkerPool
 from repro.core.runtime import SessionHandle
 from repro.hardware.configs import wafer_config2, wafer_config3
 from repro.predictor.analytical import AnalyticalPredictor
@@ -36,6 +37,13 @@ from bench_fig24_multiwafer_ga import (  # noqa: E402
 @pytest.fixture
 def wafer():
     return make_small_wafer(dram_gb=1.0)
+
+
+@pytest.fixture
+def pool():
+    """A 2-worker pool the point-level loops fan out over."""
+    with WorkerPool(config=PoolConfig(max_workers=2)) as workers:
+        yield workers
 
 
 @pytest.fixture
@@ -76,16 +84,16 @@ class TestMultiWaferGa:
         with pytest.raises(ValueError):
             wafer_slice_workloads(workload, workload.model.num_layers + 1)
 
-    def test_parallel_matches_serial_bitforbit(self, wafer, workload):
+    def test_parallel_matches_serial_bitforbit(self, wafer, workload, pool):
         config = GAConfig(population_size=4, generations=3, seed=5)
         serial = run_multiwafer_ga(wafer, workload, 3, config, EvaluationCache())
         parallel = run_multiwafer_ga(
-            wafer, workload, 3, config, EvaluationCache(), parallel=2
+            wafer, workload, 3, config, EvaluationCache(), parallel=pool
         )
         assert parallel == serial
 
     @pytest.mark.perf_smoke
-    def test_warm_start_from_persisted_store(self, wafer, workload, tmp_path):
+    def test_warm_start_from_persisted_store(self, wafer, workload, tmp_path, pool):
         config = GAConfig(population_size=4, generations=3, seed=5)
         path = str(tmp_path / "multiwafer.jsonl")
 
@@ -97,7 +105,7 @@ class TestMultiWaferGa:
         warm = EvaluationCache(store=path)
         loaded = warm.stats.loaded
         assert loaded > 0
-        warm_rows = run_multiwafer_ga(wafer, workload, 3, config, warm, parallel=2)
+        warm_rows = run_multiwafer_ga(wafer, workload, 3, config, warm, parallel=pool)
         # The whole matrix is answered from the persisted store: identical results,
         # nothing re-priced, hit rate far above the ≥50 % acceptance bar.
         assert warm_rows == cold_rows
@@ -117,7 +125,7 @@ class TestWatosParallel:
     def _watos(self, wafers, config):
         return Watos(candidates=wafers, ga_config=config)
 
-    def test_explore_parallel_matches_serial(self, wafer):
+    def test_explore_parallel_matches_serial(self, wafer, pool):
         other = replace(make_small_wafer(dram_gb=2.0), name="wafer-2g")
         workloads = [
             TrainingWorkload(make_tiny_model(), 16, 4, 1024),
@@ -127,7 +135,7 @@ class TestWatosParallel:
 
         serial = self._watos([wafer, other], config).explore(workloads)
         parallel = self._watos([wafer, other], config).explore(
-            workloads, session=SessionHandle(parallel=2)
+            workloads, session=SessionHandle(parallel=pool)
         )
 
         assert len(serial.outcomes) == len(parallel.outcomes) > 0
@@ -139,24 +147,24 @@ class TestWatosParallel:
         for key in serial.exploration_records:
             assert serial.exploration_records[key] == parallel.exploration_records[key]
 
-    def test_explore_merges_worker_deltas(self, wafer):
+    def test_explore_merges_worker_deltas(self, wafer, pool):
         workloads = [TrainingWorkload(make_tiny_model(), 16, 4, 1024)]
         watos = self._watos([wafer], GAConfig(population_size=4, generations=2, seed=3))
-        watos.explore(workloads, session=SessionHandle(parallel=2))
+        watos.explore(workloads, session=SessionHandle(parallel=pool))
         # The shared cache absorbed the worker's pricing: a re-exploration of the
         # same point re-prices nothing.
         misses_before = watos.cache.stats.misses
-        watos.explore(workloads, session=SessionHandle(parallel=2))
+        watos.explore(workloads, session=SessionHandle(parallel=pool))
         assert watos.cache.stats.misses == misses_before
 
-    def test_explore_persists_across_instances(self, wafer, tmp_path):
+    def test_explore_persists_across_instances(self, wafer, tmp_path, pool):
         workloads = [TrainingWorkload(make_tiny_model(), 16, 4, 1024)]
         config = GAConfig(population_size=4, generations=2, seed=3)
         path = str(tmp_path / "watos.sqlite")
 
         first = Watos(candidates=[wafer], ga_config=config,
                       session=SessionHandle(cache=EvaluationCache(store=path)))
-        outcome_first = first.explore(workloads, session=SessionHandle(parallel=2))
+        outcome_first = first.explore(workloads, session=SessionHandle(parallel=pool))
         first.cache.close()
 
         second = Watos(candidates=[wafer], ga_config=config,
@@ -169,7 +177,7 @@ class TestWatosParallel:
         ]
         second.cache.close()
 
-    def test_parallel_explore_with_warm_sqlite_store(self, wafer, tmp_path):
+    def test_parallel_explore_with_warm_sqlite_store(self, wafer, tmp_path, pool):
         # Regression: a warm sqlite store holds an open connection; shipping the
         # shared cache to pool workers must drop the store, not fail to pickle it.
         workloads = [
@@ -181,14 +189,14 @@ class TestWatosParallel:
 
         first = Watos(candidates=[wafer], ga_config=config,
                       session=SessionHandle(cache=EvaluationCache(store=path)))
-        cold = first.explore(workloads, session=SessionHandle(parallel=2))
+        cold = first.explore(workloads, session=SessionHandle(parallel=pool))
         first.cache.close()
 
         second = Watos(candidates=[wafer], ga_config=config,
                        session=SessionHandle(cache=EvaluationCache(store=path)))
         assert second.cache.stats.loaded > 0
         # This used to raise TypeError.
-        warm = second.explore(workloads, session=SessionHandle(parallel=2))
+        warm = second.explore(workloads, session=SessionHandle(parallel=pool))
         assert [o.result for o in warm.outcomes] == [o.result for o in cold.outcomes]
         assert second.cache.stats.misses == 0
         second.cache.close()
@@ -196,7 +204,7 @@ class TestWatosParallel:
 
 # ------------------------------------------------------------------ hardware DSE
 class TestDseSharedCache:
-    def test_sweep_with_shared_cache_matches_plain(self, workload):
+    def test_sweep_with_shared_cache_matches_plain(self, workload, pool):
         plain = DieGranularityDse(
             workload, areas_mm2=(300.0, 500.0), aspect_ratios=(1.0,)
         ).sweep(max_tp=4)
@@ -206,28 +214,28 @@ class TestDseSharedCache:
         )
         assert cached_dse.sweep(max_tp=4) == plain
         # Parallel sweep with the shared cache also matches.
-        assert cached_dse.sweep(max_tp=4, session=SessionHandle(parallel=2)) == plain
+        assert cached_dse.sweep(max_tp=4, session=SessionHandle(parallel=pool)) == plain
 
-    def test_repeat_sweep_is_all_hits(self, workload):
+    def test_repeat_sweep_is_all_hits(self, workload, pool):
         # max_tp=16 so the 48-die (500 mm²) design point enumerates real splits
         # (tp=8/pp=6, tp=16/pp=3) — with max_tp=4 the grid prices nothing.
         dse = DieGranularityDse(
             workload, areas_mm2=(300.0, 500.0), aspect_ratios=(1.0,),
             session=SessionHandle(cache=EvaluationCache()),
         )
-        dse.sweep(max_tp=16, session=SessionHandle(parallel=2))
+        dse.sweep(max_tp=16, session=SessionHandle(parallel=pool))
         assert dse.cache.stats.misses > 0
         misses_before = dse.cache.stats.misses
-        dse.sweep(max_tp=16, session=SessionHandle(parallel=2))
+        dse.sweep(max_tp=16, session=SessionHandle(parallel=pool))
         assert dse.cache.stats.misses == misses_before
 
-    def test_sweep_persists_to_store(self, workload, tmp_path):
+    def test_sweep_persists_to_store(self, workload, tmp_path, pool):
         path = str(tmp_path / "dse.jsonl")
         dse = DieGranularityDse(
             workload, areas_mm2=(500.0,), aspect_ratios=(1.0, 1.6),
             session=SessionHandle(cache=EvaluationCache(store=path)),
         )
-        points = dse.sweep(max_tp=16, session=SessionHandle(parallel=2))
+        points = dse.sweep(max_tp=16, session=SessionHandle(parallel=pool))
         dse.cache.close()
 
         warm = DieGranularityDse(

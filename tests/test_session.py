@@ -8,7 +8,8 @@ The contract under test:
   all four of them (GA, CentralScheduler, DieGranularityDse, Watos), serial or
   pooled.
 * An ambient session (``with Session(...):`` or ``default_session()``) supplies its
-  pool and cache to bare loop calls, so nested sweeps share workers.
+  cache to bare loop calls, and its pool to the point-level ones (``Watos.explore``,
+  ``DieGranularityDse.sweep``), so nested sweeps share workers.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from repro.core.evaluator import Evaluator
 from repro.core.framework import Watos
 from repro.core.genetic import GAConfig, GeneticOptimizer
 from repro.core.hardware_dse import DieGranularityDse
+from repro.core.parallel_map import PoolConfig, WorkerPool
 
 
 @pytest.fixture(autouse=True)
@@ -51,6 +53,9 @@ def workload():
 
 
 GA_SPEC = dict(kind="ga", wafer="tiny", workload="tiny", population=6, generations=4)
+#: A DSE run whose four design points fan out over the session pool.
+DSE_SPEC = dict(kind="dse", workload="tiny", areas_mm2=[300, 400, 500, 600],
+                aspect_ratios=[1.0])
 
 
 # ---------------------------------------------------------------------- lifecycle
@@ -58,7 +63,7 @@ class TestLifecycle:
     def test_exit_joins_pool_and_flushes_store(self, tmp_path):
         path = str(tmp_path / "session.jsonl")
         with Session(pool=2, store=path) as session:
-            run = session.run(ExperimentSpec(kind="scheduler", wafer="tiny", workload="tiny"))
+            run = session.run(ExperimentSpec(**DSE_SPEC))
             assert run
             pool = session.pool
             assert pool is not None
@@ -168,8 +173,10 @@ class TestRunEquivalence:
     def test_ga_kind_pooled_matches_serial(self):
         with Session() as session:
             serial = session.run(ExperimentSpec(**GA_SPEC))
-        with Session(pool=2) as session:
-            pooled = session.run(ExperimentSpec(**GA_SPEC))
+        with WorkerPool(config=PoolConfig(max_workers=2)) as pool:
+            with Session(pool=pool) as session:
+                pooled = session.run(ExperimentSpec(**GA_SPEC))
+            assert not pool._started  # the GA prices in-process
         assert pooled.metrics["best_fitness"] == serial.metrics["best_fitness"]
         assert pooled.details.history == serial.details.history
         assert pooled.plan == serial.plan
@@ -212,14 +219,9 @@ class TestRunEquivalence:
             serial = session.run(ExperimentSpec(**spec))
         with Session(pool=2) as session:
             pooled = session.run(ExperimentSpec(**spec))
-        # A pool-less session takes the spec's integer worker hint instead (an
-        # ephemeral pool per fan-out) and still matches.
-        with Session() as session:
-            hinted = session.run(ExperimentSpec(**spec, workers=2))
-        for run in (pooled, hinted):
-            assert [o.result for o in run.details.outcomes] == [
-                o.result for o in serial.details.outcomes
-            ]
+        assert [o.result for o in pooled.details.outcomes] == [
+            o.result for o in serial.details.outcomes
+        ]
 
     def test_sweep_shares_one_cache(self):
         with Session() as session:
@@ -243,26 +245,32 @@ class TestAmbientSession:
         assert [r.result for r in ambient] == [r.result for r in baseline]
         assert [r.result for r in again] == [r.result for r in baseline]
 
-    def test_with_block_supplies_pool_to_bare_calls(self, wafer, workload):
-        serial = CentralScheduler(wafer).explore(workload)
+    def test_with_block_supplies_pool_to_bare_calls(self, workload):
+        def sweep():
+            return DieGranularityDse(
+                workload, areas_mm2=(300.0, 400.0, 500.0, 600.0), aspect_ratios=(1.0,)
+            ).sweep(max_tp=16)
+
+        serial = sweep()
         with Session(pool=2) as session:
-            pooled = CentralScheduler(wafer).explore(workload)
+            pooled = sweep()
             assert session.pool is not None and session.pool._started
-        assert [r.result for r in pooled] == [r.result for r in serial]
+        assert pooled == serial
 
     def test_default_session_is_a_singleton_shared_by_bare_calls(self, wafer, workload):
         session = default_session(pool=2)
         assert default_session() is session
-        evaluator = Evaluator(wafer, cache=session.cache)
-        seed = CentralScheduler(wafer, evaluator=evaluator).best(workload)
         config = GAConfig(population_size=4, generations=2)
-        outcome = GeneticOptimizer(evaluator, workload, config).optimize(seed.plan)
-        # The bare optimize() above ran on the default session's pool.
+        outcome = Watos(candidates=[wafer], ga_config=config).explore([workload])
+        # The bare explore() above ran on the default session's pool.
         assert session.pool is not None and session.pool._started
-        serial = GeneticOptimizer(
-            Evaluator(wafer), workload, config
-        ).optimize(seed.plan, session=runtime.SessionHandle())
-        assert outcome.history == serial.history
+        serial = Watos(
+            candidates=[wafer], ga_config=config, session=runtime.SessionHandle()
+        ).explore([workload])
+        assert [o.ga_history for o in outcome.outcomes] == [
+            o.ga_history for o in serial.outcomes
+        ]
+        assert outcome.outcomes == serial.outcomes
         close_default_session()
         assert default_session() is not session  # a fresh one after closing
 

@@ -3,7 +3,7 @@
 The contract under test:
 
 * ``Session.sweep(jobs=N)`` dispatches whole cells concurrently while each cell's
-  search loop fans out over the shared :class:`WorkerPool`; results, yield order,
+  point-level loop fans out over the shared :class:`WorkerPool`; results, yield order,
   resume bookkeeping and quarantine decisions are **bit-identical** to a serial
   walk for every spec kind and both store backends.
 * Chaos (worker kills, poison cells) behaves under concurrency exactly as it does
@@ -67,6 +67,13 @@ ALL_KINDS_SPECS = [
 GA_SWEEP = {
     "base": {"kind": "ga", "wafer": "tiny", "workload": "tiny",
              "population": 4, "generations": 2},
+    "seeds": 4,
+}
+
+#: Four DSE cells of four whole design points each: every cell maps onto the pool.
+DSE_SWEEP = {
+    "base": {"kind": "dse", "workload": "tiny", "areas_mm2": [300, 400, 500, 600],
+             "aspect_ratios": [1.0]},
     "seeds": 4,
 }
 
@@ -138,7 +145,7 @@ class TestResumeUnderJobs:
 # ---------------------------------------------------------------- chaos under jobs
 class TestChaosUnderJobs:
     def test_worker_kill_with_concurrent_cells_is_bit_identical(self, tmp_path):
-        sweep = SweepSpec.from_payload(GA_SWEEP)
+        sweep = SweepSpec.from_payload(DSE_SWEEP)
         fresh = str(tmp_path / "fresh.jsonl")
         with Session() as session:  # fault-free serial reference
             list(session.sweep(sweep, results=fresh))
@@ -155,20 +162,9 @@ class TestChaosUnderJobs:
         assert _rows(chaotic) == _rows(fresh)
 
     def test_poison_cell_quarantines_while_siblings_run(self, tmp_path):
-        # Cells must be cache-disjoint (distinct sequence lengths, not seed fans):
-        # concurrent siblings sharing plan fingerprints would warm the session
-        # cache until the poison cell's retries stop needing the pool at all —
-        # and an inline cache hit is out of the chaos hook's reach.
-        sweep = SweepSpec.from_payload(
-            {
-                "base": {
-                    "kind": "ga", "wafer": "tiny",
-                    "workload": {"model": "tiny", "global_batch_size": 32},
-                    "population": 4, "generations": 2,
-                },
-                "grid": {"workload.sequence_length": [128, 256, 512, 1024]},
-            }
-        )
+        # Every attempt of a DSE cell ships its design points to the pool, warm
+        # session cache or not, so each poison attempt reaches the chaos hook.
+        sweep = SweepSpec.from_payload(DSE_SWEEP)
         cells = sweep.expand()
         poison = cells[0].cell_id
         results = str(tmp_path / "results.sqlite")
@@ -281,6 +277,17 @@ class TestSweepJobsApi:
         assert "jobs" not in SweepSpec.from_payload(GA_SWEEP).to_dict()
         with pytest.raises(ValueError, match="jbos: unknown SweepSpec field"):
             SweepSpec.from_dict(dict(GA_SWEEP, jbos=2))
+
+
+    def test_workers_key_points_at_the_session_pool(self):
+        # The pool belongs to the session: a "workers" key in a spec or a sweep's
+        # base fails instead of forking a throwaway pool per fan-out.
+        for payload in (dict(GA_SWEEP["base"], workers=2),
+                        dict(GA_SWEEP, base=dict(GA_SWEEP["base"], workers=2))):
+            with pytest.raises(ValueError, match=r"Session\(pool=N\) or --workers N"):
+                SweepSpec.from_payload(payload).expand()
+        with pytest.raises(ValueError, match="workers: a spec does not size the worker pool"):
+            ExperimentSpec.from_dict(dict(GA_SWEEP["base"], workers=2))
 
 
 class TestOpenStoreDispatcher:

@@ -2,7 +2,8 @@
 (no entry shipped twice, none missed), incremental worker carries, store
 compaction, and — the invariant the whole design hangs on — serial == fresh-pool ==
 reused-``WorkerPool`` bit-identity across all four search loops (GA,
-CentralScheduler, DieGranularityDse, Watos).
+CentralScheduler, DieGranularityDse, Watos).  Only whole points reach the pool: the
+GA and the scheduler price their plans in-process and never start a worker.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.api import ExperimentSpec, Session, open_result_store
 from repro.core.central_scheduler import CentralScheduler
 from repro.core.evalcache import EvaluationCache
 from repro.core.evaluator import Evaluator
@@ -28,11 +30,10 @@ from repro.core.parallel_map import (
     PoolConfig,
     WorkerCrashError,
     WorkerPool,
-    parallel_map,
-    resolve_workers,
+    parallel_map_merge,
+    task_cache,
 )
 from repro.core.runtime import SessionHandle
-from repro.hardware.faults import FaultModel
 from repro.workloads.workload import TrainingWorkload
 
 from repro_testlib import make_small_wafer, make_tiny_model
@@ -119,27 +120,60 @@ class TestWatermarkExport:
 
 
 # ------------------------------------------------------------------ incremental carry
+class _RecordingCache(EvaluationCache):
+    """A parent cache that keeps every worker carry the pool folds into it."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.carries = []
+
+    def absorb_carry(self, carry) -> None:
+        self.carries.append(carry)
+        super().absorb_carry(carry)
+
+
+def _price_key(key):
+    cache = task_cache()
+    if cache.get(key) is None:
+        cache.put(key, f"value of {key}")
+    return key
+
+
+def _hit_and_miss(key):
+    cache = task_cache()
+    cache.put(key, key)
+    cache.get(key)
+    cache.get("absent")
+    return key
+
+
 class TestTakeCarry:
+    """The carry a worker takes back from each chunk, observed through the pool."""
+
     def test_delta_ships_once(self):
-        shard = EvaluationCache(max_entries=None)
-        shard.seed({"warm": 0})
-        shard.put("fresh", 1)
-        carry = shard.take_carry()
-        assert carry["delta"] == {"fresh": 1}
-        assert shard.take_carry()["delta"] == {}
-        shard.put("later", 2)
-        assert shard.take_carry()["delta"] == {"later": 2}
+        parent = _RecordingCache()
+        parent.put("warm", "value of warm")
+        with WorkerPool(config=PoolConfig(max_workers=1)) as pool:
+            pool.map(_price_key, ["warm", "fresh"], cache=parent)
+            assert [carry["delta"] for carry in parent.carries] == [
+                {"fresh": "value of fresh"}
+            ]
+            pool.map(_price_key, ["warm", "fresh"], cache=parent)
+            assert parent.carries[-1]["delta"] == {}
+            pool.map(_price_key, ["later"], cache=parent)
+            assert parent.carries[-1]["delta"] == {"later": "value of later"}
 
     def test_stat_increments_sum_to_totals(self):
-        shard = EvaluationCache()
-        increments = []
-        for i in range(3):
-            shard.put(f"k{i}", i)
-            shard.get(f"k{i}")
-            shard.get("absent")
-            increments.append(shard.take_carry()["stats"])
-        assert sum(inc["hits"] for inc in increments) == shard.stats.hits
-        assert sum(inc["misses"] for inc in increments) == shard.stats.misses
+        parent = _RecordingCache()
+        with WorkerPool(config=PoolConfig(max_workers=1)) as pool:
+            for i in range(3):
+                pool.map(_hit_and_miss, [f"k{i}"], cache=parent)
+        increments = [carry["stats"] for carry in parent.carries]
+        assert len(increments) == 3
+        # The shard served one hit and one miss per chunk; the parent looked up
+        # nothing itself, so its counters are exactly the folded increments.
+        assert sum(inc["hits"] for inc in increments) == parent.stats.hits == 3
+        assert sum(inc["misses"] for inc in increments) == parent.stats.misses == 3
 
 
 # ------------------------------------------------------------------ store compaction
@@ -308,6 +342,17 @@ class TestWorkerPoolMechanics:
         assert time.monotonic() - start < 8
         assert all(p is None or not p.is_alive() for p in pool._procs)
 
+    def test_an_int_where_a_pool_is_expected_names_session_pool(self, wafer, workload):
+        # A pool comes from Session(pool=N) or a WorkerPool the caller builds; a bare
+        # worker count no longer forks a throwaway pool per call.
+        config = GAConfig(population_size=4, generations=2)
+        with pytest.raises(TypeError, match=r"Session\(pool=N\)"):
+            SessionHandle(parallel=2)
+        with pytest.raises(TypeError, match=r"Session\(pool=N\)"):
+            parallel_map_merge(_square, [1, 2], parallel=2)
+        with pytest.raises(TypeError, match=r"Session\(pool=N\)"):
+            run_multiwafer_ga(wafer, workload, 2, config, EvaluationCache(), parallel=2)
+
     def test_pool_refuses_to_pickle(self):
         with WorkerPool(config=PoolConfig(max_workers=1)) as pool:
             with pytest.raises(TypeError):
@@ -321,13 +366,6 @@ class TestWorkerPoolMechanics:
         with pytest.raises(RuntimeError):
             pool.map(_square, [1, 2])
 
-    def test_resolve_workers_accepts_pools(self):
-        with WorkerPool(config=PoolConfig(max_workers=3)) as pool:
-            assert resolve_workers(pool) == 3
-
-    def test_parallel_map_accepts_pools(self):
-        with WorkerPool(config=PoolConfig(max_workers=2)) as pool:
-            assert parallel_map(_square, [1, 2, 3], parallel=pool) == [1, 4, 9]
 
 
 # ------------------------------------------------------------ pool reuse determinism
@@ -345,6 +383,7 @@ class TestPoolReuseDeterminism:
         with WorkerPool(config=PoolConfig(max_workers=2)) as pool:
             fresh = self._ga(wafer, workload, ga_config, parallel=pool)
             reused = self._ga(wafer, workload, ga_config, parallel=pool)
+            assert not pool._started  # the GA prices in-process
         for outcome in (fresh, reused):
             assert outcome.best_fitness == serial.best_fitness
             assert outcome.history == serial.history
@@ -352,8 +391,9 @@ class TestPoolReuseDeterminism:
             assert outcome.best_result == serial.best_result
 
     def test_whole_matrix_on_one_pool_matches_serial(self, wafer, workload, ga_config):
-        """One pool carries a GA, a scheduler exploration, a hardware DSE sweep, a
-        multi-wafer GA and a Watos co-exploration back to back."""
+        """One pool carries a hardware DSE sweep, a multi-wafer GA and a Watos
+        co-exploration back to back; a GA and a scheduler exploration handed the
+        same pool price in-process between them."""
         other = replace(make_small_wafer(dram_gb=2.0), name="wafer-2g")
         small = TrainingWorkload(make_tiny_model(), 16, 4, 1024)
 
@@ -371,7 +411,8 @@ class TestPoolReuseDeterminism:
         with WorkerPool(config=PoolConfig(max_workers=2)) as pool:
             pool_ga = self._ga(wafer, workload, ga_config, parallel=pool)
             on_pool = SessionHandle(parallel=pool)
-            pool_records = CentralScheduler(wafer).explore(workload, session=on_pool)
+            with Session(pool=pool):
+                pool_records = CentralScheduler(wafer).explore(workload)
             pool_sweep = DieGranularityDse(
                 workload, areas_mm2=(300.0, 500.0), aspect_ratios=(1.0,),
                 session=SessionHandle(cache=EvaluationCache()),
@@ -390,27 +431,6 @@ class TestPoolReuseDeterminism:
         assert pool_rows == serial_rows
         assert pool_watos.outcomes == serial_watos.outcomes
         assert pool_watos.exploration_records == serial_watos.exploration_records
-
-    def test_in_place_fault_mutation_reaches_pool_workers(self, wafer, workload):
-        # Fault models are mutated in place (robustness study); the worker-resident
-        # evaluator twin must be replaced, not reused, once the hardware changed —
-        # a stale twin would cache pre-fault results under post-fault fingerprints.
-        faults = FaultModel()
-        evaluator = Evaluator(wafer, faults=faults)
-        scheduler = CentralScheduler(wafer, evaluator=evaluator)
-        with WorkerPool(config=PoolConfig(max_workers=2)) as pool:
-            on_pool = SessionHandle(parallel=pool)
-            healthy = scheduler.explore(workload, session=on_pool)
-            faults.add_die_fault((0, 0), 0.2)
-            degraded = scheduler.explore(workload, session=on_pool)
-
-        reference_faults = FaultModel()
-        reference_faults.add_die_fault((0, 0), 0.2)
-        serial = CentralScheduler(
-            wafer, evaluator=Evaluator(wafer, faults=reference_faults)
-        ).explore(workload)
-        assert [r.result for r in degraded] == [r.result for r in serial]
-        assert [r.result for r in degraded] != [r.result for r in healthy]
 
     def test_watos_explore_on_pool_matches_serial(self, wafer, ga_config):
         workloads = [TrainingWorkload(make_tiny_model(), 16, 4, 1024)]
@@ -464,9 +484,54 @@ class TestDeltaOnlySync:
                 seed_plan, session=on_pool
             )
             shipped_cold = cache.stats.shipped
-            # Every generation ships only that generation's freshly priced plans.
-            assert 0 < shipped_cold <= evaluator.raw_evaluations * pool.workers
+            # The GA prices its generations in-process: nothing crosses to a worker.
+            assert shipped_cold == 0 and evaluator.raw_evaluations > 0
             GeneticOptimizer(evaluator, workload, ga_config).optimize(
                 seed_plan, session=on_pool
             )
+            assert not pool._started
         assert cache.stats.shipped == shipped_cold
+
+
+# ------------------------------------------------------------ what reaches the pool
+#: A DSE cell with four whole design points to fan out.
+DSE_CELL = {"kind": "dse", "workload": "tiny", "areas_mm2": [300, 400, 500, 600],
+            "aspect_ratios": [1.0]}
+
+
+def _rows(path):
+    with open_result_store(path) as store:
+        return {cell_id: record["result"] for cell_id, record in store.load().items()}
+
+
+@pytest.mark.perf_smoke
+class TestPoolRunsWholePoints:
+    """Count guards: plan-level cells never start a worker; point-level cells do."""
+
+    @pytest.mark.parametrize("kind", ["scheduler", "ga"])
+    def test_plan_level_cells_start_no_worker(self, tmp_path, kind):
+        spec = {"kind": kind, "wafer": "tiny", "workload": "tiny",
+                "population": 4, "generations": 2}
+        with WorkerPool(config=PoolConfig(max_workers=2)) as pool:
+            with Session(pool=pool) as session:
+                assert session.run(ExperimentSpec.from_dict(spec)).status == "ok"
+                runs = list(
+                    session.sweep({"base": spec, "seeds": 2},
+                                  results=str(tmp_path / "rows.jsonl"), jobs=2)
+                )
+            assert len(runs) == 2 and all(run.status == "ok" for run in runs)
+            assert not pool._started
+            assert session.cache.stats.shipped == 0
+
+    def test_dse_cell_starts_the_pool_and_stores_serial_rows(self, tmp_path):
+        sweep = {"base": DSE_CELL, "seeds": 2}
+        serial = str(tmp_path / "serial.jsonl")
+        with Session() as session:
+            list(session.sweep(sweep, results=serial))
+        pooled = str(tmp_path / "pooled.jsonl")
+        with WorkerPool(config=PoolConfig(max_workers=2)) as pool:
+            with Session(pool=pool) as session:
+                runs = list(session.sweep(sweep, results=pooled, jobs=2))
+            assert pool._started
+        assert len(runs) == 2 and all(run.status == "ok" for run in runs)
+        assert _rows(pooled) == _rows(serial)
