@@ -1,11 +1,16 @@
 """Fig. 10b — accuracy of the DNN operator predictor vs the naive analytical model."""
 
+import pytest
+
 from repro.analysis.reporting import Report
-from repro.predictor.dnn import DnnOperatorPredictor
 from repro.workloads.models import get_model
 from repro.workloads.transformer import build_layer_graph
 
 from conftest import emit, run_once
+
+# The DNN predictor needs numpy (the ``dnn`` extra); without it this benchmark skips.
+pytest.importorskip("numpy")
+from repro.predictor.dnn import DnnOperatorPredictor  # noqa: E402
 
 
 def test_fig10_predictor_accuracy(benchmark, config3):

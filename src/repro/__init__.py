@@ -13,7 +13,8 @@ The package is organised around the structure of the paper:
 * :mod:`repro.memsys` — DRAM/SRAM access models and intra-die dataflow (OS/WS/IS) EMA
   analysis.
 * :mod:`repro.predictor` — analytical and DNN-based operator latency/memory predictors
-  plus the offline lookup table used during scheduling.
+  plus the offline lookup table used during scheduling (only the DNN one,
+  :mod:`repro.predictor.dnn`, needs numpy: the ``dnn`` extra).
 * :mod:`repro.core` — the WATOS co-exploration engine itself: central scheduler, GCMR
   recomputation scheduler, memory scheduler (placement + DRAM allocation), GA-based
   global optimizer, TP/PP execution engines and the evaluator.
@@ -43,7 +44,7 @@ from repro.api import (
     default_session,
 )
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 __all__ = [
     "ExperimentSpec",

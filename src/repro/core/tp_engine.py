@@ -120,8 +120,8 @@ class TPEngine:
         key = self._workload_key(workload) + (tp,)
         latencies = self._layer_latencies.get(key) if self.memoize else None
         if latencies is None:
-            # Batch-profile the whole layer graph: one struct-of-arrays roofline pass
-            # on a cold profile table instead of an operator-by-operator walk.
+            # Profile the whole layer graph: one table lookup per operator, and one
+            # roofline per operator shape the table has not priced yet.
             latencies = tuple(self.profile.latencies([op.sharded(tp) for op in operators]))
             if self.memoize:
                 self._layer_latencies[key] = latencies

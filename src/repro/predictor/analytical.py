@@ -13,12 +13,7 @@ compared to a learned predictor.  :mod:`repro.predictor.dnn` adds exactly those 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
-
-try:  # numpy-optional: the batch path falls back to plain loops without it
-    import numpy as _np
-except ImportError:  # pragma: no cover - the CI image always has numpy
-    _np = None
+from typing import Tuple
 
 from repro.hardware.template import DieConfig
 from repro.memsys.dataflow import select_dataflow
@@ -115,43 +110,9 @@ class AnalyticalPredictor:
             ema_bytes=ema,
         )
 
-    def estimate_batch(self, ops: Sequence[Operator]) -> List[OperatorEstimate]:
-        """Batch roofline over a whole operator graph (struct-of-arrays, numpy-optional).
-
-        The EMA term still walks each operator (the hybrid-dataflow argmin is per
-        shape), but the roofline arithmetic — compute time, memory time, the max and
-        the launch overhead — runs once over packed arrays.  Results are bit-identical
-        to :meth:`estimate`: the element-wise float64 operations are the same IEEE
-        operations the scalar path performs, in the same order.
-        """
-        if _np is None or len(ops) < 2:
-            return [self.estimate(op) for op in ops]
-        peak = self.die.flops_fp16
-        bandwidth = self.die.dram_bandwidth
-        flops = _np.array([op.flops for op in ops], dtype=_np.float64)
-        efficiency = _np.array(
-            [KIND_EFFICIENCY.get(op.kind, 0.5) for op in ops], dtype=_np.float64
-        )
-        ema = _np.array([self._ema_bytes(op) for op in ops], dtype=_np.float64)
-        compute_time = _np.where(flops != 0.0, flops / (peak * efficiency), 0.0)
-        if bandwidth:
-            memory_time = ema / bandwidth
-        else:
-            memory_time = _np.zeros_like(ema)
-        latency = _np.maximum(compute_time, memory_time) + LAUNCH_OVERHEAD
-        return [
-            OperatorEstimate(
-                latency=float(latency[i]),
-                memory_bytes=op.checkpoint_bytes,
-                compute_time=float(compute_time[i]),
-                memory_time=float(memory_time[i]),
-                ema_bytes=float(ema[i]),
-            )
-            for i, op in enumerate(ops)
-        ]
-
     def latency(self, op: Operator) -> float:
         return self.estimate(op).latency
 
     def memory(self, op: Operator) -> float:
-        return self.estimate(op).memory_bytes
+        # :meth:`estimate`'s ``memory_bytes``, without pricing a second roofline.
+        return op.checkpoint_bytes

@@ -16,7 +16,13 @@ import math
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
-import numpy as np
+try:
+    import numpy as np
+except ImportError as exc:
+    raise ImportError(
+        "repro.predictor.dnn (the Fig. 10b DNN predictor) needs numpy; install the "
+        "'dnn' extra: pip install 'repro-watos[dnn]'"
+    ) from exc
 
 from repro.hardware.template import DieConfig
 from repro.predictor.analytical import AnalyticalPredictor

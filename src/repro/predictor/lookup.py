@@ -77,62 +77,12 @@ class OperatorProfileTable:
         self._table[key] = entry
         return entry
 
-    def lookup_many(self, ops: Sequence[Operator]) -> List[ProfileEntry]:
-        """Profile a whole operator graph in one pass (the vectorized miss path).
-
-        Cached operators are answered from the table; the remaining *unique* shapes are
-        priced in one ``estimate_batch`` call when the predictor supports it (the
-        analytical model's struct-of-arrays roofline), falling back to per-operator
-        calls otherwise.  Counter semantics match a sequence of :meth:`lookup` calls:
-        a shape appearing twice in one batch is one miss plus one hit.
-        """
-        die_key = _die_key(self.die)
-        keys = [(die_key,) + _operator_key(op) for op in ops]
-        entries: List[ProfileEntry] = [None] * len(ops)  # type: ignore[list-item]
-        pending: Dict[Tuple, List[int]] = {}
-        pending_ops: List[Operator] = []
-        for index, (op, key) in enumerate(zip(ops, keys)):
-            entry = self._table.get(key)
-            if entry is not None:
-                self.hits += 1
-                entries[index] = entry
-                continue
-            slots = pending.get(key)
-            if slots is None:
-                self.misses += 1
-                pending[key] = [index]
-                pending_ops.append(op)
-            else:
-                # Same shape earlier in this batch: it will be priced by then.
-                self.hits += 1
-                slots.append(index)
-        if pending_ops:
-            estimate_batch = getattr(self.predictor, "estimate_batch", None)
-            if estimate_batch is not None:
-                priced = [
-                    ProfileEntry(latency=e.latency, memory_bytes=e.memory_bytes)
-                    for e in estimate_batch(pending_ops)
-                ]
-            else:
-                priced = [
-                    ProfileEntry(
-                        latency=self.predictor.latency(op),
-                        memory_bytes=self.predictor.memory(op),
-                    )
-                    for op in pending_ops
-                ]
-            for key, entry in zip(pending, priced):
-                self._table[key] = entry
-                for index in pending[key]:
-                    entries[index] = entry
-        return entries
-
     def latency(self, op: Operator) -> float:
         return self.lookup(op).latency
 
     def latencies(self, ops: Sequence[Operator]) -> List[float]:
-        """Latency of every operator in ``ops`` via the batch lookup path."""
-        return [entry.latency for entry in self.lookup_many(ops)]
+        """Latency of every operator in ``ops``: one :meth:`lookup` each."""
+        return [self.lookup(op).latency for op in ops]
 
     def memory(self, op: Operator) -> float:
         return self.lookup(op).memory_bytes

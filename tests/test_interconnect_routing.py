@@ -117,13 +117,25 @@ class TestPaths:
 
 
 def test_repro_imports_and_routes_without_networkx():
-    """``repro`` needs numpy alone: with networkx blocked it imports and routes."""
+    """``repro`` needs the standard library alone.
+
+    With numpy and networkx blocked it imports, routes around a fault and runs a cell,
+    and numpy is never imported; only the Fig. 10b DNN module refuses, naming its extra.
+    """
     script = textwrap.dedent(
         """
         import sys
 
-        sys.modules["networkx"] = None  # any `import networkx` now raises
-        import repro.api, repro.fabric, repro.obs, repro.online
+        class Uninstalled:
+            # Every `import numpy` / `import networkx` fails as if neither were installed.
+            def find_spec(self, name, path=None, target=None):
+                if name.partition(".")[0] in ("networkx", "numpy"):
+                    raise ModuleNotFoundError(f"No module named {name!r}", name=name)
+                return None
+
+        sys.meta_path.insert(0, Uninstalled())
+        import repro, repro.api, repro.predictor, repro.fabric, repro.obs, repro.online
+        from repro.api import ExperimentSpec, Session
         from repro.hardware.faults import FaultModel
         from repro.interconnect.routing import fault_aware_path
         from repro.interconnect.topology import MeshTopology
@@ -132,9 +144,24 @@ def test_repro_imports_and_routes_without_networkx():
         faults.add_die_fault((1, 0), 0.0)
         path = fault_aware_path(MeshTopology(4, 4, 1e12, faults=faults), (0, 0), (2, 0))
         assert path == [(0, 0), (0, 1), (1, 1), (2, 1), (2, 0)], path
+
+        spec = ExperimentSpec(
+            kind="watos", wafer="tiny", workload="tiny", population=4, generations=2
+        )
+        run = Session().run(spec)
+        assert run.metrics["throughput"] > 0, run.metrics
+
+        try:
+            import repro.predictor.dnn
+        except ImportError as exc:
+            message = str(exc)
+        else:
+            raise AssertionError("repro.predictor.dnn imported without numpy")
+        assert "numpy" in message and "'dnn' extra" in message, message
+        assert "numpy" not in sys.modules
         """
     )
-    # A subprocess: this test session may already have imported networkx.
+    # A subprocess: this test session may already have imported numpy and networkx.
     src_dir = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
     path = os.pathsep.join(filter(None, (src_dir, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(

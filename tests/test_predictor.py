@@ -1,10 +1,8 @@
 """Operator predictors: analytical roofline, DNN correction and the lookup table."""
 
-import numpy as np
 import pytest
 
 from repro.predictor.analytical import AnalyticalPredictor
-from repro.predictor.dnn import DnnOperatorPredictor, MlpRegressor
 from repro.predictor.lookup import OperatorProfileTable
 from repro.workloads.operators import OperatorKind
 from repro.workloads.transformer import build_layer_graph
@@ -25,6 +23,19 @@ def predictor(die):
 @pytest.fixture
 def layer_ops(tiny_model):
     return build_layer_graph(tiny_model, 2, 512)
+
+
+@pytest.fixture(scope="module")
+def np():
+    """numpy, which only the Fig. 10b DNN needs (the ``dnn`` extra): its tests skip without it."""
+    return pytest.importorskip("numpy")
+
+
+@pytest.fixture(scope="module")
+def dnn(np):
+    from repro.predictor import dnn
+
+    return dnn
 
 
 class TestAnalyticalPredictor:
@@ -68,37 +79,37 @@ class TestAnalyticalPredictor:
 
 
 class TestMlpRegressor:
-    def test_learns_a_smooth_function(self):
+    def test_learns_a_smooth_function(self, np, dnn):
         rng = np.random.default_rng(0)
         x = rng.uniform(-2, 2, size=(400, 3))
         y = x[:, 0] * 1.5 - 0.5 * x[:, 1] + 0.2 * np.sin(x[:, 2])
-        model = MlpRegressor(input_dim=3, hidden_dim=24, seed=1)
+        model = dnn.MlpRegressor(input_dim=3, hidden_dim=24, seed=1)
         losses = model.fit(x, y, epochs=300)
         assert losses[-1] < losses[0] * 0.1
         pred = model.predict(x)
         rel_err = np.mean(np.abs(pred - y)) / (np.std(y) + 1e-9)
         assert rel_err < 0.2
 
-    def test_shape_validation(self):
-        model = MlpRegressor(input_dim=2)
+    def test_shape_validation(self, np, dnn):
+        model = dnn.MlpRegressor(input_dim=2)
         with pytest.raises(ValueError):
             model.fit(np.zeros((4, 2)), np.zeros(3))
 
-    def test_invalid_dims_rejected(self):
+    def test_invalid_dims_rejected(self, dnn):
         with pytest.raises(ValueError):
-            MlpRegressor(input_dim=0)
+            dnn.MlpRegressor(input_dim=0)
 
 
 class TestDnnOperatorPredictor:
     @pytest.fixture(scope="class")
-    def trained(self):
+    def trained(self, dnn):
         die = make_small_wafer().die
         model = make_tiny_model()
         ops = []
         for batch in (1, 2, 4):
             for seq in (256, 512, 1024):
                 ops.extend(build_layer_graph(model, batch, seq))
-        predictor = DnnOperatorPredictor(die, seed=0)
+        predictor = dnn.DnnOperatorPredictor(die, seed=0)
         accuracy = predictor.train(ops, epochs=250)
         return predictor, accuracy
 
@@ -118,15 +129,15 @@ class TestDnnOperatorPredictor:
             assert predictor.latency(op) > 0.0
             assert predictor.memory(op) >= 0.0
 
-    def test_untrained_predictor_falls_back_to_analytical(self, tiny_model):
+    def test_untrained_predictor_falls_back_to_analytical(self, dnn, tiny_model):
         die = make_small_wafer().die
-        predictor = DnnOperatorPredictor(die)
+        predictor = dnn.DnnOperatorPredictor(die)
         analytical = AnalyticalPredictor(die)
         op = build_layer_graph(tiny_model, 1, 512)[1]
         assert predictor.latency(op) == pytest.approx(analytical.latency(op))
 
-    def test_training_requires_enough_samples(self, tiny_model):
-        predictor = DnnOperatorPredictor(make_small_wafer().die)
+    def test_training_requires_enough_samples(self, dnn, tiny_model):
+        predictor = dnn.DnnOperatorPredictor(make_small_wafer().die)
         with pytest.raises(ValueError):
             predictor.train(build_layer_graph(tiny_model, 1, 512)[:4])
 
@@ -153,6 +164,24 @@ class TestLookupTable:
         op = layer_ops[3]
         assert table.latency(op) == pytest.approx(predictor.latency(op))
         assert table.memory(op) == pytest.approx(predictor.memory(op))
+
+    def test_roofline_runs_once_per_distinct_operator(self, die, layer_ops):
+        class CountingPredictor(AnalyticalPredictor):
+            rooflines = 0
+
+            def _ema_bytes(self, op):
+                self.rooflines += 1
+                return super()._ema_bytes(op)
+
+        ops = layer_ops * 2  # every shape twice: one miss, then a hit
+        by_lookup = OperatorProfileTable(CountingPredictor(die), die)
+        for op in ops:
+            by_lookup.lookup(op)
+        by_latencies = OperatorProfileTable(CountingPredictor(die), die)
+        by_latencies.latencies(ops)
+        for table in (by_lookup, by_latencies):
+            assert len(table) == table.misses == table.hits == len(layer_ops)
+            assert table.predictor.rooflines == len(layer_ops)
 
     def test_clear_resets_statistics(self, die, layer_ops):
         table = OperatorProfileTable(AnalyticalPredictor(die), die)

@@ -8,6 +8,7 @@ import sys
 
 import pytest
 
+import repro
 from repro.api.cli import main as repro_main
 from repro.core.evalcache import EvaluationCache, open_store
 
@@ -285,3 +286,10 @@ class TestPerfGateTolerance:
         )
         assert perf_gate.check(cur, base, max_drop=0.3) == 0
         assert "SKIP" in capsys.readouterr().out
+
+
+# -------------------------------------------------------------------- package metadata
+def test_version_matches_pyproject():
+    with open(os.path.join(REPO_ROOT, "pyproject.toml")) as handle:
+        lines = [line.strip() for line in handle if line.startswith("version = ")]
+    assert lines == [f'version = "{repro.__version__}"']

@@ -1,11 +1,10 @@
 """Tests for the scale-out DSE subsystem: parallel-vs-serial bit-identity of the
 multi-wafer GA and ``Watos.explore``, per-wafer RNG streams, shared-cache routing in
-the hardware DSE, and the vectorized predictor batch path.
+the hardware DSE, and the profile table's per-operator latencies.
 """
 
 from __future__ import annotations
 
-import itertools
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -18,13 +17,12 @@ from repro.core.genetic import GAConfig
 from repro.core.hardware_dse import DieGranularityDse
 from repro.core.parallel_map import PoolConfig, WorkerPool
 from repro.core.runtime import SessionHandle
-from repro.hardware.configs import wafer_config2, wafer_config3
 from repro.predictor.analytical import AnalyticalPredictor
 from repro.predictor.lookup import OperatorProfileTable
-from repro.workloads.transformer import build_layer_graph, embedding_operator
+from repro.workloads.transformer import build_layer_graph
 from repro.workloads.workload import TrainingWorkload
 
-from repro_testlib import fig25_wafer, make_small_wafer, make_tiny_model, paper_workloads
+from repro_testlib import make_small_wafer, make_tiny_model
 
 # The multi-wafer GA driver lives with the figure benchmarks.
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "benchmarks"))
@@ -248,37 +246,19 @@ class TestDseSharedCache:
         warm.cache.close()
 
 
-# ------------------------------------------------------------ vectorized predictor
+# ---------------------------------------------------- profile table over a layer graph
 class TestVectorizedPredictor:
     def _sharded_ops(self, tp=4):
         model = make_tiny_model()
         return [op.sharded(tp) for op in build_layer_graph(model, 4, 1024)]
 
-    def test_estimate_batch_bitidentical_to_scalar(self, wafer):
-        # The tiny layer graph, then each §V model's layer graph plus its embedding,
-        # sharded at TP 1/2/4/8, on the Table II config2/config3 dies and the
-        # 200 mm² ×1.0 and 600 mm² ×1.6 Fig. 25 dies.
-        batches = [(wafer.die, self._sharded_ops())]
-        dies = [wafer_config2().die, wafer_config3().die,
-                fig25_wafer(200.0, 1.0).die, fig25_wafer(600.0, 1.6).die]
-        for die, workload, tp in itertools.product(
-            dies, paper_workloads().values(), (1, 2, 4, 8)
-        ):
-            ops = workload.layer_operators() + [
-                embedding_operator(workload.model, workload.micro_batch_size, workload.seq_len)
-            ]
-            batches.append((die, [op.sharded(tp) for op in ops]))
-        for die, ops in batches:
-            predictor = AnalyticalPredictor(die)
-            assert predictor.estimate_batch(ops) == [predictor.estimate(op) for op in ops]
-
-    def test_lookup_many_matches_sequential_lookups(self, wafer):
+    def test_latencies_match_sequential_lookups(self, wafer):
         predictor = AnalyticalPredictor(wafer.die)
-        ops = self._sharded_ops() * 2  # duplicates exercise the in-batch dedupe
+        ops = self._sharded_ops() * 2  # duplicates: a shape seen twice is a miss, then a hit
         sequential = OperatorProfileTable(predictor, wafer.die)
-        expected = [sequential.lookup(op) for op in ops]
+        expected = [sequential.lookup(op).latency for op in ops]
         batched = OperatorProfileTable(predictor, wafer.die)
-        assert batched.lookup_many(ops) == expected
+        assert batched.latencies(ops) == expected
         # Counter semantics match a sequence of scalar lookups exactly.
         assert (batched.hits, batched.misses) == (sequential.hits, sequential.misses)
         assert len(batched) == len(sequential)
@@ -289,7 +269,7 @@ class TestVectorizedPredictor:
         table = OperatorProfileTable(predictor, wafer.die)
         assert table.latencies(ops) == [predictor.latency(op) for op in ops]
 
-    def test_batch_path_without_estimate_batch_falls_back(self, wafer):
+    def test_latencies_with_latency_memory_only_predictor(self, wafer):
         class PlainPredictor:
             def __init__(self, inner):
                 self.inner = inner
