@@ -1,6 +1,6 @@
 """``python -m repro`` — run experiments, sweep matrices and manage stores.
 
-Four subcommands drive the :class:`~repro.api.Session` runtime:
+The subcommands drive the :class:`~repro.api.Session` runtime:
 
 * ``repro run`` — execute one experiment, from a JSON spec file or inline flags
   (``--spec -`` reads the JSON from stdin)::
@@ -16,13 +16,6 @@ Four subcommands drive the :class:`~repro.api.Session` runtime:
 
       python -m repro sweep --spec matrix.json --workers 8 --results out.sqlite
       generate_matrix.py | python -m repro sweep --spec - --results out.sqlite
-
-* ``repro serve`` — run the distributed-sweep coordinator: it owns the
-  authoritative result/cache stores and a leased cell queue that any number of
-  ``repro sweep --store host:port/ns`` hosts drain together::
-
-      python -m repro serve ./fabric-store --bind 0.0.0.0:7077
-      python -m repro sweep --spec matrix.json --store coordinator-host:7077
 
 * ``repro results`` — query (or merge) result stores::
 
@@ -54,7 +47,6 @@ import argparse
 import json
 import os
 import sys
-import time
 from typing import Any, List, Optional
 
 from repro.api.registry import wafer_names, workload_names
@@ -64,7 +56,6 @@ from repro.api.spec import KINDS, ExperimentSpec
 from repro.api.sweep import SweepSpec
 from repro.core.evalcache import EvaluationCache, open_store
 from repro.core.retry import RetryPolicy
-from repro.fabric.protocol import FabricError, looks_like_endpoint, parse_endpoint
 
 __all__ = [
     "add_session_arguments",
@@ -83,9 +74,7 @@ def add_session_arguments(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--store", "--cache", dest="store", metavar="PATH", default=None,
-        help="persistent cache store (.jsonl or .sqlite); warm-starts when it "
-             "exists.  host:port[/namespace] instead connects to a `repro serve` "
-             "coordinator, which then owns the stores and the sweep queue",
+        help="persistent cache store (.jsonl or .sqlite); warm-starts when it exists",
     )
     parser.add_argument(
         "--compact-on-exit", action="store_true",
@@ -99,18 +88,12 @@ def add_session_arguments(parser: argparse.ArgumentParser) -> None:
 
 def session_from_args(args: argparse.Namespace) -> Session:
     """Build the session a CLI run executes on (see :func:`add_session_arguments`)."""
-    try:
-        return Session(
-            pool=args.workers,
-            store=args.store,
-            compact_on_exit=getattr(args, "compact_on_exit", False),
-            trace=getattr(args, "trace", None),
-        )
-    except ValueError as exc:
-        # Bad --store endpoints (malformed port, conflicting namespace) and other
-        # argument mistakes already carry actionable messages; present them as CLI
-        # errors, not tracebacks.
-        raise SystemExit(f"repro: {exc}") from exc
+    return Session(
+        pool=args.workers,
+        store=args.store,
+        compact_on_exit=getattr(args, "compact_on_exit", False),
+        trace=getattr(args, "trace", None),
+    )
 
 
 def _emit(payload: dict, json_out: Optional[str]) -> None:
@@ -187,23 +170,17 @@ def _retry_from_args(args: argparse.Namespace) -> RetryPolicy:
 
 def _check_sweep_flags(args: argparse.Namespace) -> None:
     """Out-of-range ``repro sweep`` flags exit with one line, before any work."""
+    # Written so that NaN fails too: every comparison with NaN is false.
     bounds = (
         ("--jobs", args.jobs, 1, "at least 1"),
         ("--retries", args.retries, 1, "at least 1"),
         ("--retry-backoff", args.retry_backoff, 0, "non-negative"),
     )
     for flag, value, low, wanted in bounds:
-        if value is not None and value < low:
+        if value is not None and not value >= low:
             raise SystemExit(f"repro sweep: {flag} must be {wanted}, not {value:g}")
-    if args.cell_timeout is not None and args.cell_timeout <= 0:
+    if args.cell_timeout is not None and not args.cell_timeout > 0:
         raise SystemExit(f"repro sweep: --cell-timeout must be positive, not {args.cell_timeout:g}")
-    jobs = args.jobs or 1
-    if looks_like_endpoint(args.store) and (jobs > 1 or args.no_resume):
-        flag = f"--jobs {jobs}" if jobs > 1 else "--no-resume"
-        raise SystemExit(
-            f"repro sweep: {flag} does not apply to a coordinator --store (each host "
-            "claims one cell at a time, and the coordinator decides which cells are settled)"
-        )
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
@@ -293,42 +270,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         args.json,
     )
     return 0 if all_ok else 1
-
-
-# ------------------------------------------------------------------------------ serve
-def _cmd_serve(args: argparse.Namespace) -> int:
-    """Run the distributed-sweep coordinator until interrupted.
-
-    Prints the *resolved* address once serving — ``--bind 127.0.0.1:0`` picks a free
-    port, and scripts (the fabric smoke test included) parse it from this line.
-    """
-    from repro.fabric.server import FabricCoordinator
-
-    try:
-        endpoint = parse_endpoint(args.bind)
-    except ValueError as exc:
-        raise SystemExit(f"repro serve: {exc}") from exc
-    namespace = args.namespace or endpoint.namespace
-    coordinator = FabricCoordinator(
-        args.store_dir,
-        namespace=namespace,
-        lease_s=args.lease_s,
-        default_max_attempts=args.retries,
-    )
-    address = coordinator.start(endpoint.address)
-    print(
-        f"repro serve: namespace '{namespace}' on {address} "
-        f"(store {args.store_dir}, lease {args.lease_s:g}s)",
-        flush=True,
-    )
-    try:
-        while True:
-            time.sleep(3600)
-    except KeyboardInterrupt:
-        pass
-    finally:
-        coordinator.stop()
-    return 0
 
 
 # ------------------------------------------------------------------------------ trace
@@ -666,35 +607,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sweep.set_defaults(func=_cmd_sweep)
 
-    serve = sub.add_parser(
-        "serve",
-        help="run the distributed-sweep coordinator: authoritative stores plus a "
-             "leased cell queue that Session(store='host:port/ns') hosts drain",
-    )
-    serve.add_argument(
-        "store_dir",
-        help="directory owning the authoritative stores (results.jsonl, "
-             "cache.jsonl, leases.jsonl); created if missing",
-    )
-    serve.add_argument(
-        "--bind", metavar="HOST:PORT", default="127.0.0.1:0",
-        help="listen address; port 0 picks a free port (printed once serving)",
-    )
-    serve.add_argument(
-        "--namespace", default=None,
-        help="namespace served (default 'default'); connecting hosts must match",
-    )
-    serve.add_argument(
-        "--lease-s", type=float, default=10.0, metavar="SECONDS",
-        help="heartbeat window: a host silent this long has its cells requeued",
-    )
-    serve.add_argument(
-        "--retries", type=int, default=3, metavar="N",
-        help="fallback global attempt budget per cell when a host's registration "
-             "does not carry one (default 3)",
-    )
-    serve.set_defaults(func=_cmd_serve)
-
     trace = sub.add_parser(
         "trace",
         help="generate replayable online-serving traces (JSONL request streams)",
@@ -769,8 +681,8 @@ def build_parser() -> argparse.ArgumentParser:
     results_sub = results.add_subparsers(dest="results_command", required=True)
     merge = results_sub.add_parser(
         "merge",
-        help="fold several stores into one (dedupe by cell_id, later wins) — the "
-             "offline fallback when hosts swept without a coordinator",
+        help="fold several stores into one (dedupe by cell_id, later wins), e.g. "
+             "stores swept on separate hosts or runs",
     )
     merge.add_argument(
         "paths", nargs="+", metavar="STORE",
@@ -848,11 +760,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except FabricError as exc:
-        # Unreachable coordinator, lost connection, namespace/version mismatch —
-        # all carry actionable messages (including the offline merge fallback).
-        print(f"repro: {exc}", file=sys.stderr)
-        return 2
     except BrokenPipeError:
         # Streaming output into a closed pager/head is a normal way to stop; exit
         # quietly instead of tracebacking (stdout is gone, so swap in devnull).

@@ -7,12 +7,12 @@ per completed cell, written through as each cell finishes, so an interrupted swe
 resumes by skipping every id already present.
 
 Both backends sit on :mod:`repro.recordlog`, the one record log the evaluation
-cache and the lease journal use too: :func:`open_result_store` picks JSONL
-(append-only) or sqlite (keyed upserts) from the path suffix, and the log owns the
-recovery rules — a schema bump (namespace) degrades to a cold start instead of
-serving stale rows, a foreign file is preserved at ``<path>.corrupt`` rather than
-truncated, a torn last line is skipped and closed before the next append, and
-rewrites are atomic.  This module keeps only the row layout and the queries.
+cache uses too: :func:`open_result_store` picks JSONL (append-only) or sqlite
+(keyed upserts) from the path suffix, and the log owns the recovery rules — a
+schema bump (namespace) degrades to a cold start instead of serving stale rows, a
+foreign file is preserved at ``<path>.corrupt`` rather than truncated, a torn last
+line is skipped and closed before the next append, and rewrites are atomic.  This
+module keeps only the row layout and the queries.
 
 Each record separates the deterministic from the volatile:
 
@@ -324,15 +324,15 @@ def merge_stores(
     paths: Sequence[Union[str, os.PathLike]],
     out_path: Union[str, os.PathLike],
 ) -> Dict[str, Any]:
-    """Fold several result stores into one: the offline half of the sweep fabric.
+    """Fold several result stores into one.
 
-    Hosts that swept air-gapped (or lost the coordinator and fell back to local
-    ``--results`` files) each hold a partial store; this merges them keyed by
-    ``cell_id`` with **later duplicates winning in argument order** — the same
-    tiebreak every append-only store in the repo uses, so merging is associative
-    with re-running.  Mixed backends are fine (``A.jsonl B.sqlite -o merged.sqlite``:
-    the suffix rules of :func:`open_result_store` apply to every path).  Returns a
-    summary: ``{"stores": n, "cells": n, "duplicates": n, "statuses": {...}}``.
+    Parts of a matrix swept on separate hosts or in separate runs each leave a
+    partial store; this merges them keyed by ``cell_id`` with **later duplicates
+    winning in argument order** — the same tiebreak every append-only store in the
+    repo uses, so merging is associative with re-running.  Mixed backends are fine
+    (``A.jsonl B.sqlite -o merged.sqlite``: the suffix rules of
+    :func:`open_result_store` apply to every path).  Returns a summary:
+    ``{"stores": n, "cells": n, "duplicates": n, "statuses": {...}}``.
     """
     if not paths:
         raise ValueError("merge needs at least one input store")

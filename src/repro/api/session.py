@@ -55,7 +55,6 @@ from repro.api.result import RunResult
 from repro.api.results import ResultStore, make_record, open_result_store
 from repro.api.spec import ExperimentSpec
 from repro.api.sweep import SweepSpec
-from repro.fabric.protocol import FabricConnectionError, looks_like_endpoint, parse_endpoint
 
 __all__ = [
     "Session",
@@ -78,18 +77,6 @@ class SweepCellError(RuntimeError):
         self.cell_id = cell_id
         self.label = label
         self.error = error
-
-
-def _quarantined(cell, error: str, attempts: int) -> RunResult:
-    """The ``status="failed"`` result a cell records when it could not complete."""
-    return RunResult(
-        kind=cell.spec.kind,
-        label=cell.spec.name or cell.spec.kind,
-        cell_id=cell.cell_id,
-        status="failed",
-        error=error,
-        attempts=attempts,
-    )
 
 
 def _on_thread(fn: Callable[[Any], RunResult], cell) -> Future:
@@ -127,12 +114,7 @@ class Session:
         A cache store path (``.jsonl`` / ``.sqlite``) the session opens (and
         closes) itself; a missing parent directory is created on the first write.
         With neither ``cache`` nor ``store``, the session builds a fresh in-memory
-        cache.  A ``store`` of the shape ``host:port[/namespace]`` instead
-        connects to a ``repro serve`` coordinator: the coordinator owns the
-        authoritative cache/result stores, this session keeps an in-memory cache
-        warm-started (and delta-synced) over the wire, and :meth:`sweep` claims
-        cells from the coordinator's leased queue instead of walking the matrix
-        locally.
+        cache.
     max_entries / namespace:
         Forwarded to :class:`EvaluationCache` when the session builds it.
     compact_on_exit / compact_max_entries / compact_max_age_s:
@@ -149,6 +131,10 @@ class Session:
         duplicate rows (``--no-resume`` re-runs append one per cell) to one row
         per ``cell_id``, later wins — the result-store mirror of
         ``compact_on_exit``.
+    retry:
+        The default :class:`~repro.core.retry.RetryPolicy` of this session's
+        sweeps; a :meth:`sweep` call's own ``retry=`` wins.  ``None`` means the
+        policy's defaults.
     trace:
         A path; enables the :mod:`repro.obs` tracer for this session's lifetime
         and writes the recorded spans (workers' included) there as a versioned
@@ -179,22 +165,6 @@ class Session:
             )
         if cache is not None and store is not None:
             raise ValueError("pass either cache= (adopted) or store= (owned), not both")
-        #: Connected :class:`~repro.fabric.client.FabricClient` when ``store`` names
-        #: a ``repro serve`` coordinator (``host:port[/namespace]``), else ``None``.
-        self.fabric = None
-        if cache is None and looks_like_endpoint(store):
-            endpoint = parse_endpoint(store)  # raises the actionable bad-port error
-            if namespace is not None and namespace != endpoint.namespace:
-                raise ValueError(
-                    f"namespace={namespace!r} conflicts with the endpoint's "
-                    f"'/{endpoint.namespace}' — name the namespace in one place, "
-                    f"e.g. store='{endpoint.address}/{namespace}'"
-                )
-            from repro.fabric.client import FabricClient
-
-            # Fails here — not at first claim — when the coordinator is down.
-            self.fabric = FabricClient(endpoint)
-            store = None  # the coordinator owns the stores; local cache is in-memory
         self._owns_cache = cache is None
         self.cache: EvaluationCache = (
             cache
@@ -222,8 +192,6 @@ class Session:
             open_result_store(results) if self._owns_results else results
         )
         self.results_compact = results_compact
-        #: Default :class:`RetryPolicy` for this session's sweeps (a ``sweep``
-        #: call's own ``retry=`` wins).  ``None`` means the built-in defaults.
         self.retry = retry
         self._trace_path: Optional[str] = os.fspath(trace) if trace is not None else None
         self._trace_meta: Dict[str, Any] = {}
@@ -277,8 +245,6 @@ class Session:
             self.results.compact()
         if self._owns_results and self.results is not None:
             self.results.close()
-        if self.fabric is not None:
-            self.fabric.close()
         if self._trace_path is not None:
             # Written last: the pool is joined, so every worker ring the carries
             # shipped is already merged into this process's tracer.
@@ -403,11 +369,6 @@ class Session:
         ``cell_id``), also for cells still in flight when the stream closes or
         fails fast; yields stay in cell order, retry/quarantine applies per cell,
         and every row is bit-identical to the serial walk because pricing is pure.
-
-        **Coordinator-backed sessions** (``Session(store="host:port")``) claim
-        cells from the coordinator's leased queue instead, one at a time, and yield
-        them in claim order.  The coordinator decides which cells are settled, so
-        ``jobs`` above 1 and ``resume=False`` raise a ``ValueError`` there.
         """
         if self._closed:
             raise RuntimeError("session is closed")
@@ -415,13 +376,6 @@ class Session:
         jobs = 1 if jobs is None else jobs
         if jobs < 1:
             raise ValueError("jobs must be at least 1")
-        if self.fabric is not None and (jobs > 1 or not resume):
-            setting = f"jobs={jobs}" if jobs > 1 else "resume=False"
-            raise ValueError(
-                f"{setting} does not apply to a coordinator-backed session: it claims one "
-                "cell at a time (run more hosts for concurrency) and the coordinator's "
-                "store decides which cells are settled"
-            )
         if self._trace_path is not None:
             # Content-derived matrix fingerprint for the trace header: stable
             # across a resume of the same matrix (span timestamps are not).
@@ -431,35 +385,16 @@ class Session:
             self._trace_meta = {"fingerprint": digest, "cells": len(cells)}
         store, owns_store = self._result_store(results)
         policy = retry or self.retry or RetryPolicy()
-        if self.fabric is not None:
-            # A local ``results=``/ambient store (if any) still gets rows written
-            # through, so each host keeps a replica.
-            source = self._fabric_cells(cells, store, policy, skip_failed)
-        else:
-            source = self._local_cells(cells, store, resume, completed, skip_failed, policy, jobs)
-        return self._stream(source, store if owns_store else None, keep_going)
+        if not resume:
+            completed = set()
+        return self._stream(
+            cells, store, owns_store, completed, skip_failed, policy, jobs, keep_going
+        )
 
-    @staticmethod
-    def _stream(source, owned_store, keep_going: bool) -> Iterator[RunResult]:
-        """The one cell loop: yield ``source``'s runs, fail fast, close an owned store.
-
-        ``source`` yields ``(cell, run)`` pairs whose rows are already recorded.  It
-        is closed before the store, so cells it still has in flight drain first.
-        """
-        try:
-            for cell, run in source:
-                if run.failed and not keep_going:
-                    raise SweepCellError(cell.cell_id, run.label, run.error)
-                yield run
-        finally:
-            source.close()
-            if owned_store is not None:
-                owned_store.close()
-
-    def _local_cells(
-        self, cells, store, resume: bool, completed, skip_failed: bool, retry, jobs: int
-    ) -> Iterator[tuple]:
-        """The local cell source: every cell the store does not settle, in cell order.
+    def _stream(
+        self, cells, store, owns_store, completed, skip_failed, retry, jobs, keep_going
+    ) -> Iterator[RunResult]:
+        """The one cell loop: every cell the store does not settle, in cell order.
 
         Admission is bounded by ``jobs`` and paced by the consumer (see
         :meth:`sweep`).  A ``jobs=1`` cell runs inline when it is pulled; above 1
@@ -467,14 +402,12 @@ class Session:
         between siblings (task tag, attempt deadline) is thread-local in
         :mod:`repro.core.runtime` and the session cache is lock-protected, so
         threads only meet at the pool's slot lease and the store lock below.
-        Closing the source waits for the cells in flight, whose rows land as they
-        finish, matching the serial walk's record-before-raise contract.
+
+        A failed cell's row is recorded before the fail-fast raise.  Closing the
+        stream waits for the cells in flight, whose rows land as they finish, and
+        then closes an owned store, also when one of those rows could not be
+        written.
         """
-        if not resume:
-            completed = set()
-        elif completed is None and store is not None:
-            completed = store.completed_ids(include_failed=skip_failed)
-        todo = (cell for cell in cells if cell.cell_id not in (completed or ()))
         store_lock = threading.Lock()
 
         def finish(cell) -> RunResult:
@@ -486,98 +419,27 @@ class Session:
 
         admitted: Deque[Tuple[Any, Optional[Future]]] = deque()
         try:
+            if completed is None and store is not None:
+                completed = store.completed_ids(include_failed=skip_failed)
+            todo = (cell for cell in cells if cell.cell_id not in (completed or ()))
             while True:
                 for cell in itertools.islice(todo, jobs - len(admitted)):
                     admitted.append((cell, None if jobs == 1 else _on_thread(finish, cell)))
                 if not admitted:
                     return
                 cell, future = admitted.popleft()
-                yield cell, finish(cell) if future is None else future.result()
+                run = finish(cell) if future is None else future.result()
+                if run.failed and not keep_going:
+                    raise SweepCellError(cell.cell_id, run.label, run.error)
+                yield run
         finally:
-            futures_wait([future for _, future in admitted])
-            for _, future in admitted:
-                future.result()  # a row that could not be written still raises
-
-    def _fabric_cells(self, cells, store, retry: RetryPolicy, skip_failed: bool) -> Iterator[tuple]:
-        """The coordinator cell source: claim cells from its leased queue.
-
-        The local retry loop is replaced by the coordinator's *global* budget — one
-        claim is one attempt, requeues carry the attempt count across hosts, and the
-        coordinator (not this host) decides when a cell quarantines.  Each completed
-        cell streams its row write-through to the coordinator plus a cache delta
-        (``export_since`` watermark), so sibling hosts warm-start off each other's
-        pricing.  Cells come out in claim order, not matrix order: with several
-        hosts draining one queue there is no meaningful global matrix order anyway.
-
-        Degradation: losing the coordinator mid-sweep first burns the client's
-        bounded reconnect/backoff budget; once spent, the in-flight cell is
-        quarantined *locally* (a ``status="failed"`` row in the local store when one
-        is attached — or, when the cell had already finished pricing, its real row
-        is salvaged there) and the :class:`FabricConnectionError` propagates.
-        """
-        client = self.fabric
-        by_id = {cell.cell_id: cell for cell in cells}
-        client.register(
-            [
-                {
-                    "id": cell.cell_id,
-                    "kind": cell.spec.kind,
-                    "label": cell.spec.name or cell.spec.kind,
-                    "spec": cell.spec.to_dict(),
-                }
-                for cell in cells
-            ],
-            max_attempts=retry.max_attempts,
-            skip_failed=skip_failed,
-        )
-        self.cache.seed(client.cache_pull())  # warm-start off sibling pricing
-        watermark = self.cache.sync_seq
-        client.start_heartbeats()
-        while True:
-            grant = client.claim()
-            if grant.get("drained"):
-                return
-            if grant.get("wait"):
-                time.sleep(float(grant.get("poll_s", 0.2)))
-                continue
-            cell = by_id.get(str(grant.get("cell", "")))
-            if cell is None:  # pragma: no cover - defensive; claims are host-scoped
-                continue
-            attempt = int(grant.get("attempt", 1))
-            run = self._attempt_cell(cell, retry, attempt)
-            record = make_record(run, cell.spec)
             try:
-                if run.failed:
-                    settled = bool(client.fail(cell.cell_id, record).get("quarantined"))
-                else:
-                    client.complete(cell.cell_id, record)
-                    delta, watermark = self.cache.export_since(watermark)
-                    client.cache_push(delta)
-                    settled = True
-            except FabricConnectionError:
-                if store is not None:
-                    if run.failed:  # the coordinator never heard of this attempt
-                        lost = _quarantined(
-                            cell,
-                            "connection to the sweep coordinator was lost while this "
-                            "cell was in flight; quarantined locally",
-                            attempts=1,
-                        )
-                        record = make_record(lost, cell.spec)
-                    # A cell that finished pricing keeps its real row locally, so
-                    # `repro results merge` can fold it back.
-                    store.put(cell.cell_id, record)
-                raise
-            if settled:
-                if store is not None:
-                    store.put(cell.cell_id, record)
-                yield cell, run
-                continue
-            # Requeued (or a stale report the reaper already handled): back off
-            # with the policy's deterministic delay before claiming again.
-            delay = retry.delay_s(attempt, cell.cell_id)
-            if delay > 0:
-                time.sleep(delay)
+                futures_wait([future for _, future in admitted])
+                for _, future in admitted:
+                    future.result()  # a row that could not be written still raises
+            finally:
+                if owns_store:
+                    store.close()
 
     def _result_store(self, results) -> Tuple[Optional[ResultStore], bool]:
         """The store a sweep or serve writes to, and whether the call owns (closes) it.
@@ -639,28 +501,6 @@ class Session:
         self.cache.flush()
         return report
 
-    def _attempt_cell(self, cell, retry: RetryPolicy, attempt: int) -> RunResult:
-        """One tagged, deadline-armed attempt; one that raises comes back quarantined.
-
-        The single-attempt core of :meth:`_run_cell`, reused by the fabric claim
-        loop where the *coordinator* owns the retry budget.  ``attempt`` is the
-        volatile ``attempts`` counter the result carries.
-        """
-        runtime.set_task_tag(cell.cell_id)
-        if retry.timeout_s is not None:
-            runtime.set_deadline(time.monotonic() + retry.timeout_s)
-        try:
-            with _obs.span("cell", tag=cell.cell_id):
-                run = self.run(cell.spec)
-        except Exception:
-            return _quarantined(cell, traceback.format_exc(), attempt)
-        finally:
-            runtime.set_task_tag("")
-            runtime.set_deadline(None)
-        run.cell_id = cell.cell_id
-        run.attempts = attempt
-        return run
-
     def _run_cell(self, cell, retry: RetryPolicy) -> RunResult:
         """One sweep cell under the retry policy: attempt, back off, quarantine.
 
@@ -673,15 +513,33 @@ class Session:
         ``status="failed"`` result carrying the last traceback instead of raising,
         so one poison cell cannot sink the matrix.
         """
-        attempt = 1
-        while True:
-            run = self._attempt_cell(cell, retry, attempt)
-            if not run.failed or not retry.should_retry(attempt):
+        for attempt in itertools.count(1):
+            runtime.set_task_tag(cell.cell_id)
+            if retry.timeout_s is not None:
+                runtime.set_deadline(time.monotonic() + retry.timeout_s)
+            try:
+                with _obs.span("cell", tag=cell.cell_id):
+                    run = self.run(cell.spec)
+            except Exception:
+                if not retry.should_retry(attempt):
+                    return RunResult(
+                        kind=cell.spec.kind,
+                        label=cell.spec.name or cell.spec.kind,
+                        cell_id=cell.cell_id,
+                        status="failed",
+                        error=traceback.format_exc(),
+                        attempts=attempt,
+                    )
+            else:
+                run.cell_id = cell.cell_id
+                run.attempts = attempt
                 return run
+            finally:
+                runtime.set_task_tag("")
+                runtime.set_deadline(None)
             delay = retry.delay_s(attempt, cell.cell_id)
             if delay > 0:
                 time.sleep(delay)
-            attempt += 1
 
     def _scheduler(self, spec: ExperimentSpec, wafer, evaluator=None) -> CentralScheduler:
         kwargs: Dict[str, Any] = {"max_tp": spec.max_tp}

@@ -51,7 +51,7 @@ KILL_EXIT_CODE = 23
 class _Injection:
     """One armed fault: where it fires and how often."""
 
-    kind: str  # "kill" | "delay" | "drop" | "hb_delay" | "tear"
+    kind: str  # "kill" | "delay" | "deny"
     at_task: int = 1  # fire on the worker's Nth matching task (1-based)
     tag: str = ""  # substring of the ambient task tag ("" matches everything)
     worker: Optional[int] = None  # restrict to one worker slot (None = any)
@@ -89,7 +89,6 @@ class ChaosMonkey:
         self.seed = seed
         self.rng = random.Random(seed)
         self._injections: List[_Injection] = []
-        self._net: List[_Injection] = []
         self._deny_spawns: Optional[_Injection] = None
         self._installed = False
 
@@ -155,54 +154,6 @@ class ChaosMonkey:
         self._deny_spawns = _Injection(kind="deny", times=times, name="deny-spawn")
         return self
 
-    # ------------------------------------------------------------------ network faults
-    def drop_connection(self, *, op: str = "", times: Optional[int] = 1) -> "ChaosMonkey":
-        """Arm a fabric connection drop: the matching frame send raises
-        ``ConnectionResetError`` before any bytes hit the wire.
-
-        ``op`` restricts the fault to one fabric command (``"claim"``,
-        ``"complete"``, ``"heartbeat"``, …; ``""`` matches any), which is how the
-        client's bounded reconnect path is pinned to a deterministic point.  Fires
-        on *whichever side* of the connection sends the matching frame next.
-        """
-        self._net.append(
-            _Injection(kind="drop", tag=op, times=times, name=f"drop-{len(self._net)}")
-        )
-        return self
-
-    def delay_heartbeat(
-        self, seconds: float, *, times: Optional[int] = 1
-    ) -> "ChaosMonkey":
-        """Arm a heartbeat stall: the next heartbeat send sleeps ``seconds`` first.
-
-        A stall longer than the coordinator's lease window turns a healthy host
-        into a presumed-dead one — the lease-expiry/requeue path — without killing
-        anything; a shorter stall makes a straggler.
-        """
-        self._net.append(
-            _Injection(
-                kind="hb_delay",
-                tag="heartbeat",
-                times=times,
-                seconds=seconds,
-                name=f"hb-delay-{len(self._net)}",
-            )
-        )
-        return self
-
-    def tear_frame(self, *, op: str = "", times: Optional[int] = 1) -> "ChaosMonkey":
-        """Arm a torn mid-frame write: half the frame's bytes, then a dead socket.
-
-        The wire-level twin of :func:`tear_last_append` — exactly what a SIGKILL
-        between ``write`` and the newline leaves on a TCP stream.  The reader must
-        treat the unterminated line as EOF (never a half-parsed command) and lease
-        expiry must re-derive the lost transition.
-        """
-        self._net.append(
-            _Injection(kind="tear", tag=op, times=times, name=f"tear-{len(self._net)}")
-        )
-        return self
-
     # ------------------------------------------------------------------ hooks
     def _claim(self, injection: _Injection) -> bool:
         """Atomically claim one firing token (cross-process, cross-respawn)."""
@@ -245,40 +196,11 @@ class ChaosMonkey:
         if self._claim(denial):
             raise OSError(f"chaos: spawn of worker {worker} denied")
 
-    def _on_net(self, direction: str, op: str) -> Optional[str]:
-        """Fabric frame hook (see :func:`repro.fabric.protocol.set_net_hook`).
-
-        Token claims keep firings bounded across every process sharing the scratch
-        directory, so a coordinator and its host subprocesses can all install a
-        monkey over the same dir and the budget stays global.
-        """
-        if direction != "send":
-            return None
-        for injection in self._net:
-            if injection.tag and injection.tag != op:
-                continue
-            if not self._claim(injection):
-                continue
-            if injection.kind == "drop":
-                raise ConnectionResetError(f"chaos: dropped connection before {op or 'frame'}")
-            if injection.kind == "hb_delay":
-                time.sleep(injection.seconds)
-                return None
-            if injection.kind == "tear":
-                return "tear"
-        return None
-
     # ------------------------------------------------------------------ lifecycle
     def install(self) -> "ChaosMonkey":
         """Install the hooks.  Do this *before* the pool forks its workers."""
         parallel_map.set_task_hook(self._on_task)
         parallel_map.set_spawn_hook(self._on_spawn)
-        # Unconditional: network faults are usually armed *after* entering the
-        # context, the same way kill/delay are.  The hook is a no-op while no
-        # network injection is armed.
-        from repro.fabric import protocol as fabric_protocol
-
-        fabric_protocol.set_net_hook(self._on_net)
         self._installed = True
         return self
 
@@ -286,9 +208,6 @@ class ChaosMonkey:
         if self._installed:
             parallel_map.set_task_hook(None)
             parallel_map.set_spawn_hook(None)
-            from repro.fabric import protocol as fabric_protocol
-
-            fabric_protocol.set_net_hook(None)
             self._installed = False
 
     def __enter__(self) -> "ChaosMonkey":

@@ -27,7 +27,7 @@ namespace — bumping :data:`CACHE_SCHEMA_VERSION` (or evaluating with a differe
 fingerprint vocabulary) invalidates stale stores instead of serving wrong results.
 The file discipline — namespace check, ``<path>.corrupt`` preservation, torn-tail
 recovery, atomic rewrites — is :mod:`repro.recordlog`'s, shared with the result
-store and the lease journal; this module keeps only the row layout and value codec.
+store; this module keeps only the row layout and value codec.
 
 **Scale-out.**  Worker processes evaluate against a private cache seeded from the
 parent's entries (:meth:`seed`), and the parent merges each worker's freshly priced

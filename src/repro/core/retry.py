@@ -27,8 +27,8 @@ bit-identical whether a sweep runs serially or with ``jobs > 1``.
 from __future__ import annotations
 
 import random
-from dataclasses import asdict, dataclass, fields
-from typing import Any, Dict, Mapping, Optional
+from dataclasses import dataclass
+from typing import Optional
 
 __all__ = ["RetryPolicy"]
 
@@ -53,13 +53,16 @@ class RetryPolicy:
     timeout_s: Optional[float] = None
 
     def __post_init__(self) -> None:
-        if self.max_attempts < 1:
+        # Written so that NaN fails too: every comparison with NaN is false, so a
+        # NaN timeout would never fire.
+        if not self.max_attempts >= 1:
             raise ValueError("max_attempts must be at least 1")
-        if self.backoff_s < 0 or self.backoff_factor < 0 or self.max_backoff_s < 0:
-            raise ValueError("backoff knobs must be non-negative")
+        for name in ("backoff_s", "backoff_factor", "max_backoff_s"):
+            if not getattr(self, name) >= 0:
+                raise ValueError(f"{name} must be non-negative")
         if not 0 <= self.jitter <= 1:
             raise ValueError("jitter must be a fraction in [0, 1]")
-        if self.timeout_s is not None and self.timeout_s <= 0:
+        if self.timeout_s is not None and not self.timeout_s > 0:
             raise ValueError("timeout_s must be positive (or None)")
 
     def should_retry(self, attempt: int) -> bool:
@@ -81,24 +84,3 @@ class RetryPolicy:
             stream = random.Random(f"{self.seed}:{key}:{attempt}")
             delay *= 1.0 + self.jitter * (2.0 * stream.random() - 1.0)
         return min(delay, self.max_backoff_s)
-
-    # ------------------------------------------------------------------ wire form
-    def to_dict(self) -> Dict[str, Any]:
-        """A JSON-ready form, for shipping the policy across the sweep fabric."""
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "RetryPolicy":
-        """Inverse of :meth:`to_dict`; unknown keys are rejected with the field list.
-
-        The fabric hello handshake already pins the protocol version, so an unknown
-        key here is a local bug (or a hand-edited file), not a version skew.
-        """
-        known = {field.name for field in fields(cls)}
-        unknown = sorted(set(data) - known)
-        if unknown:
-            raise ValueError(
-                f"unknown RetryPolicy field(s) {', '.join(unknown)} — "
-                f"expected a subset of {', '.join(sorted(known))}"
-            )
-        return cls(**dict(data))

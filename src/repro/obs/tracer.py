@@ -32,14 +32,14 @@ Record layout (index → field)::
     1 name     stage name ("pricing", "dispatch", "store.put", ...)
     2 t_start  time.perf_counter() at entry (CLOCK_MONOTONIC: one epoch
     3 t_end    time.perf_counter() at exit   across forked processes on Linux)
-    4 tag      free-form context (cell_id, fabric op, ...)
+    4 tag      free-form context (cell_id, ...)
     5 pid      os.getpid() of the recording process
     6 worker   pool worker index, or None in the parent/session process
     7 depth    span nesting depth in the recording thread
     8 value    counter increment (1.0 for spans)
 
 This module depends only on the standard library so every layer of the package
-(core, api, fabric, online) can import it without cycles.
+(core, api, online) can import it without cycles.
 """
 
 from __future__ import annotations

@@ -1,8 +1,7 @@
 """One record log: the file discipline every persistent store in the repo shares.
 
-The evaluation cache (:mod:`repro.core.evalcache`), the sweep result store
-(:mod:`repro.api.results`) and the fabric coordinator's lease journal
-(:mod:`repro.fabric.leases`) persist their records through one of two logs here;
+The evaluation cache (:mod:`repro.core.evalcache`) and the sweep result store
+(:mod:`repro.api.results`) persist their records through one of two logs here;
 each store family keeps only its row layout, value codec and queries.
 
 * :class:`JsonlLog` — one JSON header line (``{"format": …}``, plus

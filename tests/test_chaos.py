@@ -99,6 +99,14 @@ class TestRetryPolicy:
         with pytest.raises(ValueError):
             RetryPolicy(timeout_s=0.0)
 
+    @pytest.mark.parametrize(
+        "name", ["max_attempts", "backoff_s", "backoff_factor", "max_backoff_s", "timeout_s"]
+    )
+    def test_nan_is_rejected(self, name):
+        # Every comparison with NaN is false: a NaN timeout would never fire.
+        with pytest.raises(ValueError, match=name):
+            RetryPolicy(**{name: float("nan")})
+
 
 # -------------------------------------------------------------- monkey mechanics
 class TestChaosMonkeyMechanics:

@@ -27,7 +27,6 @@ import pytest
 
 from repro.api.results import JsonlResultStore, SqliteResultStore
 from repro.core.evalcache import JsonlCacheStore, SqliteCacheStore
-from repro.fabric.leases import LeaseJournal
 from repro.obs import tracer
 from repro.obs.tracefile import write_trace as write_span_trace
 from repro.online import generate_trace
@@ -59,15 +58,6 @@ def _write_results(store):
     store.put("a", _record("a2", 3.0))  # a --no-resume re-run: later row wins
 
 
-def _write_journal(journal):
-    journal.append("reg", "c1", m={"kind": "ga"})
-    journal.append("reg", "c2", m={})
-    journal.append("grant", "c1", h="hostA", a=1)
-    journal.append("requeue", "c1", a=1)
-    journal.append("done", "c2")
-    journal.close()
-
-
 # ------------------------------------------------------------------ format pins
 CACHE_JSONL = (
     b'{"format": "watos-evalcache-jsonl", "namespace": "watos-evalcache-v1"}\n'
@@ -97,14 +87,6 @@ RESULTS_JSONL_COMPACTED = (
     b'{"v": 0.30000000000000004}}, "written_at": 2.0}}\n'
     b'{"c": "a", "v": {"result": {"kind": "ga", "label": "a2", "metrics": '
     b'{"v": 0.30000000000000004}}, "written_at": 3.0}}\n'
-)
-JOURNAL_JSONL = (
-    b'{"format": "watos-lease-journal"}\n'
-    b'{"e": "reg", "c": "c1", "m": {"kind": "ga"}}\n'
-    b'{"e": "reg", "c": "c2", "m": {}}\n'
-    b'{"e": "grant", "c": "c1", "h": "hostA", "a": 1}\n'
-    b'{"e": "requeue", "c": "c1", "a": 1}\n'
-    b'{"e": "done", "c": "c2"}\n'
 )
 CACHE_SQLITE_SCHEMA = [
     ("table", "meta", "CREATE TABLE meta (key TEXT PRIMARY KEY, value TEXT)"),
@@ -165,21 +147,6 @@ class TestJsonlFormatPins:
             assert records["a"] == _record("a2", 3.0)
             assert store.physical_rows() == 3
         assert _read_bytes(path) == RESULTS_JSONL
-
-    def test_lease_journal_bytes(self, tmp_path):
-        path = str(tmp_path / "leases.jsonl")
-        _write_journal(LeaseJournal(path))
-        assert _read_bytes(path) == JOURNAL_JSONL
-
-    def test_lease_journal_replays_pinned_bytes(self, tmp_path):
-        path = str(tmp_path / "leases.jsonl")
-        _write_bytes(path, JOURNAL_JSONL)
-        journal = LeaseJournal(path)
-        cells, pending, interrupted = journal.replay()
-        assert list(cells) == ["c1"] and cells["c1"].meta == {"kind": "ga"}
-        assert cells["c1"].attempts == 1
-        assert pending == ["c1"] and interrupted == []
-        assert journal.replay_errors == 0
 
 
 def _schema(path):
@@ -297,18 +264,15 @@ def test_interrupted_rewrite_keeps_the_previous_file(tmp_path, monkeypatch, writ
 
 
 # ------------------------------------------------------------ appends reach the OS
-@pytest.mark.parametrize("family", ["cache", "results", "journal"])
+@pytest.mark.parametrize("family", ["cache", "results"])
 def test_append_is_readable_before_close(tmp_path, family):
     path = str(tmp_path / f"{family}.jsonl")
     if family == "cache":
         store = JsonlCacheStore(path)
         store.append({"k": 1}, {"k": 1.0})
-    elif family == "results":
+    else:
         store = JsonlResultStore(path)
         store.put("k", _record("k", 1.0))
-    else:
-        store = LeaseJournal(path)
-        store.append("reg", "k", m={})
     lines = _read_bytes(path).splitlines()
     assert len(lines) == 2 and b'"k"' in lines[1]
     store.close()

@@ -158,7 +158,14 @@ class TestSweepCommand:
 
     @pytest.mark.parametrize(
         "flag, value",
-        [("--jobs", "0"), ("--retries", "0"), ("--retry-backoff", "-1"), ("--cell-timeout", "-1")],
+        [
+            ("--jobs", "0"),
+            ("--retries", "0"),
+            ("--retry-backoff", "-1"),
+            ("--retry-backoff", "nan"),
+            ("--cell-timeout", "-1"),
+            ("--cell-timeout", "nan"),
+        ],
     )
     def test_out_of_range_flag_is_a_one_line_error(self, tmp_path, flag, value):
         spec = tmp_path / "matrix.json"

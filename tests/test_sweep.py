@@ -9,16 +9,19 @@ The contract under test:
   bare ``KeyError``.
 * ``ResultStore`` (JSONL + sqlite) round-trips ``RunResult.to_dict()`` rows
   exactly, recovers cold from corrupt stores, and later duplicates win.  The
-  recovery cases also drive the evaluation-cache store and the lease journal,
-  which share the result store's record log.
+  recovery cases also drive the evaluation-cache store, which shares the result
+  store's record log.
 * ``Session.sweep`` streams results, writes through to the store, and a
   kill-and-resume produces byte-identical rows to a fresh serial run for all four
   loop kinds.
+* ``merge_stores`` (``repro results merge``) folds stores swept on separate hosts
+  or runs into one, later duplicates winning.
 """
 
 from __future__ import annotations
 
 import json
+import time
 import types
 
 import pytest
@@ -29,8 +32,10 @@ from repro.api import (
     SweepSpec,
     close_default_session,
     export_csv,
+    merge_stores,
     open_result_store,
 )
+from repro.api.cli import main as repro_main
 from repro.api.results import (
     JsonlResultStore,
     SqliteResultStore,
@@ -41,7 +46,6 @@ from repro.api.sweep import apply_knob, cell_key, resolve_knob, stream_seed
 from repro.core import runtime
 from repro.core.evalcache import open_store as open_cache_store
 from repro.core.genetic import GAConfig
-from repro.fabric.leases import LeaseJournal
 
 
 @pytest.fixture(autouse=True)
@@ -247,9 +251,9 @@ class _FakeRun:
         return data
 
 
-# The result store, the evaluation-cache store and the lease journal share one
-# record log (repro.recordlog), so the recovery tests below drive all three
-# through one surface: write keys as rows, read the keys back in load order.
+# The result store and the evaluation-cache store share one record log
+# (repro.recordlog), so the recovery tests below drive both through one
+# surface: write keys as rows, read the keys back in load order.
 class _ResultRows:
     name = "results"
 
@@ -280,27 +284,7 @@ class _CacheRows(_ResultRows):
         self.store.append({key: 1 for key in keys}, {key: 1.0 for key in keys})
 
 
-class _JournalRows:
-    name = "journal"
-
-    def __init__(self, path):
-        self.journal = LeaseJournal(path)
-
-    def write(self, keys):
-        for key in keys:
-            self.journal.append("reg", key, m={})
-
-    def read(self):
-        return self.journal.replay()[1]  # pending cells, in registration order
-
-    def errors(self):
-        return self.journal.replay_errors
-
-    def close(self):
-        self.journal.close()
-
-
-FAMILIES = {".jsonl": (_ResultRows, _CacheRows, _JournalRows), ".sqlite": (_ResultRows, _CacheRows)}
+FAMILIES = (_ResultRows, _CacheRows)
 
 
 @pytest.mark.parametrize("suffix", [".jsonl", ".sqlite"])
@@ -353,7 +337,7 @@ class TestResultStore:
         assert stats["newest_written_at"] == 20.0
 
     def test_foreign_file_is_preserved_not_truncated(self, tmp_path, suffix):
-        for family in FAMILIES[suffix]:
+        for family in FAMILIES:
             path = str(tmp_path / f"{family.name}{suffix}")
             with open(path, "wb") as handle:  # not even UTF-8
                 handle.write(b"precious user data, definitely not a result store\n\xff\xfe\n")
@@ -368,7 +352,7 @@ class TestResultStore:
     def test_blind_put_never_appends_to_a_foreign_file(self, tmp_path, suffix):
         # The resume=False path writes without ever calling load(); the store must
         # still notice a foreign file and move it aside instead of polluting it.
-        for family in FAMILIES[suffix]:
+        for family in FAMILIES:
             path = str(tmp_path / f"{family.name}{suffix}")
             with open(path, "w", encoding="utf-8") as handle:
                 handle.write("precious user data, definitely not a result store\n")
@@ -382,7 +366,7 @@ class TestResultStore:
                 assert "precious" in handle.read(), family.name
 
     def test_first_write_creates_a_missing_directory(self, tmp_path, suffix):
-        for family in FAMILIES[suffix]:
+        for family in FAMILIES:
             parent = tmp_path / family.name
             path = str(parent / "missing" / f"{family.name}{suffix}")
             rows = family(path)
@@ -417,7 +401,7 @@ class TestResultStore:
 def test_foreign_valid_sqlite_database_is_preserved(tmp_path):
     import sqlite3
 
-    for family in FAMILIES[".sqlite"]:
+    for family in FAMILIES:
         path = str(tmp_path / f"users-{family.name}.sqlite")
         conn = sqlite3.connect(path)
         conn.execute("CREATE TABLE mydata (id INTEGER PRIMARY KEY, payload TEXT)")
@@ -454,7 +438,7 @@ def test_jsonl_append_after_torn_line_does_not_concatenate(tmp_path):
     # The kill-and-resume workflow: the killed run left a torn last line, the
     # resumed run appends again — the first new row must start on its own line,
     # not merge into the fragment and lose both.
-    for family in FAMILIES[".jsonl"]:
+    for family in FAMILIES:
         path = str(tmp_path / f"{family.name}.jsonl")
         rows = family(path)
         rows.write(["a"])
@@ -620,3 +604,51 @@ class TestStreamingSweep:
         session.close()
         with pytest.raises(RuntimeError):
             session.sweep(SweepSpec.from_specs(ALL_KINDS_SPECS[:1]))
+
+
+# ---------------------------------------------------------------------- merge
+def _record(cell_id, status="ok"):
+    return {
+        "result": {"kind": "ga", "label": cell_id, "cell_id": cell_id, "plan": None,
+                   "oom": None, "status": status, "error": "", "metrics": {}},
+        "spec": {"x": 1},
+        "seconds": 0.0,
+        "attempts": 1,
+        "written_at": time.time(),
+    }
+
+
+class TestMerge:
+    def test_later_duplicates_win_in_argument_order(self, tmp_path):
+        a = str(tmp_path / "a.jsonl")
+        b = str(tmp_path / "b.sqlite")
+        out = str(tmp_path / "merged.sqlite")
+        with open_result_store(a) as store:
+            store.put("c1", _record("c1"))
+            store.put("c2", _record("c2", status="failed"))
+        with open_result_store(b) as store:
+            store.put("c2", _record("c2"))  # the healed re-run wins
+            store.put("c3", _record("c3"))
+        summary = merge_stores([a, b], out)
+        assert summary == {
+            "stores": 2, "cells": 3, "duplicates": 1, "statuses": {"ok": 3}}
+        rows = _rows(out)
+        assert set(rows) == {"c1", "c2", "c3"}
+        assert json.loads(rows["c2"])["status"] == "ok"
+
+    def test_cli_merge_prints_histogram(self, tmp_path, capsys):
+        a = str(tmp_path / "a.jsonl")
+        with open_result_store(a) as store:
+            store.put("c1", _record("c1"))
+            store.put("c2", _record("c2", status="failed"))
+        out = str(tmp_path / "merged.jsonl")
+        assert repro_main(["results", "merge", a, "-o", out]) == 0
+        printed = capsys.readouterr().out
+        assert "2 cells" in printed and "ok=1" in printed and "failed=1" in printed
+
+    def test_cli_merge_missing_input(self, tmp_path, capsys):
+        assert repro_main(
+            ["results", "merge", str(tmp_path / "ghost.jsonl"),
+             "-o", str(tmp_path / "out.jsonl")]
+        ) == 1
+        assert "no store at" in capsys.readouterr().err

@@ -29,7 +29,7 @@ from repro.api import (
     open_store,
 )
 from repro.api.cli import main as repro_main
-from repro.api.results import ResultStore
+from repro.api.results import ResultStore, SqliteResultStore
 from repro.api.session import SweepCellError
 from repro.core.chaos import ChaosMonkey
 from repro.core.evalcache import EvaluationCache
@@ -224,6 +224,54 @@ class TestCellLoopContract:
             stream.close()
         with open_result_store(path) as store:
             assert 1 <= len(store) <= 1 + jobs
+
+    def test_early_close_closes_the_owned_store_when_a_row_write_fails(
+        self, tmp_path, monkeypatch
+    ):
+        # The second cell is still in flight when the consumer closes, and its row
+        # write fails: the close raises that error and still closes the store the
+        # sweep opened from its path.
+        cells = SweepSpec.from_payload(GA_SWEEP).expand()
+        put, close = SqliteResultStore.put, SqliteResultStore.close
+        closed = []
+
+        def failing_put(self, cell_id, record):
+            if cell_id == cells[1].cell_id:
+                raise OSError("disk full")
+            put(self, cell_id, record)
+
+        def recording_close(self):
+            closed.append(self.path)
+            close(self)
+
+        monkeypatch.setattr(SqliteResultStore, "put", failing_put)
+        monkeypatch.setattr(SqliteResultStore, "close", recording_close)
+        path = str(tmp_path / "results.sqlite")
+        with Session() as session:
+            stream = session.sweep(GA_SWEEP, results=path, jobs=2)
+            assert next(stream).cell_id == cells[0].cell_id
+            with pytest.raises(OSError, match="disk full"):
+                stream.close()
+        assert closed == [path]
+
+    def test_a_failed_resume_lookup_closes_the_owned_store(self, tmp_path, monkeypatch):
+        close = SqliteResultStore.close
+        closed = []
+
+        def failing_lookup(self, include_failed=False):
+            raise OSError("store unreadable")
+
+        def recording_close(self):
+            closed.append(self.path)
+            close(self)
+
+        monkeypatch.setattr(SqliteResultStore, "completed_ids", failing_lookup)
+        monkeypatch.setattr(SqliteResultStore, "close", recording_close)
+        path = str(tmp_path / "results.sqlite")
+        with Session() as session:
+            with pytest.raises(OSError, match="store unreadable"):
+                next(session.sweep(GA_SWEEP, results=path))
+        assert closed == [path]
 
     def test_serial_cells_run_on_the_calling_thread(self, monkeypatch):
         seen = []
