@@ -4,7 +4,7 @@
 Two modes:
 
 * **check** (default) — compare fresh benchmark JSON against the committed
-  ``benchmarks/baseline.json`` and fail (exit 1) on a regression.  Three metrics are
+  ``benchmarks/baseline.json`` and fail (exit 1) on a regression.  Five metrics are
   gated (each skipped when absent from the baseline, so older baselines still work):
 
   - ``evals_per_sec`` — serial fast-path search throughput;
@@ -15,8 +15,6 @@ Two modes:
     run against a persisted store (read from the ``--multiwafer`` metrics file);
   - ``sweep_cells_per_sec`` — two-level scheduler sweep throughput (read from the
     ``--sweep`` metrics file written by ``bench_sweep_throughput.py``);
-  - ``online_jobs_per_sec`` — trace-serving throughput of the online engine (read
-    from the ``--online`` metrics file written by ``bench_online_serve.py``);
   - ``trace_overhead_pct`` — cost of the *enabled* ``repro.obs`` tracepoints as
     a percentage of a fast search run (records written per run x measured
     per-record cost / plain run time; see ``bench_search_throughput.py``), gated
@@ -74,9 +72,6 @@ MULTIWAFER_ARGS = [
 SWEEP_ARGS = [
     "--cells", "8", "--population", "6", "--generations", "3", "--jobs", "2",
 ]
-#: The online-serving measurement run used by both --refresh and the CI workflow
-#: (keep .github/workflows/ci.yml in sync when changing this).
-ONLINE_ARGS = ["--jobs", "5000"]
 
 
 def load_json(path: str) -> dict:
@@ -128,7 +123,6 @@ def check(
     max_drop: float,
     multiwafer_path: str = None,
     sweep_path: str = None,
-    online_path: str = None,
 ) -> int:
     current = load_json(current_path)
     baseline = load_json(baseline_path)
@@ -213,29 +207,6 @@ def check(
                     max_drop,
                 )
 
-    if "online_jobs_per_sec" in baseline:
-        if online_path is None:
-            print("FAIL: baseline gates online_jobs_per_sec but no --online "
-                  "metrics file was given")
-            failed = True
-        else:
-            online = load_json(online_path)
-            if not online.get("rows_match", False):
-                print("FAIL: online benchmark reports rows_match false — two "
-                      "serves of one trace wrote different stores")
-                return 1
-            if "jobs_per_sec" not in online:
-                print(f"FAIL: metric 'jobs_per_sec' missing from {online_path} — "
-                      "the JSON predates this gate; re-run the benchmark")
-                failed = True
-            else:
-                failed |= not _gate_one(
-                    "online_jobs_per_sec",
-                    online["jobs_per_sec"],
-                    baseline["online_jobs_per_sec"],
-                    max_drop,
-                )
-
     if "speedup" in current:
         print(f"      cache speedup {current['speedup']:.1f}x, "
               f"hit rate {current.get('cache_hit_rate', 0.0):.1%}")
@@ -250,7 +221,6 @@ def refresh(out_path: str, headroom: float, population: int, generations: int) -
     sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
     from bench_fig24_multiwafer_ga import main as multiwafer_main
-    from bench_online_serve import main as online_main
     from bench_search_throughput import main as bench_main
     from bench_sweep_throughput import main as sweep_main
 
@@ -258,7 +228,6 @@ def refresh(out_path: str, headroom: float, population: int, generations: int) -
     search_json = os.path.join(tmpdir, "search.json")
     warm_json = os.path.join(tmpdir, "multiwafer.json")
     sweep_json = os.path.join(tmpdir, "sweep.json")
-    online_json = os.path.join(tmpdir, "online.json")
     store = os.path.join(tmpdir, "multiwafer.jsonl")
     try:
         status = bench_main(
@@ -274,17 +243,14 @@ def refresh(out_path: str, headroom: float, population: int, generations: int) -
             )
         if status == 0:
             status = sweep_main([*SWEEP_ARGS, "--json", sweep_json])
-        if status == 0:
-            status = online_main([*ONLINE_ARGS, "--json", online_json])
         if status != 0:
             print("FAIL: benchmark run failed; baseline not refreshed")
             return status
         measured = load_json(search_json)
         warm = load_json(warm_json)
         sweep = load_json(sweep_json)
-        online = load_json(online_json)
     finally:
-        for path in (search_json, warm_json, sweep_json, online_json, store):
+        for path in (search_json, warm_json, sweep_json, store):
             if os.path.exists(path):
                 os.unlink(path)
         os.rmdir(tmpdir)
@@ -295,13 +261,11 @@ def refresh(out_path: str, headroom: float, population: int, generations: int) -
         "multiwafer_warm_hit_rate": warm["cache_hit_rate"] * (1.0 - HIT_RATE_HEADROOM),
         "trace_overhead_max_pct": TRACE_OVERHEAD_MAX_PCT,
         "sweep_cells_per_sec": sweep["cells_per_sec"] * (1.0 - headroom),
-        "online_jobs_per_sec": online["jobs_per_sec"] * (1.0 - headroom),
         "measured_evals_per_sec": measured["evals_per_sec"],
         "measured_parallel_evals_per_sec": measured["parallel_evals_per_sec"],
         "measured_multiwafer_warm_hit_rate": warm["cache_hit_rate"],
         "measured_trace_overhead_pct": measured.get("trace_overhead_pct"),
         "measured_sweep_cells_per_sec": sweep["cells_per_sec"],
-        "measured_online_jobs_per_sec": online["jobs_per_sec"],
         "sweep_speedup_at_refresh": sweep.get("sweep_speedup"),
         "headroom": headroom,
         "hit_rate_headroom": HIT_RATE_HEADROOM,
@@ -320,8 +284,7 @@ def refresh(out_path: str, headroom: float, population: int, generations: int) -
         f"baseline refreshed: evals_per_sec gate {baseline['evals_per_sec']:,.0f}, "
         f"parallel gate {baseline['parallel_evals_per_sec']:,.0f}, "
         f"warm hit-rate gate {baseline['multiwafer_warm_hit_rate']:.3f}, "
-        f"sweep gate {baseline['sweep_cells_per_sec']:,.1f} cells/s, "
-        f"online gate {baseline['online_jobs_per_sec']:,.0f} jobs/s -> {out_path}"
+        f"sweep gate {baseline['sweep_cells_per_sec']:,.1f} cells/s -> {out_path}"
     )
     return 0
 
@@ -334,8 +297,6 @@ def main(argv=None) -> int:
                         help="metrics from a warm bench_fig24_multiwafer_ga.py run")
     parser.add_argument("--sweep", metavar="JSON", default=None,
                         help="metrics from a bench_sweep_throughput.py run")
-    parser.add_argument("--online", metavar="JSON", default=None,
-                        help="metrics from a bench_online_serve.py run")
     parser.add_argument("--baseline", metavar="JSON", default=DEFAULT_BASELINE,
                         help="committed baseline (default: benchmarks/baseline.json)")
     parser.add_argument("--max-drop", type=float, default=0.30,
@@ -354,10 +315,7 @@ def main(argv=None) -> int:
         return refresh(args.baseline, args.headroom, args.population, args.generations)
     if not args.current:
         parser.error("--current is required unless --refresh is given")
-    return check(
-        args.current, args.baseline, args.max_drop, args.multiwafer, args.sweep,
-        args.online,
-    )
+    return check(args.current, args.baseline, args.max_drop, args.multiwafer, args.sweep)
 
 
 if __name__ == "__main__":

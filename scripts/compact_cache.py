@@ -19,7 +19,8 @@ Two eviction knobs compose (age first, then size):
 
 ``python -m repro cache compact`` is the same tool inside the unified CLI.  Exit
 status 0 on success (the report shows rows before/after), 1 when the store cannot
-be opened.
+be opened or a bound is out of range (``--max-age`` below 0 or NaN,
+``--max-entries`` below 1).
 """
 
 from __future__ import annotations

@@ -27,7 +27,6 @@ from repro.api.results import (
     export_csv,
     merge_stores,
     open_result_store,
-    open_store,
 )
 from repro.api.session import (
     Session,
@@ -56,7 +55,6 @@ __all__ = [
     "export_csv",
     "merge_stores",
     "open_result_store",
-    "open_store",
     "register_wafer",
     "register_workload",
     "resolve_wafer",

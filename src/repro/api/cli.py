@@ -54,7 +54,7 @@ from repro.api.results import export_csv, merge_stores, open_result_store, recor
 from repro.api.session import Session, SweepCellError
 from repro.api.spec import KINDS, ExperimentSpec
 from repro.api.sweep import SweepSpec
-from repro.core.evalcache import EvaluationCache, open_store
+from repro.core.evalcache import EvaluationCache, check_eviction_bounds, open_store
 from repro.core.retry import RetryPolicy
 
 __all__ = [
@@ -272,109 +272,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return 0 if all_ok else 1
 
 
-# ------------------------------------------------------------------------------ trace
-_STORM_KEYS = (
-    "wafer", "at", "duration", "die_rate", "link_rate", "degraded", "dead_share",
-    "repair_s",
-)
-
-
-def _parse_storm(text: str):
-    """One ``--storm`` value: comma-separated ``key=value`` pairs (see ``--help``)."""
-    from repro.online.trace import StormSpec
-
-    values: dict = {}
-    for part in text.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        if "=" not in part:
-            raise SystemExit(
-                f"repro trace gen: bad --storm field {part!r}; expected key=value "
-                f"pairs from: {', '.join(_STORM_KEYS)}"
-            )
-        key, _, value = part.partition("=")
-        key = key.strip()
-        if key not in _STORM_KEYS:
-            raise SystemExit(
-                f"repro trace gen: unknown --storm key {key!r}; "
-                f"known: {', '.join(_STORM_KEYS)}"
-            )
-        values[key] = value.strip()
-    try:
-        return StormSpec(
-            wafer=int(values.get("wafer", 0)),
-            at=float(values.get("at", 0.0)),
-            duration=float(values.get("duration", 10.0)),
-            die_fault_rate=float(values.get("die_rate", 0.2)),
-            link_fault_rate=float(values.get("link_rate", 0.0)),
-            degraded_fraction=float(values.get("degraded", 0.5)),
-            dead_share=float(values.get("dead_share", 0.2)),
-            mean_repair_s=float(values.get("repair_s", 0.0)),
-        )
-    except ValueError as exc:
-        raise SystemExit(f"repro trace gen: bad --storm {text!r}: {exc}") from exc
-
-
-def _cmd_trace_gen(args: argparse.Namespace) -> int:
-    from repro.online.trace import generate_trace, write_trace
-
-    if ":" in args.iterations:
-        lo, _, hi = args.iterations.partition(":")
-        iterations = (int(lo), int(hi))
-    else:
-        iterations = int(args.iterations)
-    try:
-        trace = generate_trace(
-            jobs=args.jobs,
-            rate=args.rate,
-            seed=args.seed,
-            arrival=args.arrival,
-            workloads=args.workload or ["tiny"],
-            iterations=iterations,
-            deadline_s=args.deadline,
-            fleet=args.fleet or ["tiny"],
-            storms=[_parse_storm(text) for text in (args.storm or [])],
-            period_s=args.period,
-            name=args.name or os.path.splitext(os.path.basename(args.out))[0],
-        )
-    except ValueError as exc:
-        raise SystemExit(f"repro trace gen: {exc}") from exc
-    events = write_trace(trace, args.out)
-    faults = events - args.jobs
-    print(
-        f"wrote {args.out}: {args.jobs} arrivals + {faults} fault events "
-        f"over {trace.horizon:.1f}s  (fleet {', '.join(trace.fleet)}; "
-        f"fingerprint {trace.fingerprint})"
-    )
-    return 0
-
-
-def _cmd_serve_trace(args: argparse.Namespace) -> int:
-    from repro.online.trace import read_trace
-
-    try:
-        trace = read_trace(args.trace_path)
-    except (OSError, ValueError) as exc:
-        raise SystemExit(f"repro serve-trace: {exc}") from exc
-    try:
-        with session_from_args(args) as session:
-            report = session.serve(
-                trace,
-                fleet=args.fleet or None,
-                policy=args.policy,
-                results=args.results,
-                resume=not args.no_resume,
-                flush_every=args.flush_every,
-                max_tp=args.max_tp,
-            )
-    except ValueError as exc:
-        raise SystemExit(f"repro serve-trace: {exc}") from exc
-    print(report.summary_line())
-    _emit(report.to_dict(), args.json)
-    return 0 if report.failed == 0 else 1
-
-
 # ---------------------------------------------------------------------------- results
 def _cmd_results_merge(args: argparse.Namespace) -> int:
     missing = [path for path in args.paths if not os.path.exists(path)]
@@ -410,8 +307,7 @@ def _cmd_results(args: argparse.Namespace) -> int:
                     error = str(result.get("error") or "").strip()
                     reason = error.splitlines()[-1] if error else "unknown error"
                     bits.append(f"FAILED: {reason}")
-                for key in ("throughput", "best_fitness", "best_objective", "points",
-                            "records", "wait_s", "latency_s", "slo_miss", "util"):
+                for key in ("throughput", "best_fitness", "best_objective", "points", "records"):
                     if key in metrics:
                         value = metrics[key]
                         formatted = f"{value:.4g}" if isinstance(value, float) else str(value)
@@ -474,8 +370,15 @@ def compact_store(
 ) -> dict:
     """Compact a store in place; returns ``{"loaded": …, "kept": …}``.
 
-    Shared by ``repro cache compact`` and ``scripts/compact_cache.py``.
+    Shared by ``repro cache compact`` and ``scripts/compact_cache.py``.  An
+    out-of-range bound exits with one line before the store is opened.
     """
+    try:
+        check_eviction_bounds(max_entries, max_age_s)
+    except ValueError as exc:
+        # Both tools take the bounds as --max-entries / --max-age.
+        flags = str(exc).replace("max_entries", "--max-entries").replace("max_age_s", "--max-age")
+        raise SystemExit(f"repro cache compact: {flags}") from None
     store = open_store(path, namespace=namespace)
     cache = EvaluationCache(max_entries=None, store=store)
     loaded = cache.stats.loaded
@@ -607,76 +510,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sweep.set_defaults(func=_cmd_sweep)
 
-    trace = sub.add_parser(
-        "trace",
-        help="generate replayable online-serving traces (JSONL request streams)",
-    )
-    trace_sub = trace.add_subparsers(dest="trace_command", required=True)
-    gen = trace_sub.add_parser(
-        "gen", help="generate a seeded synthetic trace (arrivals + fault storms)"
-    )
-    gen.add_argument("--out", metavar="PATH", required=True,
-                     help="trace file to write (JSONL)")
-    gen.add_argument("--jobs", type=int, default=50, help="arrival count (default 50)")
-    gen.add_argument("--rate", type=float, default=1.0,
-                     help="mean arrival rate in jobs/s (default 1)")
-    gen.add_argument("--seed", type=int, default=0, help="generator seed")
-    gen.add_argument("--arrival", choices=("poisson", "diurnal"), default="poisson",
-                     help="arrival process (diurnal = sinusoidally modulated rate)")
-    gen.add_argument("--period", type=float, default=60.0, metavar="SECONDS",
-                     help="diurnal modulation period (default 60)")
-    gen.add_argument("--workload", action="append", default=None, metavar="NAME",
-                     help="workload(s) jobs draw from, repeatable (default tiny)")
-    gen.add_argument("--iterations", default="1", metavar="N|LO:HI",
-                     help="iterations per job: a count, or an inclusive range")
-    gen.add_argument("--deadline", type=float, default=None, metavar="SECONDS",
-                     help="per-job SLO, jittered ±25%% (default: no deadlines)")
-    gen.add_argument("--fleet", action="append", default=None, metavar="WAFER",
-                     help="fleet wafer name, repeatable (default one 'tiny')")
-    gen.add_argument(
-        "--storm", action="append", default=None, metavar="SPEC",
-        help="fault storm as key=value pairs, repeatable: "
-             "wafer=0,at=5,duration=10,die_rate=0.2,link_rate=0,degraded=0.5,"
-             "dead_share=0.2,repair_s=0",
-    )
-    gen.add_argument("--name", default=None, help="trace display name (default: file stem)")
-    gen.set_defaults(func=_cmd_trace_gen)
-
-    serve_trace = sub.add_parser(
-        "serve-trace",
-        help="serve a trace online: stream its jobs onto a wafer fleet under a "
-             "virtual clock, queueing metrics written to a result store",
-    )
-    serve_trace.add_argument("trace_path", help="trace file (repro trace gen writes them)")
-    serve_trace.add_argument(
-        "--policy", choices=("fcfs", "edf", "affinity"), default="fcfs",
-        help="placement policy (default fcfs)",
-    )
-    serve_trace.add_argument(
-        "--fleet", action="append", default=None, metavar="WAFER",
-        help="override the trace's fleet, repeatable",
-    )
-    serve_trace.add_argument(
-        "--results", metavar="PATH", default=None,
-        help="result store (.jsonl or .sqlite): one row per job plus a fleet "
-             "summary row; re-serving the same scenario resumes",
-    )
-    serve_trace.add_argument(
-        "--no-resume", action="store_true",
-        help="rewrite rows even when the result store already holds them",
-    )
-    serve_trace.add_argument(
-        "--flush-every", type=int, default=1, metavar="N",
-        help="batch N rows per store write (default 1 = write-through)",
-    )
-    serve_trace.add_argument("--max-tp", type=int, default=0)
-    add_session_arguments(serve_trace)
-    serve_trace.add_argument(
-        "--json", metavar="OUT", default=None,
-        help="write the serve report as JSON ('-' for stdout)",
-    )
-    serve_trace.set_defaults(func=_cmd_serve_trace)
-
     results = sub.add_parser("results", help="query sweep result stores")
     results_sub = results.add_subparsers(dest="results_command", required=True)
     merge = results_sub.add_parser(
@@ -708,8 +541,7 @@ def build_parser() -> argparse.ArgumentParser:
             r.add_argument("--status", default=None, metavar="STATUS",
                            help="only show cells with this status (e.g. failed)")
             r.add_argument("--kind", default=None, metavar="KIND",
-                           help="only show cells of this result kind "
-                                "(e.g. trace for online-serving job rows)")
+                           help="only show cells of this result kind (e.g. dse)")
         if results_cmd == "export":
             r.add_argument("--csv", metavar="OUT", required=True,
                            help="CSV output path ('-' for stdout)")

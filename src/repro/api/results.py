@@ -44,7 +44,6 @@ __all__ = [
     "make_record",
     "merge_stores",
     "open_result_store",
-    "open_store",
     "record_status",
     "results_namespace",
 ]
@@ -112,28 +111,14 @@ class ResultStore:
 
     def put(self, cell_id: str, record: Dict[str, Any]) -> None:
         """Write one completed cell through to disk immediately."""
-        self._write([(cell_id, record)], cell_id)
+        t0 = _obs.now() if _obs.enabled else 0.0
+        self._log.append([self._encode(cell_id, record)])
+        if _obs.enabled:
+            _obs.add("store.put", t0, _obs.now(), tag=cell_id)
 
     def get(self, cell_id: str) -> Optional[Dict[str, Any]]:
         """One record, or ``None``."""
         return self.load().get(cell_id)
-
-    def put_many(self, items: Sequence[Tuple[str, Dict[str, Any]]]) -> None:
-        """Write a batch of ``(cell_id, record)`` rows, in order.
-
-        Semantically identical to calling :meth:`put` per row (same records, same
-        order, later duplicates win), but one write — one file open for JSONL,
-        one transaction for sqlite — which is what lets the online engine's
-        ``flush_every`` batching pay off.
-        """
-        if items:
-            self._write(items, f"batch:{len(items)}")
-
-    def _write(self, items: Sequence[Tuple[str, Dict[str, Any]]], tag: str) -> None:
-        t0 = _obs.now() if _obs.enabled else 0.0
-        self._log.append(self._encode(cell_id, record) for cell_id, record in items)
-        if _obs.enabled:
-            _obs.add("store.put", t0, _obs.now(), tag=tag)
 
     def replace_all(self, records: "OrderedDict[str, Dict[str, Any]]") -> None:
         """Atomically rewrite the store to exactly ``records`` (schema resets)."""
@@ -226,8 +211,8 @@ class ResultStore:
 
         ``status`` filters by recorded cell status (``"failed"`` surfaces what a
         long sweep quarantined; ``"ok"`` hides it).  ``kind`` filters by result
-        kind — ``kind="trace"`` tails an online run's job rows without wading
-        through the sweep cells sharing the store.
+        kind — ``kind="dse"`` tails a mixed matrix's DSE cells without wading
+        through the other cells sharing the store.
         """
         if n <= 0:
             return []
@@ -296,28 +281,6 @@ def open_result_store(
     if is_sqlite_path(path):
         return SqliteResultStore(str(path), namespace)
     return JsonlResultStore(str(path), namespace)
-
-
-def open_store(
-    path: Union[str, os.PathLike],
-    kind: str = "cache",
-    namespace: Optional[str] = None,
-):
-    """One dispatcher for both persistent store families.
-
-    ``kind="cache"`` opens an evaluation-cache store
-    (:func:`repro.core.evalcache.open_store`), ``kind="results"`` a sweep result
-    store (:func:`open_result_store`).  The path-suffix rules are identical for
-    both: ``.sqlite``/``.sqlite3``/``.db`` pick sqlite, anything else JSONL.  The
-    historical per-family names remain as thin aliases.
-    """
-    if kind == "results":
-        return open_result_store(path, namespace)
-    if kind == "cache":
-        from repro.core.evalcache import open_store as open_cache_store
-
-        return open_cache_store(str(path), namespace)
-    raise ValueError(f"kind must be 'cache' or 'results', not {kind!r}")
 
 
 def merge_stores(

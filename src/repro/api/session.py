@@ -43,7 +43,7 @@ from repro.obs.tracefile import write_trace
 
 from repro.core import runtime
 from repro.core.central_scheduler import CentralScheduler
-from repro.core.evalcache import EvaluationCache
+from repro.core.evalcache import EvaluationCache, check_eviction_bounds
 from repro.core.evaluator import Evaluator
 from repro.core.framework import Watos
 from repro.core.genetic import GeneticOptimizer
@@ -119,7 +119,8 @@ class Session:
         Forwarded to :class:`EvaluationCache` when the session builds it.
     compact_on_exit / compact_max_entries / compact_max_age_s:
         When set, :meth:`close` compacts the attached store (fold append-only
-        history to one row per key; optionally evict by count and by age).
+        history to one row per key; optionally evict by count and by age).  An
+        out-of-range bound raises ``ValueError`` here, not when the session closes.
     results:
         Either an existing :class:`~repro.api.results.ResultStore` to adopt (the
         caller owns and closes it), or a path (``.jsonl`` / ``.sqlite``) the
@@ -165,6 +166,7 @@ class Session:
             )
         if cache is not None and store is not None:
             raise ValueError("pass either cache= (adopted) or store= (owned), not both")
+        check_eviction_bounds(compact_max_entries, compact_max_age_s)
         self._owns_cache = cache is None
         self.cache: EvaluationCache = (
             cache
@@ -383,7 +385,13 @@ class Session:
                 "\n".join(cell.cell_id for cell in cells).encode("utf-8")
             ).hexdigest()[:16]
             self._trace_meta = {"fingerprint": digest, "cells": len(cells)}
-        store, owns_store = self._result_store(results)
+        owns_store = isinstance(results, (str, os.PathLike))
+        if owns_store:
+            store = open_result_store(results)
+        else:
+            store = results if results is not None else self.results
+            if store is None:
+                store = runtime.current_results()
         policy = retry or self.retry or RetryPolicy()
         if not resume:
             completed = set()
@@ -440,66 +448,6 @@ class Session:
             finally:
                 if owns_store:
                     store.close()
-
-    def _result_store(self, results) -> Tuple[Optional[ResultStore], bool]:
-        """The store a sweep or serve writes to, and whether the call owns (closes) it.
-
-        A path is opened here and owned; otherwise the ``results=`` store, else the
-        session's own, else the ambient one.
-        """
-        if isinstance(results, (str, os.PathLike)):
-            return open_result_store(results), True
-        if results is None:
-            results = self.results if self.results is not None else runtime.current_results()
-        return results, False
-
-    def serve(
-        self,
-        trace,
-        *,
-        fleet: Optional[list] = None,
-        policy: str = "fcfs",
-        results: Optional[Union[str, os.PathLike, ResultStore]] = None,
-        resume: bool = True,
-        flush_every: int = 1,
-        max_tp: int = 0,
-    ):
-        """Serve a trace of arriving jobs online and return the ``ServeReport``.
-
-        ``trace`` is a :class:`~repro.online.trace.Trace` or a path to a
-        ``watos-trace`` JSONL file (``repro trace gen`` writes them).  Jobs are
-        placed on the fleet by the named :mod:`~repro.online.policy` (``fcfs``,
-        ``edf`` or ``affinity``), priced through this session's cache by
-        the paper's own :class:`~repro.core.central_scheduler.CentralScheduler`,
-        and every job's queueing metrics stream write-through into the result
-        store — the ``results=`` argument, else the session's own, else the
-        ambient one, exactly like :meth:`sweep`.  All stored timestamps are
-        *virtual*, so re-serving the same trace (same fleet, same policy) writes
-        byte-identical rows; with ``resume=True`` rows already stored are skipped
-        instead of rewritten.  ``fleet`` overrides the trace's own wafer list;
-        ``flush_every`` batches store writes (1 = true write-through).
-        """
-        if self._closed:
-            raise RuntimeError("session is closed")
-        from repro.online.engine import OnlineEngine  # late: avoids import cycles
-
-        store, owns_store = self._result_store(results)
-        engine = OnlineEngine(
-            self,
-            fleet=fleet,
-            policy=policy,
-            store=store,
-            resume=resume,
-            flush_every=flush_every,
-            max_tp=max_tp,
-        )
-        try:
-            report = engine.serve(trace)
-        finally:
-            if owns_store and store is not None:
-                store.close()
-        self.cache.flush()
-        return report
 
     def _run_cell(self, cell, retry: RetryPolicy) -> RunResult:
         """One sweep cell under the retry policy: attempt, back off, quarantine.

@@ -69,6 +69,7 @@ __all__ = [
     "JsonlCacheStore",
     "SqliteCacheStore",
     "canonicalize",
+    "check_eviction_bounds",
     "combine_fingerprints",
     "default_namespace",
     "fingerprint",
@@ -426,6 +427,19 @@ def open_store(path: str, namespace: Optional[str] = None) -> CacheStore:
     return JsonlCacheStore(path, namespace)
 
 
+def check_eviction_bounds(max_entries: Optional[int], max_age_s: Optional[float]) -> None:
+    """Raise ``ValueError`` unless each :meth:`EvaluationCache.compact` bound is in range.
+
+    ``max_age_s`` must be non-negative (a negative age expires every row) and
+    ``max_entries`` at least 1 (``None`` means no bound).  Written so that NaN
+    fails too: every comparison with NaN is false.
+    """
+    if max_age_s is not None and not max_age_s >= 0:
+        raise ValueError(f"max_age_s must be non-negative, not {max_age_s:g}")
+    if max_entries is not None and not max_entries >= 1:
+        raise ValueError(f"max_entries must be at least 1, not {max_entries:g}")
+
+
 class CacheStats:
     """Mutable hit/miss accounting shared by cache users."""
 
@@ -747,8 +761,11 @@ class EvaluationCache:
         * ``max_entries`` keeps only the newest that many entries, oldest first out
           (append order for JSONL; load order for sqlite).
 
-        Returns the number of entries the store holds afterwards.
+        Returns the number of entries the store holds afterwards.  An out-of-range
+        bound raises ``ValueError`` (:func:`check_eviction_bounds`) before anything
+        is flushed or rewritten.
         """
+        check_eviction_bounds(max_entries, max_age_s)
         with self._lock:
             if self.store is None:
                 return 0
@@ -764,7 +781,7 @@ class EvaluationCache:
                 cutoff = (time.time() if now is None else now) - max_age_s
                 for key in [k for k in entries if times.get(k, 0.0) < cutoff]:
                     del entries[key]
-            if max_entries is not None and max_entries > 0 and len(entries) > max_entries:
+            if max_entries is not None and len(entries) > max_entries:
                 for key in list(entries)[: len(entries) - max_entries]:
                     del entries[key]
             self.store.replace_all(entries, {k: times[k] for k in entries if k in times})

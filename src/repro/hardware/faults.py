@@ -8,38 +8,19 @@ Two fault classes are modelled:
   throughput) or fails completely, in which case the die and all of its links are
   excluded from workload allocation.
 
-The model is deterministic given a seed so that experiments are reproducible.
-
-Two views of the same fault process coexist here:
-
-* the **static snapshot** — :meth:`FaultModel.random` draws one fault population,
-  the shape the Fig. 22 robustness sweep prices; and
-* the **timestamped event stream** — :class:`FaultInjector.schedule` draws the
-  *same* fault population (identical RNG discipline, so folding the stream equals
-  the snapshot) but spreads onsets over a horizon and optionally schedules
-  repairs, the vocabulary the online scenario engine's traces speak
-  (:mod:`repro.online.trace`).
+The model is deterministic given a seed so that experiments are reproducible:
+:meth:`FaultModel.random` draws one static fault population, the shape the Fig. 22
+robustness sweep prices.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Tuple
+from typing import Dict, FrozenSet, List, Tuple
 
 Coord = Tuple[int, int]
 Link = Tuple[Coord, Coord]
-
-#: The fault-event kinds a :class:`FaultEvent` may carry (degrades carry the
-#: remaining capability fraction in ``value``; repairs restore nominal).
-FAULT_EVENT_KINDS = (
-    "die_degrade",
-    "die_fail",
-    "die_repair",
-    "link_degrade",
-    "link_fail",
-    "link_repair",
-)
 
 
 def _canonical(link: Link) -> Link:
@@ -71,58 +52,6 @@ class FaultyDie:
             raise ValueError("die throughput must be within [0, 1]")
 
 
-@dataclass(frozen=True)
-class FaultEvent:
-    """One timestamped change of the fault state (the trace vocabulary).
-
-    ``kind`` is one of :data:`FAULT_EVENT_KINDS`.  Degrade events carry the
-    remaining capability fraction in ``value`` (``die_fail``/``link_fail`` are the
-    ``value == 0`` corner, kept as distinct kinds because the online engine treats
-    a fail as a preemption, not just a slowdown); repair events restore the target
-    to nominal.  Exactly one of ``die`` / ``link`` names the target.
-    """
-
-    time: float
-    kind: str
-    die: Optional[Coord] = None
-    link: Optional[Link] = None
-    value: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.kind not in FAULT_EVENT_KINDS:
-            raise ValueError(f"kind must be one of {FAULT_EVENT_KINDS}, not {self.kind!r}")
-        if (self.die is None) == (self.link is None):
-            raise ValueError("exactly one of die= / link= must name the target")
-        if self.kind.startswith("die") and self.die is None:
-            raise ValueError(f"{self.kind} events target a die")
-        if self.kind.startswith("link") and self.link is None:
-            raise ValueError(f"{self.kind} events target a link")
-        if not 0.0 <= self.value <= 1.0:
-            raise ValueError("value must be within [0, 1]")
-
-    # ------------------------------------------------------------------ codecs
-    def to_dict(self) -> Dict[str, Any]:
-        """A JSON-compatible dict (the trace-line shape)."""
-        data: Dict[str, Any] = {"kind": self.kind, "value": self.value}
-        if self.die is not None:
-            data["die"] = list(self.die)
-        if self.link is not None:
-            data["link"] = [list(self.link[0]), list(self.link[1])]
-        return data
-
-    @classmethod
-    def from_dict(cls, time: float, data: Dict[str, Any]) -> "FaultEvent":
-        die = data.get("die")
-        link = data.get("link")
-        return cls(
-            time=float(time),
-            kind=str(data.get("kind", "")),
-            die=tuple(die) if die is not None else None,
-            link=(tuple(link[0]), tuple(link[1])) if link is not None else None,
-            value=float(data.get("value", 0.0)),
-        )
-
-
 @dataclass
 class FaultModel:
     """A set of injected faults plus helpers to query effective capacities."""
@@ -138,46 +67,8 @@ class FaultModel:
         self.die_faults[die] = FaultyDie(die, throughput)
 
     def clear_link_fault(self, link: Link) -> None:
-        """Restore a link to nominal (a ``link_repair`` event)."""
+        """Restore a link to nominal."""
         self.link_faults.pop(_canonical(link), None)
-
-    def clear_die_fault(self, die: Coord) -> None:
-        """Restore a die to nominal (a ``die_repair`` event)."""
-        self.die_faults.pop(die, None)
-
-    def apply_event(self, event: FaultEvent) -> None:
-        """Fold one timestamped :class:`FaultEvent` into this snapshot."""
-        if event.kind in ("die_degrade", "die_fail"):
-            self.add_die_fault(event.die, 0.0 if event.kind == "die_fail" else event.value)
-        elif event.kind == "die_repair":
-            self.clear_die_fault(event.die)
-        elif event.kind in ("link_degrade", "link_fail"):
-            self.add_link_fault(event.link, 0.0 if event.kind == "link_fail" else event.value)
-        else:  # link_repair (kinds are validated at event construction)
-            self.clear_link_fault(event.link)
-
-    def effective_speed(self, dies_x: int, dies_y: int) -> float:
-        """The fleet-level service-rate fraction this fault state leaves a wafer.
-
-        The online engine's cheap reduction of the full fault-aware repricing: the
-        mean remaining die throughput times the mean remaining quality of the mesh
-        links, both over the wafer's nominal population.  Healthy wafer → 1.0; a
-        wafer whose every die is dead → 0.0 (down).  Deterministic and O(faults),
-        which is what lets a fault storm replay at trace speed.
-        """
-        dies = dies_x * dies_y
-        if dies == 0:
-            return 0.0
-        die_speed = 1.0 - sum(
-            1.0 - fault.throughput for fault in self.die_faults.values()
-        ) / dies
-        links = dies_x * (dies_y - 1) + dies_y * (dies_x - 1)
-        if links == 0:
-            return max(0.0, die_speed)
-        link_speed = 1.0 - sum(
-            1.0 - self.link_quality(link) for link in self.link_faults
-        ) / links
-        return max(0.0, die_speed) * max(0.0, link_speed)
 
     def link_quality(self, link: Link) -> float:
         """Remaining bandwidth fraction of a link (also zero if either endpoint is dead)."""
@@ -241,123 +132,4 @@ class FaultModel:
         for die in faulty_dies:
             throughput = 0.0 if rng.random() < dead_share else degraded_fraction
             model.add_die_fault(die, throughput)
-        return model
-
-
-def _mesh_links(dies_x: int, dies_y: int) -> List[Link]:
-    links: List[Link] = []
-    for x in range(dies_x):
-        for y in range(dies_y):
-            if x + 1 < dies_x:
-                links.append(((x, y), (x + 1, y)))
-            if y + 1 < dies_y:
-                links.append(((x, y), (x, y + 1)))
-    return links
-
-
-@dataclass
-class FaultInjector:
-    """Deterministic timestamped fault-event source (the trace-side §VI-D model).
-
-    Configured exactly like :meth:`FaultModel.random` — the same fault rates, the
-    same degraded/dead split — and :meth:`schedule` draws the fault *population*
-    with the identical RNG call sequence, so with no repairs configured, folding
-    the scheduled events (:meth:`model_at` at or past the horizon end) reproduces
-    ``FaultModel.random(..., seed=seed)`` **exactly**.  Traces and the static
-    robustness study therefore share one fault model; only the time axis differs.
-
-    ``mean_repair_s`` > 0 additionally schedules an exponential-delay repair after
-    each onset (repairs past the horizon end are dropped — the fault persists).
-    """
-
-    dies_x: int
-    dies_y: int
-    link_fault_rate: float = 0.0
-    die_fault_rate: float = 0.0
-    degraded_fraction: float = 0.5
-    dead_share: float = 0.2
-    mean_repair_s: float = 0.0
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.link_fault_rate <= 1.0 or not 0.0 <= self.die_fault_rate <= 1.0:
-            raise ValueError("fault rates must be within [0, 1]")
-        if self.mean_repair_s < 0.0:
-            raise ValueError("mean_repair_s must be non-negative")
-
-    def schedule(
-        self, seed: int, horizon: float, start: float = 0.0
-    ) -> List[FaultEvent]:
-        """The ordered fault events of one seeded storm over ``[start, start+horizon)``.
-
-        Deterministic: same seed ⇒ the same events, bit for bit.  The fault
-        population comes from the snapshot RNG stream (``random.Random(seed)``,
-        the :meth:`FaultModel.random` discipline); onset and repair times come
-        from an independent derived stream, so adding the time axis never
-        perturbs *which* faults occur.
-        """
-        if horizon < 0.0:
-            raise ValueError("horizon must be non-negative")
-        rng = random.Random(seed)
-        # A string seed hashes through SHA-512 (stable across processes); a tuple
-        # seed would go through hash(), which PYTHONHASHSEED randomises.
-        times = random.Random(f"{int(seed)}:fault-times")
-        events: List[FaultEvent] = []
-
-        links = _mesh_links(self.dies_x, self.dies_y)
-        faulty_links = rng.sample(links, int(round(self.link_fault_rate * len(links))))
-        for link in faulty_links:
-            dead = rng.random() < self.dead_share
-            onset = start + times.uniform(0.0, horizon)
-            kind = "link_fail" if dead else "link_degrade"
-            value = 0.0 if dead else self.degraded_fraction
-            events.append(FaultEvent(time=onset, kind=kind, link=link, value=value))
-            repair = self._repair_time(times, onset, start + horizon)
-            if repair is not None:
-                events.append(FaultEvent(time=repair, kind="link_repair", link=link, value=1.0))
-
-        dies = [(x, y) for x in range(self.dies_x) for y in range(self.dies_y)]
-        faulty_dies = rng.sample(dies, int(round(self.die_fault_rate * len(dies))))
-        for die in faulty_dies:
-            dead = rng.random() < self.dead_share
-            onset = start + times.uniform(0.0, horizon)
-            kind = "die_fail" if dead else "die_degrade"
-            value = 0.0 if dead else self.degraded_fraction
-            events.append(FaultEvent(time=onset, kind=kind, die=die, value=value))
-            repair = self._repair_time(times, onset, start + horizon)
-            if repair is not None:
-                events.append(FaultEvent(time=repair, kind="die_repair", die=die, value=1.0))
-
-        # Stable sort on time only: equal-time events keep generation order, so
-        # the schedule is deterministic without inventing a cross-kind tiebreak.
-        events.sort(key=lambda event: event.time)
-        return events
-
-    def _repair_time(
-        self, times: random.Random, onset: float, end: float
-    ) -> Optional[float]:
-        """The repair instant after ``onset`` (``None`` = persists past the horizon).
-
-        The exponential draw happens even when the repair lands past the horizon
-        (and is then dropped), keeping the RNG call sequence independent of the
-        horizon length.
-        """
-        if self.mean_repair_s <= 0.0:
-            return None
-        repair = onset + times.expovariate(1.0 / self.mean_repair_s)
-        return repair if repair < end else None
-
-    @staticmethod
-    def model_at(
-        events: Iterable[FaultEvent], time: float, base: Optional[FaultModel] = None
-    ) -> FaultModel:
-        """The static :class:`FaultModel` snapshot after folding events ≤ ``time``.
-
-        The bridge back to the Fig. 22 study: with ``mean_repair_s == 0``,
-        ``model_at(schedule(seed, horizon), start + horizon)`` equals
-        ``FaultModel.random(..., seed=seed)`` field for field.
-        """
-        model = base if base is not None else FaultModel()
-        for event in sorted(events, key=lambda event: event.time):
-            if event.time <= time:
-                model.apply_event(event)
         return model

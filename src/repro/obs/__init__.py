@@ -4,7 +4,7 @@ The subsystem is three small, stdlib-only modules:
 
 * :mod:`repro.obs.tracer` — the process-local ring-buffer :class:`Tracer`, the
   module-level ``enabled`` fast flag, and the ``span()``/``count()``/``add()``
-  instrumentation API used across core/api/online.
+  instrumentation API used across core/api.
 * :mod:`repro.obs.tracefile` — the versioned JSONL span log written by
   ``Session(trace=...)`` / ``repro sweep --trace`` and read by ``repro profile``.
 * :mod:`repro.obs.report` — post-hoc aggregation: per-stage tables,

@@ -39,7 +39,7 @@ Record layout (index → field)::
     8 value    counter increment (1.0 for spans)
 
 This module depends only on the standard library so every layer of the package
-(core, api, online) can import it without cycles.
+(core, api) can import it without cycles.
 """
 
 from __future__ import annotations

@@ -353,7 +353,10 @@ class TestAgeCompaction:
         store.append({"new": 2}, {"new": 2_000.0})
         store.close()
         cache = EvaluationCache(store=store_path)
-        kept = cache.compact(max_age_s=500.0, now=2_400.0)
+        for name, bad in (("max_age_s", -1.0), ("max_age_s", float("nan")), ("max_entries", 0)):
+            with pytest.raises(ValueError, match=f"^{name} must be"):
+                cache.compact(now=2_400.0, **{name: bad})
+        kept = cache.compact(max_age_s=500.0, now=2_400.0)  # the rejected calls evicted nothing
         cache.close()
         assert kept == 1
         warm = EvaluationCache(store=store_path)

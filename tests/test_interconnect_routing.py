@@ -134,7 +134,7 @@ def test_repro_imports_and_routes_without_networkx():
                 return None
 
         sys.meta_path.insert(0, Uninstalled())
-        import repro, repro.api, repro.predictor, repro.obs, repro.online
+        import repro, repro.api, repro.predictor, repro.obs
         from repro.api import ExperimentSpec, Session
         from repro.hardware.faults import FaultModel
         from repro.interconnect.routing import fault_aware_path

@@ -5,9 +5,9 @@
   earlier builds must keep loading, and these expectations were taken from the
   build before the stores shared one log.  Each pin is checked both ways: the
   current code writes exactly these bytes, and loads them back unchanged.
-* **Atomic rewrites.**  Every whole-file writer (the online job trace, the span
-  trace, store compaction) goes through one temp-file/fsync/rename path: an
-  exception mid-write leaves the previous file byte-identical and no temp file.
+* **Atomic rewrites.**  Every whole-file writer (the span trace, store
+  compaction) goes through one temp-file/fsync/rename path: an exception
+  mid-write leaves the previous file byte-identical and no temp file.
 * **Appends reach the OS.**  A row is readable by another reader as soon as the
   append returns, without closing the store.
 * **One sqlite connection, many threads.**  A threaded sweep's cell threads all
@@ -29,9 +29,6 @@ from repro.api.results import JsonlResultStore, SqliteResultStore
 from repro.core.evalcache import JsonlCacheStore, SqliteCacheStore
 from repro.obs import tracer
 from repro.obs.tracefile import write_trace as write_span_trace
-from repro.online import generate_trace
-from repro.online.trace import TraceEvent
-from repro.online.trace import write_trace as write_job_trace
 from repro.recordlog import is_sqlite_path
 
 CACHE_VALUES = {"a": 1, "b": (0.1 + 0.2, float("inf")), "c": ["x", None]}
@@ -198,66 +195,36 @@ class TestSqliteFormatPins:
 
 
 # -------------------------------------------------------------- atomic rewrites
-class _Boom(Exception):
-    pass
+def _span_trace_writer(path, fail):
+    ring = tracer.Tracer(capacity=64)
+    for index in range(50):
+        ring.add_span("pricing", float(index), index + 0.5, tag=f"cell-{index}")
+    records = list(ring.records())
+    if fail:
+        # An unserializable tag on the 21st record: json.dumps raises mid-file.
+        bad = list(records[20])
+        bad[4] = object()
+        records[20] = tuple(bad)
+    write_span_trace(path, records)
 
 
-def _span_trace_writer(monkeypatch):
-    def write(path, fail):
-        ring = tracer.Tracer(capacity=64)
-        for index in range(50):
-            ring.add_span("pricing", float(index), index + 0.5, tag=f"cell-{index}")
-        records = list(ring.records())
-        if fail:
-            # An unserializable tag on the 21st record: json.dumps raises mid-file.
-            bad = list(records[20])
-            bad[4] = object()
-            records[20] = tuple(bad)
-        write_span_trace(path, records)
-
-    return write
-
-
-def _job_trace_writer(monkeypatch):
-    def write(path, fail):
-        trace = generate_trace(jobs=50, rate=5.0, seed=1 if fail else 0)
-        if fail:
-            to_dict, calls = TraceEvent.to_dict, []
-
-            def flaky(event):
-                calls.append(event)
-                if len(calls) > 20:
-                    raise _Boom("interrupted mid-write")
-                return to_dict(event)
-
-            monkeypatch.setattr(TraceEvent, "to_dict", flaky)
-        write_job_trace(trace, path)
-
-    return write
-
-
-def _compaction_writer(monkeypatch):
-    def write(path, fail):
-        store = JsonlResultStore(path)
-        records = OrderedDict((f"c{index}", {"written_at": float(index)}) for index in range(50))
-        if fail:
-            records["c20"] = {"unserializable": object()}
-        store.replace_all(records)
-
-    return write
+def _compaction_writer(path, fail):
+    store = JsonlResultStore(path)
+    records = OrderedDict((f"c{index}", {"written_at": float(index)}) for index in range(50))
+    if fail:
+        records["c20"] = {"unserializable": object()}
+    store.replace_all(records)
 
 
 @pytest.mark.parametrize(
-    "writer", [_job_trace_writer, _span_trace_writer, _compaction_writer],
-    ids=["online-trace", "span-trace", "store-compaction"],
+    "write", [_span_trace_writer, _compaction_writer], ids=["span-trace", "store-compaction"],
 )
-def test_interrupted_rewrite_keeps_the_previous_file(tmp_path, monkeypatch, writer):
-    write = writer(monkeypatch)
+def test_interrupted_rewrite_keeps_the_previous_file(tmp_path, write):
     path = str(tmp_path / "out.jsonl")
     write(path, fail=False)
     before = _read_bytes(path)
     assert before.count(b"\n") == 51  # header + 50 rows
-    with pytest.raises((_Boom, TypeError)):
+    with pytest.raises(TypeError):
         write(path, fail=True)
     assert _read_bytes(path) == before
     assert os.listdir(tmp_path) == ["out.jsonl"]  # no temp file left behind

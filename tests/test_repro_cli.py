@@ -205,6 +205,9 @@ class TestResultsCommand:
         assert repro_main(["results", "tail", results, "-n", "2"]) == 0
         lines = capsys.readouterr().out.strip().splitlines()
         assert len(lines) == 2 and all("scheduler" in line for line in lines)
+        for kind, shown in (("scheduler", 2), ("dse", 0)):
+            assert repro_main(["results", "tail", results, "-n", "2", "--kind", kind]) == 0
+            assert len(capsys.readouterr().out.splitlines()) == shown
 
         csv_out = str(tmp_path / "cells.csv")
         assert repro_main(["results", "export", results, "--csv", csv_out]) == 0
@@ -250,6 +253,23 @@ class TestCacheCommand:
         assert compact_cache.main([path, "--max-age", "3600"]) == 0
         assert "1 entries (1 evicted)" in capsys.readouterr().out
         assert open_store(path).load() == {"new": 2}
+
+    @pytest.mark.parametrize(
+        "flag, value", [("--max-age", "-1"), ("--max-age", "nan"), ("--max-entries", "0")]
+    )
+    def test_out_of_range_bound_is_a_one_line_error(self, tmp_path, flag, value):
+        path = str(tmp_path / "store.jsonl")
+        store = open_store(path)
+        store.append({"old": 1}, {"old": 50.0})
+        store.append({"new": 2})
+        store.close()
+        with open(path, "rb") as handle:
+            before = handle.read()
+        with pytest.raises(SystemExit, match=f"^repro cache compact: {flag} must be") as caught:
+            repro_main(["cache", "compact", path, flag, value])
+        assert "\n" not in str(caught.value)
+        with open(path, "rb") as handle:
+            assert handle.read() == before  # rejected before the store was opened
 
     def test_missing_store_fails_cleanly(self, tmp_path, capsys):
         assert repro_main(["cache", "stats", str(tmp_path / "absent.jsonl")]) == 1

@@ -137,6 +137,12 @@ class TestLifecycle:
         assert warm.peek("extra") == 2
         warm.close()
 
+    def test_out_of_range_compact_bound_fails_at_construction(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        with pytest.raises(ValueError, match="max_age_s must be non-negative"):
+            Session(store=str(path), compact_max_age_s=-1)
+        assert not path.exists()  # rejected before the store was opened
+
     def test_sessions_cannot_be_pickled(self):
         import pickle
 

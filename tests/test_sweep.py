@@ -239,13 +239,14 @@ class TestKnobErrors:
 class _FakeRun:
     """A RunResult stand-in with a deterministic to_dict."""
 
-    def __init__(self, label, metrics):
+    def __init__(self, label, metrics, kind="ga"):
         self.label = label
         self.metrics = metrics
+        self.kind = kind
         self.seconds = 0.5
 
     def to_dict(self, volatile=True):
-        data = {"kind": "ga", "label": self.label, "metrics": dict(self.metrics)}
+        data = {"kind": self.kind, "label": self.label, "metrics": dict(self.metrics)}
         if volatile:
             data["seconds"] = self.seconds
         return data
@@ -321,9 +322,13 @@ class TestResultStore:
     def test_tail_zero_is_empty(self, tmp_path, suffix):
         path = str(tmp_path / f"results{suffix}")
         with open_result_store(path) as store:
-            store.put("a", make_record(_FakeRun("a", {}), now=1.0))
-            assert store.tail(0) == []
-            assert store.tail(-1) == []
+            for cell_id, kind in (("a", "ga"), ("d1", "dse"), ("b", "ga"), ("d2", "dse")):
+                store.put(cell_id, make_record(_FakeRun(cell_id, {}, kind), now=1.0))
+            for kind, last_two in ((None, ["b", "d2"]), ("ga", ["a", "b"]), ("dse", ["d1", "d2"])):
+                assert store.tail(0, kind=kind) == []
+                assert store.tail(-1, kind=kind) == []
+                assert [cid for cid, _ in store.tail(2, kind=kind)] == last_two
+            assert store.tail(2, kind="watos") == []
 
     def test_stats(self, tmp_path, suffix):
         path = str(tmp_path / f"results{suffix}")

@@ -26,13 +26,11 @@ from repro.api import (
     SweepSpec,
     close_default_session,
     open_result_store,
-    open_store,
 )
 from repro.api.cli import main as repro_main
-from repro.api.results import ResultStore, SqliteResultStore
+from repro.api.results import SqliteResultStore
 from repro.api.session import SweepCellError
 from repro.core.chaos import ChaosMonkey
-from repro.core.evalcache import EvaluationCache
 from repro.core.parallel_map import WorkerPool
 from repro.core.retry import RetryPolicy
 
@@ -336,31 +334,6 @@ class TestSweepJobsApi:
                 SweepSpec.from_payload(payload).expand()
         with pytest.raises(ValueError, match="workers: a spec does not size the worker pool"):
             ExperimentSpec.from_dict(dict(GA_SWEEP["base"], workers=2))
-
-
-class TestOpenStoreDispatcher:
-    def test_results_kind(self, tmp_path):
-        path = str(tmp_path / "rows.jsonl")
-        with open_store(path, kind="results") as store:
-            assert isinstance(store, ResultStore)
-            store.put("a", {"result": {"status": "ok"}})
-        with open_result_store(path) as store:
-            assert store.completed_ids() == {"a"}
-
-    def test_cache_kind(self, tmp_path):
-        path = str(tmp_path / "cache.sqlite")
-        store = open_store(path, kind="cache")
-        try:
-            assert not isinstance(store, ResultStore)
-            cache = EvaluationCache(store=store)
-            cache.put("k", 1.5)
-            cache.flush()
-        finally:
-            store.close()
-
-    def test_bad_kind(self, tmp_path):
-        with pytest.raises(ValueError, match="kind"):
-            open_store(str(tmp_path / "x.jsonl"), kind="bogus")
 
 
 # -------------------------------------------------------------------------- CLI
