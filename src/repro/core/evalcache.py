@@ -127,7 +127,7 @@ def fingerprint(*values: Any) -> str:
     return digest.hexdigest()
 
 
-#: Texts one :class:`CanonicalTexts` keeps; a full memo starts over.
+#: Entries each memo of one :class:`CanonicalTexts` keeps; a full memo starts over.
 TEXT_MEMO_SIZE = 4096
 
 
@@ -139,49 +139,104 @@ class CanonicalTexts:
     parent's placement, recompute config or parallelism re-canonicalises only what
     changed; sha256 is fed exactly the bytes :func:`fingerprint` feeds it.
 
-    A field holding a dataclass has its text memoised under the field value's
-    pickle.  Equal pickles load as values of the same types and contents, so they
-    canonicalise to the same text; values that compare equal but are typed
-    differently (``1``, ``1.0``, ``True``) pickle differently and get their own
-    entries.  The pickle is taken on every lookup, so a value changed in place is
-    looked up under its new contents: a digest never depends on what was looked up
-    before.  A value pickle cannot write is canonicalised without the memo.
+    Two memos serve a lookup, and a digest never depends on what was looked up
+    before:
+
+    * **By identity**, for values that cannot change in place: exact primitives,
+      enum members, and exact tuples and frozensets of, or frozen dataclasses
+      over, such values all the way down (:func:`_cannot_change`).  A field value's
+      text, and a whole value's digest, are kept under ``id(value)`` together with
+      the value itself, so the id cannot be reused while the entry lives.  A GA
+      child keeps most of its parent's component objects, so most of its key is
+      found here; a whole value's digest is kept only when asked (``hold``).
+    * **By pickle**, for every other dataclass field value, and for fixed ones the
+      identity memo has not seen.  Equal pickles load as values of the same types
+      and contents, so they canonicalise to the same text and are equally fixed;
+      values that compare equal but are typed differently (``1``, ``1.0``,
+      ``True``) pickle differently and get their own entries.  A value that can
+      change in place (a placement built on lists, say) is pickled on every
+      lookup, so it is looked up under its current contents.  A value pickle
+      cannot write is canonicalised without this memo.
     """
 
     def __init__(self) -> None:
-        self._texts: Dict[bytes, str] = {}
+        #: ``pickle -> (text, fixed)`` of dataclass field values.
+        self._texts: Dict[bytes, Tuple[str, bool]] = {}
+        #: ``id(value) -> (value, text)`` of fixed field values.
+        self._field_texts: Dict[int, Tuple[Any, str]] = {}
+        #: ``id(value) -> (value, digest)`` of fixed whole values fingerprinted with
+        #: ``hold=True``.
+        self._digests: Dict[int, Tuple[Any, str]] = {}
 
-    def fingerprint(self, value: Any) -> str:
-        """Exactly :func:`fingerprint` ``(value)``."""
-        if _is_dataclass_value(value):
-            items = [
-                f"({name!r}, {self._field_text(getattr(value, name))})"
-                for name in _field_names(type(value))
-            ]
-            text = f"({type(value).__name__!r}, {_tuple_repr(items)})"
-        else:
-            text = repr(canonicalize(value))
-        return hashlib.sha256(text.encode("utf-8") + b"\x00").hexdigest()
+    def fingerprint(self, value: Any, hold: bool = False) -> str:
+        """Exactly :func:`fingerprint` ``(value)``.
 
-    def _field_text(self, value: Any) -> str:
-        """``repr(canonicalize(value))``, memoised for dataclass values."""
+        ``hold=True`` also keeps the digest under ``id(value)`` when ``value`` cannot
+        change in place: for a long-lived value, such as the workload every plan of
+        a search is priced under.  A plan is seen once and is not held.
+        """
+        held = self._digests.get(id(value))
+        if held is not None and held[0] is value:
+            return held[1]
         if not _is_dataclass_value(value):
-            return repr(canonicalize(value))
+            return fingerprint(value)
+        cls = type(value)
+        fixed = cls.__dataclass_params__.frozen
+        items = []
+        for name in _field_names(cls):
+            text, field_fixed = self._field_text(getattr(value, name))
+            fixed = fixed and field_fixed
+            items.append(f"({name!r}, {text})")
+        text = f"({cls.__name__!r}, {_tuple_repr(items)})"
+        digest = hashlib.sha256(text.encode("utf-8") + b"\x00").hexdigest()
+        if hold and fixed:
+            _hold(self._digests, value, digest)
+        return digest
+
+    def _field_text(self, value: Any) -> Tuple[str, bool]:
+        """``repr(canonicalize(value))``, and whether it is fixed (:func:`_cannot_change`)."""
+        held = self._field_texts.get(id(value))
+        if held is not None and held[0] is value:
+            return held[1], True
+        if type(value) in _ATOMS:
+            return repr(canonicalize(value)), True
+        entry = self._pickled(value) if _is_dataclass_value(value) else None
+        if entry is None:
+            entry = repr(canonicalize(value)), _cannot_change(value)
+        if entry[1]:
+            _hold(self._field_texts, value, entry[0])
+        return entry
+
+    def _pickled(self, value: Any) -> Optional[Tuple[str, bool]]:
+        """:meth:`_field_text` of a dataclass value, memoised under its pickle.
+
+        ``None`` when pickle cannot write the value.
+        """
         try:
             key = pickle.dumps(value, protocol=4)
         except (pickle.PicklingError, TypeError, AttributeError):  # e.g. a local class
-            return repr(canonicalize(value))
-        text = self._texts.get(key)
-        if text is None:
-            text = repr(canonicalize(value))
+            return None
+        entry = self._texts.get(key)
+        if entry is None:
+            entry = repr(canonicalize(value)), _cannot_change(value)
             if len(self._texts) >= TEXT_MEMO_SIZE:
                 self._texts.clear()
-            self._texts[key] = text
-        return text
+            self._texts[key] = entry
+        return entry
+
+
+def _hold(memo: Dict[int, Tuple[Any, str]], value: Any, text: str) -> None:
+    """Keep ``text`` under ``id(value)`` in an identity memo, holding ``value``."""
+    if len(memo) >= TEXT_MEMO_SIZE:
+        memo.clear()
+    memo[id(value)] = (value, text)
 
 
 #: Types :func:`canonicalize` tests before its dataclass branch.
 _BEFORE_DATACLASS = (bool, int, str, bytes, float, enum.Enum)
+
+#: Exact types whose values never change and that :func:`canonicalize` keeps whole.
+_ATOMS = frozenset({type(None), bool, int, float, str, bytes})
 
 
 def _is_dataclass_value(value: Any) -> bool:
@@ -189,6 +244,24 @@ def _is_dataclass_value(value: Any) -> bool:
     return hasattr(type(value), "__dataclass_fields__") and not isinstance(
         value, _BEFORE_DATACLASS
     )
+
+
+def _cannot_change(value: Any) -> bool:
+    """Whether ``repr(canonicalize(value))`` stays the same for as long as ``value`` lives.
+
+    True for exact primitives, enum members, and exact tuples and frozensets of, or
+    frozen dataclasses over, such values all the way down.  A list, set or dict
+    anywhere, a mutable dataclass, or a subclass of a builtin container or primitive
+    (which could change what :func:`canonicalize` reads) makes it False.
+    """
+    cls = type(value)
+    if cls in _ATOMS or isinstance(value, enum.Enum):
+        return True
+    if cls is tuple or cls is frozenset:
+        return _ATOMS.issuperset(map(type, value)) or all(map(_cannot_change, value))
+    if _is_dataclass_value(value) and cls.__dataclass_params__.frozen:
+        return all(_cannot_change(getattr(value, name)) for name in _field_names(cls))
+    return False
 
 
 @functools.lru_cache(maxsize=64)
@@ -505,8 +578,8 @@ class EvaluationCache:
         store: Optional[object] = None,
         namespace: Optional[str] = None,
     ) -> None:
-        if max_entries is not None and max_entries < 0:
-            raise ValueError("max_entries cannot be negative")
+        if max_entries is not None and not max_entries >= 0:  # written so that NaN fails too
+            raise ValueError(f"max_entries must be non-negative, not {max_entries:g}")
         self.max_entries = max_entries or None
         self.stats = CacheStats()
         self._entries: "OrderedDict[str, Any]" = OrderedDict()
@@ -667,11 +740,6 @@ class EvaluationCache:
             self._evict_over_bound()
             return adopted
 
-    def export(self) -> Dict[str, Any]:
-        """A plain-dict snapshot of the current entries (for seeding workers)."""
-        with self._lock:
-            return dict(self._entries)
-
     @property
     def sync_seq(self) -> int:
         """The current pricing sequence number — the watermark of a fresh export."""
@@ -682,7 +750,7 @@ class EvaluationCache:
 
         This is the parent→worker half of the delta-only sync: a pool tracks one
         watermark per worker and ships ``export_since(previous)`` instead of a full
-        :meth:`export` snapshot.  Monotonically advancing watermarks partition the
+        snapshot.  Monotonically advancing watermarks partition the
         entry stream — nothing is shipped twice, nothing is missed.  Entries the LRU
         has already evicted are skipped (the store, not the workers, keeps history).
         """

@@ -37,12 +37,16 @@ from repro.hardware.template import WaferConfig
 from repro.interconnect.collectives import CollectiveModel
 from repro.interconnect.alphabeta import AlphaBetaLink
 from repro.interconnect.topology import MeshTopology
-from repro.parallelism.pipeline import PipelineCostInputs, simulate_1f1b
+from repro.parallelism.pipeline import PipelineCostInputs, PipelineResult, simulate_1f1b
 from repro.predictor.lookup import OperatorPredictor
 from repro.workloads.memory import TrainingMemoryModel
 from repro.workloads.workload import TrainingWorkload
 
 Coord = Tuple[int, int]
+
+#: Distinct stage footprints, and distinct 1F1B schedules, one evaluator remembers
+#: (each); a full memo starts over.
+PRICING_MEMO_SIZE = 1024
 
 
 @dataclass(frozen=True)
@@ -97,7 +101,25 @@ class EvaluationResult:
 
 
 class Evaluator:
-    """Prices training plans on a wafer configuration."""
+    """Prices training plans on a wafer configuration.
+
+    A GA child differs from its parent in one plan component (Op1–Op5 of §IV-D), so
+    most of the pricing it needs was done before.  Besides the plan-level
+    :attr:`cache`, each evaluator memoises:
+
+    * the pre-Mem_pair stage footprints per (model, micro-batch size, sequence
+      length, PP, TP, micro-batch count, recompute config); the Mem_pair shifts are
+      applied to a fresh copy on every call;
+    * the 1F1B result per (forward, backward, boundary times, micro-batch count);
+      :class:`PipelineCostInputs` is still built, and so validated, on every call;
+    * the text of each plan and workload component its cache keys are built from,
+      and the workload's digest (:class:`~repro.core.evalcache.CanonicalTexts`).
+
+    The first two keep :data:`PRICING_MEMO_SIZE` entries each.  They, and the TP
+    engines' stage-time memo, are skipped with ``memoize_stages=False``; with
+    ``use_cache=False`` as well, that is the raw reference path the memoised one is
+    tested against.
+    """
 
     #: Host-offloading (Fig. 6b) moves evicted checkpoints over the host link; only this
     #: fraction of the transfer can be hidden behind compute.
@@ -128,14 +150,17 @@ class Evaluator:
         #: Number of evaluations actually priced (cache misses + uncached calls).
         self.raw_evaluations = 0
         # Incremental per-instance state, hoisted out of evaluate(): one PP engine per
-        # mesh, one memory model per model config, one operator graph per workload shape.
+        # mesh, one memory model per model config, one operator graph per workload shape,
+        # and the footprint and 1F1B memos (see the class docstring).
         self._pp_engine = PPEngine(self.mesh)
         self._memory_models: Dict[object, TrainingMemoryModel] = {}
         self._layer_operators: Dict[Tuple, List] = {}
+        self._footprints: Dict[Tuple, Tuple[float, ...]] = {}
+        self._pipelines: Dict[Tuple, PipelineResult] = {}
         # Fingerprint memos: the hardware digest is static while the fault model is
         # empty (it is recomputed per call otherwise, so in-place fault injection still
         # invalidates keys); workload and plan digests are built from memoised texts of
-        # their frozen components, so a GA child re-canonicalises only what changed.
+        # their components, so a GA child re-canonicalises only what changed.
         self._hardware_fp: Optional[str] = None
         self._texts = CanonicalTexts()
 
@@ -213,24 +238,64 @@ class Evaluator:
         """Per-die memory footprint of every stage after recomputation and balancing."""
         memory = self._memory_model(workload)
         pp, tp = plan.parallelism.pp, plan.parallelism.tp
-        operators = self._layer_ops(workload)
         recompute = plan.recompute if plan.recompute.num_stages == pp else RecomputeConfig.none(pp)
-        fractions = [recompute.recompute_fraction(s, operators) for s in range(pp)]
-        breakdown = memory.pipeline_breakdown(
-            pp,
-            tp,
-            workload.micro_batch_size,
-            workload.seq_len,
-            num_microbatches,
-            fractions,
-        )
-        footprints = [stage.total_bytes for stage in breakdown]
+        key = base = None
+        if self.memoize_stages:
+            # One memory model per model config, so it stands in for the model.
+            key = (
+                memory,
+                workload.micro_batch_size,
+                workload.seq_len,
+                pp,
+                tp,
+                num_microbatches,
+                recompute,
+            )
+            try:
+                base = self._footprints.get(key)
+            except TypeError:  # a recompute config built on lists or sets does not hash
+                key = None
+        if base is None:
+            operators = self._layer_ops(workload)
+            fractions = [recompute.recompute_fraction(s, operators) for s in range(pp)]
+            breakdown = memory.pipeline_breakdown(
+                pp,
+                tp,
+                workload.micro_batch_size,
+                workload.seq_len,
+                num_microbatches,
+                fractions,
+            )
+            base = tuple(stage.total_bytes for stage in breakdown)
+            if key is not None:
+                if len(self._footprints) >= PRICING_MEMO_SIZE:
+                    self._footprints.clear()
+                self._footprints[key] = base
+        footprints = list(base)
         # Mem_pair volumes are expressed per die of the stage (the same unit as the
         # footprints), so they shift directly between Sender and Helper stages.
         for pair in plan.mem_pairs:
             footprints[pair.sender_stage] -= pair.bytes_moved
             footprints[pair.helper_stage] += pair.bytes_moved
         return footprints
+
+    def _pipeline(self, inputs: PipelineCostInputs) -> PipelineResult:
+        """:func:`simulate_1f1b` of ``inputs``, memoised per distinct stage times."""
+        if not self.memoize_stages:
+            return simulate_1f1b(inputs)
+        key = (
+            tuple(inputs.forward),
+            tuple(inputs.backward),
+            tuple(inputs.comm),
+            inputs.num_microbatches,
+        )
+        result = self._pipelines.get(key)
+        if result is None:
+            result = simulate_1f1b(inputs)
+            if len(self._pipelines) >= PRICING_MEMO_SIZE:
+                self._pipelines.clear()
+            self._pipelines[key] = result
+        return result
 
     # ------------------------------------------------------------------ evaluation
     def fingerprint(self, workload: TrainingWorkload, plan: TrainingPlan) -> str:
@@ -245,7 +310,9 @@ class Evaluator:
             # Fault models can be mutated in place (robustness study); re-digest.
             hardware_fp = hardware_fingerprint(self.wafer, self.faults, self.fault_aware)
         return combine_fingerprints(
-            hardware_fp, self._texts.fingerprint(workload), self._texts.fingerprint(plan)
+            hardware_fp,
+            self._texts.fingerprint(workload, hold=True),
+            self._texts.fingerprint(plan),
         )
 
     def evaluate(self, workload: TrainingWorkload, plan: TrainingPlan) -> EvaluationResult:
@@ -356,7 +423,7 @@ class Evaluator:
         boundary_times = list(comm_plan.boundary_times) or [0.0] * max(0, pp - 1)
 
         # ---------------------------------------------------------------- pipeline makespan
-        pipeline = simulate_1f1b(
+        pipeline = self._pipeline(
             PipelineCostInputs(
                 forward=forward,
                 backward=backward,

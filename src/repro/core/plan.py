@@ -84,8 +84,8 @@ class MemPair:
     def __post_init__(self) -> None:
         if self.sender_stage == self.helper_stage:
             raise ValueError("a stage cannot balance checkpoints with itself")
-        if self.bytes_moved < 0:
-            raise ValueError("balanced bytes cannot be negative")
+        if not self.bytes_moved >= 0:  # written so that NaN fails too
+            raise ValueError("balanced bytes must be a non-negative number")
 
 
 @dataclass(frozen=True)

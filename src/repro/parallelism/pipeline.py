@@ -37,10 +37,11 @@ class PipelineCostInputs:
             raise ValueError("forward/backward stage counts differ")
         if len(self.comm) != max(0, pp - 1):
             raise ValueError("need exactly pp - 1 inter-stage communication times")
-        if self.num_microbatches <= 0:
+        # Written so that NaN fails too: every comparison with NaN is false.
+        if not self.num_microbatches > 0:
             raise ValueError("need at least one micro-batch")
-        if any(t < 0 for t in list(self.forward) + list(self.backward) + list(self.comm)):
-            raise ValueError("times cannot be negative")
+        if not all(t >= 0 for t in (*self.forward, *self.backward, *self.comm)):
+            raise ValueError("times must be non-negative numbers")
 
     @property
     def num_stages(self) -> int:

@@ -264,7 +264,7 @@ class TestEvaluatorWarmStart:
         parent = EvaluationCache()
         parent.put("p", 1)
         child = EvaluationCache()
-        child.seed(parent.export())
+        child.seed({"p": 1})
         mark = child.sync_seq  # the child's delta: what it adopts after the seed
         assert child.get("p") == 1 and child.stats.hits == 1
         child.put("q", 2)

@@ -1,6 +1,7 @@
 """Core plan data structures, TP engine, PP engine and placement."""
 
 import itertools
+from dataclasses import replace
 
 import pytest
 
@@ -95,6 +96,10 @@ class TestTrainingPlan:
             MemPair(1, 1, 5.0)
         with pytest.raises(ValueError):
             MemPair(0, 1, -1.0)
+        with pytest.raises(ValueError):
+            MemPair(0, 1, float("nan"))
+        with pytest.raises(ValueError):
+            replace(MemPair(0, 1, 5.0), bytes_moved=float("nan"))
 
     def test_label_mentions_parallelism(self):
         plan = TrainingPlan(parallelism=ParallelismConfig(tp=2, pp=2), tp_shape=(1, 2),

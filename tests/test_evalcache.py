@@ -12,6 +12,7 @@ from dataclasses import replace
 
 import pytest
 
+from repro.core import evaluator as evaluator_module
 from repro.core import genetic as genetic_module
 from repro.core import pp_engine as pp_engine_module
 from repro.core.central_scheduler import CentralScheduler
@@ -44,6 +45,7 @@ from repro.parallelism.pipeline import (
 )
 from repro.parallelism.strategies import ParallelismConfig
 from repro.interconnect.collectives import CollectiveAlgorithm
+from repro.workloads.memory import TrainingMemoryModel
 from repro.workloads.workload import TrainingWorkload
 
 from repro_testlib import make_small_wafer, make_tiny_model, paper_workloads
@@ -116,6 +118,20 @@ class TestEvaluationCache:
         assert cache.get_or_compute("k", lambda: calls.append(1) or 42) == 42
         assert cache.get_or_compute("k", lambda: calls.append(1) or 43) == 42
         assert len(calls) == 1
+
+    def test_out_of_range_max_entries_is_rejected(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        for bad in (-1, float("nan")):
+            with pytest.raises(ValueError, match="^max_entries must be non-negative"):
+                EvaluationCache(max_entries=bad)
+            with pytest.raises(ValueError, match="^max_entries must be non-negative"):
+                Session(store=str(path), max_entries=bad)
+        assert not path.exists()  # rejected before the store was opened
+        for unbounded in (0, None):
+            cache = EvaluationCache(max_entries=unbounded)
+            for index in range(100):
+                cache.put(f"k{index}", index)
+            assert cache.max_entries is None and len(cache) == 100
 
 
 # ---------------------------------------------------------------- fingerprint checks
@@ -442,6 +458,129 @@ class TestRoutingMemo:
         )
         evaluator.faults.clear_link_fault(link)
         assert evaluator.evaluate(workload, plan) == healthy
+
+
+@pytest.fixture(scope="module")
+def gshard_seed():
+    """config3 × gshard-137b and the scheduler's best plan for it (``ga_refine``'s seed)."""
+    wafer = wafer_config3()
+    workload = paper_workloads()["gshard-137b"]
+    return wafer, workload, CentralScheduler(wafer).best(workload).plan
+
+
+def _pipeline_key(inputs: PipelineCostInputs):
+    return (
+        tuple(inputs.forward), tuple(inputs.backward), tuple(inputs.comm), inputs.num_microbatches
+    )
+
+
+class TestPricingMemos:
+    def test_memoised_pricing_matches_the_raw_path_in_any_order(self, paper_plans):
+        for wafer, workload, plans in paper_plans:
+            raw = Evaluator(wafer, use_cache=False, memoize_stages=False)
+            expected = {}
+            for plan in plans:
+                if plan not in expected:
+                    expected[plan] = raw.evaluate(workload, plan)
+            shuffled = random.Random(11).sample(plans, len(plans))
+            for order in (plans, plans[::-1], shuffled):
+                # No plan cache, so every call goes through the footprint, 1F1B and
+                # TP-engine memos, filled in this order.
+                memoised = Evaluator(wafer, use_cache=False)
+                for plan in order:
+                    assert memoised.evaluate(workload, plan) == expected[plan]
+
+    def test_ga_simulates_each_distinct_pipeline_once(self, gshard_seed, monkeypatch):
+        wafer, workload, seed_plan = gshard_seed
+        built, simulated = [], []
+        make_inputs, simulate = PipelineCostInputs, evaluator_module.simulate_1f1b
+
+        def recording_inputs(*args, **kwargs):
+            inputs = make_inputs(*args, **kwargs)
+            built.append(_pipeline_key(inputs))
+            return inputs
+
+        def counting_simulate(inputs):
+            simulated.append(_pipeline_key(inputs))
+            return simulate(inputs)
+
+        monkeypatch.setattr(evaluator_module, "PipelineCostInputs", recording_inputs)
+        monkeypatch.setattr(evaluator_module, "simulate_1f1b", counting_simulate)
+        config = GAConfig(population_size=8, generations=20, seed=1)
+        GeneticOptimizer(Evaluator(wafer), workload, config).optimize(seed_plan)
+        assert len(set(built)) < len(built)  # the GA repeats 1F1B inputs
+        assert Counter(simulated) == Counter(set(built))
+
+    def test_ga_breaks_down_each_distinct_memory_config_once(self, gshard_seed, monkeypatch):
+        wafer, workload, seed_plan = gshard_seed
+        configs, breakdowns = [], []
+        stage_memory = Evaluator.stage_memory
+        breakdown = TrainingMemoryModel.pipeline_breakdown
+
+        def recording_stage_memory(self, workload, plan, num_microbatches):
+            pp, tp = plan.parallelism.pp, plan.parallelism.tp
+            recompute = plan.recompute
+            if recompute.num_stages != pp:
+                recompute = RecomputeConfig.none(pp)
+            configs.append((pp, tp, num_microbatches, recompute))
+            return stage_memory(self, workload, plan, num_microbatches)
+
+        def counting_breakdown(self, *args, **kwargs):
+            breakdowns.append(args)
+            return breakdown(self, *args, **kwargs)
+
+        monkeypatch.setattr(Evaluator, "stage_memory", recording_stage_memory)
+        monkeypatch.setattr(TrainingMemoryModel, "pipeline_breakdown", counting_breakdown)
+        config = GAConfig(population_size=8, generations=20, seed=1)
+        GeneticOptimizer(Evaluator(wafer), workload, config).optimize(seed_plan)
+        assert len(breakdowns) == len(set(configs)) < len(configs)
+
+    def test_recompute_config_built_on_lists_is_priced_without_the_memo(
+        self, wafer, workload, seed_plan
+    ):
+        stages = list(seed_plan.recompute.stages)
+        listed = seed_plan.with_recompute(RecomputeConfig(stages))
+        memoised = Evaluator(wafer, use_cache=False)
+        raw = Evaluator(wafer, use_cache=False, memoize_stages=False)
+        assert memoised.evaluate(workload, listed) == memoised.evaluate(workload, seed_plan)
+        # Changed in place, the config is priced under its new contents.
+        names = frozenset(op.name for op in workload.layer_operators() if op.recomputable)
+        stages[0] = names
+        changed = memoised.evaluate(workload, listed)
+        assert changed == raw.evaluate(workload, listed)
+        assert changed.recompute_flops > 0
+
+    def test_components_are_found_by_identity_unless_they_can_change(
+        self, wafer, workload, seed_plan, monkeypatch
+    ):
+        pickled = []
+        pickled_text = CanonicalTexts._pickled
+
+        def recording(self, value):
+            pickled.append(value)
+            return pickled_text(self, value)
+
+        monkeypatch.setattr(CanonicalTexts, "_pickled", recording)
+        evaluator = Evaluator(wafer)
+
+        def check(plan):
+            key = evaluator.fingerprint(workload, plan)
+            assert key == evaluation_fingerprint(wafer, evaluator.faults, True, workload, plan)
+
+        check(seed_plan)
+        seen = len(pickled)
+        assert seen > 0
+        # A child that keeps its parent's component objects pickles none of them.
+        check(seed_plan.with_mem_pairs([MemPair(0, 1, 2.0**20)]))
+        check(seed_plan.with_recompute(seed_plan.recompute.with_stage(0, frozenset())))
+        assert len(pickled) == seen + 1  # only the new recompute config
+        # A placement built on lists can change in place: pickled on every lookup.
+        listed = seed_plan.with_placement(
+            StagePlacement([list(dies) for dies in seed_plan.placement.stage_dies])
+        )
+        check(listed)
+        check(listed)
+        assert len(pickled) == seen + 3
 
 
 @pytest.mark.perf_smoke

@@ -115,6 +115,17 @@ class TestPipelineSimulation:
         with pytest.raises(ValueError):
             analytic_1f1b_time(1.0, 2.0, 0, 4)
 
+    def test_nan_inputs_are_rejected(self):
+        nan = float("nan")
+        for inputs in (
+            ([1.0, nan], [2.0, 2.0], [0.1], 4),
+            ([1.0, 1.0], [nan, 2.0], [0.1], 4),
+            ([1.0, 1.0], [2.0, 2.0], [nan], 4),
+            ([1.0, 1.0], [2.0, 2.0], [0.1], nan),
+        ):
+            with pytest.raises(ValueError):
+                PipelineCostInputs(*inputs)
+
 
 class TestPartition:
     def test_factor_shapes(self):

@@ -83,7 +83,7 @@ class TestWatermarkExport:
             entries, watermark = cache.export_since(watermark)
             assert not set(entries) & set(shipped)
             shipped.update(entries)
-        assert shipped == cache.export()
+        assert shipped == {f"k{r}:{i}": (r, i) for r in range(4) for i in range(3)}
 
     def test_repriced_key_ships_latest_value_once(self):
         cache = EvaluationCache()
