@@ -226,11 +226,11 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--cache", metavar="PATH", default=None,
-        help="persistent cache store (.jsonl or .sqlite); warm-starts when it exists",
+        help="persistent cache store (.jsonl); warm-starts when it exists",
     )
     parser.add_argument(
         "--results", metavar="PATH", default=None,
-        help="result store (.jsonl or .sqlite): stream per-wafer RunResults through "
+        help="result store (.jsonl): stream per-wafer RunResults through "
              "it and resume an interrupted matrix on re-invocation",
     )
     parser.add_argument(

@@ -7,7 +7,7 @@ what to run; ``Session.run(spec)`` returns a uniform :class:`RunResult`.  The
 shell.
 
 >>> from repro.api import ExperimentSpec, Session
->>> with Session(pool=4, store="sweep.sqlite") as session:
+>>> with Session(pool=4, store="sweep.jsonl") as session:
 ...     run = session.run(ExperimentSpec(kind="ga", wafer="config3",
 ...                                      workload="llama2-30b"))
 ...     print(run.summary())

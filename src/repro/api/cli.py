@@ -6,7 +6,7 @@ The subcommands drive the :class:`~repro.api.Session` runtime:
   (``--spec -`` reads the JSON from stdin)::
 
       python -m repro run --kind scheduler --wafer tiny --workload tiny --json -
-      python -m repro run --spec experiment.json --workers 4 --store sweep.sqlite
+      python -m repro run --spec experiment.json --workers 4 --store sweep.jsonl
 
 * ``repro sweep`` — expand a :class:`~repro.api.SweepSpec` matrix (``base`` /
   ``grid`` / ``zip`` / ``seeds``; a plain JSON array of specs still works) and
@@ -14,15 +14,15 @@ The subcommands drive the :class:`~repro.api.Session` runtime:
   written through to a result store and a re-invocation resumes where the last
   one stopped::
 
-      python -m repro sweep --spec matrix.json --workers 8 --results out.sqlite
-      generate_matrix.py | python -m repro sweep --spec - --results out.sqlite
+      python -m repro sweep --spec matrix.json --workers 8 --results out.jsonl
+      generate_matrix.py | python -m repro sweep --spec - --results out.jsonl
 
 * ``repro results`` — query (or merge) result stores::
 
-      python -m repro results stats out.sqlite
-      python -m repro results tail out.sqlite -n 5
-      python -m repro results export out.sqlite --csv matrix.csv
-      python -m repro results merge hostA.jsonl hostB.sqlite -o merged.sqlite
+      python -m repro results stats out.jsonl
+      python -m repro results tail out.jsonl -n 5
+      python -m repro results export out.jsonl --csv matrix.csv
+      python -m repro results merge hostA.jsonl hostB.jsonl -o merged.jsonl
 
 * ``repro cache`` — inspect and maintain persistent evaluation-cache stores::
 
@@ -38,7 +38,9 @@ The subcommands drive the :class:`~repro.api.Session` runtime:
 
 This replaces the per-script argparse plumbing the benchmark and example CLIs used
 to re-assemble by hand; those scripts now build a session from the same helpers
-(:func:`add_session_arguments` / :func:`session_from_args`).
+(:func:`add_session_arguments` / :func:`session_from_args`).  A store path or file
+a store refuses (a sqlite path, one file for both stores, compacting a file of
+the other kind) exits with the one-line :class:`~repro.recordlog.StoreError`.
 """
 
 from __future__ import annotations
@@ -56,6 +58,7 @@ from repro.api.spec import KINDS, ExperimentSpec
 from repro.api.sweep import SweepSpec
 from repro.core.evalcache import EvaluationCache, check_eviction_bounds, open_store
 from repro.core.retry import RetryPolicy
+from repro.recordlog import StoreError
 
 __all__ = [
     "add_session_arguments",
@@ -74,7 +77,7 @@ def add_session_arguments(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--store", "--cache", dest="store", metavar="PATH", default=None,
-        help="persistent cache store (.jsonl or .sqlite); warm-starts when it exists",
+        help="persistent cache store (.jsonl); warm-starts when it exists",
     )
     parser.add_argument(
         "--compact-on-exit", action="store_true",
@@ -200,18 +203,18 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     ran: List[Any] = []
     failed = 0
     all_ok = True
-    try:
-        with session_from_args(args) as session:
-            stream = session.sweep(
-                sweep,
-                results=store,
-                resume=not args.no_resume,
-                completed=done_before,  # already read above; skip a second load
-                retry=_retry_from_args(args),
-                keep_going=not args.fail_fast,
-                skip_failed=args.skip_failed,
-                jobs=args.jobs,
-            )
+    with session_from_args(args) as session:
+        # A refused store raises here, before any cell runs or any row is counted.
+        stream = session.sweep(
+            sweep,
+            results=store,
+            resume=not args.no_resume,
+            retry=_retry_from_args(args),
+            keep_going=not args.fail_fast,
+            skip_failed=args.skip_failed,
+            jobs=args.jobs,
+        )
+        try:
             if args.max_cells is None or args.max_cells > 0:
                 for run in stream:
                     print(run.summary())
@@ -222,36 +225,36 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                     if args.max_cells is not None and len(ran) >= args.max_cells:
                         stream.close()
                         break
-    except SweepCellError as exc:
-        # --fail-fast: the poison cell was already recorded in the store (so a
-        # resume knows), but the matrix stops here instead of quarantining on.
-        print(f"sweep aborted: {exc}", file=sys.stderr)
-        failed += 1
-        all_ok = False
-    finally:
-        run_count = len(ran)
-        if store is not None:
-            # Count the rows this invocation wrote, not the runs it printed: a
-            # stream closed early still records the cells it had in flight.
-            after = store.load()
-            recorded = [
-                after[cell.cell_id]
-                for cell in cells
-                if cell.cell_id in after and after[cell.cell_id] != before.get(cell.cell_id)
-            ]
-            run_count = len(recorded)
-            failed = sum(1 for record in recorded if record_status(record) == "failed")
-            if args.no_resume:
-                # A forced re-run appended fresh rows over the old ones; fold the
-                # store back to one row per cell so its size stays bounded.
-                report = store.compact()
-                folded = report["before"] - report["after"]
-                if folded:
-                    print(
-                        f"compacted {args.results}: {report['before']} rows -> "
-                        f"{report['after']} ({folded} duplicate rows folded)"
-                    )
-            store.close()
+        except SweepCellError as exc:
+            # --fail-fast: the poison cell was already recorded in the store (so a
+            # resume knows), but the matrix stops here instead of quarantining on.
+            print(f"sweep aborted: {exc}", file=sys.stderr)
+            failed += 1
+            all_ok = False
+        finally:
+            run_count = len(ran)
+            if store is not None:
+                # Count the rows this invocation wrote, not the runs it printed: a
+                # stream closed early still records the cells it had in flight.
+                after = store.load()
+                recorded = [
+                    after[cell.cell_id]
+                    for cell in cells
+                    if cell.cell_id in after and after[cell.cell_id] != before.get(cell.cell_id)
+                ]
+                run_count = len(recorded)
+                failed = sum(1 for record in recorded if record_status(record) == "failed")
+                if args.no_resume:
+                    # A forced re-run appended fresh rows over the old ones; fold the
+                    # store back to one row per cell so its size stays bounded.
+                    report = store.compact()
+                    folded = report["before"] - report["after"]
+                    if folded:
+                        print(
+                            f"compacted {args.results}: {report['before']} rows -> "
+                            f"{report['after']} ({folded} duplicate rows folded)"
+                        )
+                store.close()
     pending = len(cells) - skipped - run_count
     print(
         f"sweep: {len(cells)} cells — {run_count} run, {failed} failed, "
@@ -368,15 +371,16 @@ def compact_store(
     max_age_s: Optional[float] = None,
     namespace: Optional[str] = None,
 ) -> dict:
-    """Compact a store in place; returns ``{"loaded": …, "kept": …}``.
+    """Compact a cache store in place; returns ``{"loaded": …, "kept": …}``.
 
-    Shared by ``repro cache compact`` and ``scripts/compact_cache.py``.  An
-    out-of-range bound exits with one line before the store is opened.
+    What ``repro cache compact`` runs.  An out-of-range bound exits with one line
+    before the store is opened; a file that is not a cache store raises
+    :class:`~repro.recordlog.StoreError` and stays as it is.
     """
     try:
         check_eviction_bounds(max_entries, max_age_s)
     except ValueError as exc:
-        # Both tools take the bounds as --max-entries / --max-age.
+        # The command takes the bounds as --max-entries / --max-age.
         flags = str(exc).replace("max_entries", "--max-entries").replace("max_age_s", "--max-age")
         raise SystemExit(f"repro cache compact: {flags}") from None
     store = open_store(path, namespace=namespace)
@@ -464,7 +468,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sweep.add_argument(
         "--results", metavar="PATH", default=None,
-        help="result store (.jsonl or .sqlite): write each cell through as it "
+        help="result store (.jsonl): write each cell through as it "
              "completes; a re-invocation skips cells already present",
     )
     sweep.add_argument(
@@ -519,12 +523,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     merge.add_argument(
         "paths", nargs="+", metavar="STORE",
-        help="input stores, any mix of .jsonl and .sqlite; later arguments win "
-             "duplicate cell_ids",
+        help="input stores (.jsonl); later arguments win duplicate cell_ids",
     )
     merge.add_argument(
         "-o", "--out", required=True, metavar="OUT",
-        help="merged store to write (.jsonl or .sqlite; replaced atomically)",
+        help="merged store to write (.jsonl; replaced atomically)",
     )
     merge.set_defaults(func=_cmd_results_merge)
     for results_cmd, help_text in (
@@ -534,7 +537,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("compact", "fold duplicate rows in place (dedupe by cell_id, later wins)"),
     ):
         r = results_sub.add_parser(results_cmd, help=help_text)
-        r.add_argument("results_path", help="path of the store (.jsonl, .sqlite, .db)")
+        r.add_argument("results_path", help="path of the store (.jsonl)")
         if results_cmd == "tail":
             r.add_argument("-n", "--lines", type=int, default=10,
                            help="how many trailing cells to show")
@@ -575,7 +578,7 @@ def build_parser() -> argparse.ArgumentParser:
     cache_sub = cache.add_subparsers(dest="cache_command", required=True)
     for cache_cmd in ("stats", "compact"):
         c = cache_sub.add_parser(cache_cmd)
-        c.add_argument("store_path", help="path of the store (.jsonl, .sqlite, .db)")
+        c.add_argument("store_path", help="path of the store (.jsonl)")
         c.add_argument("--namespace", default=None,
                        help="override the fingerprint namespace")
         if cache_cmd == "compact":
@@ -592,6 +595,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except StoreError as exc:
+        raise SystemExit(str(exc)) from None
     except BrokenPipeError:
         # Streaming output into a closed pager/head is a normal way to stop; exit
         # quietly instead of tracebacking (stdout is gone, so swap in devnull).

@@ -6,13 +6,12 @@ maps stable ``cell_id`` keys (see :func:`repro.api.sweep.cell_key`) to one recor
 per completed cell, written through as each cell finishes, so an interrupted sweep
 resumes by skipping every id already present.
 
-Both backends sit on :mod:`repro.recordlog`, the one record log the evaluation
-cache uses too: :func:`open_result_store` picks JSONL (append-only) or sqlite
-(keyed upserts) from the path suffix, and the log owns the recovery rules — a
-schema bump (namespace) degrades to a cold start instead of serving stale rows, a
-foreign file is preserved at ``<path>.corrupt`` rather than truncated, a torn last
-line is skipped and closed before the next append, and rewrites are atomic.  This
-module keeps only the row layout and the queries.
+The store is an append-only JSONL file on :mod:`repro.recordlog`, the one record
+log the evaluation cache uses too, and the log owns the recovery rules — a schema
+bump (namespace) degrades to a cold start instead of serving stale rows, a foreign
+file is preserved at ``<path>.corrupt`` rather than truncated, a torn last line is
+skipped and closed before the next append, and rewrites are atomic.  This module
+keeps only the row layout and the queries.
 
 Each record separates the deterministic from the volatile:
 
@@ -33,13 +32,12 @@ from collections import Counter, OrderedDict
 from typing import Any, Dict, List, Optional, Sequence, TextIO, Tuple, Union
 
 from repro.obs import tracer as _obs
-from repro.recordlog import JsonlLog, SqliteLog, is_sqlite_path
+from repro.recordlog import JsonlLog
 
 __all__ = [
     "RESULTS_SCHEMA_VERSION",
     "JsonlResultStore",
     "ResultStore",
-    "SqliteResultStore",
     "export_csv",
     "make_record",
     "merge_stores",
@@ -79,21 +77,24 @@ def record_status(record: Dict[str, Any]) -> str:
 class ResultStore:
     """One record per completed sweep cell, queryable and safe to interrupt.
 
-    Each backend wraps one :mod:`repro.recordlog` log, which owns the file
-    discipline, and supplies only its row layout (``_encode``/``_decode``); the
-    write path and the query surface (:meth:`stats`, :meth:`tail`,
-    :meth:`cell_ids`) are shared.  :meth:`load` returns records in completion
-    order with later duplicates winning — the same discipline as the evaluation
-    cache's JSONL spill.
+    Append-only JSONL: one header line, then one ``{"c": cell_id, "v": record}``
+    row per :meth:`put`, a single ``O(1)`` append per completed cell.  The store
+    wraps one :class:`repro.recordlog.JsonlLog`, which owns the file discipline (a
+    torn last line left by a kill is skipped on the next load).  :meth:`load`
+    returns records in completion order with later duplicates winning — the same
+    discipline as the evaluation cache's spill.
     """
 
     def __init__(self, path: str, namespace: Optional[str] = None) -> None:
         self.path = str(path)
         self.namespace = namespace or results_namespace()
-        self._log = self._open_log()
+        self._log = JsonlLog(
+            self.path, {"format": "watos-results-jsonl", "namespace": self.namespace}
+        )
 
-    def _open_log(self):
-        raise NotImplementedError
+    @staticmethod
+    def _decode(row: Any) -> Tuple[str, Dict[str, Any]]:
+        return str(row["c"]), dict(row["v"])
 
     @property
     def load_errors(self) -> int:
@@ -112,7 +113,7 @@ class ResultStore:
     def put(self, cell_id: str, record: Dict[str, Any]) -> None:
         """Write one completed cell through to disk immediately."""
         t0 = _obs.now() if _obs.enabled else 0.0
-        self._log.append([self._encode(cell_id, record)])
+        self._log.append([{"c": cell_id, "v": record}])
         if _obs.enabled:
             _obs.add("store.put", t0, _obs.now(), tag=cell_id)
 
@@ -121,8 +122,12 @@ class ResultStore:
         return self.load().get(cell_id)
 
     def replace_all(self, records: "OrderedDict[str, Dict[str, Any]]") -> None:
-        """Atomically rewrite the store to exactly ``records`` (schema resets)."""
-        self._log.rewrite(self._encode(cell_id, record) for cell_id, record in records.items())
+        """Atomically rewrite the store to exactly ``records``.
+
+        A file that is not a result store raises
+        :class:`~repro.recordlog.StoreError` and stays as it is.
+        """
+        self._log.rewrite({"c": cell_id, "v": record} for cell_id, record in records.items())
 
     def physical_rows(self) -> int:
         """Rows physically on disk, duplicates included (what :meth:`compact` folds)."""
@@ -131,7 +136,7 @@ class ResultStore:
     def compact(self) -> Dict[str, int]:
         """Fold duplicate rows to one per ``cell_id`` (later wins), via replace_all.
 
-        JSONL stores grow append-only, so every ``--no-resume`` re-run of a matrix
+        The store grows append-only, so every ``--no-resume`` re-run of a matrix
         appends a fresh row per cell and only the last one wins on load — the same
         dead-row accumulation the evaluation cache compacts away.  Returns
         ``{"before": raw rows, "after": rows kept, "cells": distinct cells}``.
@@ -143,8 +148,7 @@ class ResultStore:
         return {"before": before, "after": len(records), "cells": len(records)}
 
     def close(self) -> None:
-        """Release any held resources (sqlite connections)."""
-        self._log.close()
+        """Nothing to release: every append opens and closes the file."""
 
     def __enter__(self) -> "ResultStore":
         return self
@@ -228,59 +232,16 @@ class ResultStore:
         return rows[-n:]
 
 
-class JsonlResultStore(ResultStore):
-    """Append-only JSONL: one header line, then one ``{"c": …, "v": …}`` row each.
-
-    Write-through is a single ``O(1)`` append per completed cell, and a torn last
-    line left by a kill is skipped on the next load.
-    """
-
-    #: Bound in this class's own namespace: the benchmark harness
-    #: (``cellbench/layers.py``) wraps ``JsonlResultStore.__dict__["put"]``.
-    put = ResultStore.put
-
-    def _open_log(self) -> JsonlLog:
-        return JsonlLog(self.path, {"format": "watos-results-jsonl", "namespace": self.namespace})
-
-    @staticmethod
-    def _encode(cell_id: str, record: Dict[str, Any]) -> Dict[str, Any]:
-        return {"c": cell_id, "v": record}
-
-    @staticmethod
-    def _decode(row: Any) -> Tuple[str, Dict[str, Any]]:
-        return str(row["c"]), dict(row["v"])
-
-
-class SqliteResultStore(ResultStore):
-    """Sqlite backend for big matrices: ``results(cell_id, record, written_at)``.
-
-    Keyed upserts, point lookups, rowid (completion) order.
-    """
-
-    def _open_log(self) -> SqliteLog:
-        return SqliteLog(self.path, self.namespace, "results", ("cell_id", "record", "written_at"))
-
-    @staticmethod
-    def _encode(cell_id: str, record: Dict[str, Any]) -> Tuple[str, Dict[str, Any], float]:
-        return str(cell_id), record, float(record.get("written_at") or 0.0)
-
-    @staticmethod
-    def _decode(row: Tuple[Any, Any, float]) -> Tuple[str, Dict[str, Any]]:
-        cell_id, record, _ = row
-        return str(cell_id), dict(record)
-
-    def get(self, cell_id: str) -> Optional[Dict[str, Any]]:
-        row = self._log.get(cell_id, self._decode)
-        return None if row is None else row[1]
+#: The same class under its format's name: the benchmark harness
+#: (``cellbench/layers.py``) wraps ``JsonlResultStore.__dict__["put"]``.
+JsonlResultStore = ResultStore
 
 
 def open_result_store(
     path: Union[str, os.PathLike], namespace: Optional[str] = None
 ) -> ResultStore:
-    """Pick a backend from the path suffix (sqlite for ``.sqlite/.db``, else JSONL)."""
-    if is_sqlite_path(path):
-        return SqliteResultStore(str(path), namespace)
-    return JsonlResultStore(str(path), namespace)
+    """The result store at ``path``; a sqlite path raises :class:`~repro.recordlog.StoreError`."""
+    return ResultStore(str(path), namespace)
 
 
 def merge_stores(
@@ -292,10 +253,10 @@ def merge_stores(
     Parts of a matrix swept on separate hosts or in separate runs each leave a
     partial store; this merges them keyed by ``cell_id`` with **later duplicates
     winning in argument order** — the same tiebreak every append-only store in the
-    repo uses, so merging is associative with re-running.  Mixed backends are fine
-    (``A.jsonl B.sqlite -o merged.sqlite``: the suffix rules of
-    :func:`open_result_store` apply to every path).  Returns a summary:
-    ``{"stores": n, "cells": n, "duplicates": n, "statuses": {...}}``.
+    repo uses, so merging is associative with re-running.  An ``out_path`` that
+    holds something other than a result store is refused and left as it is.
+    Returns a summary: ``{"stores": n, "cells": n, "duplicates": n, "statuses":
+    {...}}``.
     """
     if not paths:
         raise ValueError("merge needs at least one input store")

@@ -55,6 +55,7 @@ from repro.api.result import RunResult
 from repro.api.results import ResultStore, make_record, open_result_store
 from repro.api.spec import ExperimentSpec
 from repro.api.sweep import SweepSpec
+from repro.recordlog import StoreError
 
 __all__ = [
     "Session",
@@ -111,8 +112,8 @@ class Session:
         exit — the caller owns it).  A path here is a ``TypeError``: name a store
         path with ``store=``.
     store:
-        A cache store path (``.jsonl`` / ``.sqlite``) the session opens (and
-        closes) itself; a missing parent directory is created on the first write.
+        A cache store path (``.jsonl``) the session opens (and closes) itself; a
+        missing parent directory is created on the first write.
         With neither ``cache`` nor ``store``, the session builds a fresh in-memory
         cache.
     max_entries / namespace:
@@ -123,10 +124,12 @@ class Session:
         out-of-range bound raises ``ValueError`` here, not when the session closes.
     results:
         Either an existing :class:`~repro.api.results.ResultStore` to adopt (the
-        caller owns and closes it), or a path (``.jsonl`` / ``.sqlite``) the
-        session opens (and closes) itself.  The store becomes *ambient* the same
-        way the cache is: every :meth:`sweep` on (or inside) this session streams
-        completed cells to it unless the call names its own.
+        caller owns and closes it), or a path (``.jsonl``) the session opens (and
+        closes) itself.  The store becomes *ambient* the same way the cache is:
+        every :meth:`sweep` on (or inside) this session streams completed cells
+        to it unless the call names its own.  A result store at the cache store's
+        path raises :class:`~repro.recordlog.StoreError`: each store would move
+        the other's file aside.
     results_compact:
         When set, :meth:`close` compacts the session's result store — folds
         duplicate rows (``--no-resume`` re-runs append one per cell) to one row
@@ -189,6 +192,7 @@ class Session:
         )
         self.compact_max_entries = compact_max_entries
         self.compact_max_age_s = compact_max_age_s
+        self._refuse_cache_path(results)
         self._owns_results = isinstance(results, (str, os.PathLike))
         self.results: Optional[ResultStore] = (
             open_result_store(results) if self._owns_results else results
@@ -207,6 +211,20 @@ class Session:
         self._closed = False
 
     # ------------------------------------------------------------------ pool/cache
+    def _refuse_cache_path(self, results) -> None:
+        """Raise when ``results`` (a path or a store) names the cache store's file."""
+        store = self.cache.store
+        if not isinstance(results, (str, os.PathLike)):
+            results = getattr(results, "path", None)
+        if results is None or store is None:
+            return
+        path = os.fspath(results)
+        if os.path.realpath(path) == os.path.realpath(store.path):
+            raise StoreError(
+                f"{path} cannot hold both the cache store and the result store; "
+                "give each its own path"
+            )
+
     @property
     def pool(self) -> Optional[WorkerPool]:
         """The session's persistent worker pool (``None`` when the session is serial).
@@ -320,7 +338,6 @@ class Session:
         results: Optional[Union[str, os.PathLike, ResultStore]] = None,
         *,
         resume: bool = True,
-        completed: Optional[set] = None,
         retry: Optional[RetryPolicy] = None,
         keep_going: bool = True,
         skip_failed: bool = False,
@@ -342,8 +359,8 @@ class Session:
         ``cell_id`` the store already holds are skipped, not re-run and not
         yielded.  Pricing is pure and cell ids are content-derived, so an
         interrupted-and-resumed matrix stores byte-identical rows to a fresh run.
-        ``completed=`` overrides the store lookup with a precomputed id set, so a
-        caller that already read the store (the CLI) avoids a second full load.
+        A result store at the session's cache store path raises
+        :class:`~repro.recordlog.StoreError` before any cell runs.
 
         **Fault tolerance.**  Each cell runs under ``retry`` (the call's policy,
         else the session's, else :class:`RetryPolicy` defaults): a cell whose
@@ -385,22 +402,20 @@ class Session:
                 "\n".join(cell.cell_id for cell in cells).encode("utf-8")
             ).hexdigest()[:16]
             self._trace_meta = {"fingerprint": digest, "cells": len(cells)}
-        owns_store = isinstance(results, (str, os.PathLike))
+        store = results if results is not None else self.results
+        if store is None:
+            store = runtime.current_results()
+        self._refuse_cache_path(store)
+        owns_store = isinstance(store, (str, os.PathLike))
         if owns_store:
-            store = open_result_store(results)
-        else:
-            store = results if results is not None else self.results
-            if store is None:
-                store = runtime.current_results()
+            store = open_result_store(store)
         policy = retry or self.retry or RetryPolicy()
-        if not resume:
-            completed = set()
         return self._stream(
-            cells, store, owns_store, completed, skip_failed, policy, jobs, keep_going
+            cells, store, owns_store, resume, skip_failed, policy, jobs, keep_going
         )
 
     def _stream(
-        self, cells, store, owns_store, completed, skip_failed, retry, jobs, keep_going
+        self, cells, store, owns_store, resume, skip_failed, retry, jobs, keep_going
     ) -> Iterator[RunResult]:
         """The one cell loop: every cell the store does not settle, in cell order.
 
@@ -427,9 +442,12 @@ class Session:
 
         admitted: Deque[Tuple[Any, Optional[Future]]] = deque()
         try:
-            if completed is None and store is not None:
-                completed = store.completed_ids(include_failed=skip_failed)
-            todo = (cell for cell in cells if cell.cell_id not in (completed or ()))
+            completed = (
+                store.completed_ids(include_failed=skip_failed)
+                if resume and store is not None
+                else set()
+            )
+            todo = (cell for cell in cells if cell.cell_id not in completed)
             while True:
                 for cell in itertools.islice(todo, jobs - len(admitted)):
                     admitted.append((cell, None if jobs == 1 else _on_thread(finish, cell)))

@@ -32,14 +32,12 @@ from __future__ import annotations
 
 import os
 import random
-import sqlite3
 import tempfile
 import time
 from dataclasses import dataclass, field
 from typing import List, Optional
 
 from repro.core import parallel_map
-from repro.recordlog import is_sqlite_path
 
 __all__ = ["ChaosMonkey", "KILL_EXIT_CODE", "tear_last_append"]
 
@@ -221,28 +219,14 @@ class ChaosMonkey:
 def tear_last_append(path: str) -> bool:
     """Simulate a result-store writer killed mid-``append``.
 
-    * **JSONL** — the last row is cut mid-line (no trailing newline), exactly the
-      bytes a SIGKILL between ``write`` and the closing newline leaves behind;
-    * **sqlite** — the newest row is rolled back, which is what sqlite's journal
-      guarantees when a writer dies inside an uncommitted transaction.
-
-    Either way the next load must heal: the torn cell is simply absent, so a
-    resumed sweep re-prices exactly that cell and nothing else.  Returns ``False``
-    when there was nothing to tear (missing or empty store).
+    The last row is cut mid-line (no trailing newline), exactly the bytes a
+    SIGKILL between ``write`` and the closing newline leaves behind.  The next
+    load must heal: the torn cell is simply absent, so a resumed sweep re-prices
+    exactly that cell and nothing else.  Returns ``False`` when there was nothing
+    to tear (missing or empty store).
     """
     if not os.path.exists(path):
         return False
-    if is_sqlite_path(path):
-        conn = sqlite3.connect(path)
-        try:
-            row = conn.execute("SELECT max(rowid) FROM results").fetchone()
-            if not row or row[0] is None:
-                return False
-            conn.execute("DELETE FROM results WHERE rowid = ?", (row[0],))
-            conn.commit()
-        finally:
-            conn.close()
-        return True
     with open(path, "rb") as handle:
         data = handle.read()
     lines = data.splitlines(keepends=True)

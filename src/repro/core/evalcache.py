@@ -19,8 +19,8 @@ Fingerprints are structural, not identity-based: two plans built independently b
 describing the same strategy share one cache entry.  The cache is a bounded LRU and
 exposes hit/miss counters so benchmarks can track search efficiency.
 
-**Persistence.**  A cache can be attached to a :class:`CacheStore` backend (JSONL or
-sqlite, see :func:`open_store`) so repeated DSE sweeps across *processes* start warm:
+**Persistence.**  A cache can be attached to a JSONL :class:`CacheStore` (see
+:func:`open_store`) so repeated DSE sweeps across *processes* start warm:
 entries loaded from disk are reported in :attr:`CacheStats.loaded`, new results are
 spilled with :meth:`EvaluationCache.flush`, and stores carry a versioned fingerprint
 namespace — bumping :data:`CACHE_SCHEMA_VERSION` (or evaluating with a different
@@ -58,7 +58,7 @@ from dataclasses import fields, is_dataclass
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from repro.obs import tracer as _obs
-from repro.recordlog import JsonlLog, SqliteLog, is_sqlite_path
+from repro.recordlog import JsonlLog
 
 __all__ = [
     "CACHE_SCHEMA_VERSION",
@@ -67,7 +67,6 @@ __all__ = [
     "CacheStore",
     "CanonicalTexts",
     "JsonlCacheStore",
-    "SqliteCacheStore",
     "canonicalize",
     "check_eviction_bounds",
     "combine_fingerprints",
@@ -384,14 +383,15 @@ def _resolve_type(ref: str) -> type:
 
 # ---------------------------------------------------------------------- disk stores
 class CacheStore:
-    """Backend interface for persisting cache entries across processes.
+    """Persists cache entries across processes: an append-only JSONL spill, one
+    header line, then one ``{"k": key, "v": encoded value, "t": priced_at}`` row each.
 
-    Each backend wraps one :mod:`repro.recordlog` log, which owns the file
+    The store wraps one :class:`repro.recordlog.JsonlLog`, which owns the file
     discipline: a store under another namespace loads empty and is reset, a
     foreign file is preserved at ``<path>.corrupt``, a torn last line is skipped,
-    and rewrites are atomic.  A backend supplies only its row layout
-    (``_encode``/``_decode``).  Rows that fail to decode are skipped and counted
-    in :attr:`load_errors`.
+    and rewrites are atomic.  Append-only writes keep the warm-start path a single
+    sequential read.  Rows that fail to decode are skipped and counted in
+    :attr:`load_errors`.
     """
 
     def __init__(self, path: str, namespace: Optional[str] = None) -> None:
@@ -401,15 +401,18 @@ class CacheStore:
         #: written before timestamps existed report 0.0 (treated as oldest by the
         #: age-based eviction in :meth:`EvaluationCache.compact`).
         self.row_times: Dict[str, float] = {}
-        self._log = self._open_log()
-
-    def _open_log(self):
-        raise NotImplementedError
+        self._log = JsonlLog(
+            self.path, {"format": "watos-evalcache-jsonl", "namespace": self.namespace}
+        )
 
     @property
     def load_errors(self) -> int:
         """Rows skipped during the most recent :meth:`load` (corruption / stale classes)."""
         return self._log.errors
+
+    @staticmethod
+    def _decode(row: Any) -> Tuple[str, Any, float]:
+        return str(row["k"]), decode_value(row["v"]), float(row.get("t", 0.0))
 
     def load(self) -> Dict[str, Any]:
         """All valid entries, or ``{}`` for a missing/corrupt/foreign-namespace store."""
@@ -436,19 +439,23 @@ class CacheStore:
     def replace_all(
         self, entries: Mapping[str, Any], times: Optional[Mapping[str, float]] = None
     ) -> None:
-        """Atomically rewrite the store to exactly ``entries`` (compaction)."""
+        """Atomically rewrite the store to exactly ``entries`` (compaction).
+
+        A file that is not a cache store raises
+        :class:`~repro.recordlog.StoreError` and stays as it is.
+        """
         self._log.rewrite(self._rows(entries, times))
 
-    def _rows(self, entries: Mapping[str, Any], times: Optional[Mapping[str, float]]):
+    @staticmethod
+    def _rows(entries: Mapping[str, Any], times: Optional[Mapping[str, float]]):
         now = time.time()
         times = times or {}
         for key, value in entries.items():
             priced = times.get(key)
-            yield self._encode(key, value, now if priced is None else priced)
+            yield {"k": key, "v": encode_value(value), "t": now if priced is None else priced}
 
     def close(self) -> None:
-        """Release any held resources (sqlite connections)."""
-        self._log.close()
+        """Nothing to release: every append opens and closes the file."""
 
     def __enter__(self) -> "CacheStore":
         return self
@@ -457,47 +464,13 @@ class CacheStore:
         self.close()
 
 
-class JsonlCacheStore(CacheStore):
-    """Append-only JSONL spill: one header line, then one ``{"k", "v", "t"}`` row each.
-
-    Append-only writes keep the warm-start path a single sequential read; a torn
-    last line from a killed writer is skipped on the next load.
-    """
-
-    def _open_log(self) -> JsonlLog:
-        return JsonlLog(self.path, {"format": "watos-evalcache-jsonl", "namespace": self.namespace})
-
-    @staticmethod
-    def _encode(key: str, value: Any, priced_at: float) -> Dict[str, Any]:
-        return {"k": key, "v": encode_value(value), "t": priced_at}
-
-    @staticmethod
-    def _decode(row: Any) -> Tuple[str, Any, float]:
-        # Pre-timestamp rows report 0.0 (oldest) to age eviction.
-        return str(row["k"]), decode_value(row["v"]), float(row.get("t", 0.0))
-
-
-class SqliteCacheStore(CacheStore):
-    """Sqlite spill for large sweeps: ``entries(key, value, priced_at)``, keyed upserts."""
-
-    def _open_log(self) -> SqliteLog:
-        return SqliteLog(self.path, self.namespace, "entries", ("key", "value", "priced_at"))
-
-    @staticmethod
-    def _encode(key: str, value: Any, priced_at: float) -> Tuple[str, Any, float]:
-        return key, encode_value(value), priced_at
-
-    @staticmethod
-    def _decode(row: Tuple[Any, Any, float]) -> Tuple[str, Any, float]:
-        key, value, priced_at = row
-        return str(key), decode_value(value), float(priced_at or 0.0)
+#: The same class under its format's name, like ``repro.api.results.JsonlResultStore``.
+JsonlCacheStore = CacheStore
 
 
 def open_store(path: str, namespace: Optional[str] = None) -> CacheStore:
-    """Pick a store backend from the path suffix (sqlite for ``.sqlite/.db``, else JSONL)."""
-    if is_sqlite_path(path):
-        return SqliteCacheStore(path, namespace)
-    return JsonlCacheStore(path, namespace)
+    """The cache store at ``path``; a sqlite path raises :class:`~repro.recordlog.StoreError`."""
+    return CacheStore(path, namespace)
 
 
 def check_eviction_bounds(max_entries: Optional[int], max_age_s: Optional[float]) -> None:
@@ -708,9 +681,8 @@ class EvaluationCache:
     def __getstate__(self):
         """Pickled caches (shipped to pool workers) drop the store.
 
-        Stores hold process-local resources (file handles, sqlite connections) and
-        workers must never write them — deltas flow back through the parent, which
-        keeps the one live store.
+        Workers must never write the store — deltas flow back through the parent,
+        which keeps the one live store.
         """
         state = self.__dict__.copy()
         state["store"] = None
@@ -827,7 +799,7 @@ class EvaluationCache:
           before timestamps existed carry ``priced_at`` 0 and count as infinitely
           old — re-run the sweep once to stamp them.
         * ``max_entries`` keeps only the newest that many entries, oldest first out
-          (append order for JSONL; load order for sqlite).
+          (append order).
 
         Returns the number of entries the store holds afterwards.  An out-of-range
         bound raises ``ValueError`` (:func:`check_eviction_bounds`) before anything

@@ -1,21 +1,20 @@
 """One record log: the file discipline every persistent store in the repo shares.
 
 The evaluation cache (:mod:`repro.core.evalcache`) and the sweep result store
-(:mod:`repro.api.results`) persist their records through one of two logs here;
-each store family keeps only its row layout, value codec and queries.
-
-* :class:`JsonlLog` — one JSON header line (``{"format": …}``, plus
-  ``"namespace"`` for namespaced stores), then one JSON object per line,
-  append-only.  Later rows with the same key win on load.
-* :class:`SqliteLog` — a ``meta`` table holding the namespace and one keyed
-  table ``(key TEXT PRIMARY KEY, value TEXT, time REAL DEFAULT 0)`` whose
-  writes are upserts; values are JSON text.
+(:mod:`repro.api.results`) persist their records through :class:`JsonlLog`; each
+store family keeps only its row layout, value codec and queries.  A log is one
+JSON header line (``{"format": …, "namespace": …}``), then one JSON object per
+line, append-only.  Later rows with the same key win on load.
 
 The recovery rules are the same for every store:
 
-* a file that is not ours (another format, someone else's sqlite database,
-  junk) is never written into: reads treat it as empty, and the first write
-  moves it to ``<path>.corrupt`` and starts a fresh file;
+* a path ending in ``.sqlite``, ``.sqlite3`` or ``.db`` is refused with
+  :class:`StoreError`: earlier builds kept sqlite stores there, and reading one
+  as JSONL would start its matrix over and move the database aside;
+* a file that is not ours (another store family, another format, junk) is never
+  written into: reads treat it as empty, the first append moves it to
+  ``<path>.corrupt`` and starts a fresh file, and a rewrite (a compaction, a
+  merge's output) refuses it with :class:`StoreError` and leaves it as it is;
 * a file of ours under a stale namespace is reset in place (a cold start);
 * a path under a missing directory reads as empty and creates nothing; the
   first write creates the directory;
@@ -35,13 +34,11 @@ import itertools
 import json
 import os
 import shutil
-import sqlite3
-import threading
-from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Tuple, TypeVar, Union
+from typing import Any, Callable, Dict, Iterable, Iterator, TypeVar, Union
 
-__all__ = ["JsonlLog", "SqliteLog", "atomic_write", "is_sqlite_path"]
+__all__ = ["JsonlLog", "StoreError", "atomic_write"]
 
-#: Path suffixes that select the sqlite backend; any other path is JSONL.
+#: Suffixes of the sqlite stores earlier builds wrote; a log refuses them.
 _SQLITE_SUFFIXES = (".sqlite", ".sqlite3", ".db")
 
 #: What parsing or decoding a corrupt or stale row may raise (skipped, counted).
@@ -50,29 +47,11 @@ _ROW_ERRORS = (ValueError, KeyError, TypeError, AttributeError, ImportError)
 T = TypeVar("T")
 
 
-def is_sqlite_path(path: Any) -> bool:
-    """Whether ``path`` selects the sqlite backend (suffix, case-insensitive)."""
-    return str(path).lower().endswith(_SQLITE_SUFFIXES)
+class StoreError(ValueError):
+    """A store refuses a path or the file at it, before writing anything.
 
-
-def _damaged(exc: sqlite3.DatabaseError) -> bool:
-    """Whether a sqlite error condemns the file itself.
-
-    True for "not a database", "malformed" and another program's tables (raised
-    by :meth:`SqliteLog._attach`), which all raise the base ``DatabaseError``.  A
-    lock, an I/O error or misuse raise subclasses and never move a file aside.
+    The message is one line; ``python -m repro`` exits with it.
     """
-    return type(exc) is sqlite3.DatabaseError
-
-
-def _move_aside(path: str) -> None:
-    """Preserve whatever sits at ``path`` as ``<path>.corrupt``.
-
-    A mistyped store path must never destroy user data: recovery means starting
-    cold, not truncating the file.
-    """
-    if os.path.exists(path):
-        os.replace(path, path + ".corrupt")
 
 
 def _make_parent(path: str) -> None:
@@ -115,6 +94,12 @@ class JsonlLog:
     """
 
     def __init__(self, path: str, header: Dict[str, Any]) -> None:
+        if str(path).lower().endswith(_SQLITE_SUFFIXES):
+            raise StoreError(
+                f"{path}: sqlite stores are no longer supported, use a .jsonl path "
+                "(convert an old result store with an earlier build's "
+                "`repro results merge old.sqlite -o new.jsonl`)"
+            )
         self.path = str(path)
         self.header = header
         #: Rows skipped by the most recent :meth:`rows` (torn tail, corruption).
@@ -140,12 +125,12 @@ class JsonlLog:
         return True
 
     def _claim(self) -> None:
-        """Before a write: classify the file once, move a foreign one aside and
-        create a missing parent directory.
+        """Before a write: classify the file once and create a missing parent
+        directory.
 
-        Writes never append blind: a writer can reach its first write without
-        any read (a sweep with ``resume=False``), and appending to a foreign or
-        stale file would corrupt it or add rows the next read discards.
+        Writes never go blind: a writer can reach its first write without any
+        read (a sweep with ``resume=False``), and writing over a foreign or stale
+        file would destroy it or add rows the next read discards.
         """
         if not self._checked:
             try:
@@ -155,9 +140,6 @@ class JsonlLog:
                 first = b""
                 _make_parent(self.path)
             self._check(first)
-        if self._foreign:
-            _move_aside(self.path)
-            self._foreign = False
 
     def rows(self, decode: Callable[[Any], T]) -> Iterator[T]:
         """``decode(row)`` for each row in append order.
@@ -192,6 +174,10 @@ class JsonlLog:
         if not data:
             return
         self._claim()
+        if self._foreign:
+            # A mistyped path must never destroy user data: keep the file, start cold.
+            os.replace(self.path, self.path + ".corrupt")
+            self._foreign = False
         with open(self.path, "a+b") as handle:
             end = handle.seek(0, os.SEEK_END)
             if end == 0:
@@ -203,162 +189,17 @@ class JsonlLog:
             handle.write(data.encode("utf-8"))
 
     def rewrite(self, rows: Iterable[Dict[str, Any]]) -> None:
-        """Atomically replace the file with the header and ``rows``."""
+        """Atomically replace the file with the header and ``rows``.
+
+        A file that is not ours raises :class:`StoreError` and stays as it is:
+        a rewrite folds or merges what a store holds, and this file holds none.
+        """
         self._claim()
+        if self._foreign:
+            raise StoreError(
+                f"{self.path} is not a {self.header['format']} file; refusing to replace it"
+            )
         atomic_write(
             self.path,
             itertools.chain([json.dumps(self.header)], (json.dumps(row) for row in rows)),
         )
-
-    def close(self) -> None:
-        """Nothing to release: every append opens and closes the file."""
-
-
-class SqliteLog:
-    """A keyed sqlite table plus a ``meta`` row holding the namespace.
-
-    ``columns`` names the table's ``(key, value, time)`` columns.  Rows are
-    ``(key, value, time)`` triples whose value is stored as JSON text.  Writes
-    are keyed upserts, so a rewritten key moves to the end of rowid order.  One
-    connection serves every thread (a threaded sweep prices and flushes from
-    its cell threads); each use of it holds the log's lock.
-    """
-
-    def __init__(
-        self, path: str, namespace: str, table: str, columns: Tuple[str, str, str]
-    ) -> None:
-        self.path = str(path)
-        self.namespace = namespace
-        self.table = table
-        self.key, self.value, self.time = columns
-        self._select = f"SELECT {self.key}, {self.value}, {self.time} FROM {table}"
-        #: Rows skipped by the most recent :meth:`rows`, plus failed lookups.
-        self.errors = 0
-        self._conn: Optional[sqlite3.Connection] = None
-        self._lock = threading.RLock()
-
-    def __getstate__(self) -> Dict[str, Any]:
-        # Connections and locks are process-local; an unpickled log reconnects lazily.
-        state = self.__dict__.copy()
-        state["_conn"] = None
-        del state["_lock"]
-        return state
-
-    def __setstate__(self, state: Dict[str, Any]) -> None:
-        self.__dict__.update(state)
-        self._lock = threading.RLock()
-
-    def _attach(self) -> sqlite3.Connection:
-        """Open (or create, parent directory included) the database and make it a
-        current store of ours, or raise."""
-        _make_parent(self.path)
-        conn = sqlite3.connect(self.path, check_same_thread=False)
-        try:
-            tables = {
-                row[0]
-                for row in conn.execute("SELECT name FROM sqlite_master WHERE type = 'table'")
-            }
-            if tables and not {"meta", self.table}.issubset(tables):
-                raise sqlite3.DatabaseError(f"{self.path} holds another program's tables")
-            conn.execute("CREATE TABLE IF NOT EXISTS meta (key TEXT PRIMARY KEY, value TEXT)")
-            conn.execute(
-                f"CREATE TABLE IF NOT EXISTS {self.table} "
-                f"({self.key} TEXT PRIMARY KEY, {self.value} TEXT, {self.time} REAL DEFAULT 0)"
-            )
-            # Tables from before the time column gain it in place; their rows
-            # report time 0 (oldest).
-            columns = {row[1] for row in conn.execute(f"PRAGMA table_info({self.table})")}
-            if self.time not in columns:
-                conn.execute(f"ALTER TABLE {self.table} ADD COLUMN {self.time} REAL DEFAULT 0")
-            stored = conn.execute("SELECT value FROM meta WHERE key = 'namespace'").fetchone()
-            if stored is not None and stored[0] != self.namespace:
-                # Ours, stale namespace: reset in place.
-                conn.execute(f"DELETE FROM {self.table}")
-                self._stamp(conn)
-            conn.commit()
-        except BaseException:
-            conn.close()
-            raise
-        return conn
-
-    def _stamp(self, conn: sqlite3.Connection) -> None:
-        conn.execute("INSERT OR REPLACE INTO meta VALUES ('namespace', ?)", (self.namespace,))
-
-    def _connect(self) -> sqlite3.Connection:
-        if self._conn is None:
-            try:
-                self._conn = self._attach()
-            except sqlite3.DatabaseError as exc:
-                if not _damaged(exc):
-                    raise
-                # Unreadable, or someone else's database: preserve it, start fresh.
-                _move_aside(self.path)
-                self._conn = self._attach()
-        return self._conn
-
-    def _read(self, sql: str, args: Tuple = ()) -> List[Tuple]:
-        """A query's rows; none for a missing file (reads never create one)."""
-        with self._lock:
-            if self._conn is None and not os.path.exists(self.path):
-                return []
-            try:
-                return self._connect().execute(sql, args).fetchall()
-            except sqlite3.DatabaseError as exc:
-                if not _damaged(exc):
-                    raise
-                # Damaged past the header (e.g. truncated): preserve it, start cold.
-                self.close()
-                _move_aside(self.path)
-                return []
-
-    def rows(self, decode: Callable[[Tuple[Any, Any, float]], T]) -> Iterator[T]:
-        """``decode((key, value, time))`` for each row in write order.
-
-        Rows whose value fails to parse or decode are skipped and counted in
-        :attr:`errors`, whose count is final once the iterator is exhausted.
-        """
-        self.errors = 0
-        yield from self._decoded(decode, self._read(f"{self._select} ORDER BY rowid"))
-
-    def get(self, key: str, decode: Callable[[Tuple[Any, Any, float]], T]) -> Optional[T]:
-        """The decoded row stored under ``key``, or ``None``."""
-        found = self._read(f"{self._select} WHERE {self.key} = ?", (str(key),))
-        return next(self._decoded(decode, found), None)
-
-    def _decoded(self, decode: Callable[[Tuple[Any, Any, float]], T], found: List[Tuple]):
-        for key, value, time in found:
-            try:
-                yield decode((key, json.loads(value), time))
-            except _ROW_ERRORS:
-                self.errors += 1
-
-    def count(self) -> int:
-        """Rows in the table (keyed upserts never hold duplicates)."""
-        found = self._read(f"SELECT COUNT(*) FROM {self.table}")
-        return int(found[0][0]) if found else 0
-
-    def _write(self, rows: Iterable[Tuple[Any, Any, float]], replace: bool) -> None:
-        values = [(key, json.dumps(value), time) for key, value, time in rows]
-        if not values and not replace:
-            return
-        with self._lock:
-            conn = self._connect()
-            with conn:  # one transaction: committed whole, or rolled back
-                if replace:
-                    conn.execute(f"DELETE FROM {self.table}")
-                self._stamp(conn)
-                conn.executemany(f"INSERT OR REPLACE INTO {self.table} VALUES (?, ?, ?)", values)
-
-    def append(self, rows: Iterable[Tuple[Any, Any, float]]) -> None:
-        """Upsert ``rows`` in one transaction (later keys win)."""
-        self._write(rows, replace=False)
-
-    def rewrite(self, rows: Iterable[Tuple[Any, Any, float]]) -> None:
-        """Replace every row with ``rows`` in one transaction."""
-        self._write(rows, replace=True)
-
-    def close(self) -> None:
-        with self._lock:
-            if self._conn is not None:
-                self._conn.close()
-                self._conn = None

@@ -6,16 +6,14 @@ from __future__ import annotations
 
 import gc
 import json
-import sqlite3
 import weakref
 
 import pytest
 
 from repro.core.central_scheduler import CentralScheduler
 from repro.core.evalcache import (
+    CacheStore,
     EvaluationCache,
-    JsonlCacheStore,
-    SqliteCacheStore,
     decode_value,
     default_namespace,
     encode_value,
@@ -39,10 +37,9 @@ def sample_result(iteration_time: float = 1.5) -> EvaluationResult:
     )
 
 
-@pytest.fixture(params=["jsonl", "sqlite"])
+@pytest.fixture(params=["jsonl"])
 def store_path(request, tmp_path):
-    suffix = ".jsonl" if request.param == "jsonl" else ".sqlite"
-    return str(tmp_path / f"cache{suffix}")
+    return str(tmp_path / f"cache.{request.param}")
 
 
 # ---------------------------------------------------------------------------- codec
@@ -122,9 +119,10 @@ class TestRoundTrip:
         warm.close()
 
     def test_open_store_suffix_dispatch(self, tmp_path):
-        assert isinstance(open_store(str(tmp_path / "x.sqlite")), SqliteCacheStore)
-        assert isinstance(open_store(str(tmp_path / "x.db")), SqliteCacheStore)
-        assert isinstance(open_store(str(tmp_path / "x.jsonl")), JsonlCacheStore)
+        for name in ("x.sqlite", "x.db"):
+            with pytest.raises(ValueError, match=r"use a \.jsonl path"):
+                open_store(str(tmp_path / name))
+        assert isinstance(open_store(str(tmp_path / "x.jsonl")), CacheStore)
 
 
 # ----------------------------------------------------------------- version namespace
@@ -181,35 +179,6 @@ class TestCorruptStoreRecovery:
         assert warm.stats.loaded == 1
         warm.close()
 
-    def test_sqlite_corrupt_file_recovers_cold_and_is_preserved(self, tmp_path):
-        path = str(tmp_path / "cache.sqlite")
-        junk = b"definitely not a sqlite database"
-        with open(path, "wb") as handle:
-            handle.write(junk)
-        cache = EvaluationCache(store=path)
-        assert cache.stats.loaded == 0
-        assert open(path + ".corrupt", "rb").read() == junk
-        cache.put("k", sample_result())
-        cache.flush()
-        cache.close()
-        warm = EvaluationCache(store=path)
-        assert warm.stats.loaded == 1
-        warm.close()
-
-    def test_sqlite_corrupt_row_skipped(self, tmp_path):
-        path = str(tmp_path / "cache.sqlite")
-        with EvaluationCache(store=path) as cache:
-            cache.put("good", 5)
-        conn = sqlite3.connect(path)
-        conn.execute("INSERT INTO entries VALUES ('bad', 'not-json', 0)")
-        conn.commit()
-        conn.close()
-        store = open_store(path)
-        entries = store.load()
-        assert entries == {"good": 5}
-        assert store.load_errors == 1
-        store.close()
-
 
 # -------------------------------------------------------------- evaluator integration
 class TestEvaluatorWarmStart:
@@ -253,7 +222,7 @@ class TestEvaluatorWarmStart:
 
         cache = EvaluationCache(store=store_path)
         cache.put("k", 1)
-        cache.flush()  # sqlite: opens the (unpicklable) connection
+        cache.flush()
         clone = pickle.loads(pickle.dumps(cache))
         assert clone.store is None
         assert clone.peek("k") == 1
@@ -379,17 +348,11 @@ class TestAgeCompaction:
         warm.close()
 
     def test_pre_timestamp_rows_count_as_oldest(self, store_path):
-        store = open_store(store_path)
-        if isinstance(store, JsonlCacheStore):
-            # Hand-write a legacy row without a "t" field.
-            store.append({}, None)  # no-op, just materialise nothing
-            header = {"format": "watos-evalcache-jsonl", "namespace": default_namespace()}
-            with open(store_path, "w", encoding="utf-8") as handle:
-                handle.write(json.dumps(header) + "\n")
-                handle.write(json.dumps({"k": "legacy", "v": 7}) + "\n")
-        else:
-            store.append({"legacy": 7}, {"legacy": 0.0})
-        store.close()
+        # Hand-write a legacy row without a "t" field.
+        header = {"format": "watos-evalcache-jsonl", "namespace": default_namespace()}
+        with open(store_path, "w", encoding="utf-8") as handle:
+            handle.write(json.dumps(header) + "\n")
+            handle.write(json.dumps({"k": "legacy", "v": 7}) + "\n")
         cache = EvaluationCache(store=store_path)
         assert cache.peek("legacy") == 7
         cache.put("fresh", 8)
@@ -413,25 +376,4 @@ class TestAgeCompaction:
         cache.close()
         store = open_store(store_path)
         assert len(store.load()) == 200  # the store, not the stamps, keeps history
-        store.close()
-
-    def test_sqlite_schema_migration_from_pre_timestamp_store(self, tmp_path):
-        path = str(tmp_path / "old.sqlite")
-        conn = sqlite3.connect(path)
-        conn.execute("CREATE TABLE meta (key TEXT PRIMARY KEY, value TEXT)")
-        conn.execute("CREATE TABLE entries (key TEXT PRIMARY KEY, value TEXT)")
-        conn.execute(
-            "INSERT INTO meta VALUES ('namespace', ?)", (default_namespace(),)
-        )
-        conn.execute(
-            "INSERT INTO entries VALUES ('k', ?)", (json.dumps(encode_value(5)),)
-        )
-        conn.commit()
-        conn.close()
-        store = SqliteCacheStore(path)
-        assert store.load() == {"k": 5}
-        assert store.row_times["k"] == 0.0  # migrated rows count as oldest
-        store.append({"k2": 6})
-        assert store.load() == {"k": 5, "k2": 6}
-        assert store.row_times["k2"] > 0.0
         store.close()

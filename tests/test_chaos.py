@@ -206,7 +206,7 @@ class TestSweepUnderChaos:
         sweep = SweepSpec.from_payload(DSE_SWEEP)
         cells = sweep.expand()
         poison = cells[0].cell_id
-        results = str(tmp_path / "results.sqlite")
+        results = str(tmp_path / "results.jsonl")
         retry = RetryPolicy(max_attempts=3, backoff_s=0.0)
 
         with ChaosMonkey(tmp_path / "chaos") as chaos:
@@ -362,7 +362,7 @@ class TestQuarantineSerial:
 
 # ----------------------------------------------------------------- store healing
 class TestTornAppendHealing:
-    @pytest.mark.parametrize("suffix", ["jsonl", "sqlite"])
+    @pytest.mark.parametrize("suffix", ["jsonl"])
     def test_torn_append_heals_and_resume_reprices_only_that_cell(
         self, tmp_path, suffix
     ):
@@ -391,6 +391,6 @@ class TestTornAppendHealing:
 
     def test_tearing_an_empty_store_is_a_noop(self, tmp_path):
         assert not tear_last_append(str(tmp_path / "absent.jsonl"))
-        path = str(tmp_path / "empty.sqlite")
+        path = str(tmp_path / "empty.jsonl")
         open_result_store(path).close()
         assert not tear_last_append(path)

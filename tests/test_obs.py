@@ -244,15 +244,12 @@ class TestResultStoreCompaction:
         store.put("cell-a", {"result": {"metrics": {"v": 3}}, "status": "ok"})
         return store
 
-    @pytest.mark.parametrize("suffix", [".jsonl", ".sqlite"])
+    @pytest.mark.parametrize("suffix", [".jsonl"])
     def test_compact_folds_duplicates_later_wins(self, tmp_path, suffix):
         store = self._store_with_duplicates(str(tmp_path / f"out{suffix}"))
-        # JSONL appends duplicate rows; sqlite upserts on its cell_id primary
-        # key, so there its compact is a (harmless) no-op.
-        before = 3 if suffix == ".jsonl" else 2
-        assert store.physical_rows() == before
+        assert store.physical_rows() == 3  # every put appends a row
         report = store.compact()
-        assert report == {"before": before, "after": 2, "cells": 2}
+        assert report == {"before": 3, "after": 2, "cells": 2}
         assert store.physical_rows() == 2
         loaded = store.load()
         assert loaded["cell-a"]["result"]["metrics"]["v"] == 3

@@ -1,35 +1,34 @@
 """The one record log (``repro.recordlog``) under every store family.
 
 * **Format pins.**  The bytes a JSONL store writes — header plus rows, and
-  again after a compaction — and the sqlite schema are fixed: files written by
-  earlier builds must keep loading, and these expectations were taken from the
-  build before the stores shared one log.  Each pin is checked both ways: the
-  current code writes exactly these bytes, and loads them back unchanged.
+  again after a compaction — are fixed: files written by earlier builds must
+  keep loading, and these expectations were taken from the build before the
+  stores shared one log.  Each pin is checked both ways: the current code writes
+  exactly these bytes, and loads them back unchanged.
+* **Sqlite paths are refused.**  Earlier builds kept sqlite stores at ``.sqlite``,
+  ``.sqlite3`` and ``.db`` paths; opening one raises a one-line ``ValueError``
+  and leaves the file as it is, and no module imports ``sqlite3``.
 * **Atomic rewrites.**  Every whole-file writer (the span trace, store
   compaction) goes through one temp-file/fsync/rename path: an exception
   mid-write leaves the previous file byte-identical and no temp file.
 * **Appends reach the OS.**  A row is readable by another reader as soon as the
   append returns, without closing the store.
-* **One sqlite connection, many threads.**  A threaded sweep's cell threads all
-  use the store's one connection; no row may be lost.
 """
 
 from __future__ import annotations
 
-import json
 import os
-import sqlite3
+import subprocess
 import sys
-import threading
 from collections import OrderedDict
 
 import pytest
 
-from repro.api.results import JsonlResultStore, SqliteResultStore
-from repro.core.evalcache import JsonlCacheStore, SqliteCacheStore
+import repro
+from repro.api.results import JsonlResultStore
+from repro.core.evalcache import JsonlCacheStore
 from repro.obs import tracer
 from repro.obs.tracefile import write_trace as write_span_trace
-from repro.recordlog import is_sqlite_path
 
 CACHE_VALUES = {"a": 1, "b": (0.1 + 0.2, float("inf")), "c": ["x", None]}
 CACHE_TIMES = {"a": 100.0, "b": 200.5, "c": 300.0}
@@ -85,16 +84,6 @@ RESULTS_JSONL_COMPACTED = (
     b'{"c": "a", "v": {"result": {"kind": "ga", "label": "a2", "metrics": '
     b'{"v": 0.30000000000000004}}, "written_at": 3.0}}\n'
 )
-CACHE_SQLITE_SCHEMA = [
-    ("table", "meta", "CREATE TABLE meta (key TEXT PRIMARY KEY, value TEXT)"),
-    ("table", "entries",
-     "CREATE TABLE entries (key TEXT PRIMARY KEY, value TEXT, priced_at REAL DEFAULT 0)"),
-]
-RESULTS_SQLITE_SCHEMA = [
-    ("table", "meta", "CREATE TABLE meta (key TEXT PRIMARY KEY, value TEXT)"),
-    ("table", "results",
-     "CREATE TABLE results (cell_id TEXT PRIMARY KEY, record TEXT, written_at REAL DEFAULT 0)"),
-]
 
 
 def _read_bytes(path):
@@ -146,52 +135,42 @@ class TestJsonlFormatPins:
         assert _read_bytes(path) == RESULTS_JSONL
 
 
-def _schema(path):
-    conn = sqlite3.connect(path)
-    try:
-        return conn.execute(
-            "SELECT type, name, sql FROM sqlite_master WHERE type = 'table' ORDER BY rowid"
-        ).fetchall(), dict(conn.execute("SELECT key, value FROM meta"))
-    finally:
-        conn.close()
+# -------------------------------------------------------- sqlite paths are refused
+@pytest.mark.parametrize("name", ["x.sqlite", "x.SQLITE3", "x.db"])
+def test_sqlite_paths_are_refused_and_left_as_they_are(tmp_path, name):
+    path = str(tmp_path / name)
+    data = b"SQLite format 3\x00 a store an earlier build wrote"
+    _write_bytes(path, data)
+    for store_cls in (JsonlCacheStore, JsonlResultStore):
+        with pytest.raises(ValueError, match=r"use a \.jsonl path") as caught:
+            store_cls(path)
+        message = str(caught.value)
+        assert "\n" not in message and "repro results merge old.sqlite -o new.jsonl" in message
+    assert _read_bytes(path) == data
+    assert os.listdir(tmp_path) == [name]  # nothing moved aside, nothing created
 
 
-class TestSqliteFormatPins:
-    def test_cache_store_schema(self, tmp_path):
-        path = str(tmp_path / "cache.sqlite")
-        with SqliteCacheStore(path) as store:
-            _write_cache(store)
-            _compact_cache(store)
-        tables, meta = _schema(path)
-        assert tables == CACHE_SQLITE_SCHEMA
-        assert meta == {"namespace": "watos-evalcache-v1"}
-        conn = sqlite3.connect(path)
-        rows = conn.execute("SELECT key, value, priced_at FROM entries ORDER BY rowid").fetchall()
-        conn.close()
-        assert rows == [
-            ("b", '{"__tuple__": [0.30000000000000004, Infinity]}', 200.5),
-            ("c", '{"__list__": ["x", null]}', 300.0),
-            ("a", "2", 400.0),
-        ]
+def test_other_suffixes_stay_jsonl(tmp_path):
+    for name in ("x.jsonl", "x.sqlite.bak", "x.dbx"):
+        with JsonlResultStore(str(tmp_path / name)) as store:
+            store.put("a", _record("a", 1.0))
+        assert _read_bytes(str(tmp_path / name)).startswith(b'{"format": "watos-results-jsonl"')
 
-    def test_result_store_schema(self, tmp_path):
-        path = str(tmp_path / "results.sqlite")
-        with SqliteResultStore(path) as store:
-            _write_results(store)
-            store.compact()
-        tables, meta = _schema(path)
-        assert tables == RESULTS_SQLITE_SCHEMA
-        assert meta == {"namespace": "watos-results-v2"}
-        conn = sqlite3.connect(path)
-        rows = conn.execute("SELECT cell_id, record, written_at FROM results ORDER BY rowid")
-        rows = [(cell_id, json.loads(record), at) for cell_id, record, at in rows]
-        conn.close()
-        assert rows == [("b", _record("b", 2.0), 2.0), ("a", _record("a2", 3.0), 3.0)]
 
-    def test_every_sqlite_suffix_selects_sqlite(self):
-        for name in ("x.sqlite", "x.SQLITE3", "x.db"):
-            assert is_sqlite_path(name)
-        assert not is_sqlite_path("x.jsonl") and not is_sqlite_path("x.sqlite.bak")
+def test_importing_the_api_and_chaos_loads_no_sqlite3():
+    # A subprocess: this test session may already have imported sqlite3.
+    script = "import sys, repro.api, repro.core.chaos; print('sqlite3' in sys.modules)"
+    src_dir = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    path = os.pathsep.join(filter(None, (src_dir, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 # -------------------------------------------------------------- atomic rewrites
@@ -242,35 +221,4 @@ def test_append_is_readable_before_close(tmp_path, family):
         store.put("k", _record("k", 1.0))
     lines = _read_bytes(path).splitlines()
     assert len(lines) == 2 and b'"k"' in lines[1]
-    store.close()
-
-
-# ------------------------------------------------------- one sqlite connection, many threads
-def test_sqlite_store_shared_by_threads_loses_no_rows(tmp_path):
-    store = SqliteCacheStore(str(tmp_path / "cache.sqlite"))
-    errors = []
-
-    def writer(index):
-        try:
-            for step in range(25):
-                key = f"t{index}-{step}"
-                store.append({key: step}, {key: 1.0})
-                # A point read through the log, which holds the connection lock.
-                assert store._log.get(key, store._decode)[1] == step
-        except BaseException as exc:  # surfaced below; a thread cannot fail the test
-            errors.append(exc)
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=writer, args=(index,)) for index in range(8)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(thread.is_alive() for thread in threads)
-    assert errors == []
-    assert len(store.load()) == 8 * 25
     store.close()

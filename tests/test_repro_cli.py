@@ -9,6 +9,7 @@ import sys
 import pytest
 
 import repro
+from repro.api import open_result_store
 from repro.api.cli import main as repro_main
 from repro.core.evalcache import EvaluationCache, open_store
 
@@ -101,7 +102,7 @@ class TestSweepCommand:
     def test_matrix_expands_streams_and_resumes(self, tmp_path, capsys):
         spec = tmp_path / "matrix.json"
         spec.write_text(json.dumps(MATRIX))
-        results = str(tmp_path / "results.sqlite")
+        results = str(tmp_path / "results.jsonl")
 
         # First invocation stops after one cell (a simulated kill mid-matrix).
         assert repro_main(["sweep", "--spec", str(spec), "--results", results,
@@ -117,10 +118,33 @@ class TestSweepCommand:
         assert payload["cells"] == 4 and payload["skipped"] == 1
         assert len(payload["runs"]) == 3
 
-        from repro.api import open_result_store
-
         with open_result_store(results) as store:
             assert len(store) == 4  # exactly one row per cell
+
+    def test_one_file_for_both_stores_is_a_one_line_error(self, tmp_path):
+        spec = tmp_path / "matrix.json"
+        spec.write_text(json.dumps(MATRIX))
+        path = str(tmp_path / "both.jsonl")
+        assert repro_main(["sweep", "--spec", str(spec), "--results", path,
+                           "--max-cells", "1"]) == 0
+        with open(path, "rb") as handle:
+            before = handle.read()
+        with pytest.raises(SystemExit, match="cannot hold both the cache store and") as caught:
+            repro_main(["sweep", "--spec", str(spec), "--store", path, "--results", path])
+        assert "\n" not in str(caught.value)
+        with open(path, "rb") as handle:
+            assert handle.read() == before  # no cell ran, no row was written
+        assert sorted(os.listdir(tmp_path)) == ["both.jsonl", "matrix.json"]
+
+    @pytest.mark.parametrize("flag", ["--store", "--results"])
+    def test_sqlite_path_is_a_one_line_error(self, tmp_path, flag):
+        spec = tmp_path / "matrix.json"
+        spec.write_text(json.dumps(MATRIX))
+        path = str(tmp_path / "old.sqlite")
+        with pytest.raises(SystemExit, match=r"old\.sqlite: sqlite stores are no longer") as caught:
+            repro_main(["sweep", "--spec", str(spec), flag, path])
+        assert "\n" not in str(caught.value)
+        assert sorted(os.listdir(tmp_path)) == ["matrix.json"]
 
     def test_max_cells_zero_runs_nothing(self, tmp_path, capsys):
         spec = tmp_path / "matrix.json"
@@ -136,13 +160,11 @@ class TestSweepCommand:
         # its row lands anyway, and the summary counts it as run, not pending.
         spec = tmp_path / "matrix.json"
         spec.write_text(json.dumps(MATRIX))
-        results = str(tmp_path / "results.sqlite")
+        results = str(tmp_path / "results.jsonl")
         out = tmp_path / "sweep.json"
         assert repro_main(["sweep", "--spec", str(spec), "--results", results,
                            "--jobs", "2", "--max-cells", "1", "--json", str(out)]) == 0
         payload = json.loads(out.read_text())
-        from repro.api import open_result_store
-
         with open_result_store(results) as store:
             stored = len(store)
         assert payload["pending"] == payload["cells"] - stored
@@ -239,21 +261,6 @@ class TestCacheCommand:
         survivors = open_store(path).load()
         assert survivors == {"new": 2}
 
-    def test_compact_cache_script_max_age_flag(self, tmp_path, capsys):
-        sys.path.insert(0, os.path.join(REPO_ROOT, "scripts"))
-        try:
-            import compact_cache
-        finally:
-            sys.path.pop(0)
-        path = str(tmp_path / "store.jsonl")
-        store = open_store(path)
-        store.append({"old": 1}, {"old": 50.0})
-        store.append({"new": 2})
-        store.close()
-        assert compact_cache.main([path, "--max-age", "3600"]) == 0
-        assert "1 entries (1 evicted)" in capsys.readouterr().out
-        assert open_store(path).load() == {"new": 2}
-
     @pytest.mark.parametrize(
         "flag, value", [("--max-age", "-1"), ("--max-age", "nan"), ("--max-entries", "0")]
     )
@@ -270,6 +277,28 @@ class TestCacheCommand:
         assert "\n" not in str(caught.value)
         with open(path, "rb") as handle:
             assert handle.read() == before  # rejected before the store was opened
+
+    @pytest.mark.parametrize(
+        "verb, other", [("cache", "watos-evalcache-jsonl"), ("results", "watos-results-jsonl")]
+    )
+    def test_compacting_the_other_kind_of_store_is_a_one_line_error(self, tmp_path, verb, other):
+        # `repro cache compact` on a result store and `repro results compact` on a
+        # cache store: the file is left byte-identical, not moved to .corrupt.
+        path = str(tmp_path / "store.jsonl")
+        if verb == "cache":
+            with open_result_store(path) as results:
+                results.put("cell", {"result": {"kind": "ga"}, "written_at": 1.0})
+        else:
+            with open_store(path) as cache_store:
+                cache_store.append({"key": 1}, {"key": 1.0})
+        with open(path, "rb") as handle:
+            before = handle.read()
+        with pytest.raises(SystemExit, match=f"store.jsonl is not a {other} file") as caught:
+            repro_main([verb, "compact", path])
+        assert "\n" not in str(caught.value)
+        with open(path, "rb") as handle:
+            assert handle.read() == before
+        assert os.listdir(tmp_path) == ["store.jsonl"]
 
     def test_missing_store_fails_cleanly(self, tmp_path, capsys):
         assert repro_main(["cache", "stats", str(tmp_path / "absent.jsonl")]) == 1

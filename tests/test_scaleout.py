@@ -158,7 +158,7 @@ class TestWatosParallel:
     def test_explore_persists_across_instances(self, wafer, tmp_path, pool):
         workloads = [TrainingWorkload(make_tiny_model(), 16, 4, 1024)]
         config = GAConfig(population_size=4, generations=2, seed=3)
-        path = str(tmp_path / "watos.sqlite")
+        path = str(tmp_path / "watos.jsonl")
 
         first = Watos(candidates=[wafer], ga_config=config,
                       session=SessionHandle(cache=EvaluationCache(store=path)))
@@ -175,15 +175,15 @@ class TestWatosParallel:
         ]
         second.cache.close()
 
-    def test_parallel_explore_with_warm_sqlite_store(self, wafer, tmp_path, pool):
-        # Regression: a warm sqlite store holds an open connection; shipping the
-        # shared cache to pool workers must drop the store, not fail to pickle it.
+    def test_parallel_explore_with_warm_store(self, wafer, tmp_path, pool):
+        # Regression: shipping a shared cache with a warm store attached to pool
+        # workers must drop the store (workers never write it), not fail to pickle it.
         workloads = [
             TrainingWorkload(make_tiny_model(), 16, 4, 1024),
             TrainingWorkload(make_tiny_model(), 32, 8, 2048),
         ]
         config = GAConfig(population_size=4, generations=2, seed=3)
-        path = str(tmp_path / "warm.sqlite")
+        path = str(tmp_path / "warm.jsonl")
 
         first = Watos(candidates=[wafer], ga_config=config,
                       session=SessionHandle(cache=EvaluationCache(store=path)))

@@ -21,6 +21,7 @@ from repro.api import (
     Session,
     close_default_session,
     default_session,
+    open_result_store,
     tiny_wafer,
     tiny_workload,
 )
@@ -78,7 +79,7 @@ class TestLifecycle:
         warm.close()
 
     def test_adopted_cache_is_flushed_but_not_closed(self, tmp_path):
-        path = str(tmp_path / "adopted.sqlite")
+        path = str(tmp_path / "adopted.jsonl")
         cache = EvaluationCache(store=path)
         with Session(cache=cache) as session:
             session.run(ExperimentSpec(kind="scheduler", wafer="tiny", workload="tiny"))
@@ -88,7 +89,7 @@ class TestLifecycle:
 
     def test_cache_path_is_refused_with_a_pointer_to_store(self, tmp_path):
         # A path is a store, not a cache: accepting it used to fail every cell.
-        for path in ("cache.jsonl", tmp_path / "cache.sqlite"):
+        for path in ("cache.jsonl", tmp_path / "cache.jsonl"):
             with pytest.raises(TypeError, match="store="):
                 Session(cache=path)
         assert list(tmp_path.iterdir()) == []  # nothing was opened or created
@@ -142,6 +143,26 @@ class TestLifecycle:
         with pytest.raises(ValueError, match="max_age_s must be non-negative"):
             Session(store=str(path), compact_max_age_s=-1)
         assert not path.exists()  # rejected before the store was opened
+
+    def test_one_file_for_both_stores_is_refused(self, tmp_path):
+        # Each store would move the other's file aside on its first write.
+        path = str(tmp_path / "both.jsonl")
+        spec = ExperimentSpec(kind="scheduler", wafer="tiny", workload="tiny")
+        with Session(store=path) as session:
+            session.run(spec)
+        with open(path, "rb") as handle:
+            before = handle.read()
+        with pytest.raises(ValueError, match="cannot hold both the cache store and"):
+            Session(store=path, results=path)
+        with Session(store=path) as session:
+            for results in (str(tmp_path / "." / "both.jsonl"), open_result_store(path)):
+                with pytest.raises(ValueError, match="cannot hold both the cache store and"):
+                    session.sweep(spec, results=results)
+        with open(path, "rb") as handle:
+            assert handle.read() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["both.jsonl"]
+        with Session(store=path) as session:
+            assert session.cache.stats.loaded > 0  # the cache store still warm-starts
 
     def test_sessions_cannot_be_pickled(self):
         import pickle

@@ -7,10 +7,10 @@ The contract under test:
   ``GAConfig.stream`` convention — to stable content-derived ``cell_id``s.
 * Mistyped knob paths and spec fields fail with a did-you-mean suggestion, never a
   bare ``KeyError``.
-* ``ResultStore`` (JSONL + sqlite) round-trips ``RunResult.to_dict()`` rows
-  exactly, recovers cold from corrupt stores, and later duplicates win.  The
-  recovery cases also drive the evaluation-cache store, which shares the result
-  store's record log.
+* ``ResultStore`` round-trips ``RunResult.to_dict()`` rows exactly, recovers
+  cold from corrupt stores, and later duplicates win.  The recovery cases also
+  drive the evaluation-cache store, which shares the result store's record log;
+  both refuse a sqlite path, where earlier builds kept their stores.
 * ``Session.sweep`` streams results, writes through to the store, and a
   kill-and-resume produces byte-identical rows to a fresh serial run for all four
   loop kinds.
@@ -36,12 +36,7 @@ from repro.api import (
     open_result_store,
 )
 from repro.api.cli import main as repro_main
-from repro.api.results import (
-    JsonlResultStore,
-    SqliteResultStore,
-    make_record,
-    results_namespace,
-)
+from repro.api.results import make_record, results_namespace
 from repro.api.sweep import apply_knob, cell_key, resolve_knob, stream_seed
 from repro.core import runtime
 from repro.core.evalcache import open_store as open_cache_store
@@ -288,7 +283,7 @@ class _CacheRows(_ResultRows):
 FAMILIES = (_ResultRows, _CacheRows)
 
 
-@pytest.mark.parametrize("suffix", [".jsonl", ".sqlite"])
+@pytest.mark.parametrize("suffix", [".jsonl"])
 class TestResultStore:
     def test_round_trip_is_exact(self, tmp_path, suffix):
         path = str(tmp_path / f"results{suffix}")
@@ -385,8 +380,7 @@ class TestResultStore:
 
     def test_blind_put_resets_a_stale_namespace_file(self, tmp_path, suffix):
         path = str(tmp_path / f"results{suffix}")
-        store_cls = JsonlResultStore if suffix == ".jsonl" else SqliteResultStore
-        with store_cls(path, namespace="watos-results-v999") as store:
+        with open_result_store(path, namespace="watos-results-v999") as store:
             store.put("old", make_record(_FakeRun("old", {}), now=1.0))
         with open_result_store(path) as store:  # current namespace, no load()
             store.put("new", make_record(_FakeRun("new", {}), now=2.0))
@@ -395,8 +389,7 @@ class TestResultStore:
 
     def test_namespace_mismatch_degrades_to_cold_start(self, tmp_path, suffix):
         path = str(tmp_path / f"results{suffix}")
-        store_cls = JsonlResultStore if suffix == ".jsonl" else SqliteResultStore
-        with store_cls(path, namespace="watos-results-v999") as store:
+        with open_result_store(path, namespace="watos-results-v999") as store:
             store.put("a", make_record(_FakeRun("a", {}), now=1.0))
         with open_result_store(path) as store:
             assert store.namespace == results_namespace()
@@ -413,17 +406,16 @@ def test_foreign_valid_sqlite_database_is_preserved(tmp_path):
         conn.execute("INSERT INTO mydata VALUES (1, 'precious')")
         conn.commit()
         conn.close()
+        with open(path, "rb") as handle:
+            before = handle.read()
 
-        rows = family(path)
-        rows.write(["a"])
-        assert rows.read() == ["a"], family.name
-        rows.close()
-        # The user's database was moved aside intact, not mutated in place.
-        conn = sqlite3.connect(path + ".corrupt")
-        assert conn.execute("SELECT payload FROM mydata").fetchone() == ("precious",)
-        tables = {r[0] for r in conn.execute("SELECT name FROM sqlite_master WHERE type='table'")}
-        conn.close()
-        assert tables == {"mydata"}, family.name
+        # A sqlite path is refused before anything is read or written.
+        with pytest.raises(ValueError, match=r"use a \.jsonl path"):
+            family(path)
+        with open(path, "rb") as handle:
+            assert handle.read() == before, family.name
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "users-cache.sqlite", "users-results.sqlite"]  # nothing moved aside
 
 
 def test_jsonl_torn_last_line_is_skipped(tmp_path):
@@ -519,7 +511,7 @@ class TestStreamingSweep:
 
         # Interrupted after two cells (a kill mid-matrix), then resumed in a new
         # session with a cold cache.
-        resumed = str(tmp_path / "resumed.sqlite")
+        resumed = str(tmp_path / "resumed.jsonl")
         with Session() as session:
             stream = session.sweep(sweep, results=resumed)
             next(stream), next(stream)
@@ -537,7 +529,7 @@ class TestStreamingSweep:
             assert list(session.sweep(sweep, results=resumed)) == []
         assert _rows(resumed) == before
 
-    @pytest.mark.parametrize("suffix", [".jsonl", ".sqlite"])
+    @pytest.mark.parametrize("suffix", [".jsonl"])
     def test_stores_under_missing_directories_price_the_cell_once(self, tmp_path, suffix):
         results = str(tmp_path / "no-results-dir" / f"cells{suffix}")
         store = str(tmp_path / "no-cache-dir" / f"cache{suffix}")
@@ -626,8 +618,8 @@ def _record(cell_id, status="ok"):
 class TestMerge:
     def test_later_duplicates_win_in_argument_order(self, tmp_path):
         a = str(tmp_path / "a.jsonl")
-        b = str(tmp_path / "b.sqlite")
-        out = str(tmp_path / "merged.sqlite")
+        b = str(tmp_path / "b.jsonl")
+        out = str(tmp_path / "merged.jsonl")
         with open_result_store(a) as store:
             store.put("c1", _record("c1"))
             store.put("c2", _record("c2", status="failed"))
@@ -650,6 +642,21 @@ class TestMerge:
         assert repro_main(["results", "merge", a, "-o", out]) == 0
         printed = capsys.readouterr().out
         assert "2 cells" in printed and "ok=1" in printed and "failed=1" in printed
+
+    def test_cli_merge_refuses_an_output_that_is_not_a_result_store(self, tmp_path):
+        a = str(tmp_path / "a.jsonl")
+        with open_result_store(a) as store:
+            store.put("c1", _record("c1"))
+        out = str(tmp_path / "cache.jsonl")
+        with open_cache_store(out) as cache_store:
+            cache_store.append({"key": 1}, {"key": 1.0})
+        with open(out, "rb") as handle:
+            before = handle.read()
+        with pytest.raises(SystemExit, match="cache.jsonl is not a watos-results-jsonl file"):
+            repro_main(["results", "merge", a, "-o", out])
+        with open(out, "rb") as handle:
+            assert handle.read() == before  # not moved aside to .corrupt
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a.jsonl", "cache.jsonl"]
 
     def test_cli_merge_missing_input(self, tmp_path, capsys):
         assert repro_main(

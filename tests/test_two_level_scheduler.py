@@ -28,7 +28,7 @@ from repro.api import (
     open_result_store,
 )
 from repro.api.cli import main as repro_main
-from repro.api.results import SqliteResultStore
+from repro.api.results import ResultStore
 from repro.api.session import SweepCellError
 from repro.core.chaos import ChaosMonkey
 from repro.core.parallel_map import WorkerPool
@@ -78,7 +78,7 @@ DSE_SWEEP = {
 
 # ------------------------------------------------------------------- bit identity
 class TestJobsBitIdentity:
-    @pytest.mark.parametrize("suffix", ["jsonl", "sqlite"])
+    @pytest.mark.parametrize("suffix", ["jsonl"])
     def test_jobs_matches_serial_for_every_kind_and_backend(self, tmp_path, suffix):
         sweep = SweepSpec.from_specs(
             [ExperimentSpec.from_dict(spec) for spec in ALL_KINDS_SPECS]
@@ -88,8 +88,7 @@ class TestJobsBitIdentity:
             serial_runs = list(session.sweep(sweep, results=serial))
         assert len(serial_runs) == len(ALL_KINDS_SPECS)
 
-        # The cache store on the same backend: cell threads flush to it, and the
-        # session closes it.
+        # Cell threads flush to the cache store, and the session closes it.
         threaded = str(tmp_path / f"threaded.{suffix}")
         cache = str(tmp_path / f"threaded-cache.{suffix}")
         with Session(store=cache) as session:
@@ -165,7 +164,7 @@ class TestChaosUnderJobs:
         sweep = SweepSpec.from_payload(DSE_SWEEP)
         cells = sweep.expand()
         poison = cells[0].cell_id
-        results = str(tmp_path / "results.sqlite")
+        results = str(tmp_path / "results.jsonl")
         retry = RetryPolicy(max_attempts=3, backoff_s=0.0)
 
         with ChaosMonkey(tmp_path / "chaos") as chaos:
@@ -230,7 +229,7 @@ class TestCellLoopContract:
         # write fails: the close raises that error and still closes the store the
         # sweep opened from its path.
         cells = SweepSpec.from_payload(GA_SWEEP).expand()
-        put, close = SqliteResultStore.put, SqliteResultStore.close
+        put, close = ResultStore.put, ResultStore.close
         closed = []
 
         def failing_put(self, cell_id, record):
@@ -242,9 +241,9 @@ class TestCellLoopContract:
             closed.append(self.path)
             close(self)
 
-        monkeypatch.setattr(SqliteResultStore, "put", failing_put)
-        monkeypatch.setattr(SqliteResultStore, "close", recording_close)
-        path = str(tmp_path / "results.sqlite")
+        monkeypatch.setattr(ResultStore, "put", failing_put)
+        monkeypatch.setattr(ResultStore, "close", recording_close)
+        path = str(tmp_path / "results.jsonl")
         with Session() as session:
             stream = session.sweep(GA_SWEEP, results=path, jobs=2)
             assert next(stream).cell_id == cells[0].cell_id
@@ -253,7 +252,7 @@ class TestCellLoopContract:
         assert closed == [path]
 
     def test_a_failed_resume_lookup_closes_the_owned_store(self, tmp_path, monkeypatch):
-        close = SqliteResultStore.close
+        close = ResultStore.close
         closed = []
 
         def failing_lookup(self, include_failed=False):
@@ -263,9 +262,9 @@ class TestCellLoopContract:
             closed.append(self.path)
             close(self)
 
-        monkeypatch.setattr(SqliteResultStore, "completed_ids", failing_lookup)
-        monkeypatch.setattr(SqliteResultStore, "close", recording_close)
-        path = str(tmp_path / "results.sqlite")
+        monkeypatch.setattr(ResultStore, "completed_ids", failing_lookup)
+        monkeypatch.setattr(ResultStore, "close", recording_close)
+        path = str(tmp_path / "results.jsonl")
         with Session() as session:
             with pytest.raises(OSError, match="store unreadable"):
                 next(session.sweep(GA_SWEEP, results=path))
