@@ -297,6 +297,7 @@ def _cmd_results(args: argparse.Namespace) -> int:
         return 1
     store = open_result_store(args.results_path)
     try:
+        store.refuse_foreign(f"`repro results {args.results_command}` reads result stores")
         if args.results_command == "stats":
             print(json.dumps(store.stats(), indent=2))
         elif args.results_command == "tail":
@@ -410,6 +411,7 @@ def _cmd_cache(args: argparse.Namespace) -> int:
         return 0
     # stats
     store = open_store(args.store_path, namespace=args.namespace)
+    store.refuse_foreign("`repro cache stats` reads cache stores")
     entries = store.load()
     times = [t for t in store.row_times.values() if t > 0]
     payload = {

@@ -101,6 +101,11 @@ class ResultStore:
         """Rows skipped during the most recent :meth:`load` (corruption)."""
         return self._log.errors
 
+    def refuse_foreign(self, action: str) -> None:
+        """Raise :class:`~repro.recordlog.StoreError`, one line naming what the file
+        is, when the file at the path is not a result store."""
+        self._log.refuse_foreign(action)
+
     # ------------------------------------------------------------------ primitives
     def load(self) -> "OrderedDict[str, Dict[str, Any]]":
         """All records in completion order (``{}`` for missing/corrupt/foreign)."""

@@ -80,6 +80,14 @@ class SweepCellError(RuntimeError):
         self.error = error
 
 
+def _add_note(exc: BaseException, note: str) -> None:
+    """``exc.add_note(note)``; Python 3.10 has no ``add_note``, so set ``__notes__``."""
+    if hasattr(exc, "add_note"):
+        exc.add_note(note)
+    else:
+        exc.__notes__ = [*getattr(exc, "__notes__", ()), note]
+
+
 def _on_thread(fn: Callable[[Any], RunResult], cell) -> Future:
     """Run ``fn(cell)`` on its own daemon thread; the future holds the outcome."""
     future: Future = Future()
@@ -247,32 +255,49 @@ class Session:
 
     # ------------------------------------------------------------------ lifecycle
     def close(self) -> None:
-        """Join the pool, flush (and optionally compact) the store.  Idempotent."""
+        """Join the pool, flush (and optionally compact) the stores, write the trace.
+
+        Idempotent.  Every step runs even when an earlier one fails; the first error
+        is raised once all have run, with any later ones as notes on it.
+        """
         if self._closed:
             return
         self._closed = True
-        runtime.pop_session(self)
+        errors = []
+        for step in self._close_steps():
+            try:
+                step()
+            except Exception as exc:
+                errors.append(exc)
+        for later in errors[1:]:
+            _add_note(errors[0], f"closing the session also failed: {later}")
+        if errors:
+            raise errors[0]
+
+    def _close_steps(self) -> Iterator[Callable[[], Any]]:
+        """What :meth:`close` runs, in order."""
+        yield lambda: runtime.pop_session(self)
         if self._pool is not None and not self._adopted_pool:
-            self._pool.close()
-        self.cache.flush()
+            yield self._pool.close
+        yield self.cache.flush
         if self.compact_on_exit and self.cache.store is not None:
-            self.cache.compact(
+            yield lambda: self.cache.compact(
                 max_entries=self.compact_max_entries, max_age_s=self.compact_max_age_s
             )
         if self._owns_cache:
-            self.cache.close()
+            yield self.cache.close
         if self.results_compact and self.results is not None:
-            self.results.compact()
+            yield self.results.compact
         if self._owns_results and self.results is not None:
-            self.results.close()
+            yield self.results.close
         if self._trace_path is not None:
             # Written last: the pool is joined, so every worker ring the carries
             # shipped is already merged into this process's tracer.
-            write_trace(
+            yield lambda: write_trace(
                 self._trace_path, _obs.records(since=self._trace_mark), meta=self._trace_meta
             )
             if self._trace_enabled_here:
-                _obs.disable()
+                yield _obs.disable
 
     @property
     def closed(self) -> bool:
@@ -284,8 +309,14 @@ class Session:
         runtime.push_session(self)
         return self
 
-    def __exit__(self, *exc_info: Any) -> None:
-        self.close()
+    def __exit__(self, exc_type, exc, tb) -> None:
+        try:
+            self.close()
+        except Exception as close_error:
+            if exc is None:
+                raise
+            # The block's own exception propagates; the close error rides on it.
+            _add_note(exc, f"closing the session also failed: {close_error}")
 
     def __reduce__(self):
         raise TypeError("Session is process-local and cannot be pickled")

@@ -410,6 +410,11 @@ class CacheStore:
         """Rows skipped during the most recent :meth:`load` (corruption / stale classes)."""
         return self._log.errors
 
+    def refuse_foreign(self, action: str) -> None:
+        """Raise :class:`~repro.recordlog.StoreError`, one line naming what the file
+        is, when the file at the path is not a cache store."""
+        self._log.refuse_foreign(action)
+
     @staticmethod
     def _decode(row: Any) -> Tuple[str, Any, float]:
         return str(row["k"]), decode_value(row["v"]), float(row.get("t", 0.0))

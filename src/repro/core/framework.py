@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.core.central_scheduler import CentralScheduler, ExplorationRecord
+from repro.core.central_scheduler import CentralScheduler, ExplorationRecord, best_record
 from repro.core.evalcache import EvaluationCache
 from repro.core.evaluator import EvaluationResult, Evaluator
 from repro.core.genetic import GAConfig, GeneticOptimizer
@@ -46,6 +46,8 @@ class WatosResult:
     """Everything the co-exploration produced."""
 
     outcomes: List[WorkloadOutcome] = field(default_factory=list)
+    #: Each point's :meth:`CentralScheduler.search` records, the splits early pruning
+    #: skipped included (``pruned=True``, priced at their bound).
     exploration_records: Dict[str, List[ExplorationRecord]] = field(default_factory=dict)
 
     def outcomes_for_wafer(self, wafer_name: str) -> List[WorkloadOutcome]:
@@ -107,9 +109,10 @@ class _ExplorePointTask:
     ) -> Tuple[List[ExplorationRecord], Optional[WorkloadOutcome]]:
         """Seed, then refine: the scheduler's best plan, then the GA around it.
 
-        The GA plan replaces the seed when its throughput is not lower.  Returns every
-        explored record and the outcome (``None`` when no plan fits).  Both loops
-        price in this process on one evaluator over ``cache``.
+        The GA plan replaces the seed when its throughput is not lower.  Returns the
+        scheduler's records (:meth:`CentralScheduler.search`: the splits its early
+        pruning skipped are listed at their bound) and the outcome (``None`` when no
+        plan fits).  Both loops price in this process on one evaluator over ``cache``.
         """
         evaluator = Evaluator(wafer, cache=cache)
         scheduler = CentralScheduler(
@@ -119,11 +122,10 @@ class _ExplorePointTask:
             split_strategies=self.split_strategies,
             max_tp=self.max_tp,
         )
-        records = scheduler.explore(workload)
-        feasible = [r for r in records if not r.result.oom]
-        if not feasible:
+        records = scheduler.search(workload)
+        best = best_record(records)
+        if best is None:
             return records, None
-        best = max(feasible, key=lambda r: r.result.throughput)
         plan, result = best.plan, best.result
         ga_history: Tuple[float, ...] = ()
         if self.use_ga:

@@ -106,18 +106,21 @@ class JsonlLog:
         self.errors = 0
         self._checked = False  # the header has been classified
         self._foreign = False  # a file that is not ours sits at the path
+        self._found = ""  # the format that file's header names, if it names one
 
     def _check(self, first: bytes) -> bool:
         """Classify the file from its first line; ``True`` when its rows are ours."""
-        self._checked, self._foreign = True, False
+        self._checked, self._foreign, self._found = True, False, ""
         if not first:
             return False  # missing or empty: the next append writes the header
         try:
             header = json.loads(first)
         except ValueError:
             header = None
-        if not isinstance(header, dict) or header.get("format") != self.header["format"]:
+        found = header.get("format") if isinstance(header, dict) else None
+        if found != self.header["format"]:
             self._foreign = True  # left untouched until a write needs the path
+            self._found = found if isinstance(found, str) else ""
             return False
         if any(header.get(key) != value for key, value in self.header.items()):
             self.rewrite(())  # ours, stale namespace: reset in place
@@ -188,17 +191,26 @@ class JsonlLog:
                     data = "\n" + data  # close a torn last line: only the fragment is lost
             handle.write(data.encode("utf-8"))
 
+    def refuse_foreign(self, action: str) -> None:
+        """Raise :class:`StoreError` when a file that is not ours sits at the path.
+
+        The one-line message names the format the file's header declares, if any,
+        and ends with ``action``.  The file stays as it is.
+        """
+        self._claim()
+        if self._foreign:
+            found = f" (it is a {self._found} file)" if self._found else ""
+            raise StoreError(
+                f"{self.path} is not a {self.header['format']} file{found}; {action}"
+            )
+
     def rewrite(self, rows: Iterable[Dict[str, Any]]) -> None:
         """Atomically replace the file with the header and ``rows``.
 
         A file that is not ours raises :class:`StoreError` and stays as it is:
         a rewrite folds or merges what a store holds, and this file holds none.
         """
-        self._claim()
-        if self._foreign:
-            raise StoreError(
-                f"{self.path} is not a {self.header['format']} file; refusing to replace it"
-            )
+        self.refuse_foreign("refusing to replace it")
         atomic_write(
             self.path,
             itertools.chain([json.dumps(self.header)], (json.dumps(row) for row in rows)),

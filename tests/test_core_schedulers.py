@@ -1,5 +1,6 @@
 """Evaluator, GCMR recomputation scheduler, DRAM allocator, central scheduler and GA."""
 
+import functools
 import math
 from dataclasses import replace
 
@@ -10,7 +11,9 @@ from repro.api.spec import ExperimentSpec
 from repro.core.central_scheduler import CentralScheduler
 from repro.core.dram_allocation import DramAllocator
 from repro.core.evaluator import EvaluationResult, Evaluator
+from repro.core.framework import Watos
 from repro.core.genetic import GAConfig, GeneticOptimizer
+from repro.core.hardware_dse import DieGranularityDse
 from repro.core.placement import serpentine_placement
 from repro.core.plan import MemPair, RecomputeConfig, TrainingPlan
 from repro.core.recomputation import GcmrScheduler
@@ -19,7 +22,13 @@ from repro.parallelism.strategies import ParallelismConfig, enumerate_tp_pp
 from repro.units import GB
 from repro.workloads.workload import TrainingWorkload
 
-from repro_testlib import make_small_wafer, make_tiny_model
+from repro_testlib import (
+    fig25_wafer,
+    make_small_wafer,
+    make_tiny_model,
+    paper_workloads,
+    scale_dram,
+)
 
 
 def simple_plan(tp=2, pp=4, shape=(1, 2), recompute=None) -> TrainingPlan:
@@ -311,6 +320,170 @@ class TestCentralScheduler:
             for candidate, plan in built if plan is None
             for collective in scheduler.search_collectives
         ] == rejected
+
+
+#: The two scheduler settings the figures use: the default, and the Fig. 25 DSE's.
+SCHEDULER_SETTINGS = {
+    "default": {},
+    "fig25": {"max_tp": 8, "optimize_placement": False},
+}
+#: config2/config3 × the four §V models × DRAM ×1/×0.5/×0.3.
+PAPER_POINTS = [
+    (wafer, scale, model)
+    for wafer in ("config2", "config3")
+    for scale in (1.0, 0.5, 0.3)
+    for model in ("llama2-30b", "llama3-70b", "gshard-137b", "gpt-175b")
+]
+
+
+def _paper_point(wafer_ref, scale, model):
+    return scale_dram(resolve_wafer(wafer_ref), scale), paper_workloads()[model]
+
+
+@pytest.fixture(scope="module")
+def explored():
+    """``explored(wafer, scale, model, setting)``: a paper point's exhaustive records,
+    explored once for all the pruning tests of this module."""
+
+    @functools.lru_cache(maxsize=None)
+    def records(wafer_ref, scale, model, setting):
+        wafer, workload = _paper_point(wafer_ref, scale, model)
+        scheduler = CentralScheduler(
+            wafer, evaluator=Evaluator(wafer), **SCHEDULER_SETTINGS[setting]
+        )
+        return tuple(scheduler.explore(workload))
+
+    return records
+
+
+def _first_maximum(records):
+    feasible = [record for record in records if not record.result.oom]
+    return max(feasible, key=lambda record: record.throughput) if feasible else None
+
+
+def _same_best(pruned, exhaustive):
+    if pruned is None or exhaustive is None:
+        return pruned is None and exhaustive is None
+    return pruned.plan == exhaustive.plan and pruned.result == exhaustive.result
+
+
+class TestEarlyPruning:
+    """``best`` builds memory-tight splits in bound order and skips those that cannot win;
+    ``explore`` stays the exhaustive reference."""
+
+    @pytest.mark.parametrize("setting", sorted(SCHEDULER_SETTINGS))
+    def test_pruned_best_is_the_first_exhaustive_maximum(self, setting, explored):
+        for wafer_ref, scale, model in PAPER_POINTS:
+            wafer, workload = _paper_point(wafer_ref, scale, model)
+            scheduler = CentralScheduler(
+                wafer, evaluator=Evaluator(wafer), **SCHEDULER_SETTINGS[setting]
+            )
+            expected = _first_maximum(explored(wafer_ref, scale, model, setting))
+            assert _same_best(scheduler.best(workload), expected), (wafer_ref, scale, model)
+
+    def test_pruned_best_is_the_first_exhaustive_maximum_on_the_fig25_grid(self):
+        settings = SCHEDULER_SETTINGS["fig25"]
+        dse = DieGranularityDse(paper_workloads()["gpt-175b"])
+        for area in dse.areas:
+            for aspect in dse.aspect_ratios:
+                wafer = fig25_wafer(area, aspect)
+                for workload in paper_workloads().values():
+                    exhaustive = CentralScheduler(wafer, evaluator=Evaluator(wafer), **settings)
+                    pruned = CentralScheduler(wafer, evaluator=Evaluator(wafer), **settings)
+                    expected = _first_maximum(exhaustive.explore(workload))
+                    assert _same_best(pruned.best(workload), expected), (area, aspect)
+
+    @pytest.mark.parametrize("setting", sorted(SCHEDULER_SETTINGS))
+    def test_no_built_plan_prices_above_its_bound(self, setting, explored):
+        checked = fallback = 0
+        for wafer_ref, scale, model in PAPER_POINTS:
+            wafer, workload = _paper_point(wafer_ref, scale, model)
+            scheduler = CentralScheduler(wafer, **SCHEDULER_SETTINGS[setting])
+            unbounded = Evaluator(scale_dram(wafer, math.inf))
+            for record in explored(wafer_ref, scale, model, setting):
+                plan = record.plan
+                tp, pp = plan.parallelism.tp, plan.parallelism.pp
+                tight = scheduler.needs_downstream(
+                    workload, tp, pp, workload.num_microbatches(1)
+                )
+                if record.result.oom or not tight:
+                    continue
+                ideal = TrainingPlan(
+                    parallelism=plan.parallelism,
+                    tp_shape=plan.tp_shape,
+                    collective=plan.collective,
+                    split_strategy=plan.split_strategy,
+                    recompute=RecomputeConfig.none(pp),
+                    placement=serpentine_placement(wafer.dies_x, wafer.dies_y, plan.tp_shape, pp),
+                )
+                bound = unbounded.evaluate(workload, ideal)
+                assert record.throughput <= bound.throughput, (wafer_ref, scale, plan.label())
+                checked += 1
+                bx, by = plan.tp_shape
+                # mesh_blocks' non-rectangular fallback: the rectangles cannot host pp blocks.
+                fallback += (wafer.dies_x // bx) * (wafer.dies_y // by) < pp
+        assert checked > 0 and fallback > 0
+
+    def test_pruned_splits_are_listed_at_their_bound(self):
+        wafer, workload = _paper_point("config3", 0.5, "llama3-70b")
+        scheduler = CentralScheduler(wafer, evaluator=Evaluator(wafer))
+        records = scheduler.search(workload)
+        pruned = [record for record in records if record.pruned]
+        assert pruned, "this point prunes at least one split"
+        best = scheduler.best(workload)
+        unbounded = Evaluator(scale_dram(wafer, math.inf))
+        for record in pruned:
+            assert record.plan.recompute == RecomputeConfig.none(record.plan.parallelism.pp)
+            assert not record.plan.mem_pairs
+            assert record.result == unbounded.evaluate(workload, record.plan)
+            assert record.throughput < best.throughput
+        # Every split builds here, so the records line up with the exhaustive ones.
+        exhaustive = scheduler.explore(workload)
+        assert [(r.plan.parallelism, r.plan.collective) for r in records] == [
+            (r.plan.parallelism, r.plan.collective) for r in exhaustive
+        ]
+        assert [r for r in records if not r.pruned] == [
+            r for r, s in zip(exhaustive, records) if not s.pruned
+        ]
+
+    def test_faulted_evaluator_searches_exhaustively(self, tight_wafer, heavy_workload):
+        faults = FaultModel.random(4, 4, die_fault_rate=0.2, link_fault_rate=0.2, seed=5)
+        scheduler = CentralScheduler(
+            tight_wafer, evaluator=Evaluator(tight_wafer, faults=faults)
+        )
+        reference = CentralScheduler(
+            tight_wafer, evaluator=Evaluator(tight_wafer, faults=faults)
+        ).explore(heavy_workload)
+        records = scheduler.search(heavy_workload)
+        assert records == reference and not any(record.pruned for record in records)
+        assert _same_best(scheduler.best(heavy_workload), _first_maximum(reference))
+
+
+@pytest.mark.perf_smoke
+def test_paper_cells_run_gcmr_once_and_list_the_pruned_splits(monkeypatch):
+    """The four paper_cell points: 14 splits need the downstream schedulers, and only
+    config2 × gpt-175b at TP=14, PP=4 can win, so GCMR runs once, not 14 times."""
+    calls = []
+    schedule = GcmrScheduler.schedule
+
+    def counting_schedule(self, workload, tp, pp, *args, **kwargs):
+        calls.append((self.wafer.name, workload.model.name, tp, pp))
+        return schedule(self, workload, tp, pp, *args, **kwargs)
+
+    monkeypatch.setattr(GcmrScheduler, "schedule", counting_schedule)
+    wafers = [resolve_wafer("config2"), resolve_wafer("config3")]
+    workloads = [paper_workloads()["llama2-30b"], paper_workloads()["gpt-175b"]]
+    result = Watos(candidates=wafers, use_ga=False).explore(workloads)
+
+    assert calls == [("config2", "gpt-175b", 14, 4)]
+    pruned = {
+        (point, record.plan.parallelism.tp, record.plan.parallelism.pp)
+        for point, records in result.exploration_records.items()
+        for record in records
+        if record.pruned
+    }
+    assert len(pruned) == 13
+    assert len(result.outcomes) == 4
 
 
 class TestGeneticOptimizer:

@@ -136,6 +136,26 @@ class TestSweepCommand:
             assert handle.read() == before  # no cell ran, no row was written
         assert sorted(os.listdir(tmp_path)) == ["both.jsonl", "matrix.json"]
 
+    def test_one_file_for_both_stores_still_closes_the_session(self, tmp_path):
+        # With compaction and a trace on exit: the session's close refuses to compact
+        # the result store as a cache store, and must neither hide the one-file error
+        # nor skip writing the trace.
+        spec = tmp_path / "matrix.json"
+        spec.write_text(json.dumps(MATRIX))
+        path = str(tmp_path / "both.jsonl")
+        assert repro_main(["sweep", "--spec", str(spec), "--results", path,
+                           "--max-cells", "1"]) == 0
+        with open(path, "rb") as handle:
+            before = handle.read()
+        trace = tmp_path / "trace.jsonl"
+        with pytest.raises(SystemExit, match="cannot hold both the cache store and") as caught:
+            repro_main(["sweep", "--spec", str(spec), "--results", path, "--store", path,
+                        "--compact-on-exit", "--trace", str(trace)])
+        assert "\n" not in str(caught.value)
+        assert trace.exists()
+        with open(path, "rb") as handle:
+            assert handle.read() == before
+
     @pytest.mark.parametrize("flag", ["--store", "--results"])
     def test_sqlite_path_is_a_one_line_error(self, tmp_path, flag):
         spec = tmp_path / "matrix.json"
@@ -295,6 +315,33 @@ class TestCacheCommand:
             before = handle.read()
         with pytest.raises(SystemExit, match=f"store.jsonl is not a {other} file") as caught:
             repro_main([verb, "compact", path])
+        assert "\n" not in str(caught.value)
+        with open(path, "rb") as handle:
+            assert handle.read() == before
+        assert os.listdir(tmp_path) == ["store.jsonl"]
+
+    @pytest.mark.parametrize(
+        "argv, kind",
+        [
+            (["cache", "stats"], "watos-results-jsonl"),
+            (["results", "stats"], "watos-evalcache-jsonl"),
+            (["results", "tail"], "watos-evalcache-jsonl"),
+            (["results", "export", "--csv", "-"], "watos-evalcache-jsonl"),
+        ],
+    )
+    def test_reading_the_other_kind_of_store_is_a_one_line_error(self, tmp_path, argv, kind):
+        # Not an empty store: one line naming what the file is, and the file untouched.
+        path = str(tmp_path / "store.jsonl")
+        if argv[0] == "cache":
+            with open_result_store(path) as results:
+                results.put("cell", {"result": {"kind": "ga"}, "written_at": 1.0})
+        else:
+            with open_store(path) as cache_store:
+                cache_store.append({"key": 1}, {"key": 1.0})
+        with open(path, "rb") as handle:
+            before = handle.read()
+        with pytest.raises(SystemExit, match=rf"store\.jsonl .*\(it is a {kind} file\)") as caught:
+            repro_main(argv[:2] + [path] + argv[2:])
         assert "\n" not in str(caught.value)
         with open(path, "rb") as handle:
             assert handle.read() == before

@@ -32,7 +32,10 @@ from repro.core.evaluator import Evaluator
 from repro.core.framework import Watos
 from repro.core.genetic import GAConfig, GeneticOptimizer
 from repro.core.hardware_dse import DieGranularityDse
+from repro.core.evalcache import open_store as open_cache_store
 from repro.core.parallel_map import PoolConfig, WorkerPool
+from repro.obs import tracer
+from repro.recordlog import StoreError
 
 
 @pytest.fixture(autouse=True)
@@ -163,6 +166,52 @@ class TestLifecycle:
         assert [p.name for p in tmp_path.iterdir()] == ["both.jsonl"]
         with Session(store=path) as session:
             assert session.cache.stats.loaded > 0  # the cache store still warm-starts
+
+    @staticmethod
+    def _result_store(path):
+        with open_result_store(path) as store:
+            store.put("cell", {"result": {"kind": "ga"}, "written_at": 1.0})
+        with open(path, "rb") as handle:
+            return handle.read()
+
+    def test_close_runs_every_step_and_raises_the_first_error(self, tmp_path):
+        # The cache store path holds a result store and the result store path holds
+        # a cache store: both compactions are refused, yet the trace is written.
+        results_path = str(tmp_path / "results.jsonl")
+        results_bytes = self._result_store(results_path)
+        cache_path = str(tmp_path / "cache.jsonl")
+        with open_cache_store(cache_path) as store:
+            store.append({"key": 1}, {"key": 1.0})
+        with open(cache_path, "rb") as handle:
+            cache_bytes = handle.read()
+        trace = tmp_path / "trace.jsonl"
+        session = Session(store=results_path, compact_on_exit=True, results=cache_path,
+                          results_compact=True, trace=str(trace))
+        with pytest.raises(StoreError, match="is not a watos-evalcache-jsonl file") as caught:
+            session.close()
+        assert any("is not a watos-results-jsonl file" in note
+                   for note in caught.value.__notes__)
+        assert session.closed and trace.exists()
+        assert not tracer.is_enabled()
+        with open(results_path, "rb") as handle:
+            assert handle.read() == results_bytes
+        with open(cache_path, "rb") as handle:
+            assert handle.read() == cache_bytes
+        session.close()  # idempotent: nothing is retried
+
+    def test_close_error_does_not_replace_the_exception_in_flight(self, tmp_path):
+        path = str(tmp_path / "results.jsonl")
+        before = self._result_store(path)
+        trace = tmp_path / "trace.jsonl"
+        with pytest.raises(RuntimeError) as caught:
+            with Session(store=path, compact_on_exit=True, trace=str(trace)):
+                raise RuntimeError("boom")
+        assert str(caught.value) == "boom"
+        assert any("is not a watos-evalcache-jsonl file" in note
+                   for note in caught.value.__notes__)
+        assert trace.exists()
+        with open(path, "rb") as handle:
+            assert handle.read() == before
 
     def test_sessions_cannot_be_pickled(self):
         import pickle
