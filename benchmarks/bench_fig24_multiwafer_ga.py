@@ -123,8 +123,9 @@ class _WaferGaTask:
     """Picklable task running one wafer's GA against the runtime-provided cache.
 
     The cache comes from :func:`task_cache` — the shared parent cache on the serial
-    path, the worker's resident shard inside a :class:`WorkerPool` — so the task no
-    longer pickles a warm snapshot of every entry with every wafer item.
+    path; inside a :class:`WorkerPool`, the chunk's cache, which reads the parent
+    cache as it was when the worker forked — so the task never pickles a snapshot
+    of the cache with a wafer item.
     """
 
     def __init__(self, wafer: WaferConfig, ga_config: GAConfig) -> None:
@@ -161,9 +162,9 @@ def run_multiwafer_ga(
     trajectories are independent of execution order and worker count: the parallel
     fan-out is bit-identical to the serial loop.  ``parallel`` takes a persistent
     :class:`WorkerPool` (share one across the whole experiment matrix) or ``None``
-    (serial); each wafer slice's whole GA runs in one worker, worker cache deltas
-    are merged back in worker order and flushed to the cache's store when one is
-    attached.
+    (serial); each wafer slice's whole GA runs in one worker, what each worker
+    priced is merged back in worker order and flushed to the cache's store when
+    one is attached.
     """
     slices = wafer_slice_workloads(workload, num_wafers)
     items = []
@@ -317,6 +318,8 @@ def main(argv=None) -> int:
         "cache_hits": stats.hits,
         "cache_misses": stats.misses,
         "cache_hit_rate": stats.hit_rate,
+        # Entries pool chunks carried back into the shared cache; 0 when every
+        # cell priced in-process (a "ga" cell does).
         "cache_shipped_entries": stats.shipped,
         "loaded_entries": loaded,
         "warm_start": loaded > 0,

@@ -29,13 +29,10 @@ The file discipline — namespace check, ``<path>.corrupt`` preservation, torn-t
 recovery, atomic rewrites — is :mod:`repro.recordlog`'s, shared with the result
 store; this module keeps only the row layout and value codec.
 
-**Scale-out.**  Worker processes evaluate against a private cache seeded from the
-parent's entries (:meth:`seed`), and the parent merges each worker's freshly priced
-entries back (:meth:`absorb_carry`), so one shared store serves a whole multi-wafer
-or wafer×workload fan-out.  Entries carry monotonic sequence numbers so both
-directions of that flow are delta-only: :meth:`export_since` ships only entries
-adopted after a watermark — the parent's per-worker watermark on the way out, the
-worker shard's own watermark at the start of a chunk on the way back.
+**Scale-out.**  A pool worker reads the parent's cache as it was when the worker
+forked, and the parent folds each chunk's freshly priced entries back in
+(:meth:`absorb_carry`), so one shared store serves a whole multi-wafer or
+wafer×workload fan-out (see :mod:`repro.core.parallel_map`).
 
 A cache keeps per-key state only for resident entries and for entries still waiting
 to be flushed to its store, so ``max_entries`` bounds the memory of a cache without
@@ -44,7 +41,6 @@ a store exactly.
 
 from __future__ import annotations
 
-import bisect
 import enum
 import functools
 import hashlib
@@ -507,8 +503,8 @@ class CacheStats:
         self.loaded = 0
         #: Entries written back to the persistent store.
         self.flushed = 0
-        #: Entries shipped to pool workers via watermarked incremental export —
-        #: the delta-sync replacement for pickling a full snapshot per fan-out.
+        #: Entries pool chunks carried back to this cache (:meth:`EvaluationCache.absorb_carry`),
+        #: counted whether or not the cache adopted them.
         self.shipped = 0
 
     @property
@@ -564,12 +560,6 @@ class EvaluationCache:
         #: Entries priced since the last :meth:`flush` (survives LRU eviction);
         #: kept only while a store is attached to flush them to.
         self._dirty: Dict[str, Any] = {}
-        #: Monotonic pricing sequence: every entry adopted via :meth:`put`/:meth:`seed`
-        #: gets the next number, so :meth:`export_since` can ship watermark deltas.
-        self._seq = 0
-        self._entry_seq: Dict[str, int] = {}
-        self._log_seqs: List[int] = []
-        self._log_keys: List[str] = []
         #: ``priced_at`` unix timestamp per resident/dirty key — flushed to the store
         #: so :meth:`compact` can expire rows by age (``max_age_s``).
         self._priced_at: Dict[str, float] = {}
@@ -623,7 +613,6 @@ class EvaluationCache:
             if self.store is not None:
                 self._dirty[key] = value
             self._priced_at[key] = time.time()
-            self._assign_seq(key)
             self._evict_over_bound()
 
     def _evict_over_bound(self) -> None:
@@ -636,7 +625,6 @@ class EvaluationCache:
             return
         while len(self._entries) > self.max_entries:
             evicted, _ = self._entries.popitem(last=False)
-            self._entry_seq.pop(evicted, None)
             if evicted not in self._dirty:
                 self._priced_at.pop(evicted, None)
             self.stats.evictions += 1
@@ -657,37 +645,19 @@ class EvaluationCache:
         return value
 
     def clear(self) -> None:
-        """Drop all entries (the counters survive so long-run stats stay meaningful).
-
-        The pricing sequence is *not* reset: it must stay monotonic so watermarks
-        held by long-lived pool workers never see it regress.
-        """
+        """Drop all entries (the counters survive so long-run stats stay meaningful)."""
         with self._lock:
             self._entries.clear()
             self._dirty.clear()
-            self._entry_seq.clear()
-            self._log_seqs.clear()
-            self._log_keys.clear()
             self._priced_at.clear()
-
-    # ------------------------------------------------------------------ sequence log
-    def _assign_seq(self, key: str) -> None:
-        self._seq += 1
-        self._entry_seq[key] = self._seq
-        self._log_seqs.append(self._seq)
-        self._log_keys.append(key)
-        # Re-priced keys leave dead rows behind; rebuild once they dominate the log.
-        if len(self._log_seqs) > 1024 and len(self._log_seqs) > 4 * len(self._entry_seq):
-            live = sorted((seq, key) for key, seq in self._entry_seq.items())
-            self._log_seqs = [seq for seq, _ in live]
-            self._log_keys = [key for _, key in live]
 
     # ------------------------------------------------------------------ scale-out
     def __getstate__(self):
-        """Pickled caches (shipped to pool workers) drop the store.
+        """A pickled cache drops its store.
 
-        Workers must never write the store — deltas flow back through the parent,
-        which keeps the one live store.
+        Where the ``fork`` start method is unavailable, a pool worker gets the
+        cache it reads this way.  Workers must never write the store: what they
+        price flows back through the parent, which keeps the one live store.
         """
         state = self.__dict__.copy()
         state["store"] = None
@@ -702,62 +672,36 @@ class EvaluationCache:
     def seed(self, entries: Mapping[str, Any]) -> int:
         """Adopt warm entries without touching hit/miss counters or the dirty set.
 
-        Used for store warm-starts and for handing a parent cache's contents to a
-        worker process.  ``max_entries`` still bounds the in-memory result: when a
-        persisted store has outgrown the bound, only the newest entries stay
-        resident (the store keeps everything).
+        Used for store warm-starts.  ``max_entries`` still bounds the in-memory
+        result: when a persisted store has outgrown the bound, only the newest
+        entries stay resident (the store keeps everything).
         """
         with self._lock:
             adopted = 0
             for key, value in entries.items():
                 if key not in self._entries:
                     self._entries[key] = value
-                    self._assign_seq(key)
                     adopted += 1
             self._evict_over_bound()
             return adopted
 
-    @property
-    def sync_seq(self) -> int:
-        """The current pricing sequence number — the watermark of a fresh export."""
-        return self._seq
+    def absorb_carry(self, carry: Mapping[str, Any]) -> int:
+        """Fold a pool chunk's carry (``{"delta": entries, "stats": increments}``) in.
 
-    def export_since(self, watermark: int) -> Tuple[Dict[str, Any], int]:
-        """Resident entries adopted after ``watermark`` plus the new watermark.
-
-        This is the parent→worker half of the delta-only sync: a pool tracks one
-        watermark per worker and ships ``export_since(previous)`` instead of a full
-        snapshot.  Monotonically advancing watermarks partition the
-        entry stream — nothing is shipped twice, nothing is missed.  Entries the LRU
-        has already evicted are skipped (the store, not the workers, keeps history).
+        Every carried entry counts in :attr:`CacheStats.shipped`; those the cache
+        neither holds nor still has to flush are adopted (and flushed next).
+        Returns how many were adopted.
         """
-        with _obs.span("cache.sync", tag="export_since"), self._lock:
-            if watermark >= self._seq:
-                return {}, self._seq
-            entries: Dict[str, Any] = {}
-            start = bisect.bisect_right(self._log_seqs, watermark)
-            for index in range(start, len(self._log_seqs)):
-                key = self._log_keys[index]
-                # Skip superseded log rows and evicted entries.
-                if self._entry_seq.get(key) == self._log_seqs[index] and key in self._entries:
-                    entries[key] = self._entries[key]
-            return entries, self._seq
-
-    def absorb(self, delta: Mapping[str, Any]) -> int:
-        """Merge a worker's delta; new entries count toward the next :meth:`flush`."""
+        delta = carry["delta"]
         with self._lock:
             adopted = 0
             for key, value in delta.items():
                 if key not in self._entries and key not in self._dirty:
                     self.put(key, value)
                     adopted += 1
-            return adopted
-
-    def absorb_carry(self, carry: Mapping[str, Any]) -> None:
-        """Fold a worker's carry (``{"delta": entries, "stats": increments}``) in."""
-        with self._lock:
-            self.absorb(carry["delta"])
             self.stats.add_counts(carry["stats"])
+            self.stats.shipped += len(delta)
+            return adopted
 
     # ------------------------------------------------------------------ persistence
     def flush(self) -> int:

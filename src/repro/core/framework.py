@@ -87,10 +87,10 @@ class _ExplorePointTask:
 
     Carries only the exploration hyper-parameters — never the shared cache.  The
     cache to price against comes from :func:`task_cache`: the parent's shared cache
-    on the serial path (zero copies), the worker's resident shard inside a
-    :class:`WorkerPool` (kept coherent by watermarked deltas).  The search trajectory
-    is a pure function of the point, never of the cache contents, which is what keeps
-    the parallel fan-out bit-identical to the serial loop.
+    on the serial path (zero copies), a chunk cache over the worker's fork-time copy
+    of it inside a :class:`WorkerPool`.  The search trajectory is a pure function of
+    the point, never of the cache contents, which is what keeps the parallel fan-out
+    bit-identical to the serial loop.
     """
 
     def __init__(self, watos: "Watos") -> None:

@@ -184,8 +184,8 @@ class _DsePointTask:
     Carries only the die-construction parameters — never the shared cache.  Each
     design point re-tiles the wafer, so points share no evaluator state and
     parallelise perfectly; the cache to price against comes from :func:`task_cache`
-    (the parent's shared cache on the serial path, the worker's resident shard in a
-    :class:`WorkerPool`), replacing the per-point full-snapshot seeding.
+    (the parent's shared cache on the serial path, a chunk cache over the worker's
+    fork-time copy of it in a :class:`WorkerPool`).
     """
 
     def __init__(self, dse: DieGranularityDse) -> None:

@@ -7,18 +7,17 @@ this module provides the runtime the point-level fan-out shares:
 
 * :class:`WorkerPool` — a **long-lived**, fixed-size fork pool that survives an
   entire experiment matrix, sized by a :class:`PoolConfig` and forked in full on
-  first use.  Each worker owns a private, *resident*
-  :class:`~repro.core.evalcache.EvaluationCache` shard that persists across
-  submissions.  Shards are seeded once when the pool first syncs, and thereafter kept
-  coherent **delta-only** in both directions: the parent ships entries priced since a
-  per-worker watermark (:meth:`EvaluationCache.export_since`), and each worker ships
-  back only the entries its chunk priced (``export_since`` of the shard's own
-  watermark, read before the chunk).  Entries a worker itself priced are never
-  echoed back to it.
+  first use.  Each worker reads the :class:`~repro.core.evalcache.EvaluationCache`
+  a map names as it was when the worker forked: a copy-on-write image, nothing
+  pickled.  Each chunk prices into a fresh cache whose misses fall through to what
+  the worker priced in earlier chunks, then to that fork-time copy, and carries
+  back only what it priced plus its counters.  Every cache key covers the wafer and
+  the workload, so a worker never needs what another worker priced, and nothing
+  flows from the parent to a worker after the fork.
 * :func:`parallel_map_merge` — the scatter/gather convention of the scale-out sweeps:
   tasks price whole points against the cache returned by :func:`task_cache` — the
-  parent's cache *directly* on the serial path (zero copies), the worker's resident
-  shard inside a pool — and the runtime, not the task, moves cache state around.
+  parent's cache *directly* on the serial path (zero copies), the chunk's cache
+  inside a pool — and the runtime, not the task, moves cache state around.
 
 :meth:`WorkerPool.map` is **thread-safe**: the two-level sweep scheduler runs whole
 cells on concurrent threads, and each cell's point fan-out maps onto the same shared
@@ -35,8 +34,8 @@ detected by dead-pipe/EOF, respawned in place, and the chunk it held is re-dispa
 crash-free run, because pricing is pure.  A chunk that *repeatedly* kills its worker
 (a poison task) exhausts a bounded respawn budget and raises
 :class:`WorkerCrashError` instead of looping forever; the pool itself stays usable.
-A respawned worker's shard is merely cold: its watermark resets to zero, so the next
-delta sync re-seeds it from the parent through the ordinary ``export_since`` path.
+A respawned worker forks from the parent's cache as it is at the respawn, which
+already holds what the dead worker's earlier chunks carried back.
 If a replacement worker cannot be forked at all (ulimits, fork bombs), the chunk —
 and, once every slot is dead, the whole map — degrades to in-process serial
 execution with a single warning instead of crashing the sweep.
@@ -51,8 +50,9 @@ Conventions that keep results identical to the serial path:
 * ``parallel=None`` runs :func:`parallel_map_merge` as a plain serial loop; a pool
   comes only from ``Session(pool=N)`` or a :class:`WorkerPool` the caller builds.
 
-On Linux the ``fork`` start method shares the parent's imported modules with near-zero
-startup; where ``fork`` is unavailable the default context is used.
+On Linux the ``fork`` start method shares the parent's imported modules and caches
+with near-zero startup; where ``fork`` is unavailable the default context is used,
+and the cache a worker reads is pickled into it without its store.
 """
 
 from __future__ import annotations
@@ -65,10 +65,10 @@ import traceback
 import warnings
 from dataclasses import dataclass
 from multiprocessing import connection as mp_connection
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
+from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple, TypeVar
 
 from repro.core import runtime
-from repro.core.evalcache import CacheStats, EvaluationCache
+from repro.core.evalcache import EvaluationCache
 from repro.obs import tracer as _obs
 
 T = TypeVar("T")
@@ -85,9 +85,9 @@ __all__ = [
 ]
 
 #: Per-thread fan-out context.  ``cache`` is the evaluation cache tasks should price
-#: against right now: the worker's resident shard inside a pool worker, the parent's
-#: shared cache on the serial path of :func:`parallel_map_merge`, ``None`` outside
-#: any fan-out context.  Thread-local so concurrent sweep-cell threads pricing
+#: against right now: the chunk's cache inside a pool worker, the parent's shared
+#: cache on the serial path of :func:`parallel_map_merge`, ``None`` outside any
+#: fan-out context.  Thread-local so concurrent sweep-cell threads pricing
 #: serially never see each other's context.
 _TLS = threading.local()
 
@@ -159,15 +159,45 @@ def _context():
 
 
 # ---------------------------------------------------------------------- worker side
-def _worker_main(task_conn, result_conn, index: int = 0) -> None:
-    """Loop of one long-lived pool worker: sync messages interleave with map work.
+class _ChunkCache(EvaluationCache):
+    """What one chunk prices in a pool worker, over what the worker can already read.
 
-    The worker's resident shard lives here, across submissions; ``seed`` adopts a
-    parent delta (never re-shipped back), ``map`` runs a chunk with the shard exposed
-    through :func:`task_cache` and returns what the chunk priced.  Seeds arrive only
-    between chunks, so the entries the shard adopted after its watermark at the start
-    of the chunk are exactly the chunk's own pricing — that export, plus the
-    counters' increments over the chunk, is the carry.
+    A key the chunk has not priced falls through to ``earlier`` (what the worker
+    priced in earlier chunks), then to ``forked`` (the cache the worker forked
+    with).  ``forked`` is read through :meth:`~EvaluationCache.peek` only, which
+    takes no lock: another parent thread may have held that cache's lock at the
+    fork, and no thread of this process could ever release it.  A key found there
+    is lent to the chunk, so the lookup counts once, as a hit, through
+    :meth:`EvaluationCache.get`; :meth:`priced` leaves lent keys out of the carry.
+    """
+
+    def __init__(self, earlier: Dict[str, Any], forked: EvaluationCache) -> None:
+        super().__init__(max_entries=None)
+        self._fallthrough = (earlier.get, forked.peek)
+        self._lent: Set[str] = set()
+
+    def get(self, key: str) -> Optional[Any]:
+        if key not in self._entries:
+            for lookup in self._fallthrough:
+                entry = lookup(key)
+                if entry is not None:
+                    self._entries[key] = entry
+                    self._lent.add(key)
+                    break
+        return super().get(key)
+
+    def priced(self) -> Dict[str, Any]:
+        """The entries this chunk priced itself: what its carry ships back."""
+        return {key: value for key, value in self._entries.items() if key not in self._lent}
+
+
+def _worker_main(task_conn, result_conn, index: int, cache: Optional[EvaluationCache]) -> None:
+    """Loop of one long-lived pool worker: ``map`` runs a chunk, ``stop`` ends it.
+
+    ``cache`` is the cache the worker forked with.  A chunk whose map names a cache
+    prices into a fresh :class:`_ChunkCache` over it, exposed through
+    :func:`task_cache`; the carry is what the chunk priced plus the chunk cache's
+    counters.
 
     The channels are pipes, not queues, on purpose: ``Connection.send`` pickles in
     the calling thread, so an unpicklable payload or exception raises *here*, where
@@ -182,74 +212,58 @@ def _worker_main(task_conn, result_conn, index: int = 0) -> None:
     # the parent's spans, so it starts a fresh ring stamped with its slot index.
     _obs.reset_in_worker(index)
     _TLS.cache = None
-    shard: Optional[EvaluationCache] = None
+    earlier: Dict[str, Any] = {}  # what this worker priced (and carried) before
     tasks_seen = 0
     while True:
         try:
             message = task_conn.recv()
         except EOFError:  # parent went away
             break
-        kind = message[0]
-        if kind == "stop":
+        if message[0] == "stop":
             break
-        if kind == "reset":
-            shard = None
-        elif kind == "seed":
-            if shard is None:
-                shard = EvaluationCache(max_entries=None)
-            shard.seed(message[1])
-        elif kind == "map":
-            func, chunk, use_shard = message[1], message[2], message[3]
-            tag = message[4] if len(message) > 4 else ""
-            # The parent's tracing flag rides on every map message: workers fork
-            # before tracing may be enabled (or after, before it is disabled), so
-            # this is what keeps long-lived rings in step with the parent.
-            trace_on = bool(message[5]) if len(message) > 5 else False
-            if trace_on != _obs.enabled:
-                _obs.enable(worker=index) if trace_on else _obs.disable()
-            if use_shard and shard is None:
-                shard = EvaluationCache(max_entries=None)
-            _TLS.cache = shard if use_shard else None
+        _, func, chunk, use_cache, tag, trace_on = message
+        # The parent's tracing flag rides on every map message: workers fork
+        # before tracing may be enabled (or after, before it is disabled), so
+        # this is what keeps long-lived rings in step with the parent.
+        if trace_on != _obs.enabled:
+            _obs.enable(worker=index) if trace_on else _obs.disable()
+        chunk_cache = _ChunkCache(earlier, cache) if use_cache else None
+        _TLS.cache = chunk_cache
+        try:
+            chunk_t0 = _obs.now() if _obs.enabled else 0.0
+            payloads = []
+            for item in chunk:
+                tasks_seen += 1
+                if _TASK_HOOK is not None:
+                    _TASK_HOOK(index, tasks_seen, tag)
+                payloads.append(func(item))
+            if _obs.enabled:
+                _obs.add("worker.chunk", chunk_t0, _obs.now(), tag=tag)
+            carry: Dict[str, Any] = {}
+            if chunk_cache is not None:
+                carry["delta"] = chunk_cache.priced()
+                carry["stats"] = chunk_cache.stats.as_dict()
+            if _obs.enabled:
+                # Flush this submission's spans back through the carry path so
+                # they merge into the parent's timeline (worker-slot order).
+                spans = _obs.drain()
+                if spans:
+                    carry["spans"] = spans
+            result_conn.send(("ok", payloads, carry))
+            earlier.update(carry.get("delta", ()))
+        except BaseException as exc:
+            detail = traceback.format_exc()
             try:
-                if use_shard:
-                    mark = shard.sync_seq
-                    counts = shard.stats.as_dict()
-                chunk_t0 = _obs.now() if _obs.enabled else 0.0
-                payloads = []
-                for item in chunk:
-                    tasks_seen += 1
-                    if _TASK_HOOK is not None:
-                        _TASK_HOOK(index, tasks_seen, tag)
-                    payloads.append(func(item))
-                if _obs.enabled:
-                    _obs.add("worker.chunk", chunk_t0, _obs.now(), tag=tag)
-                carry: Dict[str, Any] = {}
-                if use_shard:
-                    carry["delta"] = shard.export_since(mark)[0]
-                    carry["stats"] = {
-                        name: getattr(shard.stats, name) - counts[name]
-                        for name in CacheStats.COUNT_FIELDS
-                    }
-                if _obs.enabled:
-                    # Flush this submission's spans back through the carry path so
-                    # they merge into the parent's timeline (worker-slot order).
-                    spans = _obs.drain()
-                    if spans:
-                        carry["spans"] = spans
-                result_conn.send(("ok", payloads, carry))
-            except BaseException as exc:
-                detail = traceback.format_exc()
-                try:
-                    result_conn.send(("err", detail, exc))
-                except Exception:  # unpicklable payload/exception: ship the text
-                    result_conn.send(("err", detail, None))
-            finally:
-                _TLS.cache = None
+                result_conn.send(("err", detail, exc))
+            except Exception:  # unpicklable payload/exception: ship the text
+                result_conn.send(("err", detail, None))
+        finally:
+            _TLS.cache = None
 
 
 # ---------------------------------------------------------------------- parent side
 class WorkerPool:
-    """A long-lived, supervised fork pool with worker-resident cache shards.
+    """A long-lived, supervised fork pool whose workers read the cache they forked with.
 
     Create one pool per experiment matrix and hand it to the point-level loops
     through a session (``Session(pool=8)`` builds and owns one itself)::
@@ -262,12 +276,13 @@ class WorkerPool:
     Sizing comes from a :class:`PoolConfig` (``None`` = every CPU); every worker
     forks on first use.
 
-    The shards mirror the :class:`EvaluationCache` a :meth:`map` call names; a map
-    naming a *different* cache resets them (correct, merely cold — but never switch
-    caches while maps are in flight).  Entries always flow as deltas: the parent
-    keeps one watermark per worker and an origin map so no entry is ever shipped
-    twice to the same worker — :attr:`CacheStats.shipped` counts exactly the
-    entries that crossed.  Pools are process-local and refuse pickling.
+    A worker reads the :class:`EvaluationCache` a :meth:`map` call names as it was
+    when the worker forked.  A map naming a different cache from the one a leased
+    slot's worker forked with re-forks that slot before dispatch (stop, join,
+    spawn), so a worker always reads the cache its map names; maps that keep
+    naming one cache never re-fork.  Each chunk carries back what it priced, and
+    :attr:`CacheStats.shipped` counts those entries.  Pools are process-local and
+    refuse pickling.
 
     Supervision (see the module docstring): a worker that dies mid-task is respawned
     and its chunk re-dispatched, up to ``chunk_retries`` respawns per chunk per map;
@@ -288,9 +303,8 @@ class WorkerPool:
         self.crashes = 0
         #: Lifetime count of successful worker respawns.
         self.respawns = 0
-        self._cache: Optional[EvaluationCache] = None
-        self._watermarks: List[int] = [0] * self.workers
-        self._origin: Dict[str, int] = {}
+        #: The cache each slot's worker forked with: what its chunks fall through to.
+        self._forked_with: List[Optional[EvaluationCache]] = [None] * self.workers
         self._procs: List[Optional[multiprocessing.Process]] = []
         self._task_conns: List[Any] = []
         self._result_conns: List[Any] = []
@@ -324,7 +338,9 @@ class WorkerPool:
         task_parent, task_child = ctx.Pipe()
         result_parent, result_child = ctx.Pipe()
         proc = ctx.Process(
-            target=_worker_main, args=(task_child, result_child, index), daemon=True
+            target=_worker_main,
+            args=(task_child, result_child, index, self._forked_with[index]),
+            daemon=True,
         )
         proc.start()
         task_child.close()
@@ -347,7 +363,8 @@ class WorkerPool:
         self._dead[index] = False
         return True
 
-    def _ensure_started(self) -> None:
+    def _ensure_started(self, cache: Optional[EvaluationCache] = None) -> None:
+        """Fork every worker on first use; they read ``cache``, the first map's."""
         with self._lock:
             if self._closed:
                 raise RuntimeError("WorkerPool is closed")
@@ -357,61 +374,52 @@ class WorkerPool:
             self._procs = [None] * self.workers
             self._task_conns = [None] * self.workers
             self._result_conns = [None] * self.workers
+            self._forked_with = [cache] * self.workers
             for index in range(self.workers):
                 self._spawn_into(index)
 
     def _respawn(self, index: int) -> bool:
         """Replace the dead worker in slot ``index``; ``False`` if the fork failed.
 
-        The replacement starts with a cold shard: its watermark drops to zero so the
-        next delta sync re-seeds it through the ordinary ``export_since`` path, and
-        every origin record naming the dead worker is purged (the entries it priced
-        died with it — the new process must be shipped them like anyone else).
+        The replacement forks from the slot's cache as it is now, which holds what
+        the dead worker's earlier chunks carried back.
         """
         with self._lock:
-            old = self._procs[index]
-            if old is not None:
-                old.join(timeout=1)
-            for conns in (self._task_conns, self._result_conns):
-                if conns[index] is not None:
-                    try:
-                        conns[index].close()
-                    except Exception:  # pragma: no cover - already broken
-                        pass
-            self._origin = {key: who for key, who in self._origin.items() if who != index}
-            self._watermarks[index] = 0
-            if self._closed or not self._spawn_into(index):
-                self._procs[index] = None
-                self._task_conns[index] = None
-                self._result_conns[index] = None
+            self._reap([index], join_timeout=1.0)
+            if self._closed:
                 self._dead[index] = True
+                return False
+            if not self._spawn_into(index):
                 return False
             self.respawns += 1
             return True
 
-    def close(self, join_timeout: float = 5.0) -> None:
-        """Stop and reap the workers with bounded escalation (idempotent).
+    def _refork(self, slots: Sequence[int], cache: EvaluationCache) -> None:
+        """Re-fork each of ``slots`` whose worker forked with another cache.
+
+        The caller holds the lock and has leased ``slots``, so their workers are
+        idle.  Stop, join, spawn: the new worker reads ``cache`` as it is now.  A
+        slot whose fork fails is dead, and its chunk is priced in-process.
+        """
+        stale = [index for index in slots if self._forked_with[index] is not cache]
+        self._reap(stale, join_timeout=5.0)
+        for index in stale:
+            self._forked_with[index] = cache
+            self._spawn_into(index)
+
+    def _reap(self, slots: Sequence[int], join_timeout: float) -> None:
+        """Stop the workers in ``slots`` with bounded escalation; close their pipes.
 
         Each worker gets a cooperative ``stop`` and a bounded join; one that is
         still alive is terminated, and one that shrugs off SIGTERM is killed — so a
-        wedged worker can never hang interpreter exit through the ``__del__`` /
-        ``atexit`` path.
+        wedged worker can never hang the caller.
         """
-        with self._lock:
-            if self._closed:
-                return
-            self._closed = True
-            self._slot_free.notify_all()
-            if not self._started:
-                return
-            procs = list(self._procs)
-            task_conns = list(self._task_conns)
-            result_conns = list(self._result_conns)
-        for proc, task_conn in zip(procs, task_conns):
-            if proc is not None and proc.is_alive() and task_conn is not None:
+        procs = [self._procs[index] for index in slots]
+        for proc, index in zip(procs, slots):
+            if proc is not None and proc.is_alive():
                 try:
-                    task_conn.send(("stop",))
-                except Exception:  # pragma: no cover - broken pipe on dead worker
+                    self._task_conns[index].send(("stop",))
+                except Exception:  # broken pipe on a dying worker
                     pass
         for proc in procs:
             if proc is None:
@@ -423,9 +431,25 @@ class WorkerPool:
             if proc.is_alive():  # SIGTERM ignored/blocked: escalate to SIGKILL
                 proc.kill()
                 proc.join(timeout=1)
-        for conn in task_conns + result_conns:
-            if conn is not None:
-                conn.close()
+        for index in slots:
+            for conn in (self._task_conns[index], self._result_conns[index]):
+                if conn is not None:
+                    conn.close()
+
+    def close(self, join_timeout: float = 5.0) -> None:
+        """Stop and reap every worker (idempotent; see :meth:`_reap`).
+
+        The bounded escalation is what keeps a wedged worker from hanging
+        interpreter exit through the ``__del__`` / ``atexit`` path.
+        """
+        with self._lock:
+            if self._closed:
+                return
+            self._closed = True
+            self._slot_free.notify_all()
+            if not self._started:
+                return
+        self._reap(range(self.workers), join_timeout)
 
     def __enter__(self) -> "WorkerPool":
         return self
@@ -439,80 +463,10 @@ class WorkerPool:
         except Exception:
             pass
 
-    # ------------------------------------------------------------------ cache sync
-    def _mirror(self, cache: EvaluationCache) -> None:
-        """Point the shards at ``cache`` (caller holds the lock).
-
-        The same cache again is free (watermarks survive — that is what makes a
-        reused pool cheap); a different one resets every live shard.
-        """
-        if cache is self._cache:
-            return
-        self._cache = cache
-        self._watermarks = [0] * self.workers
-        self._origin = {}
-        for index in self._live_slots():
-            self._task_conns[index].send(("reset",))
-
+    # ------------------------------------------------------------------ scheduling
     def _live_slots(self) -> List[int]:
         return [index for index in range(self.workers) if not self._dead[index]]
 
-    def _sync_shards(self, cache: EvaluationCache) -> None:
-        """Ship each idle worker the entries priced since its watermark (delta-only).
-
-        Watermarks normally advance in lock-step (:meth:`_mirror` and this method
-        set them together), so one export serves every worker and only the origin
-        filter is per-worker.  A respawned worker breaks the lock-step — its watermark is
-        back at zero — so drifted watermarks fall through to a
-        per-worker export: the newcomer is re-seeded with the full resident history
-        while its healthy siblings still receive only the fresh delta.  Slots busy
-        under a sibling map are skipped (their pipes are mid-chunk); they catch up
-        at their own next sync, which the watermarks make exact.
-        """
-        live = [index for index in self._live_slots() if not self._busy[index]]
-        if not live:
-            return
-        marks = {self._watermarks[index] for index in live}
-        if len(marks) == 1:
-            entries, seq = cache.export_since(marks.pop())
-            for index in live:
-                self._watermarks[index] = seq
-            if not entries:
-                return
-            if not self._origin and len(live) == self.workers:
-                # The expensive case — first sync of a warm-started cache — sends
-                # the same (potentially large) delta everywhere: pickle once, fan
-                # bytes out.
-                blob = multiprocessing.reduction.ForkingPickler.dumps(("seed", entries))
-                for index in live:
-                    self._task_conns[index].send_bytes(blob)
-                cache.stats.shipped += len(entries) * len(live)
-                return
-            for index in live:
-                view = {
-                    key: value
-                    for key, value in entries.items()
-                    if self._origin.get(key) != index
-                }
-                if not view:
-                    continue
-                self._task_conns[index].send(("seed", view))
-                cache.stats.shipped += len(view)
-            return
-        # Drifted watermarks (a worker was respawned): per-worker incremental export.
-        for index in live:
-            entries, seq = cache.export_since(self._watermarks[index])
-            self._watermarks[index] = seq
-            view = {
-                key: value
-                for key, value in entries.items()
-                if self._origin.get(key) != index
-            }
-            if view:
-                self._task_conns[index].send(("seed", view))
-                cache.stats.shipped += len(view)
-
-    # ------------------------------------------------------------------ scheduling
     def _lease(self, nitems: int) -> List[int]:
         """Claim a fair share of idle slots for one map call (caller holds the lock).
 
@@ -553,14 +507,15 @@ class WorkerPool:
         items: Sequence[T],
         cache: Optional[EvaluationCache] = None,
     ) -> List[R]:
-        """Map ``func`` over ``items`` on the resident workers, preserving order.
+        """Map ``func`` over ``items`` on the pool's workers, preserving order.
 
-        With a ``cache`` the shards are delta-synced with it before dispatch, tasks
-        see their worker's shard through :func:`task_cache`, and the shards' carries
-        are folded back into ``cache`` in worker-index order; without one the
-        tasks ship plain.  Items are split into contiguous, balanced chunks over
-        the slots this call leases (see :meth:`_lease`); concurrent calls from
-        sweep-cell threads share the pool without stepping on each other.
+        With a ``cache``, each leased worker reads ``cache`` as it was when the
+        worker forked (see the class docstring), tasks see their chunk's cache
+        through :func:`task_cache`, and the chunks' carries are folded back into
+        ``cache`` in worker-index order; without one the tasks ship plain.  Items
+        are split into contiguous, balanced chunks over the slots this call leases
+        (see :meth:`_lease`); concurrent calls from sweep-cell threads share the
+        pool without stepping on each other.
 
         Worker deaths are survived (respawn + re-dispatch, see the class
         docstring); a chunk that keeps killing workers raises
@@ -573,15 +528,14 @@ class WorkerPool:
         if not items:
             return []
         with self._lock:
-            self._ensure_started()
-            if cache is not None:
-                self._mirror(cache)
-                with _obs.span("cache.sync", tag="ship"):
-                    self._sync_shards(cache)
+            self._ensure_started(cache)
             slots = self._lease(len(items))
+            if cache is not None:
+                self._refork(slots, cache)
         if not slots:
             # Total pool collapse: serve the whole map in-process, once-warned.
-            return self._serial_map(func, items, cache)
+            self._warn_degraded()
+            return _map_inline(func, items, cache)
         try:
             return self._run_on_slots(func, items, slots, cache)
         finally:
@@ -596,7 +550,7 @@ class WorkerPool:
     ) -> List[R]:
         """Dispatch, supervise and reassemble one map over its leased slots."""
         tag = runtime.task_tag()
-        use_shard = cache is not None
+        use_cache = cache is not None
         chunks: Dict[int, List[T]] = {}
         base, extra = divmod(len(items), len(slots))
         lo = 0
@@ -605,18 +559,22 @@ class WorkerPool:
             chunks[slot] = items[lo:hi]
             lo = hi
         trace_on = _obs.enabled
+        pending: Dict[int, List[T]] = {}
+        orphaned: Dict[int, List[T]] = {}  # slots lost to failed (re)spawns
         with self._lock:
             with _obs.span("dispatch", tag=tag):
                 for slot in slots:
+                    if self._dead[slot]:  # its re-fork failed
+                        orphaned[slot] = chunks[slot]
+                        continue
                     self._task_conns[slot].send(
-                        ("map", func, chunks[slot], use_shard, tag, trace_on)
+                        ("map", func, chunks[slot], use_cache, tag, trace_on)
                     )
+                    pending[slot] = chunks[slot]
 
         payloads: Dict[int, List[R]] = {}
         carries: List[Tuple[int, Dict[str, Any]]] = []
-        pending: Dict[int, List[T]] = dict(chunks)
         crashes: Dict[int, int] = {slot: 0 for slot in slots}
-        orphaned: Dict[int, List[T]] = {}  # slots lost to failed respawns
         task_failure: Optional[Tuple[str, Optional[BaseException]]] = None
         crash_failure: Optional[str] = None
         timed_out = False
@@ -696,7 +654,7 @@ class WorkerPool:
                             del pending[slot]
                         elif alive:
                             self._task_conns[slot].send(
-                                ("map", func, pending[slot], use_shard, tag, trace_on)
+                                ("map", func, pending[slot], use_cache, tag, trace_on)
                             )
                         else:
                             # No replacement worker to be had: fall back to pricing
@@ -716,16 +674,14 @@ class WorkerPool:
         # ride the carry too; both are absorbed in the deterministic worker-slot
         # order the sort establishes.
         carries.sort(key=lambda pair: pair[0])
-        with self._lock:
-            for slot, carry in carries:
-                spans = carry.pop("spans", None)
-                if spans:
-                    _obs.absorb(spans)
-                if cache is None:
-                    continue
-                for key in carry["delta"]:
-                    self._origin[key] = slot
-                cache.absorb_carry(carry)
+        for _, carry in carries:
+            spans = carry.pop("spans", None)
+            if spans:
+                _obs.absorb(spans)
+        if cache is not None:
+            with _obs.span("cache.sync", tag="absorb"):
+                for _, carry in carries:
+                    cache.absorb_carry(carry)
 
         for slot, chunk in orphaned.items():
             if task_failure is not None or crash_failure is not None or timed_out:
@@ -767,13 +723,6 @@ class WorkerPool:
             stacklevel=3,
         )
 
-    def _serial_map(
-        self, func: Callable[[T], R], items: Sequence[T], cache: Optional[EvaluationCache]
-    ) -> List[R]:
-        """The whole-map fallback once every worker slot is unspawnable."""
-        self._warn_degraded()
-        return _map_inline(func, items, cache)
-
 
 def _map_inline(
     func: Callable[[T], R], items: Sequence[T], cache: Optional[EvaluationCache]
@@ -782,7 +731,7 @@ def _map_inline(
 
     The serial path of :func:`parallel_map_merge` and the pool's last resort:
     entries land directly in the shared cache, so results stay bit-identical and
-    there is no carry to merge and no origin to record.
+    there is no carry to merge.
     """
     previous = getattr(_TLS, "cache", None)
     _TLS.cache = cache
@@ -810,10 +759,10 @@ def parallel_map_merge(
 
     * **serial** (``parallel=None``) — the task sees ``cache`` itself; nothing is
       copied at all;
-    * **pool** (a :class:`WorkerPool`) — the task sees the worker's resident shard,
-      which the pool keeps coherent with ``cache`` by watermarked deltas and whose
-      carry (freshly priced entries + counter increments) is absorbed back in
-      worker-index order.
+    * **pool** (a :class:`WorkerPool`) — the task sees its chunk's cache, which falls
+      through to what its worker priced in earlier chunks and then to ``cache`` as
+      it was when the worker forked; each chunk's carry (what it priced + counter
+      increments) is absorbed back in worker-index order.
 
     Results and cache end state are identical for any worker count because pricing
     is a pure function of the point — the cache only changes *what is recomputed*.

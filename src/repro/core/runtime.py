@@ -181,7 +181,7 @@ def reset_for_worker() -> None:
     The parent's sessions hold a :class:`WorkerPool` whose pipes are useless in the
     child; a bare loop call inside a fan-out task must never resolve to it (nested
     pools would deadlock).  Workers price against :func:`parallel_map.task_cache`
-    instead.
+    instead: a fresh cache per chunk over the cache the worker forked with.
     """
     global _DEFAULT_SESSION
     _ACTIVE_SESSIONS.clear()

@@ -15,7 +15,8 @@ The recovery rules are the same for every store:
   written into: reads treat it as empty, the first append moves it to
   ``<path>.corrupt`` and starts a fresh file, and a rewrite (a compaction, a
   merge's output) refuses it with :class:`StoreError` and leaves it as it is;
-* a file of ours under a stale namespace is reset in place (a cold start);
+* a file of ours under a stale namespace reads as empty and is left as it is;
+  the first append or rewrite resets it in place (a cold start);
 * a path under a missing directory reads as empty and creates nothing; the
   first write creates the directory;
 * a row that fails to parse or decode is skipped and counted in ``errors``.
@@ -106,11 +107,12 @@ class JsonlLog:
         self.errors = 0
         self._checked = False  # the header has been classified
         self._foreign = False  # a file that is not ours sits at the path
+        self._stale = False  # a file of ours under another namespace sits there
         self._found = ""  # the format that file's header names, if it names one
 
     def _check(self, first: bytes) -> bool:
         """Classify the file from its first line; ``True`` when its rows are ours."""
-        self._checked, self._foreign, self._found = True, False, ""
+        self._checked, self._foreign, self._stale, self._found = True, False, False, ""
         if not first:
             return False  # missing or empty: the next append writes the header
         try:
@@ -123,7 +125,7 @@ class JsonlLog:
             self._found = found if isinstance(found, str) else ""
             return False
         if any(header.get(key) != value for key, value in self.header.items()):
-            self.rewrite(())  # ours, stale namespace: reset in place
+            self._stale = True  # left untouched until a write resets it
             return False
         return True
 
@@ -181,6 +183,8 @@ class JsonlLog:
             # A mistyped path must never destroy user data: keep the file, start cold.
             os.replace(self.path, self.path + ".corrupt")
             self._foreign = False
+        elif self._stale:
+            self.rewrite(())  # reset in place: this write starts the store cold
         with open(self.path, "a+b") as handle:
             end = handle.seek(0, os.SEEK_END)
             if end == 0:
@@ -215,3 +219,4 @@ class JsonlLog:
             self.path,
             itertools.chain([json.dumps(self.header)], (json.dumps(row) for row in rows)),
         )
+        self._stale = False

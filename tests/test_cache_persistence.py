@@ -133,12 +133,16 @@ class TestNamespaceInvalidation:
 
         stale = EvaluationCache(store=open_store(store_path, namespace="schema-v2"))
         assert stale.stats.loaded == 0 and len(stale) == 0
+        stale.put("k2", 2)
         stale.close()
 
-        # The store has been re-namespaced: the old namespace no longer loads either.
+        # The first write re-namespaced the store: the old namespace no longer loads.
         old = EvaluationCache(store=open_store(store_path, namespace="schema-v1"))
         assert old.stats.loaded == 0
         old.close()
+        new = EvaluationCache(store=open_store(store_path, namespace="schema-v2"))
+        assert new.stats.loaded == 1 and new.peek("k2") == 2
+        new.close()
 
     def test_default_namespace_is_versioned(self):
         assert "v1" in default_namespace()
@@ -230,19 +234,19 @@ class TestEvaluatorWarmStart:
         cache.close()
 
     def test_seed_export_delta_absorb(self):
-        parent = EvaluationCache()
-        parent.put("p", 1)
         child = EvaluationCache()
         child.seed({"p": 1})
-        mark = child.sync_seq  # the child's delta: what it adopts after the seed
         assert child.get("p") == 1 and child.stats.hits == 1
-        child.put("q", 2)
-        delta, _ = child.export_since(mark)
-        assert delta == {"q": 2}
-        assert parent.absorb(delta) == 1
+        parent = EvaluationCache()
+        parent.put("p", 1)
+        carry = {"delta": {"p": 1, "q": 2}, "stats": {"misses": 1}}
+        assert parent.absorb_carry(carry) == 1  # "p" is already there
         assert parent.peek("q") == 2
-        # Re-absorbing the same delta is a no-op.
-        assert parent.absorb(delta) == 0
+        # Absorbing the same carry again adopts nothing; its entries still count
+        # as shipped and its counters still fold in.
+        assert parent.absorb_carry(carry) == 0
+        assert len(parent) == 2
+        assert parent.stats.shipped == 4 and parent.stats.misses == 2
 
 
 # -------------------------------------------------------------------- memory bound

@@ -34,7 +34,8 @@ from repro.api import (
 from repro.api.cli import main as repro_main
 from repro.api.session import SweepCellError
 from repro.core.chaos import ChaosMonkey, tear_last_append
-from repro.core.parallel_map import PoolConfig, WorkerPool
+from repro.core.evalcache import EvaluationCache
+from repro.core.parallel_map import PoolConfig, WorkerPool, task_cache
 from repro.core.retry import RetryPolicy
 
 
@@ -47,6 +48,11 @@ def _clean_runtime():
 
 def _square(x):
     return x * x
+
+
+def _price(key):
+    task_cache().put(key, key.upper())
+    return key
 
 
 def _rows(path):
@@ -169,6 +175,22 @@ class TestPoolUnderChaos:
                 with warnings.catch_warnings():
                     warnings.simplefilter("error")
                     assert pool.map(_square, [7]) == [49]
+            finally:
+                pool.close()
+
+    def test_denied_refork_prices_the_chunks_in_process(self, tmp_path):
+        # A map naming another cache re-forks the slots it leases; when no worker
+        # can be forked, its chunks price in-process straight into that cache.
+        first, second = EvaluationCache(), EvaluationCache()
+        with ChaosMonkey(tmp_path) as chaos:
+            pool = WorkerPool(config=PoolConfig(max_workers=2))
+            try:
+                assert pool.map(_price, ["a", "b"], cache=first) == ["a", "b"]
+                assert first.stats.shipped == 2
+                chaos.deny_spawns()
+                with pytest.warns(RuntimeWarning, match="serial"):
+                    assert pool.map(_price, ["c", "d"], cache=second) == ["c", "d"]
+                assert second.peek("c") == "C" and second.stats.shipped == 0
             finally:
                 pool.close()
 

@@ -347,6 +347,27 @@ class TestCacheCommand:
             assert handle.read() == before
         assert os.listdir(tmp_path) == ["store.jsonl"]
 
+    @pytest.mark.parametrize("verb", ["cache", "results"])
+    def test_stats_leave_a_stale_namespace_store_byte_identical(self, tmp_path, capsys, verb):
+        # A store of ours under another namespace reads as empty; reading it must
+        # not reset it.  Only a write under the current namespace does that.
+        path = str(tmp_path / "store.jsonl")
+        if verb == "cache":
+            with open_store(path) as cache_store:
+                cache_store.append({f"k{i}": i for i in range(5)})
+            argv, counted = ["cache", "stats", path, "--namespace", "other"], "entries"
+        else:
+            with open_result_store(path, namespace="watos-results-v0") as results:
+                results.put("cell", {"result": {"kind": "ga"}, "written_at": 1.0})
+            argv, counted = ["results", "stats", path], "cells"
+        with open(path, "rb") as handle:
+            before = handle.read()
+        assert repro_main(argv) == 0
+        assert json.loads(capsys.readouterr().out)[counted] == 0
+        with open(path, "rb") as handle:
+            assert handle.read() == before
+        assert os.listdir(tmp_path) == ["store.jsonl"]
+
     def test_missing_store_fails_cleanly(self, tmp_path, capsys):
         assert repro_main(["cache", "stats", str(tmp_path / "absent.jsonl")]) == 1
         assert "no store" in capsys.readouterr().err

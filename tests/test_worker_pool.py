@@ -1,9 +1,10 @@
-"""Tests for the persistent worker runtime: watermarked incremental cache export
-(no entry shipped twice, none missed), incremental worker carries, store
-compaction, and — the invariant the whole design hangs on — serial == fresh-pool ==
-reused-``WorkerPool`` bit-identity across all four search loops (GA,
-CentralScheduler, DieGranularityDse, Watos).  Only whole points reach the pool: the
-GA and the scheduler price their plans in-process and never start a worker.
+"""Tests for the persistent worker runtime: each worker reads the cache its map
+names as it was at the fork (never through that cache's lock), each chunk carries
+back only what it priced, store compaction, and — the invariant the whole design
+hangs on — serial == fresh-pool == reused-``WorkerPool`` bit-identity across all
+four search loops (GA, CentralScheduler, DieGranularityDse, Watos).  Only whole
+points reach the pool: the GA and the scheduler price their plans in-process and
+never start a worker.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import os
 import pickle
 import signal
 import sys
+import threading
 import time
 from dataclasses import replace
 from functools import partial
@@ -33,7 +35,7 @@ from repro.core.parallel_map import (
     parallel_map_merge,
     task_cache,
 )
-from repro.core.runtime import SessionHandle
+from repro.core.runtime import SessionHandle, set_deadline
 from repro.workloads.workload import TrainingWorkload
 
 from repro_testlib import make_small_wafer, make_tiny_model
@@ -58,65 +60,6 @@ def workload():
 @pytest.fixture
 def ga_config():
     return GAConfig(population_size=4, generations=3, seed=5)
-
-
-# ------------------------------------------------------------------ watermark export
-class TestWatermarkExport:
-    def test_export_since_zero_ships_everything_once(self):
-        cache = EvaluationCache()
-        for i in range(5):
-            cache.put(f"k{i}", i)
-        entries, watermark = cache.export_since(0)
-        assert entries == {f"k{i}": i for i in range(5)}
-        again, _ = cache.export_since(watermark)
-        assert again == {}
-
-    def test_monotone_watermarks_partition_the_stream(self):
-        # Interleave pricing and export: the union of increments covers every entry
-        # exactly once — nothing shipped twice, nothing missed.
-        cache = EvaluationCache()
-        shipped = {}
-        watermark = 0
-        for round_index in range(4):
-            for i in range(3):
-                cache.put(f"k{round_index}:{i}", (round_index, i))
-            entries, watermark = cache.export_since(watermark)
-            assert not set(entries) & set(shipped)
-            shipped.update(entries)
-        assert shipped == {f"k{r}:{i}": (r, i) for r in range(4) for i in range(3)}
-
-    def test_repriced_key_ships_latest_value_once(self):
-        cache = EvaluationCache()
-        cache.put("k", "old")
-        cache.put("k", "new")
-        entries, watermark = cache.export_since(0)
-        assert entries == {"k": "new"}
-        # Already-shipped key is not re-shipped until it is priced again.
-        assert cache.export_since(watermark)[0] == {}
-        cache.put("k", "newer")
-        assert cache.export_since(watermark)[0] == {"k": "newer"}
-
-    def test_evicted_entries_are_not_shipped(self):
-        cache = EvaluationCache(max_entries=2)
-        for i in range(5):
-            cache.put(f"k{i}", i)
-        entries, _ = cache.export_since(0)
-        assert entries == {"k3": 3, "k4": 4}
-
-    def test_seeded_entries_are_exportable(self):
-        cache = EvaluationCache()
-        cache.seed({"warm": 1})
-        assert cache.export_since(0)[0] == {"warm": 1}
-
-    def test_clear_keeps_sequence_monotonic(self):
-        cache = EvaluationCache()
-        cache.put("a", 1)
-        _, watermark = cache.export_since(0)
-        cache.clear()
-        cache.put("b", 2)
-        entries, new_watermark = cache.export_since(watermark)
-        assert entries == {"b": 2}
-        assert new_watermark > watermark
 
 
 # ------------------------------------------------------------------ incremental carry
@@ -147,6 +90,10 @@ def _hit_and_miss(key):
     return key
 
 
+def _cached_value(key):
+    return task_cache().get(key)
+
+
 class TestTakeCarry:
     """The carry a worker takes back from each chunk, observed through the pool."""
 
@@ -170,10 +117,63 @@ class TestTakeCarry:
                 pool.map(_hit_and_miss, [f"k{i}"], cache=parent)
         increments = [carry["stats"] for carry in parent.carries]
         assert len(increments) == 3
-        # The shard served one hit and one miss per chunk; the parent looked up
+        # Each chunk's cache served one hit and one miss; the parent looked up
         # nothing itself, so its counters are exactly the folded increments.
         assert sum(inc["hits"] for inc in increments) == parent.stats.hits == 3
         assert sum(inc["misses"] for inc in increments) == parent.stats.misses == 3
+
+
+class TestForkTimeCache:
+    """Each worker reads the cache its map names, as it was when the worker forked."""
+
+    def test_worker_reads_the_cache_the_map_names(self):
+        first = EvaluationCache()
+        second = _RecordingCache()
+        second.put("y", "value of y")
+        with WorkerPool(config=PoolConfig(max_workers=1)) as pool:
+            pool.map(_price_key, ["x"], cache=first)
+            assert first.peek("x") == "value of x"
+            # A fresh cache re-forks the worker: it hits ``y``, which only
+            # ``second`` holds, and misses ``x``, which it priced for ``first``.
+            pool.map(_price_key, ["y", "x"], cache=second)
+        assert [carry["delta"] for carry in second.carries] == [{"x": "value of x"}]
+        assert second.stats.hits == 1 and second.stats.misses == 1
+
+    def test_fork_under_a_held_cache_lock_does_not_hang(self):
+        # Another parent thread holds the cache's lock while the map forks the
+        # pool.  A worker that took the lock it inherited would wait forever; the
+        # armed deadline turns that into CellTimeout instead of a hung test.
+        cache = EvaluationCache()
+        cache.put("x", "value of x")
+        cache.put("y", "value of y")
+        pool = WorkerPool(config=PoolConfig(max_workers=2))
+        held = threading.Event()
+
+        def hold_until_forked():
+            with cache._lock:
+                held.set()
+                deadline = time.monotonic() + 30
+                while time.monotonic() < deadline:
+                    procs = list(pool._procs)
+                    if len(procs) == pool.workers and all(procs):
+                        break
+                    time.sleep(0.005)
+
+        holder = threading.Thread(target=hold_until_forked)
+        holder.start()
+        try:
+            assert held.wait(timeout=10)
+            set_deadline(time.monotonic() + 10)
+            try:
+                out = pool.map(_cached_value, ["x", "y"], cache=cache)
+            finally:
+                set_deadline(None)
+            assert out == ["value of x", "value of y"]
+            assert cache.stats.hits == 2
+        finally:
+            holder.join(timeout=40)
+            pool.close()
+        assert not holder.is_alive()
 
 
 # ------------------------------------------------------------------ store compaction
@@ -332,7 +332,7 @@ class TestWorkerPoolMechanics:
         token = tmp_path / "wedged"
         pool = WorkerPool(config=PoolConfig(max_workers=1))
         pool._ensure_started()
-        pool._task_conns[0].send(("map", partial(_wedge, str(token)), [1], False, ""))
+        pool._task_conns[0].send(("map", partial(_wedge, str(token)), [1], False, "", False))
         deadline = time.monotonic() + 10
         while not token.exists() and time.monotonic() < deadline:
             time.sleep(0.01)
@@ -443,12 +443,12 @@ class TestPoolReuseDeterminism:
         assert pooled.exploration_records == serial.exploration_records
 
 
-# ------------------------------------------------------------ delta-only sync counter
+# ------------------------------------------------------------ what the chunks ship
 class TestDeltaOnlySync:
     @pytest.mark.perf_smoke
-    def test_fanout_ships_only_fresh_entries(self, wafer, ga_config):
-        """Acceptance guard: the per-submission sync ships entries priced since each
-        worker's watermark — never a full snapshot per fan-out point."""
+    def test_fanout_ships_back_what_workers_priced(self, wafer, ga_config):
+        """Acceptance guard: a chunk ships back exactly what it priced, and nothing
+        flows to a worker: a warm second pass misses nothing and ships nothing."""
         workloads = [
             TrainingWorkload(make_tiny_model(), 16, 4, 1024),
             TrainingWorkload(make_tiny_model(), 32, 8, 2048),
@@ -457,21 +457,15 @@ class TestDeltaOnlySync:
         with WorkerPool(config=PoolConfig(max_workers=2)) as pool:
             on_pool = SessionHandle(parallel=pool)
             watos.explore(workloads, session=on_pool)
-            entries_after_first = len(watos.cache)
-            shipped_first = watos.cache.stats.shipped
-            # First pass: shards start empty, so only cross-worker deltas ship.
-            assert shipped_first <= entries_after_first
+            stats = watos.cache.stats
+            # Cold pass: every entry the parent holds crossed back from a worker once.
+            assert len(watos.cache) > 0 and stats.shipped == len(watos.cache)
+            shipped, misses = stats.shipped, stats.misses
 
+            # Each point returns to the worker that priced it, which reads its own
+            # earlier pricing: nothing is priced again, so nothing ships.
             watos.explore(workloads, session=on_pool)
-            shipped_second = watos.cache.stats.shipped
-            # Second pass re-prices nothing, so each worker receives at most the
-            # other workers' first-pass entries — bounded by the cache size, far
-            # below points × snapshot, and nothing the worker itself priced.
-            assert shipped_second - shipped_first <= entries_after_first
-
-            watos.explore(workloads, session=on_pool)
-            # Watermarks are caught up: a third pass ships nothing at all.
-            assert watos.cache.stats.shipped == shipped_second
+            assert stats.misses == misses and stats.shipped == shipped
 
     @pytest.mark.perf_smoke
     def test_warm_ga_rerun_ships_nothing(self, wafer, workload, ga_config):
