@@ -2,12 +2,14 @@
 """Local dry-run of .github/workflows/ci.yml (an ``act`` substitute).
 
 Parses the workflow, then executes every ``run`` step of every job in-process on this
-machine, with the workflow-level ``env`` applied.  ``uses:`` steps (checkout,
-setup-python, artifact upload) are structural on a local checkout and are skipped;
-``run`` steps whose executable is not installed locally (e.g. ``ruff`` in a hermetic
-container) are reported as SKIP rather than failures; a step that opens with a bash
-keyword or builtin (``for``, ``cd``) runs.  Matrix jobs run once, on the interpreter
-executing this script.  Parsing the workflow needs PyYAML.
+machine, with the workflow-level ``env`` applied.  Each step runs under ``bash -e``,
+as GitHub's default shell does, so a multi-line step fails at its first failing
+command.  ``uses:`` steps (checkout, setup-python, artifact upload) are structural on
+a local checkout and are skipped; ``run`` steps whose executable is not installed
+locally (e.g. ``ruff`` in a hermetic container) are reported as SKIP rather than
+failures; a step that opens with a bash keyword or builtin (``for``, ``cd``) runs.
+Matrix jobs run once, on the interpreter executing this script.  Parsing the
+workflow needs PyYAML.
 
 Exit status is non-zero when any *executed* step fails — the same pass/fail signal the
 hosted workflow would give for the locally runnable subset::
@@ -27,8 +29,6 @@ import subprocess
 import sys
 import time
 
-import yaml
-
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 WORKFLOW = os.path.join(REPO_ROOT, ".github", "workflows", "ci.yml")
 
@@ -43,11 +43,14 @@ _ASSIGNMENT = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*=")
 def first_executable(command: str) -> str:
     """The executable of a step's first command line (for availability checks).
 
-    Leading ``VAR=value`` words — both whole assignment lines (``T="$TMP"``) and
-    per-command environment prefixes — are skipped, so steps that stage paths in a
-    shell variable first are still probed on their real executable.
+    Blank and comment lines are skipped, and so are leading ``VAR=value`` words —
+    both whole assignment lines (``T="$TMP"``) and per-command environment
+    prefixes — so steps that open with a comment or stage paths in a shell
+    variable first are still probed on their real executable.
     """
     for line in command.splitlines():
+        if line.strip().startswith("#"):
+            continue
         for token in line.strip().split():
             if _ASSIGNMENT.match(token):
                 continue
@@ -82,7 +85,7 @@ def run_job(name: str, job: dict, env: dict) -> list:
             continue
         start = time.perf_counter()
         proc = subprocess.run(
-            ["bash", "-c", command],
+            ["bash", "-e", "-c", command],
             cwd=REPO_ROOT,
             env={**os.environ, **env},
             capture_output=True,
@@ -105,6 +108,8 @@ def main(argv=None) -> int:
     parser.add_argument("--job", default=None, help="run only this job id")
     parser.add_argument("--workflow", default=WORKFLOW, help="workflow file to dry-run")
     args = parser.parse_args(argv)
+
+    import yaml  # here, not at the top: the tests import this module without PyYAML
 
     with open(args.workflow, "r", encoding="utf-8") as handle:
         workflow = yaml.safe_load(handle)

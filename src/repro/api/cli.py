@@ -27,7 +27,7 @@ The subcommands drive the :class:`~repro.api.Session` runtime:
 * ``repro cache`` — inspect and maintain persistent evaluation-cache stores::
 
       python -m repro cache stats sweep.jsonl
-      python -m repro cache compact sweep.jsonl --max-entries 50000 --max-age 604800
+      python -m repro cache compact sweep.jsonl
 
 * ``repro profile`` — summarise the span trace a ``--trace`` run wrote: per-stage
   wall-clock breakdown (pricing, cache sync, dispatch, store I/O — worker spans
@@ -56,7 +56,7 @@ from repro.api.results import export_csv, merge_stores, open_result_store, recor
 from repro.api.session import Session, SweepCellError
 from repro.api.spec import KINDS, ExperimentSpec
 from repro.api.sweep import SweepSpec
-from repro.core.evalcache import EvaluationCache, check_eviction_bounds, open_store
+from repro.core.evalcache import EvaluationCache, open_store
 from repro.core.retry import RetryPolicy
 from repro.recordlog import StoreError
 
@@ -366,30 +366,17 @@ def _cmd_profile(args: argparse.Namespace) -> int:
 
 
 # ------------------------------------------------------------------------------ cache
-def compact_store(
-    path: str,
-    max_entries: Optional[int] = None,
-    max_age_s: Optional[float] = None,
-    namespace: Optional[str] = None,
-) -> dict:
-    """Compact a cache store in place; returns ``{"loaded": …, "kept": …}``.
+def compact_store(path: str, namespace: Optional[str] = None) -> dict:
+    """Fold a cache store to one row per key in place; returns ``{"loaded": …, "kept": …}``.
 
-    What ``repro cache compact`` runs.  An out-of-range bound exits with one line
-    before the store is opened; a file that is not a cache store raises
+    What ``repro cache compact`` runs.  A file that is not a cache store raises
     :class:`~repro.recordlog.StoreError` and stays as it is.
     """
-    try:
-        check_eviction_bounds(max_entries, max_age_s)
-    except ValueError as exc:
-        # The command takes the bounds as --max-entries / --max-age.
-        flags = str(exc).replace("max_entries", "--max-entries").replace("max_age_s", "--max-age")
-        raise SystemExit(f"repro cache compact: {flags}") from None
-    store = open_store(path, namespace=namespace)
-    cache = EvaluationCache(max_entries=None, store=store)
+    cache = EvaluationCache(store=open_store(path, namespace=namespace))
     loaded = cache.stats.loaded
-    kept = cache.compact(max_entries=max_entries, max_age_s=max_age_s)
+    kept = cache.compact()
     cache.close()
-    return {"loaded": loaded, "kept": kept, "evicted": max(0, loaded - kept)}
+    return {"loaded": loaded, "kept": kept}
 
 
 def _cmd_cache(args: argparse.Namespace) -> int:
@@ -397,30 +384,19 @@ def _cmd_cache(args: argparse.Namespace) -> int:
         print(f"no store at {args.store_path}", file=sys.stderr)
         return 1
     if args.cache_command == "compact":
-        report = compact_store(
-            args.store_path,
-            max_entries=args.max_entries,
-            max_age_s=args.max_age,
-            namespace=args.namespace,
-        )
+        report = compact_store(args.store_path, namespace=args.namespace)
         print(
             f"compacted {args.store_path}: {report['loaded']} live entries -> "
             f"{report['kept']} kept"
-            + (f" ({report['evicted']} evicted)" if report["evicted"] else "")
         )
         return 0
     # stats
     store = open_store(args.store_path, namespace=args.namespace)
     store.refuse_foreign("`repro cache stats` reads cache stores")
-    entries = store.load()
-    times = [t for t in store.row_times.values() if t > 0]
     payload = {
         "store": args.store_path,
-        "entries": len(entries),
+        "entries": len(store.load()),
         "load_errors": store.load_errors,
-        "oldest_priced_at": min(times) if times else None,
-        "newest_priced_at": max(times) if times else None,
-        "unstamped_rows": len(entries) - len(times),
     }
     store.close()
     print(json.dumps(payload, indent=2))
@@ -583,11 +559,6 @@ def build_parser() -> argparse.ArgumentParser:
         c.add_argument("store_path", help="path of the store (.jsonl)")
         c.add_argument("--namespace", default=None,
                        help="override the fingerprint namespace")
-        if cache_cmd == "compact":
-            c.add_argument("--max-entries", type=int, default=None,
-                           help="evict down to this many entries (newest kept)")
-            c.add_argument("--max-age", type=float, default=None, metavar="SECONDS",
-                           help="evict rows priced longer than this many seconds ago")
         c.set_defaults(func=_cmd_cache)
 
     return parser

@@ -43,7 +43,7 @@ from repro.obs.tracefile import write_trace
 
 from repro.core import runtime
 from repro.core.central_scheduler import CentralScheduler
-from repro.core.evalcache import EvaluationCache, check_eviction_bounds
+from repro.core.evalcache import EvaluationCache
 from repro.core.evaluator import Evaluator
 from repro.core.framework import Watos
 from repro.core.genetic import GeneticOptimizer
@@ -124,12 +124,11 @@ class Session:
         missing parent directory is created on the first write.
         With neither ``cache`` nor ``store``, the session builds a fresh in-memory
         cache.
-    max_entries / namespace:
+    namespace:
         Forwarded to :class:`EvaluationCache` when the session builds it.
-    compact_on_exit / compact_max_entries / compact_max_age_s:
-        When set, :meth:`close` compacts the attached store (fold append-only
-        history to one row per key; optionally evict by count and by age).  An
-        out-of-range bound raises ``ValueError`` here, not when the session closes.
+    compact_on_exit:
+        When set, :meth:`close` compacts the attached store: folds its append-only
+        history to one row per key.
     results:
         Either an existing :class:`~repro.api.results.ResultStore` to adopt (the
         caller owns and closes it), or a path (``.jsonl``) the session opens (and
@@ -160,11 +159,8 @@ class Session:
         pool: Optional[Union[int, PoolConfig, WorkerPool]] = None,
         cache: Optional[EvaluationCache] = None,
         store: Optional[str] = None,
-        max_entries: Optional[int] = 65536,
         namespace: Optional[str] = None,
         compact_on_exit: bool = False,
-        compact_max_entries: Optional[int] = None,
-        compact_max_age_s: Optional[float] = None,
         results: Optional[Union[str, os.PathLike, ResultStore]] = None,
         results_compact: bool = False,
         retry: Optional[RetryPolicy] = None,
@@ -177,12 +173,9 @@ class Session:
             )
         if cache is not None and store is not None:
             raise ValueError("pass either cache= (adopted) or store= (owned), not both")
-        check_eviction_bounds(compact_max_entries, compact_max_age_s)
         self._owns_cache = cache is None
         self.cache: EvaluationCache = (
-            cache
-            if cache is not None
-            else EvaluationCache(max_entries=max_entries, store=store, namespace=namespace)
+            cache if cache is not None else EvaluationCache(store=store, namespace=namespace)
         )
         self._adopted_pool = isinstance(pool, WorkerPool)
         self._pool: Optional[WorkerPool] = pool if self._adopted_pool else None
@@ -195,11 +188,7 @@ class Session:
             self.workers = self._pool_config.resolved()
         else:  # None/0/1 serial, negative = every CPU
             self.workers = 1 if pool is None else PoolConfig(max_workers=pool).resolved()
-        self.compact_on_exit = (
-            compact_on_exit or compact_max_entries is not None or compact_max_age_s is not None
-        )
-        self.compact_max_entries = compact_max_entries
-        self.compact_max_age_s = compact_max_age_s
+        self.compact_on_exit = compact_on_exit
         self._refuse_cache_path(results)
         self._owns_results = isinstance(results, (str, os.PathLike))
         self.results: Optional[ResultStore] = (
@@ -281,9 +270,7 @@ class Session:
             yield self._pool.close
         yield self.cache.flush
         if self.compact_on_exit and self.cache.store is not None:
-            yield lambda: self.cache.compact(
-                max_entries=self.compact_max_entries, max_age_s=self.compact_max_age_s
-            )
+            yield self.cache.compact
         if self._owns_cache:
             yield self.cache.close
         if self.results_compact and self.results is not None:

@@ -39,29 +39,17 @@ from repro.workloads.memory import TrainingMemoryModel
 from repro.workloads.workload import TrainingWorkload
 
 
-def _fits(wafer: WaferConfig, workload: TrainingWorkload, tp: int, pp: int,
-          recompute_fraction: float) -> bool:
+def _naive_recompute(workload: TrainingWorkload, wafer: WaferConfig, tp: int, pp: int,
+                     allow_full: bool = True) -> Optional[RecomputeConfig]:
+    """None if it fits, full recomputation if that fits (and ``allow_full``), otherwise
+    None (infeasible)."""
     memory = TrainingMemoryModel(workload.model)
-    capacity = wafer.die.dram_capacity
-    n = workload.num_microbatches(1)
-    return all(
-        memory.stage_breakdown(
-            s, pp, tp, workload.micro_batch_size, workload.seq_len, n,
-            recompute_fraction=recompute_fraction,
-        ).total_bytes
-        <= capacity
-        for s in range(pp)
-    )
-
-
-def _naive_recompute(workload: TrainingWorkload, wafer: WaferConfig, tp: int, pp: int
-                     ) -> Optional[RecomputeConfig]:
-    """None if it fits, full recomputation if that fits, otherwise None (infeasible)."""
-    operators = workload.layer_operators()
-    if _fits(wafer, workload, tp, pp, 0.0):
+    split = (wafer.die.dram_capacity, pp, tp, workload.micro_batch_size, workload.seq_len,
+             workload.num_microbatches(1))
+    if memory.fits(*split):
         return RecomputeConfig.none(pp)
-    if _fits(wafer, workload, tp, pp, 1.0):
-        return RecomputeConfig.full(pp, operators)
+    if allow_full and memory.fits(*split, recompute_fractions=[1.0] * pp):
+        return RecomputeConfig.full(pp, workload.layer_operators())
     return None
 
 
@@ -78,9 +66,7 @@ def _evaluate_flat_interconnect_choice(
     best_score = None
     chosen: Optional[Tuple[int, int]] = None
     for tp, pp in enumerate_tp_pp(wafer.num_dies, workload.model.num_layers):
-        if not with_recompute and not _fits(wafer, workload, tp, pp, 0.0):
-            continue
-        if with_recompute and _naive_recompute(workload, wafer, tp, pp) is None:
+        if _naive_recompute(workload, wafer, tp, pp, allow_full=with_recompute) is None:
             continue
         # Flat-interconnect score: compute scales with 1/(tp*pp); communication volume is
         # assumed uniform, so the model favours the largest TP that fits.

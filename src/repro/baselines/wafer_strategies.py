@@ -26,26 +26,6 @@ from repro.workloads.memory import TrainingMemoryModel
 from repro.workloads.workload import TrainingWorkload
 
 
-def _memory_feasible(
-    wafer: WaferConfig,
-    workload: TrainingWorkload,
-    tp: int,
-    pp: int,
-    recompute_fraction: float,
-) -> bool:
-    memory = TrainingMemoryModel(workload.model)
-    capacity = wafer.die.dram_capacity
-    num_microbatches = workload.num_microbatches(1)
-    return all(
-        memory.stage_breakdown(
-            s, pp, tp, workload.micro_batch_size, workload.seq_len,
-            num_microbatches, recompute_fraction=recompute_fraction,
-        ).total_bytes
-        <= capacity
-        for s in range(pp)
-    )
-
-
 def megatron_wafer_plan(
     wafer: WaferConfig, workload: TrainingWorkload
 ) -> Tuple[Optional[TrainingPlan], Optional[EvaluationResult]]:
@@ -63,7 +43,16 @@ def megatron_wafer_plan(
     tp = parallelism.tp
     pp = max(1, min(wafer.num_dies // tp, workload.model.num_layers))
     evaluator = Evaluator(wafer)
-    operators = workload.layer_operators()
+    # Megatron knows full and selective recomputation, but not the wafer-global
+    # balancing — so the choice is naive: none if it fits, everything otherwise.
+    memory = TrainingMemoryModel(workload.model)
+    if memory.fits(
+        wafer.die.dram_capacity,
+        pp, tp, workload.micro_batch_size, workload.seq_len, workload.num_microbatches(1),
+    ):
+        recompute = RecomputeConfig.none(pp)
+    else:
+        recompute = RecomputeConfig.full(pp, workload.layer_operators())
 
     best_plan: Optional[TrainingPlan] = None
     best_result: Optional[EvaluationResult] = None
@@ -74,12 +63,6 @@ def megatron_wafer_plan(
             placement = serpentine_placement(wafer.dies_x, wafer.dies_y, shape, pp)
         except ValueError:
             continue
-        # Megatron knows full and selective recomputation, but not the wafer-global
-        # balancing — so the choice is naive: none if it fits, everything otherwise.
-        if _memory_feasible(wafer, workload, tp, pp, 0.0):
-            recompute = RecomputeConfig.none(pp)
-        else:
-            recompute = RecomputeConfig.full(pp, operators)
         plan = TrainingPlan(
             parallelism=ParallelismConfig(dp=1, tp=tp, pp=pp),
             tp_shape=shape,

@@ -110,11 +110,10 @@ class CentralScheduler:
     ) -> bool:
         """Alg. 1 line 5: modelP + full checkpoints exceed the aggregate memory."""
         memory = TrainingMemoryModel(workload.model)
-        capacity = self.wafer.die.dram_capacity
-        breakdown = memory.pipeline_breakdown(
-            pp, tp, workload.micro_batch_size, workload.seq_len, num_microbatches
+        return not memory.fits(
+            self.wafer.die.dram_capacity,
+            pp, tp, workload.micro_batch_size, workload.seq_len, num_microbatches,
         )
-        return any(stage.total_bytes > capacity for stage in breakdown)
 
     def _bounds(self) -> Evaluator:
         """The evaluator that prices bounds: the scheduler's, with unbounded DRAM chiplets.

@@ -16,8 +16,10 @@ fingerprint of everything that determines the outcome:
   recomputation config, stage placement, Mem_pairs, host offload).
 
 Fingerprints are structural, not identity-based: two plans built independently but
-describing the same strategy share one cache entry.  The cache is a bounded LRU and
-exposes hit/miss counters so benchmarks can track search efficiency.
+describing the same strategy share one cache entry.  The cache keeps everything its
+owner priced or loaded (pricing is pure, and a paper-scale run makes a few hundred
+distinct pricings) and exposes hit/miss counters so benchmarks can track search
+efficiency.
 
 **Persistence.**  A cache can be attached to a JSONL :class:`CacheStore` (see
 :func:`open_store`) so repeated DSE sweeps across *processes* start warm:
@@ -33,10 +35,6 @@ store; this module keeps only the row layout and value codec.
 forked, and the parent folds each chunk's freshly priced entries back in
 (:meth:`absorb_carry`), so one shared store serves a whole multi-wafer or
 wafer×workload fan-out (see :mod:`repro.core.parallel_map`).
-
-A cache keeps per-key state only for resident entries and for entries still waiting
-to be flushed to its store, so ``max_entries`` bounds the memory of a cache without
-a store exactly.
 """
 
 from __future__ import annotations
@@ -48,8 +46,6 @@ import importlib
 import os
 import pickle
 import threading
-import time
-from collections import OrderedDict
 from dataclasses import fields, is_dataclass
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
@@ -62,9 +58,7 @@ __all__ = [
     "CacheStats",
     "CacheStore",
     "CanonicalTexts",
-    "JsonlCacheStore",
     "canonicalize",
-    "check_eviction_bounds",
     "combine_fingerprints",
     "default_namespace",
     "fingerprint",
@@ -380,23 +374,20 @@ def _resolve_type(ref: str) -> type:
 # ---------------------------------------------------------------------- disk stores
 class CacheStore:
     """Persists cache entries across processes: an append-only JSONL spill, one
-    header line, then one ``{"k": key, "v": encoded value, "t": priced_at}`` row each.
+    header line, then one ``{"k": key, "v": encoded value}`` row each.
 
     The store wraps one :class:`repro.recordlog.JsonlLog`, which owns the file
     discipline: a store under another namespace loads empty and is reset, a
     foreign file is preserved at ``<path>.corrupt``, a torn last line is skipped,
     and rewrites are atomic.  Append-only writes keep the warm-start path a single
     sequential read.  Rows that fail to decode are skipped and counted in
-    :attr:`load_errors`.
+    :attr:`load_errors`.  Earlier builds also wrote a ``"t"`` timestamp per row;
+    it is ignored, so their stores load unchanged.
     """
 
     def __init__(self, path: str, namespace: Optional[str] = None) -> None:
         self.path = str(path)
         self.namespace = namespace or default_namespace()
-        #: ``priced_at`` unix timestamp per key, refreshed by :meth:`load`.  Rows
-        #: written before timestamps existed report 0.0 (treated as oldest by the
-        #: age-based eviction in :meth:`EvaluationCache.compact`).
-        self.row_times: Dict[str, float] = {}
         self._log = JsonlLog(
             self.path, {"format": "watos-evalcache-jsonl", "namespace": self.namespace}
         )
@@ -412,48 +403,35 @@ class CacheStore:
         self._log.refuse_foreign(action)
 
     @staticmethod
-    def _decode(row: Any) -> Tuple[str, Any, float]:
-        return str(row["k"]), decode_value(row["v"]), float(row.get("t", 0.0))
+    def _decode(row: Any) -> Tuple[str, Any]:
+        return str(row["k"]), decode_value(row["v"])
 
     def load(self) -> Dict[str, Any]:
         """All valid entries, or ``{}`` for a missing/corrupt/foreign-namespace store."""
         entries: Dict[str, Any] = {}
-        self.row_times = {}
-        for key, value, priced_at in self._log.rows(self._decode):
-            # Later duplicates win in *position* too: a re-appended key must rank
-            # as newest for compact(max_entries=) eviction.
+        for key, value in self._log.rows(self._decode):
+            # Later duplicates win in *position* too, as in the result store, so a
+            # compaction keeps the rows in the order they were last written.
             entries.pop(key, None)
             entries[key] = value
-            self.row_times[key] = priced_at
         return entries
 
-    def append(
-        self, entries: Mapping[str, Any], times: Optional[Mapping[str, float]] = None
-    ) -> None:
-        """Persist new entries (later appends with the same key win on load).
+    def append(self, entries: Mapping[str, Any]) -> None:
+        """Persist new entries (later appends with the same key win on load)."""
+        self._log.append(self._rows(entries))
 
-        ``times`` carries per-key ``priced_at`` timestamps; keys without one are
-        stamped with the current time.
-        """
-        self._log.append(self._rows(entries, times))
-
-    def replace_all(
-        self, entries: Mapping[str, Any], times: Optional[Mapping[str, float]] = None
-    ) -> None:
+    def replace_all(self, entries: Mapping[str, Any]) -> None:
         """Atomically rewrite the store to exactly ``entries`` (compaction).
 
         A file that is not a cache store raises
         :class:`~repro.recordlog.StoreError` and stays as it is.
         """
-        self._log.rewrite(self._rows(entries, times))
+        self._log.rewrite(self._rows(entries))
 
     @staticmethod
-    def _rows(entries: Mapping[str, Any], times: Optional[Mapping[str, float]]):
-        now = time.time()
-        times = times or {}
+    def _rows(entries: Mapping[str, Any]):
         for key, value in entries.items():
-            priced = times.get(key)
-            yield {"k": key, "v": encode_value(value), "t": now if priced is None else priced}
+            yield {"k": key, "v": encode_value(value)}
 
     def close(self) -> None:
         """Nothing to release: every append opens and closes the file."""
@@ -465,40 +443,22 @@ class CacheStore:
         self.close()
 
 
-#: The same class under its format's name, like ``repro.api.results.JsonlResultStore``.
-JsonlCacheStore = CacheStore
-
-
 def open_store(path: str, namespace: Optional[str] = None) -> CacheStore:
     """The cache store at ``path``; a sqlite path raises :class:`~repro.recordlog.StoreError`."""
     return CacheStore(path, namespace)
 
 
-def check_eviction_bounds(max_entries: Optional[int], max_age_s: Optional[float]) -> None:
-    """Raise ``ValueError`` unless each :meth:`EvaluationCache.compact` bound is in range.
-
-    ``max_age_s`` must be non-negative (a negative age expires every row) and
-    ``max_entries`` at least 1 (``None`` means no bound).  Written so that NaN
-    fails too: every comparison with NaN is false.
-    """
-    if max_age_s is not None and not max_age_s >= 0:
-        raise ValueError(f"max_age_s must be non-negative, not {max_age_s:g}")
-    if max_entries is not None and not max_entries >= 1:
-        raise ValueError(f"max_entries must be at least 1, not {max_entries:g}")
-
-
 class CacheStats:
     """Mutable hit/miss accounting shared by cache users."""
 
-    __slots__ = ("hits", "misses", "evictions", "loaded", "flushed", "shipped")
+    __slots__ = ("hits", "misses", "loaded", "flushed", "shipped")
 
     #: Counter fields folded by :meth:`add_counts` and shipped in worker carries.
-    COUNT_FIELDS = ("hits", "misses", "evictions", "loaded", "flushed", "shipped")
+    COUNT_FIELDS = ("hits", "misses", "loaded", "flushed", "shipped")
 
     def __init__(self) -> None:
         self.hits = 0
         self.misses = 0
-        self.evictions = 0
         #: Entries warm-started from a persistent store.
         self.loaded = 0
         #: Entries written back to the persistent store.
@@ -526,43 +486,27 @@ class CacheStats:
         return counts
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"CacheStats(hits={self.hits}, misses={self.misses}, "
-            f"evictions={self.evictions}, loaded={self.loaded})"
-        )
+        return f"CacheStats(hits={self.hits}, misses={self.misses}, loaded={self.loaded})"
 
 
 class EvaluationCache:
-    """Bounded LRU cache from evaluation fingerprints to evaluation results.
+    """Cache from evaluation fingerprints to evaluation results.
 
-    ``max_entries`` bounds memory for week-long DSE sweeps; 0 or ``None`` means
-    unbounded.  The cache stores whatever the evaluator produced (an
-    :class:`~repro.core.evaluator.EvaluationResult`), treating it as immutable.
+    The cache keeps every entry its owner priced or loaded; it stores whatever the
+    evaluator produced (an :class:`~repro.core.evaluator.EvaluationResult`),
+    treating it as immutable.
 
     With ``store`` attached (a :class:`CacheStore` or a path accepted by
     :func:`open_store`), construction warm-starts from disk and :meth:`flush` spills
-    every entry priced since the last flush — including entries the LRU has since
-    evicted, so disk coverage can exceed the in-memory bound.  Without a store there
-    is nothing to spill: an evicted entry is gone.
+    every entry priced since the last flush.
     """
 
-    def __init__(
-        self,
-        max_entries: Optional[int] = 65536,
-        store: Optional[object] = None,
-        namespace: Optional[str] = None,
-    ) -> None:
-        if max_entries is not None and not max_entries >= 0:  # written so that NaN fails too
-            raise ValueError(f"max_entries must be non-negative, not {max_entries:g}")
-        self.max_entries = max_entries or None
+    def __init__(self, store: Optional[object] = None, namespace: Optional[str] = None) -> None:
         self.stats = CacheStats()
-        self._entries: "OrderedDict[str, Any]" = OrderedDict()
-        #: Entries priced since the last :meth:`flush` (survives LRU eviction);
-        #: kept only while a store is attached to flush them to.
+        self._entries: Dict[str, Any] = {}
+        #: Entries priced since the last :meth:`flush`; kept only while a store is
+        #: attached to flush them to.
         self._dirty: Dict[str, Any] = {}
-        #: ``priced_at`` unix timestamp per resident/dirty key — flushed to the store
-        #: so :meth:`compact` can expire rows by age (``max_age_s``).
-        self._priced_at: Dict[str, float] = {}
         #: Guards every structural mutation: the two-level sweep scheduler runs
         #: cells on concurrent threads that all price against (and flush) the one
         #: session cache.  Reentrant because flush/compact/close nest.
@@ -571,13 +515,8 @@ class EvaluationCache:
             open_store(store, namespace) if isinstance(store, (str, os.PathLike)) else store
         )
         if self.store is not None:
-            loaded = self.store.load()
-            self.seed(loaded)
-            # Warm-started entries keep the timestamp of their original pricing,
-            # so repeated warm runs never rejuvenate old rows.
-            row_times = self.store.row_times
-            self._priced_at.update((key, row_times[key]) for key in self._entries)
-            self.stats.loaded = len(loaded)
+            self._entries = self.store.load()
+            self.stats.loaded = len(self._entries)
 
     # ------------------------------------------------------------------ dict protocol
     def __len__(self) -> int:
@@ -592,7 +531,6 @@ class EvaluationCache:
         with self._lock:
             entry = self._entries.get(key)
             if entry is not None:
-                self._entries.move_to_end(key)
                 self.stats.hits += 1
                 if _obs.enabled:
                     _obs.count("cache.hit")
@@ -603,53 +541,14 @@ class EvaluationCache:
             return None
 
     def peek(self, key: str) -> Optional[Any]:
-        """Like :meth:`get` but without touching the counters or LRU order."""
+        """Like :meth:`get` but without touching the counters."""
         return self._entries.get(key)
 
     def put(self, key: str, value: Any) -> None:
         with self._lock:
             self._entries[key] = value
-            self._entries.move_to_end(key)
             if self.store is not None:
                 self._dirty[key] = value
-            self._priced_at[key] = time.time()
-            self._evict_over_bound()
-
-    def _evict_over_bound(self) -> None:
-        """Drop least-recently-used entries beyond ``max_entries`` (caller holds the lock).
-
-        An evicted entry keeps its ``priced_at`` stamp only while it still waits in
-        the dirty set for the next :meth:`flush`.
-        """
-        if self.max_entries is None:
-            return
-        while len(self._entries) > self.max_entries:
-            evicted, _ = self._entries.popitem(last=False)
-            if evicted not in self._dirty:
-                self._priced_at.pop(evicted, None)
-            self.stats.evictions += 1
-
-    def get_or_compute(self, key: str, compute) -> Any:
-        """Return the cached value for ``key``, computing and storing it on a miss.
-
-        ``compute`` runs *outside* the lock: pricing is pure, so two threads
-        racing on the same miss at worst compute the value twice and store the
-        same bits — whereas holding the lock through a slow pricing call would
-        serialize every concurrent sweep cell.
-        """
-        entry = self.get(key)
-        if entry is not None:
-            return entry
-        value = compute()
-        self.put(key, value)
-        return value
-
-    def clear(self) -> None:
-        """Drop all entries (the counters survive so long-run stats stay meaningful)."""
-        with self._lock:
-            self._entries.clear()
-            self._dirty.clear()
-            self._priced_at.clear()
 
     # ------------------------------------------------------------------ scale-out
     def __getstate__(self):
@@ -669,34 +568,17 @@ class EvaluationCache:
         self.__dict__.update(state)
         self._lock = threading.RLock()
 
-    def seed(self, entries: Mapping[str, Any]) -> int:
-        """Adopt warm entries without touching hit/miss counters or the dirty set.
-
-        Used for store warm-starts.  ``max_entries`` still bounds the in-memory
-        result: when a persisted store has outgrown the bound, only the newest
-        entries stay resident (the store keeps everything).
-        """
-        with self._lock:
-            adopted = 0
-            for key, value in entries.items():
-                if key not in self._entries:
-                    self._entries[key] = value
-                    adopted += 1
-            self._evict_over_bound()
-            return adopted
-
     def absorb_carry(self, carry: Mapping[str, Any]) -> int:
         """Fold a pool chunk's carry (``{"delta": entries, "stats": increments}``) in.
 
         Every carried entry counts in :attr:`CacheStats.shipped`; those the cache
-        neither holds nor still has to flush are adopted (and flushed next).
-        Returns how many were adopted.
+        does not hold are adopted (and flushed next).  Returns how many were adopted.
         """
         delta = carry["delta"]
         with self._lock:
             adopted = 0
             for key, value in delta.items():
-                if key not in self._entries and key not in self._dirty:
+                if key not in self._entries:
                     self.put(key, value)
                     adopted += 1
             self.stats.add_counts(carry["stats"])
@@ -710,70 +592,28 @@ class EvaluationCache:
             if self.store is None or not self._dirty:
                 return 0
             with _obs.span("cache.flush", tag=str(len(self._dirty))):
-                self.store.append(
-                    self._dirty,
-                    {k: self._priced_at[k] for k in self._dirty if k in self._priced_at},
-                )
+                self.store.append(self._dirty)
             written = len(self._dirty)
             self.stats.flushed += written
-            # Timestamps of spilled keys the LRU has already evicted now live in the
-            # store; dropping them keeps _priced_at bounded by the resident set on
-            # long store-backed sweeps (put() keeps dirty-but-evicted stamps alive
-            # only until this flush).
-            for key in self._dirty:
-                if key not in self._entries:
-                    self._priced_at.pop(key, None)
             self._dirty.clear()
             return written
 
-    def compact(
-        self,
-        max_entries: Optional[int] = None,
-        max_age_s: Optional[float] = None,
-        now: Optional[float] = None,
-    ) -> int:
-        """Rewrite the attached store to exactly one row per surviving key.
+    def compact(self) -> int:
+        """Rewrite the attached store to exactly one row per key.
 
         JSONL stores grow append-only — a re-priced or re-flushed key adds a row and
-        only the *last* one wins on load — so week-long sweeps accumulate dead rows.
-        Compaction folds that history through :meth:`CacheStore.replace_all` (later
-        duplicates win, same rule as load).  In-memory entries are flushed first so
-        freshly priced results are never lost, and they are re-appended last so the
-        resident working set counts as newest.
-
-        Two eviction knobs compose (age first, then size):
-
-        * ``max_age_s`` expires rows whose ``priced_at`` timestamp is older than
-          ``now - max_age_s`` (``now`` defaults to the current time).  Rows written
-          before timestamps existed carry ``priced_at`` 0 and count as infinitely
-          old — re-run the sweep once to stamp them.
-        * ``max_entries`` keeps only the newest that many entries, oldest first out
-          (append order).
-
-        Returns the number of entries the store holds afterwards.  An out-of-range
-        bound raises ``ValueError`` (:func:`check_eviction_bounds`) before anything
-        is flushed or rewritten.
+        only the *last* one wins on load — so long sweeps accumulate dead rows.
+        Compaction flushes first, so freshly priced results are never lost, then
+        folds that history through :meth:`CacheStore.replace_all` (later duplicates
+        win, same rule as load).  Returns the number of entries the store holds
+        afterwards.
         """
-        check_eviction_bounds(max_entries, max_age_s)
         with self._lock:
             if self.store is None:
                 return 0
             self.flush()
             entries = self.store.load()
-            times = dict(self.store.row_times)
-            for key, value in self._entries.items():
-                entries.pop(key, None)  # re-append so resident entries rank newest
-                entries[key] = value
-                if key in self._priced_at:
-                    times[key] = self._priced_at[key]
-            if max_age_s is not None:
-                cutoff = (time.time() if now is None else now) - max_age_s
-                for key in [k for k in entries if times.get(k, 0.0) < cutoff]:
-                    del entries[key]
-            if max_entries is not None and len(entries) > max_entries:
-                for key in list(entries)[: len(entries) - max_entries]:
-                    del entries[key]
-            self.store.replace_all(entries, {k: times[k] for k in entries if k in times})
+            self.store.replace_all(entries)
             return len(entries)
 
     def close(self) -> None:

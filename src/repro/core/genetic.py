@@ -134,12 +134,14 @@ class GeneticOptimizer:
         """
         if len(memo) >= FITNESS_MEMO_SIZE:
             memo.clear()
-        scores = [memo.get(plan) for plan in population]
-        for plan, score in zip(population, scores):
-            if score is None and plan not in memo:
+        scores = []
+        for plan in population:
+            score = memo.get(plan)  # one probe: each probe hashes the plan field by field
+            if score is None:
                 result = self.evaluator.evaluate(self.workload, plan)
-                memo[plan] = (self._fitness_of(plan, result), result)
-        return [score or memo[plan] for plan, score in zip(population, scores)]
+                score = memo[plan] = (self._fitness_of(plan, result), result)
+            scores.append(score)
+        return scores
 
     # ------------------------------------------------------------------ GA operators
     def _op1_toggle_recompute(self, plan: TrainingPlan) -> TrainingPlan:

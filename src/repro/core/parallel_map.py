@@ -172,7 +172,7 @@ class _ChunkCache(EvaluationCache):
     """
 
     def __init__(self, earlier: Dict[str, Any], forked: EvaluationCache) -> None:
-        super().__init__(max_entries=None)
+        super().__init__()
         self._fallthrough = (earlier.get, forked.peek)
         self._lent: Set[str] = set()
 

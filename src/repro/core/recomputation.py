@@ -281,11 +281,3 @@ class GcmrScheduler:
                 spare_left[helper] = available - moved
                 need -= moved
         return senders, helpers, pairs
-
-    # ------------------------------------------------------------------ naive baseline
-    def naive_full_recompute(
-        self, workload: TrainingWorkload, tp: int, pp: int
-    ) -> RecomputeConfig:
-        """The naive strategy of Fig. 8a: recompute everything recomputable, everywhere."""
-        operators = workload.layer_operators()
-        return RecomputeConfig.full(pp, operators)

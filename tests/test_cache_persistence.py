@@ -4,9 +4,7 @@ invalidation, corrupt-store recovery and the warm-start accounting.
 
 from __future__ import annotations
 
-import gc
 import json
-import weakref
 
 import pytest
 
@@ -97,18 +95,6 @@ class TestRoundTrip:
         third = EvaluationCache(store=store_path)
         assert third.stats.loaded == 2
         third.close()
-
-    def test_flush_spills_evicted_entries(self, store_path):
-        cache = EvaluationCache(max_entries=2, store=store_path)
-        cache.put("a", 1)
-        cache.put("b", 2)
-        cache.put("c", 3)  # evicts "a" from memory
-        assert cache.peek("a") is None
-        assert cache.flush() == 3  # ... but the store still gets all three
-        cache.close()
-        warm = EvaluationCache(store=store_path)
-        assert warm.stats.loaded == 3
-        warm.close()
 
     def test_close_flushes(self, store_path):
         cache = EvaluationCache(store=store_path)
@@ -211,16 +197,6 @@ class TestEvaluatorWarmStart:
         assert [r.result for r in warm_records] == [r.result for r in cold_records]
         warm_cache.close()
 
-    def test_seed_respects_lru_bound(self, store_path):
-        with EvaluationCache(store=store_path) as writer:
-            for i in range(6):
-                writer.put(f"k{i}", i)
-        bounded = EvaluationCache(max_entries=3, store=store_path)
-        assert len(bounded) == 3
-        # The newest entries stay resident; the store keeps everything.
-        assert bounded.peek("k5") == 5 and bounded.peek("k0") is None
-        bounded.close()
-
     def test_pickled_cache_drops_store(self, store_path):
         import pickle
 
@@ -235,7 +211,7 @@ class TestEvaluatorWarmStart:
 
     def test_seed_export_delta_absorb(self):
         child = EvaluationCache()
-        child.seed({"p": 1})
+        child.put("p", 1)
         assert child.get("p") == 1 and child.stats.hits == 1
         parent = EvaluationCache()
         parent.put("p", 1)
@@ -260,124 +236,58 @@ def _keyed_state(cache: EvaluationCache) -> dict:
 
 
 class TestPerKeyStateBound:
-    """``max_entries`` bounds what a cache keeps per key, with a store or without."""
+    """A cache keeps per-key state for its resident entries and nothing more once
+    flushed: the entries waiting for a flush are the only extra state."""
 
     def test_cache_without_store_keeps_only_resident_values_alive(self):
-        cache = EvaluationCache(max_entries=4)
-        refs = []
+        cache = EvaluationCache()
         for index in range(100):
-            value = sample_result(float(index + 1))
-            refs.append(weakref.ref(value))
-            cache.put(f"k{index}", value)
-            del value
-        gc.collect()
-        assert sum(ref() is not None for ref in refs) == len(cache) == 4
-        assert max(_keyed_state(cache).values()) <= 4
+            cache.put(f"k{index}", sample_result(float(index + 1)))
+        # Without a store nothing waits for a flush: the entries are all it keeps.
+        assert sorted(_keyed_state(cache).values()) == [0, 100]
 
     def test_store_backed_cache_keeps_no_key_state_past_a_flush(self, store_path):
-        cache = EvaluationCache(max_entries=4, store=store_path)
+        cache = EvaluationCache(store=store_path)
         for index in range(1000):
             cache.put(f"k{index}", index)
             if index % 10 == 9:
-                cache.flush()
-        assert max(_keyed_state(cache).values()) <= 4
+                assert cache.flush() == 10
+                assert sorted(_keyed_state(cache).values()) == [0, index + 1]
         cache.close()
-        warm = EvaluationCache(max_entries=4, store=store_path)
-        assert warm.stats.loaded == 1000  # the store keeps the history
-        assert max(_keyed_state(warm).values()) <= 4
-        warm.close()
-
-
-# ------------------------------------------------------------------- age eviction
-class TestAgeCompaction:
-    """priced_at timestamps + compact(max_age_s=...): the age-eviction knob."""
-
-    def test_rows_carry_priced_at_timestamps(self, store_path):
-        import time
-
-        before = time.time()
-        with EvaluationCache(store=store_path) as cache:
-            cache.put("k", sample_result())
-        store = open_store(store_path)
-        store.load()
-        assert before <= store.row_times["k"] <= time.time()
-        store.close()
-
-    def test_warm_start_preserves_original_timestamp(self, store_path):
-        with EvaluationCache(store=store_path) as cache:
-            cache.put("k", 1)
-        store = open_store(store_path)
-        store.load()
-        stamped = store.row_times["k"]
-        store.close()
-        # A warm run that only reads (and re-flushes nothing) must not rejuvenate.
         warm = EvaluationCache(store=store_path)
-        assert warm.get("k") == 1
-        warm.compact()  # rewrite via replace_all, timestamps carried over
-        warm.close()
-        store = open_store(store_path)
-        store.load()
-        assert store.row_times["k"] == stamped
-        store.close()
-
-    def test_compact_max_age_evicts_only_old_rows(self, store_path):
-        store = open_store(store_path)
-        store.append({"old": 1}, {"old": 1_000.0})
-        store.append({"new": 2}, {"new": 2_000.0})
-        store.close()
-        cache = EvaluationCache(store=store_path)
-        for name, bad in (("max_age_s", -1.0), ("max_age_s", float("nan")), ("max_entries", 0)):
-            with pytest.raises(ValueError, match=f"^{name} must be"):
-                cache.compact(now=2_400.0, **{name: bad})
-        kept = cache.compact(max_age_s=500.0, now=2_400.0)  # the rejected calls evicted nothing
-        cache.close()
-        assert kept == 1
-        warm = EvaluationCache(store=store_path)
-        assert warm.peek("new") == 2 and warm.peek("old") is None
+        assert warm.stats.loaded == 1000
+        assert sorted(_keyed_state(warm).values()) == [0, 1000]
         warm.close()
 
-    def test_age_and_size_knobs_compose(self, store_path):
-        store = open_store(store_path)
-        store.append(
-            {"a": 1, "b": 2, "c": 3}, {"a": 100.0, "b": 900.0, "c": 950.0}
-        )
-        store.close()
-        cache = EvaluationCache(store=store_path)
-        # Age drops "a"; size then keeps only the newest single survivor.
-        kept = cache.compact(max_entries=1, max_age_s=500.0, now=1_000.0)
-        cache.close()
-        assert kept == 1
-        warm = EvaluationCache(store=store_path)
-        assert warm.peek("c") == 3
-        warm.close()
 
-    def test_pre_timestamp_rows_count_as_oldest(self, store_path):
-        # Hand-write a legacy row without a "t" field.
+# ---------------------------------------------------------------- older row format
+class TestRowsOfEarlierBuilds:
+    def test_timestamped_rows_warm_start_and_compact_without_the_stamp(self, store_path):
+        """Earlier builds wrote ``{"k", "v", "t"}`` rows; they load as they are, and a
+        compaction rewrites them as ``{"k", "v"}`` rows, one per key."""
+        values = {"a": sample_result(1.0), "b": 42, "c": (0.1 + 0.2, float("inf"))}
         header = {"format": "watos-evalcache-jsonl", "namespace": default_namespace()}
+        rows = [
+            {"k": "a", "v": encode_value(sample_result(9.0)), "t": 100.0},
+            {"k": "b", "v": encode_value(values["b"]), "t": 200.5},
+            {"k": "c", "v": encode_value(values["c"]), "t": 0.0},
+            {"k": "a", "v": encode_value(values["a"]), "t": 300.0},  # later row wins
+        ]
         with open(store_path, "w", encoding="utf-8") as handle:
-            handle.write(json.dumps(header) + "\n")
-            handle.write(json.dumps({"k": "legacy", "v": 7}) + "\n")
-        cache = EvaluationCache(store=store_path)
-        assert cache.peek("legacy") == 7
-        cache.put("fresh", 8)
-        kept = cache.compact(max_age_s=3600.0)
-        cache.close()
-        assert kept == 1
-        warm = EvaluationCache(store=store_path)
-        assert warm.peek("fresh") == 8 and warm.peek("legacy") is None
-        warm.close()
+            for row in [header, *rows]:
+                handle.write(json.dumps(row) + "\n")
 
-    def test_priced_at_stays_bounded_on_store_backed_sweeps(self, store_path):
-        # Regression: timestamps of spilled-and-evicted keys must not accumulate —
-        # a week-long bounded-LRU sweep would otherwise leak one stamp per key.
-        cache = EvaluationCache(max_entries=10, store=store_path)
-        for index in range(200):
-            cache.put(f"k{index}", index)
-            if index % 20 == 0:
-                cache.flush()
-        cache.flush()
-        assert len(cache._priced_at) <= 10 + 1  # resident set (+ in-flight slack)
+        cache = EvaluationCache(store=store_path)
+        assert cache.stats.loaded == 3
+        assert {key: cache.get(key) for key in values} == values
+        assert cache.stats.hits == 3 and cache.stats.misses == 0
+        assert cache.compact() == 3
         cache.close()
-        store = open_store(store_path)
-        assert len(store.load()) == 200  # the store, not the stamps, keeps history
-        store.close()
+
+        with open(store_path, encoding="utf-8") as handle:
+            written = [json.loads(line) for line in handle]
+        assert written[0] == header
+        assert [sorted(row) for row in written[1:]] == [["k", "v"]] * 3
+        warm = EvaluationCache(store=store_path)
+        assert {key: warm.peek(key) for key in values} == values
+        warm.close()

@@ -188,8 +188,8 @@ class TestGcmr:
         scheduler = GcmrScheduler(tight_wafer)
         plan = scheduler.schedule(heavy_workload, tp=1, pp=4)
         ops = heavy_workload.layer_operators()
-        naive = scheduler.naive_full_recompute(heavy_workload, tp=1, pp=4)
-        # GCMR never recomputes more (per stage) than the naive strategy.
+        naive = RecomputeConfig.full(4, ops)
+        # GCMR never recomputes more (per stage) than the naive strategy (Fig. 8a).
         for stage in range(4):
             assert plan.recompute.extra_forward_flops(stage, ops) <= naive.extra_forward_flops(stage, ops)
 

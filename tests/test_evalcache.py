@@ -102,37 +102,6 @@ class TestEvaluationCache:
         fast = Evaluator(wafer)
         assert raw.evaluate(workload, seed_plan) == fast.evaluate(workload, seed_plan)
 
-    def test_lru_eviction(self):
-        cache = EvaluationCache(max_entries=2)
-        cache.put("a", 1)
-        cache.put("b", 2)
-        assert cache.get("a") == 1  # refresh "a"; "b" is now least recent
-        cache.put("c", 3)
-        assert len(cache) == 2
-        assert cache.peek("b") is None
-        assert cache.stats.evictions == 1
-
-    def test_get_or_compute(self):
-        cache = EvaluationCache()
-        calls = []
-        assert cache.get_or_compute("k", lambda: calls.append(1) or 42) == 42
-        assert cache.get_or_compute("k", lambda: calls.append(1) or 43) == 42
-        assert len(calls) == 1
-
-    def test_out_of_range_max_entries_is_rejected(self, tmp_path):
-        path = tmp_path / "cache.jsonl"
-        for bad in (-1, float("nan")):
-            with pytest.raises(ValueError, match="^max_entries must be non-negative"):
-                EvaluationCache(max_entries=bad)
-            with pytest.raises(ValueError, match="^max_entries must be non-negative"):
-                Session(store=str(path), max_entries=bad)
-        assert not path.exists()  # rejected before the store was opened
-        for unbounded in (0, None):
-            cache = EvaluationCache(max_entries=unbounded)
-            for index in range(100):
-                cache.put(f"k{index}", index)
-            assert cache.max_entries is None and len(cache) == 100
-
 
 # ---------------------------------------------------------------- fingerprint checks
 class TestFingerprintSensitivity:

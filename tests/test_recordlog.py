@@ -4,7 +4,9 @@
   again after a compaction — are fixed: files written by earlier builds must
   keep loading, and these expectations were taken from the build before the
   stores shared one log.  Each pin is checked both ways: the current code writes
-  exactly these bytes, and loads them back unchanged.
+  exactly these bytes, and loads them back unchanged.  Cache rows of earlier
+  builds also carried a ``"t"`` timestamp; those bytes are pinned too, and load
+  the same entries.
 * **Sqlite paths are refused.**  Earlier builds kept sqlite stores at ``.sqlite``,
   ``.sqlite3`` and ``.db`` paths; opening one raises a one-line ``ValueError``
   and leaves the file as it is, and no module imports ``sqlite3``.
@@ -26,12 +28,11 @@ import pytest
 
 import repro
 from repro.api.results import JsonlResultStore
-from repro.core.evalcache import JsonlCacheStore
+from repro.core.evalcache import CacheStore
 from repro.obs import tracer
 from repro.obs.tracefile import write_trace as write_span_trace
 
 CACHE_VALUES = {"a": 1, "b": (0.1 + 0.2, float("inf")), "c": ["x", None]}
-CACHE_TIMES = {"a": 100.0, "b": 200.5, "c": 300.0}
 
 
 def _record(label, written_at):
@@ -40,12 +41,12 @@ def _record(label, written_at):
 
 
 def _write_cache(store):
-    store.append(CACHE_VALUES, CACHE_TIMES)
-    store.append({"a": 2}, {"a": 400.0})  # a re-priced key: later row wins
+    store.append(CACHE_VALUES)
+    store.append({"a": 2})  # a re-priced key: later row wins
 
 
 def _compact_cache(store):
-    store.replace_all(store.load(), store.row_times)
+    store.replace_all(store.load())
 
 
 def _write_results(store):
@@ -57,13 +58,21 @@ def _write_results(store):
 # ------------------------------------------------------------------ format pins
 CACHE_JSONL = (
     b'{"format": "watos-evalcache-jsonl", "namespace": "watos-evalcache-v1"}\n'
-    b'{"k": "a", "v": 1, "t": 100.0}\n'
-    b'{"k": "b", "v": {"__tuple__": [0.30000000000000004, Infinity]}, "t": 200.5}\n'
-    b'{"k": "c", "v": {"__list__": ["x", null]}, "t": 300.0}\n'
-    b'{"k": "a", "v": 2, "t": 400.0}\n'
+    b'{"k": "a", "v": 1}\n'
+    b'{"k": "b", "v": {"__tuple__": [0.30000000000000004, Infinity]}}\n'
+    b'{"k": "c", "v": {"__list__": ["x", null]}}\n'
+    b'{"k": "a", "v": 2}\n'
 )
 CACHE_JSONL_COMPACTED = (
     b'{"format": "watos-evalcache-jsonl", "namespace": "watos-evalcache-v1"}\n'
+    b'{"k": "b", "v": {"__tuple__": [0.30000000000000004, Infinity]}}\n'
+    b'{"k": "c", "v": {"__list__": ["x", null]}}\n'
+    b'{"k": "a", "v": 2}\n'
+)
+#: The same store as earlier builds wrote it, with a ``"t"`` timestamp per row.
+CACHE_JSONL_TIMESTAMPED = (
+    b'{"format": "watos-evalcache-jsonl", "namespace": "watos-evalcache-v1"}\n'
+    b'{"k": "a", "v": 1, "t": 100.0}\n'
     b'{"k": "b", "v": {"__tuple__": [0.30000000000000004, Infinity]}, "t": 200.5}\n'
     b'{"k": "c", "v": {"__list__": ["x", null]}, "t": 300.0}\n'
     b'{"k": "a", "v": 2, "t": 400.0}\n'
@@ -99,7 +108,7 @@ def _write_bytes(path, data):
 class TestJsonlFormatPins:
     def test_cache_store_bytes(self, tmp_path):
         path = str(tmp_path / "cache.jsonl")
-        with JsonlCacheStore(path) as store:
+        with CacheStore(path) as store:
             _write_cache(store)
             assert _read_bytes(path) == CACHE_JSONL
             _compact_cache(store)
@@ -107,14 +116,14 @@ class TestJsonlFormatPins:
 
     def test_cache_store_loads_pinned_bytes(self, tmp_path):
         path = str(tmp_path / "cache.jsonl")
-        _write_bytes(path, CACHE_JSONL)
-        with JsonlCacheStore(path) as store:
-            entries = store.load()
-            assert list(entries) == ["b", "c", "a"]
-            assert entries == {**CACHE_VALUES, "a": 2}
-            assert store.row_times == {**CACHE_TIMES, "a": 400.0}
-            assert store.load_errors == 0
-        assert _read_bytes(path) == CACHE_JSONL  # a pure read never rewrites
+        for pinned in (CACHE_JSONL, CACHE_JSONL_TIMESTAMPED):
+            _write_bytes(path, pinned)
+            with CacheStore(path) as store:
+                entries = store.load()
+                assert list(entries) == ["b", "c", "a"]
+                assert entries == {**CACHE_VALUES, "a": 2}
+                assert store.load_errors == 0
+            assert _read_bytes(path) == pinned  # a pure read never rewrites
 
     def test_result_store_bytes(self, tmp_path):
         path = str(tmp_path / "results.jsonl")
@@ -141,7 +150,7 @@ def test_sqlite_paths_are_refused_and_left_as_they_are(tmp_path, name):
     path = str(tmp_path / name)
     data = b"SQLite format 3\x00 a store an earlier build wrote"
     _write_bytes(path, data)
-    for store_cls in (JsonlCacheStore, JsonlResultStore):
+    for store_cls in (CacheStore, JsonlResultStore):
         with pytest.raises(ValueError, match=r"use a \.jsonl path") as caught:
             store_cls(path)
         message = str(caught.value)
@@ -214,8 +223,8 @@ def test_interrupted_rewrite_keeps_the_previous_file(tmp_path, write):
 def test_append_is_readable_before_close(tmp_path, family):
     path = str(tmp_path / f"{family}.jsonl")
     if family == "cache":
-        store = JsonlCacheStore(path)
-        store.append({"k": 1}, {"k": 1.0})
+        store = CacheStore(path)
+        store.append({"k": 1})
     else:
         store = JsonlResultStore(path)
         store.put("k", _record("k", 1.0))

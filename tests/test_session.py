@@ -141,12 +141,6 @@ class TestLifecycle:
         assert warm.peek("extra") == 2
         warm.close()
 
-    def test_out_of_range_compact_bound_fails_at_construction(self, tmp_path):
-        path = tmp_path / "cache.jsonl"
-        with pytest.raises(ValueError, match="max_age_s must be non-negative"):
-            Session(store=str(path), compact_max_age_s=-1)
-        assert not path.exists()  # rejected before the store was opened
-
     def test_one_file_for_both_stores_is_refused(self, tmp_path):
         # Each store would move the other's file aside on its first write.
         path = str(tmp_path / "both.jsonl")
@@ -181,7 +175,7 @@ class TestLifecycle:
         results_bytes = self._result_store(results_path)
         cache_path = str(tmp_path / "cache.jsonl")
         with open_cache_store(cache_path) as store:
-            store.append({"key": 1}, {"key": 1.0})
+            store.append({"key": 1})
         with open(cache_path, "rb") as handle:
             cache_bytes = handle.read()
         trace = tmp_path / "trace.jsonl"

@@ -277,7 +277,7 @@ class _CacheRows(_ResultRows):
         self.store = open_cache_store(path)
 
     def write(self, keys):
-        self.store.append({key: 1 for key in keys}, {key: 1.0 for key in keys})
+        self.store.append({key: 1 for key in keys})
 
 
 FAMILIES = (_ResultRows, _CacheRows)
@@ -649,7 +649,7 @@ class TestMerge:
             store.put("c1", _record("c1"))
         out = str(tmp_path / "cache.jsonl")
         with open_cache_store(out) as cache_store:
-            cache_store.append({"key": 1}, {"key": 1.0})
+            cache_store.append({"key": 1})
         with open(out, "rb") as handle:
             before = handle.read()
         with pytest.raises(SystemExit, match="cache.jsonl is not a watos-results-jsonl file"):

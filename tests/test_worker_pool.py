@@ -198,19 +198,6 @@ class TestCompaction:
         assert reload.peek("k") == 3.0 and reload.peek("stable") == 7.0
         reload.close()
 
-    def test_compaction_eviction_keeps_newest(self, tmp_path):
-        path = str(tmp_path / "big.jsonl")
-        cache = EvaluationCache(store=path)
-        for i in range(6):
-            cache.put(f"k{i}", float(i))
-        cache.flush()
-        assert cache.compact(max_entries=2) == 2
-        cache.close()
-        reload = EvaluationCache(store=path)
-        assert reload.stats.loaded == 2
-        assert reload.peek("k4") == 4.0 and reload.peek("k5") == 5.0
-        reload.close()
-
     def test_compaction_preserves_unflushed_entries(self, tmp_path):
         path = str(tmp_path / "dirty.jsonl")
         cache = EvaluationCache(store=path)
