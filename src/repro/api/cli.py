@@ -367,16 +367,17 @@ def _cmd_profile(args: argparse.Namespace) -> int:
 
 # ------------------------------------------------------------------------------ cache
 def compact_store(path: str, namespace: Optional[str] = None) -> dict:
-    """Fold a cache store to one row per key in place; returns ``{"loaded": …, "kept": …}``.
+    """Fold a cache store to one row per key in place; returns the rows on disk
+    before and after, ``{"before": …, "after": …}``.
 
     What ``repro cache compact`` runs.  A file that is not a cache store raises
     :class:`~repro.recordlog.StoreError` and stays as it is.
     """
     cache = EvaluationCache(store=open_store(path, namespace=namespace))
-    loaded = cache.stats.loaded
-    kept = cache.compact()
+    before = cache.store.physical_rows()
+    after = cache.compact()
     cache.close()
-    return {"loaded": loaded, "kept": kept}
+    return {"before": before, "after": after}
 
 
 def _cmd_cache(args: argparse.Namespace) -> int:
@@ -386,8 +387,8 @@ def _cmd_cache(args: argparse.Namespace) -> int:
     if args.cache_command == "compact":
         report = compact_store(args.store_path, namespace=args.namespace)
         print(
-            f"compacted {args.store_path}: {report['loaded']} live entries -> "
-            f"{report['kept']} kept"
+            f"compacted {args.store_path}: {report['before']} rows -> {report['after']} rows "
+            f"({report['before'] - report['after']} duplicate rows folded)"
         )
         return 0
     # stats

@@ -341,8 +341,9 @@ class Session:
         run_result = runner(spec)
         run_result.seconds = time.perf_counter() - start
         run_result.label = spec.name or spec.kind
-        run_result.cache_stats = self.cache.stats.as_dict()
+        # Flush first, so the stats count what this run wrote to the store.
         self.cache.flush()
+        run_result.cache_stats = self.cache.stats.as_dict()
         if trace_mark is not None and _obs.enabled:
             # Volatile diagnostics only (never stored/fingerprinted).  Under
             # jobs>1 concurrent cells share the ring, so per-run totals may

@@ -7,19 +7,26 @@ candidates constantly: GA elites survive unchanged between generations, crossove
 produces exact clones of parents, and scheduler probes re-price the same (TP, PP) split
 under several collectives that collapse to the same plan.
 
-:class:`EvaluationCache` memoizes evaluation results behind a *content-addressed*
-fingerprint of everything that determines the outcome:
+:class:`EvaluationCache` memoizes evaluation results under everything that
+determines the outcome:
 
 * the wafer configuration (die geometry, DRAM, link bandwidths, fault state);
 * the workload (model shape, batching, sequence length);
 * the training plan (parallelism degrees, TP shape, collective, split strategy,
   recomputation config, stage placement, Mem_pairs, host offload).
 
-Fingerprints are structural, not identity-based: two plans built independently but
-describing the same strategy share one cache entry.  The cache keeps everything its
-owner priced or loaded (pricing is pure, and a paper-scale run makes a few hundred
-distinct pricings) and exposes hit/miss counters so benchmarks can track search
-efficiency.
+In memory the key is the evaluation's value: ``(hardware digest, workload digest,
+plan)``, the plan compared by ``==`` and ``hash`` (a plan hashes once per object).
+Keys are structural, not identity-based: two plans built independently but
+describing the same strategy share one cache entry.  Plans equal under ``==``
+share one entry even where their digests differ, which happens only for equal
+numbers written as different types (``1``, ``1.0``, ``True``); the GA's fitness
+memo, the footprint memo and the PP engine's route memo key on the same
+equality.  A plan that does not hash (a placement or recompute config built on
+lists) is looked up under its digest, so a change in place is priced under the
+plan's new contents.  The cache keeps everything its owner priced or loaded
+(pricing is pure, and a paper-scale run makes a few hundred distinct pricings)
+and exposes hit/miss counters so benchmarks can track search efficiency.
 
 **Persistence.**  A cache can be attached to a JSONL :class:`CacheStore` (see
 :func:`open_store`) so repeated DSE sweeps across *processes* start warm:
@@ -27,6 +34,12 @@ entries loaded from disk are reported in :attr:`CacheStats.loaded`, new results 
 spilled with :meth:`EvaluationCache.flush`, and stores carry a versioned fingerprint
 namespace — bumping :data:`CACHE_SCHEMA_VERSION` (or evaluating with a different
 fingerprint vocabulary) invalidates stale stores instead of serving wrong results.
+Store rows are content-addressed: each is keyed by the sha256
+:func:`evaluation_fingerprint` of its evaluation, so typed-differently numbers
+keep their own rows.  Only the store boundary computes these digests: a flush
+digests each entry it writes, and a lookup that misses while loaded rows are
+still unclaimed digests its key to find one.  A cache without a store computes
+no plan digest at all.
 The file discipline — namespace check, ``<path>.corrupt`` preservation, torn-tail
 recovery, atomic rewrites — is :mod:`repro.recordlog`'s, shared with the result
 store; this module keeps only the row layout and value codec.
@@ -47,7 +60,7 @@ import os
 import pickle
 import threading
 from dataclasses import fields, is_dataclass
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
 
 from repro.obs import tracer as _obs
 from repro.recordlog import JsonlLog
@@ -55,6 +68,7 @@ from repro.recordlog import JsonlLog
 __all__ = [
     "CACHE_SCHEMA_VERSION",
     "EvaluationCache",
+    "CacheKey",
     "CacheStats",
     "CacheStore",
     "CanonicalTexts",
@@ -126,7 +140,9 @@ class CanonicalTexts:
     ``fingerprint(value)`` hashes ``repr(canonicalize(value))``.  For a dataclass
     that text is assembled here from one text per field, so a plan that keeps its
     parent's placement, recompute config or parallelism re-canonicalises only what
-    changed; sha256 is fed exactly the bytes :func:`fingerprint` feeds it.
+    changed; sha256 is fed exactly the bytes :func:`fingerprint` feeds it.  It
+    digests the workloads cache keys carry and the plans of store row keys; the
+    in-memory cache compares plans by value and never asks it for one.
 
     Two memos serve a lookup, and a digest never depends on what was looked up
     before:
@@ -136,13 +152,14 @@ class CanonicalTexts:
       over, such values all the way down (:func:`_cannot_change`).  A field value's
       text, and a whole value's digest, are kept under ``id(value)`` together with
       the value itself, so the id cannot be reused while the entry lives.  A GA
-      child keeps most of its parent's component objects, so most of its key is
-      found here; a whole value's digest is kept only when asked (``hold``).
+      child keeps most of its parent's component objects, so most of its digest
+      is found here; a whole value's digest is kept only when asked (``hold``).
     * **By pickle**, for every other dataclass field value, and for fixed ones the
       identity memo has not seen.  Equal pickles load as values of the same types
       and contents, so they canonicalise to the same text and are equally fixed;
       values that compare equal but are typed differently (``1``, ``1.0``,
-      ``True``) pickle differently and get their own entries.  A value that can
+      ``True``) pickle differently and get their own entries.  A plan or
+      placement pickles the same whether or not it was hashed.  A value that can
       change in place (a placement built on lists, say) is pickled on every
       lookup, so it is looked up under its current contents.  A value pickle
       cannot write is canonicalised without this memo.
@@ -416,6 +433,10 @@ class CacheStore:
             entries[key] = value
         return entries
 
+    def physical_rows(self) -> int:
+        """Rows on disk, duplicates included (what :meth:`EvaluationCache.compact` folds)."""
+        return self._log.count()
+
     def append(self, entries: Mapping[str, Any]) -> None:
         """Persist new entries (later appends with the same key win on load)."""
         self._log.append(self._rows(entries))
@@ -489,24 +510,43 @@ class CacheStats:
         return f"CacheStats(hits={self.hits}, misses={self.misses}, loaded={self.loaded})"
 
 
-class EvaluationCache:
-    """Cache from evaluation fingerprints to evaluation results.
+#: An :class:`EvaluationCache` key: a value key ``(hardware digest, workload digest,
+#: plan)``, or a string that is its own row key.
+CacheKey = Union[str, Tuple[str, str, Any]]
 
-    The cache keeps every entry its owner priced or loaded; it stores whatever the
-    evaluator produced (an :class:`~repro.core.evaluator.EvaluationResult`),
-    treating it as immutable.
+
+class EvaluationCache:
+    """Cache from evaluations to their results.
+
+    A key is a value key ``(hardware digest, workload digest, plan)``, the plan
+    compared by ``==`` and ``hash`` (what :meth:`Evaluator.evaluate` looks up), or
+    a string, which is its own row key (a plan that does not hash is looked up
+    under its digest).  The cache keeps every entry its owner priced or loaded; it
+    stores whatever the evaluator produced (an
+    :class:`~repro.core.evaluator.EvaluationResult`), treating it as immutable.
 
     With ``store`` attached (a :class:`CacheStore` or a path accepted by
     :func:`open_store`), construction warm-starts from disk and :meth:`flush` spills
-    every entry priced since the last flush.
+    every entry priced since the last flush.  Rows are keyed by sha256 digests,
+    which only this boundary computes: :meth:`flush` digests each entry it writes,
+    and a value key that misses while loaded rows are still unclaimed is looked up
+    under its digest (:meth:`_row_key`).  :meth:`get` then re-keys the row under
+    the value key; :meth:`peek` reads it in place.
     """
 
     def __init__(self, store: Optional[object] = None, namespace: Optional[str] = None) -> None:
         self.stats = CacheStats()
-        self._entries: Dict[str, Any] = {}
+        #: Entries by key; rows loaded from the store sit under their row keys
+        #: until a value key claims them.
+        self._entries: Dict[CacheKey, Any] = {}
         #: Entries priced since the last :meth:`flush`; kept only while a store is
         #: attached to flush them to.
-        self._dirty: Dict[str, Any] = {}
+        self._dirty: Dict[CacheKey, Any] = {}
+        #: Loaded rows no value key has claimed yet; while any remain, a value key
+        #: that misses is looked up under its row key.
+        self._unclaimed = 0
+        #: Plan digests for row keys, with their components' texts memoised.
+        self._texts = CanonicalTexts()
         #: Guards every structural mutation: the two-level sweep scheduler runs
         #: cells on concurrent threads that all price against (and flush) the one
         #: session cache.  Reentrant because flush/compact/close nest.
@@ -516,20 +556,33 @@ class EvaluationCache:
         )
         if self.store is not None:
             self._entries = self.store.load()
-            self.stats.loaded = len(self._entries)
+            self.stats.loaded = self._unclaimed = len(self._entries)
+
+    def _row_key(self, key: CacheKey) -> str:
+        """The store row key of ``key``: a string is its own, and a value key's is
+        :func:`evaluation_fingerprint` of the evaluation it names."""
+        if isinstance(key, str):
+            return key
+        hardware, workload, plan = key
+        return combine_fingerprints(hardware, workload, self._texts.fingerprint(plan))
 
     # ------------------------------------------------------------------ dict protocol
     def __len__(self) -> int:
         return len(self._entries)
 
-    def __contains__(self, key: str) -> bool:
-        return key in self._entries
+    def __contains__(self, key: CacheKey) -> bool:
+        return self.peek(key) is not None
 
     # ------------------------------------------------------------------ access
-    def get(self, key: str) -> Optional[Any]:
+    def get(self, key: CacheKey) -> Optional[Any]:
         """Return the cached result for ``key``, counting a hit or miss."""
         with self._lock:
             entry = self._entries.get(key)
+            if entry is None and self._unclaimed and not isinstance(key, str):
+                entry = self._entries.pop(self._row_key(key), None)
+                if entry is not None:  # claim the loaded row
+                    self._entries[key] = entry
+                    self._unclaimed -= 1
             if entry is not None:
                 self.stats.hits += 1
                 if _obs.enabled:
@@ -540,11 +593,15 @@ class EvaluationCache:
                 _obs.count("cache.miss")
             return None
 
-    def peek(self, key: str) -> Optional[Any]:
-        """Like :meth:`get` but without touching the counters."""
-        return self._entries.get(key)
+    def peek(self, key: CacheKey) -> Optional[Any]:
+        """Like :meth:`get` but without touching the counters, and lock-free: a
+        loaded row is read under its row key and stays there."""
+        entry = self._entries.get(key)
+        if entry is None and self._unclaimed and not isinstance(key, str):
+            entry = self._entries.get(self._row_key(key))
+        return entry
 
-    def put(self, key: str, value: Any) -> None:
+    def put(self, key: CacheKey, value: Any) -> None:
         with self._lock:
             self._entries[key] = value
             if self.store is not None:
@@ -560,13 +617,15 @@ class EvaluationCache:
         """
         state = self.__dict__.copy()
         state["store"] = None
-        # Locks are process-local (and unpicklable); the worker recreates one.
-        state["_lock"] = None
+        # Locks are process-local (and unpicklable), and the text memos are keyed
+        # by object ids; the worker recreates both.
+        state["_lock"] = state["_texts"] = None
         return state
 
     def __setstate__(self, state) -> None:
         self.__dict__.update(state)
         self._lock = threading.RLock()
+        self._texts = CanonicalTexts()
 
     def absorb_carry(self, carry: Mapping[str, Any]) -> int:
         """Fold a pool chunk's carry (``{"delta": entries, "stats": increments}``) in.
@@ -578,7 +637,7 @@ class EvaluationCache:
         with self._lock:
             adopted = 0
             for key, value in delta.items():
-                if key not in self._entries:
+                if key not in self:
                     self.put(key, value)
                     adopted += 1
             self.stats.add_counts(carry["stats"])
@@ -592,8 +651,9 @@ class EvaluationCache:
             if self.store is None or not self._dirty:
                 return 0
             with _obs.span("cache.flush", tag=str(len(self._dirty))):
-                self.store.append(self._dirty)
-            written = len(self._dirty)
+                rows = {self._row_key(key): value for key, value in self._dirty.items()}
+                self.store.append(rows)
+            written = len(rows)
             self.stats.flushed += written
             self._dirty.clear()
             return written

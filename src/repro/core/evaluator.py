@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.evalcache import (
+    CacheKey,
     CanonicalTexts,
     EvaluationCache,
     combine_fingerprints,
@@ -104,16 +105,20 @@ class Evaluator:
     """Prices training plans on a wafer configuration.
 
     A GA child differs from its parent in one plan component (Op1–Op5 of §IV-D), so
-    most of the pricing it needs was done before.  Besides the plan-level
-    :attr:`cache`, each evaluator memoises:
+    most of the pricing it needs was done before.  The plan-level :attr:`cache` is
+    keyed by :meth:`cache_key`: the hardware and workload digests, each computed
+    once while it cannot change, and the plan itself, which hashes once per object.
+    The sha256 digest of a plan is built only for a cache store's row keys
+    (:meth:`fingerprint`), or for a plan that does not hash.  Besides the cache,
+    each evaluator memoises:
 
     * the pre-Mem_pair stage footprints per (model, micro-batch size, sequence
       length, PP, TP, micro-batch count, recompute config); the Mem_pair shifts are
       applied to a fresh copy on every call;
     * the 1F1B result per (forward, backward, boundary times, micro-batch count);
       :class:`PipelineCostInputs` is still built, and so validated, on every call;
-    * the text of each plan and workload component its cache keys are built from,
-      and the workload's digest (:class:`~repro.core.evalcache.CanonicalTexts`).
+    * the workload's digest, and the text of each plan component
+      :meth:`fingerprint` reads (:class:`~repro.core.evalcache.CanonicalTexts`).
 
     The first two keep :data:`PRICING_MEMO_SIZE` entries each.  They, and the TP
     engines' stage-time memo, are skipped with ``memoize_stages=False``; with
@@ -141,7 +146,7 @@ class Evaluator:
         self.mesh = MeshTopology.from_wafer(wafer, self.faults)
         self._predictor = predictor
         self._tp_engines: Dict[Tuple, TPEngine] = {}
-        #: Plan-level result cache (content-addressed; see :mod:`repro.core.evalcache`).
+        #: Plan-level result cache (keyed by :meth:`cache_key`; see :mod:`repro.core.evalcache`).
         #: ``use_cache=False`` gives the raw path benchmarks compare against.
         self.cache: Optional[EvaluationCache] = (
             cache if cache is not None else (EvaluationCache() if use_cache else None)
@@ -157,10 +162,10 @@ class Evaluator:
         self._layer_operators: Dict[Tuple, List] = {}
         self._footprints: Dict[Tuple, Tuple[float, ...]] = {}
         self._pipelines: Dict[Tuple, PipelineResult] = {}
-        # Fingerprint memos: the hardware digest is static while the fault model is
-        # empty (it is recomputed per call otherwise, so in-place fault injection still
-        # invalidates keys); workload and plan digests are built from memoised texts of
-        # their components, so a GA child re-canonicalises only what changed.
+        # Digest memos: the hardware digest is static while the fault model is empty
+        # (it is recomputed per call otherwise, so in-place fault injection still
+        # invalidates keys); a workload that cannot change is digested once, and
+        # plan digests are built from memoised texts of their components.
         self._hardware_fp: Optional[str] = None
         self._texts = CanonicalTexts()
 
@@ -298,29 +303,39 @@ class Evaluator:
         return result
 
     # ------------------------------------------------------------------ evaluation
-    def fingerprint(self, workload: TrainingWorkload, plan: TrainingPlan) -> str:
-        """Content address of one (wafer, faults, workload, plan) evaluation."""
-        if self.faults.is_empty:
-            if self._hardware_fp is None:
-                self._hardware_fp = hardware_fingerprint(
-                    self.wafer, self.faults, self.fault_aware
-                )
-            hardware_fp = self._hardware_fp
-        else:
+    def _hardware_digest(self) -> str:
+        """The hardware half of every key (wafer, fault state, fault awareness)."""
+        if not self.faults.is_empty:
             # Fault models can be mutated in place (robustness study); re-digest.
-            hardware_fp = hardware_fingerprint(self.wafer, self.faults, self.fault_aware)
+            return hardware_fingerprint(self.wafer, self.faults, self.fault_aware)
+        if self._hardware_fp is None:
+            self._hardware_fp = hardware_fingerprint(self.wafer, self.faults, self.fault_aware)
+        return self._hardware_fp
+
+    def fingerprint(self, workload: TrainingWorkload, plan: TrainingPlan) -> str:
+        """Content address of one (wafer, faults, workload, plan) evaluation: the
+        row key a cache store keeps its result under."""
         return combine_fingerprints(
-            hardware_fp,
+            self._hardware_digest(),
             self._texts.fingerprint(workload, hold=True),
             self._texts.fingerprint(plan),
         )
 
+    def cache_key(self, workload: TrainingWorkload, plan: TrainingPlan) -> CacheKey:
+        """The :attr:`cache` key of one evaluation: ``(hardware digest, workload
+        digest, plan)``, or the :meth:`fingerprint` of a plan that does not hash."""
+        try:
+            hash(plan)
+        except TypeError:  # a placement or recompute config built on lists
+            return self.fingerprint(workload, plan)
+        return (self._hardware_digest(), self._texts.fingerprint(workload, hold=True), plan)
+
     def evaluate(self, workload: TrainingWorkload, plan: TrainingPlan) -> EvaluationResult:
         """Price one training iteration of ``workload`` under ``plan``.
 
-        Results are memoized in :attr:`cache` (when enabled) behind a structural
-        fingerprint, so GA elites, duplicate children and repeated scheduler probes
-        are priced exactly once.
+        Results are memoized in :attr:`cache` (when enabled) under
+        :meth:`cache_key`, so GA elites, duplicate children and repeated scheduler
+        probes are priced exactly once.
         """
         if self.cache is None:
             self.raw_evaluations += 1
@@ -331,7 +346,7 @@ class Evaluator:
             if _obs.enabled:
                 _obs.add("pricing", t0, _obs.now())
             return result
-        key = self.fingerprint(workload, plan)
+        key = self.cache_key(workload, plan)
         cached = self.cache.get(key)
         if cached is not None:
             return cached

@@ -167,8 +167,8 @@ class Watos:
         #: the shared cache and the worker pool :meth:`explore` fans points out over.
         #: Without one, the ambient session is used.
         self.session = resolve_loop_session(session)
-        #: One content-addressed cache shared by every (wafer, workload) point — the
-        #: fingerprint covers the wafer, so heterogeneous candidates coexist safely.
+        #: One cache shared by every (wafer, workload) point — every key covers the
+        #: wafer, so heterogeneous candidates coexist safely.
         #: Attach a store (``EvaluationCache(store=path)``) to persist across runs.
         session_cache = self.session.cache if self.session is not None else None
         self.cache = session_cache if session_cache is not None else EvaluationCache()

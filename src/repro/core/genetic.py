@@ -136,7 +136,7 @@ class GeneticOptimizer:
             memo.clear()
         scores = []
         for plan in population:
-            score = memo.get(plan)  # one probe: each probe hashes the plan field by field
+            score = memo.get(plan)
             if score is None:
                 result = self.evaluator.evaluate(self.workload, plan)
                 score = memo[plan] = (self._fitness_of(plan, result), result)

@@ -68,7 +68,7 @@ from multiprocessing import connection as mp_connection
 from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple, TypeVar
 
 from repro.core import runtime
-from repro.core.evalcache import EvaluationCache
+from repro.core.evalcache import CacheKey, EvaluationCache
 from repro.obs import tracer as _obs
 
 T = TypeVar("T")
@@ -165,18 +165,19 @@ class _ChunkCache(EvaluationCache):
     A key the chunk has not priced falls through to ``earlier`` (what the worker
     priced in earlier chunks), then to ``forked`` (the cache the worker forked
     with).  ``forked`` is read through :meth:`~EvaluationCache.peek` only, which
-    takes no lock: another parent thread may have held that cache's lock at the
-    fork, and no thread of this process could ever release it.  A key found there
-    is lent to the chunk, so the lookup counts once, as a hit, through
+    takes no lock and moves no rows (a store row no value key has claimed yet is
+    read under its digest): another parent thread may have held that cache's lock
+    at the fork, and no thread of this process could ever release it.  A key found
+    there is lent to the chunk, so the lookup counts once, as a hit, through
     :meth:`EvaluationCache.get`; :meth:`priced` leaves lent keys out of the carry.
     """
 
-    def __init__(self, earlier: Dict[str, Any], forked: EvaluationCache) -> None:
+    def __init__(self, earlier: Dict[CacheKey, Any], forked: EvaluationCache) -> None:
         super().__init__()
         self._fallthrough = (earlier.get, forked.peek)
-        self._lent: Set[str] = set()
+        self._lent: Set[CacheKey] = set()
 
-    def get(self, key: str) -> Optional[Any]:
+    def get(self, key: CacheKey) -> Optional[Any]:
         if key not in self._entries:
             for lookup in self._fallthrough:
                 entry = lookup(key)
@@ -186,7 +187,7 @@ class _ChunkCache(EvaluationCache):
                     break
         return super().get(key)
 
-    def priced(self) -> Dict[str, Any]:
+    def priced(self) -> Dict[CacheKey, Any]:
         """The entries this chunk priced itself: what its carry ships back."""
         return {key: value for key, value in self._entries.items() if key not in self._lent}
 
@@ -212,7 +213,7 @@ def _worker_main(task_conn, result_conn, index: int, cache: Optional[EvaluationC
     # the parent's spans, so it starts a fresh ring stamped with its slot index.
     _obs.reset_in_worker(index)
     _TLS.cache = None
-    earlier: Dict[str, Any] = {}  # what this worker priced (and carried) before
+    earlier: Dict[CacheKey, Any] = {}  # what this worker priced (and carried) before
     tasks_seen = 0
     while True:
         try:

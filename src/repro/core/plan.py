@@ -4,12 +4,16 @@ A :class:`TrainingPlan` bundles everything the evaluator needs to price one cand
 strategy on one wafer: the parallelism degrees, the TP group's mesh shape and collective
 algorithm, the per-stage recomputation choices, the physical placement of pipeline stages
 on the mesh and the Sender→Helper checkpoint-balancing pairs.
+
+A GA run and the evaluation cache hash the same plan objects many times, so
+:class:`TrainingPlan` and :class:`StagePlacement` hash their fields once per object
+(:func:`_hash_once`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import FrozenSet, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field, fields, replace
+from typing import Any, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.interconnect.collectives import CollectiveAlgorithm
 from repro.parallelism.partition import TPSplitStrategy
@@ -17,6 +21,33 @@ from repro.parallelism.strategies import ParallelismConfig
 from repro.workloads.operators import Operator
 
 Coord = Tuple[int, int]
+
+
+def _hash_once(self) -> int:
+    """The dataclass hash of the object's fields, computed on the first call only.
+
+    Equal objects hash equal, as with the generated ``__hash__``.  The hash is kept
+    in the instance ``__dict__`` as ``_hash``, outside the dataclass fields, so
+    :func:`dataclasses.fields`, ``__eq__``, ``__repr__`` and the cache's canonical
+    form never see it.
+    """
+    try:
+        return self._hash
+    except AttributeError:
+        value = hash(tuple(getattr(self, f.name) for f in fields(self)))
+        object.__setattr__(self, "_hash", value)
+        return value
+
+
+def _state_without_hash(self) -> Dict[str, Any]:
+    """Pickle and copy state: the fields without the kept hash.
+
+    A pickle's bytes then do not depend on whether the object was hashed, and a
+    copy, or a process with another hash seed, hashes the fields itself.
+    """
+    state = self.__dict__.copy()
+    state.pop("_hash", None)
+    return state
 
 
 @dataclass(frozen=True)
@@ -94,6 +125,9 @@ class StagePlacement:
 
     stage_dies: Tuple[Tuple[Coord, ...], ...]
 
+    __hash__ = _hash_once
+    __getstate__ = _state_without_hash
+
     def __post_init__(self) -> None:
         seen: set = set()
         for dies in self.stage_dies:
@@ -162,6 +196,9 @@ class TrainingPlan:
     placement: Optional[StagePlacement] = None
     mem_pairs: Tuple[MemPair, ...] = ()
     offload_to_host: bool = False
+
+    __hash__ = _hash_once
+    __getstate__ = _state_without_hash
 
     def __post_init__(self) -> None:
         tp = self.parallelism.tp

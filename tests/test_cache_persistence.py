@@ -15,9 +15,12 @@ from repro.core.evalcache import (
     decode_value,
     default_namespace,
     encode_value,
+    evaluation_fingerprint,
     open_store,
 )
 from repro.core.evaluator import EvaluationResult, Evaluator
+from repro.core.genetic import GAConfig, GeneticOptimizer
+from repro.hardware.faults import FaultModel
 from repro.workloads.workload import TrainingWorkload
 
 from repro_testlib import make_small_wafer, make_tiny_model
@@ -291,3 +294,88 @@ class TestRowsOfEarlierBuilds:
         warm = EvaluationCache(store=store_path)
         assert {key: warm.peek(key) for key in values} == values
         warm.close()
+
+
+# ---------------------------------------------------------------- value keys and rows
+@pytest.fixture
+def tight_case():
+    wafer = make_small_wafer(dram_gb=1.0)
+    workload = TrainingWorkload(
+        make_tiny_model(), global_batch_size=32, micro_batch_size=8, sequence_length=2048,
+    )
+    return wafer, workload
+
+
+def _row_key(wafer, workload, plan) -> str:
+    return evaluation_fingerprint(wafer, FaultModel(), True, workload, plan)
+
+
+class TestStoreRowsOfValueKeys:
+    def test_rows_are_keyed_by_the_evaluation_fingerprint_of_each_priced_plan(
+        self, tight_case, store_path, monkeypatch
+    ):
+        wafer, workload = tight_case
+        priced = []
+        uncached = Evaluator._evaluate_uncached
+
+        def recording(self, workload, plan):
+            result = uncached(self, workload, plan)
+            priced.append((plan, result))
+            return result
+
+        seed = CentralScheduler(wafer).best(workload).plan
+        monkeypatch.setattr(Evaluator, "_evaluate_uncached", recording)
+        with EvaluationCache(store=store_path) as cache:
+            GeneticOptimizer(
+                Evaluator(wafer, cache=cache), workload,
+                GAConfig(population_size=6, generations=4, seed=3),
+            ).optimize(seed)
+        rows = open_store(store_path).load()
+        assert len(priced) > 1
+        assert rows == {_row_key(wafer, workload, plan): result for plan, result in priced}
+
+    def test_rows_written_inline_warm_start_a_serial_run_with_no_miss(
+        self, tight_case, store_path
+    ):
+        wafer, workload = tight_case
+        raw = Evaluator(wafer, use_cache=False, memoize_stages=False)
+        plans = [record.plan for record in CentralScheduler(wafer).explore(workload)]
+        header = {"format": "watos-evalcache-jsonl", "namespace": default_namespace()}
+        rows = [
+            {"k": _row_key(wafer, workload, plan), "v": encode_value(raw.evaluate(workload, plan))}
+            for plan in plans
+        ]
+        with open(store_path, "w", encoding="utf-8") as handle:
+            for row in [header, *rows]:
+                handle.write(json.dumps(row) + "\n")
+
+        cache = EvaluationCache(store=store_path)
+        assert cache.stats.loaded == len(plans)
+        warm = CentralScheduler(wafer, evaluator=Evaluator(wafer, cache=cache))
+        records = warm.explore(workload)
+        assert warm.evaluator.raw_evaluations == 0
+        assert cache.stats.misses == 0 and cache.stats.hits == len(records) == len(plans)
+        assert [r.result for r in records] == [raw.evaluate(workload, r.plan) for r in records]
+        # Each loaded row was claimed by its value key, not copied beside it.
+        assert len(cache) == len(plans)
+        assert cache.flush() == 0
+        cache.close()
+
+    def test_peek_reads_a_loaded_row_in_place_and_get_claims_it(self, tight_case, store_path):
+        wafer, workload = tight_case
+        evaluator = Evaluator(wafer)
+        plan = CentralScheduler(wafer, evaluator=evaluator).best(workload).plan
+        result = evaluator.evaluate(workload, plan)
+        with EvaluationCache(store=store_path) as cache:
+            cache.put(evaluator.fingerprint(workload, plan), result)
+
+        cache = EvaluationCache(store=store_path)
+        key = Evaluator(wafer, cache=cache).cache_key(workload, plan)
+        assert key in cache and cache.peek(key) == result
+        assert list(cache._entries) == [evaluator.fingerprint(workload, plan)]
+        # A pool chunk's carry of the same evaluation adopts nothing.
+        assert cache.absorb_carry({"delta": {key: result}, "stats": {}}) == 0
+        assert cache.get(key) == result and cache.stats.hits == 1
+        assert list(cache._entries) == [key]
+        assert cache.flush() == 0
+        cache.close()

@@ -6,12 +6,14 @@ from __future__ import annotations
 
 import copy
 import itertools
+import pickle
 import random
 from collections import Counter
 from dataclasses import replace
 
 import pytest
 
+from repro.core import evalcache as evalcache_module
 from repro.core import evaluator as evaluator_module
 from repro.core import genetic as genetic_module
 from repro.core import pp_engine as pp_engine_module
@@ -21,6 +23,7 @@ from repro.core.evalcache import (
     EvaluationCache,
     canonicalize,
     combine_fingerprints,
+    encode_value,
     evaluation_fingerprint,
     fingerprint,
 )
@@ -101,6 +104,46 @@ class TestEvaluationCache:
         raw = Evaluator(wafer, use_cache=False, memoize_stages=False)
         fast = Evaluator(wafer)
         assert raw.evaluate(workload, seed_plan) == fast.evaluate(workload, seed_plan)
+
+    def test_plan_built_on_lists_is_repriced_after_an_in_place_change(
+        self, wafer, workload, seed_plan
+    ):
+        # Such a plan does not hash, so the cache looks it up under its digest.
+        stages = list(seed_plan.recompute.stages)
+        listed = seed_plan.with_recompute(RecomputeConfig(stages))
+        evaluator = Evaluator(wafer)
+        raw = Evaluator(wafer, use_cache=False, memoize_stages=False)
+        before = evaluator.evaluate(workload, listed)
+        assert evaluator.evaluate(workload, listed) == before
+        assert evaluator.cache.hits == 1 and evaluator.raw_evaluations == 1
+        stages[0] = frozenset(op.name for op in workload.layer_operators() if op.recomputable)
+        changed = evaluator.evaluate(workload, listed)
+        assert evaluator.raw_evaluations == 2
+        assert changed == raw.evaluate(workload, listed) != before
+        assert changed.recompute_flops > 0
+
+    def test_hashing_a_plan_leaves_its_pickle_copy_and_fields_alone(self, seed_plan):
+        # A fresh plan over a fresh placement: neither has been hashed yet.
+        plan = replace(seed_plan, placement=StagePlacement(seed_plan.placement.stage_dies))
+        views = (
+            lambda value: pickle.dumps(value, protocol=4),
+            lambda value: pickle.dumps(copy.copy(value), protocol=4),
+            lambda value: vars(copy.copy(value)),
+            lambda value: vars(copy.deepcopy(value)),
+            repr,
+            canonicalize,
+            encode_value,
+        )
+        before = [view(value) for value in (plan, plan.placement) for view in views]
+        assert hash(plan) == hash(plan)  # the second call reads the kept hash
+        after = [view(value) for value in (plan, plan.placement) for view in views]
+        assert after == before
+        assert "_hash" not in vars(pickle.loads(pickle.dumps(plan)))
+        # Equal plans hash equal, however they were built or typed.
+        equal = [replace(plan), pickle.loads(pickle.dumps(plan)), copy.deepcopy(plan)]
+        assert all(other == plan and hash(other) == hash(plan) for other in equal)
+        variants = [retyped_plan(one) for one in (1, 1.0, True)]
+        assert len({hash(variant) for variant in variants}) == 1
 
 
 # ---------------------------------------------------------------- fingerprint checks
@@ -384,6 +427,35 @@ class TestComponentKeys:
         assert after == evaluation_fingerprint(wafer, evaluator.faults, True, workload, plan)
 
 
+class TestValueKeys:
+    def test_value_and_digest_equality_agree_on_paper_plans(self, paper_plans):
+        # Both maps single-valued: equal plans share a digest, and plans that share
+        # a digest are equal, so the cache's value keys and its store rows put the
+        # paper plans in the same classes.
+        digest_of, value_of = {}, {}
+        for _, _, plans in paper_plans:
+            for plan in plans:
+                digest = fingerprint(plan)
+                assert digest_of.setdefault(plan, digest) == digest
+                assert value_of.setdefault(digest, plan) == plan
+        assert len(digest_of) == len(value_of) > 100
+
+    def test_cached_pricing_matches_the_raw_path_in_any_order(self, paper_plans):
+        for wafer, workload, plans in paper_plans:
+            raw = Evaluator(wafer, use_cache=False, memoize_stages=False)
+            expected = {}
+            for plan in plans:
+                if plan not in expected:
+                    expected[plan] = raw.evaluate(workload, plan)
+            shuffled = random.Random(13).sample(plans, len(plans))
+            for order in (plans, plans[::-1], shuffled):
+                cached = Evaluator(wafer)
+                for plan in order:
+                    assert cached.evaluate(workload, plan) == expected[plan]
+                assert cached.raw_evaluations == len(cached.cache) == len(expected)
+                assert cached.cache.hits == len(plans) - len(expected)
+
+
 class TestRoutingMemo:
     def test_memoised_routing_matches_a_fresh_engine(self, paper_plans):
         for wafer, workload, plans in paper_plans:
@@ -622,3 +694,48 @@ class TestDistinctPlanCounts:
         for plan in plans:
             faulted.evaluate(workload, plan)
         assert len(routings) == faulted.raw_evaluations == len(plans)
+
+
+def _count_plan_digests(monkeypatch) -> list:
+    """Record every plan that :func:`fingerprint` or :class:`CanonicalTexts` digests."""
+    digested = []
+    texts_fingerprint, module_fingerprint = CanonicalTexts.fingerprint, fingerprint
+
+    def counting_texts(self, value, hold=False):
+        if isinstance(value, TrainingPlan):
+            digested.append(value)
+        return texts_fingerprint(self, value, hold)
+
+    def counting_module(*values):
+        digested.extend(value for value in values if isinstance(value, TrainingPlan))
+        return module_fingerprint(*values)
+
+    monkeypatch.setattr(CanonicalTexts, "fingerprint", counting_texts)
+    monkeypatch.setattr(evalcache_module, "fingerprint", counting_module)
+    return digested
+
+
+@pytest.mark.perf_smoke
+class TestDigestsOnlyAtTheStore:
+    CONFIG = GAConfig(population_size=8, generations=6, seed=0)
+
+    def test_storeless_ga_run_digests_no_plan(self, wafer, workload, seed_plan, monkeypatch):
+        digested = _count_plan_digests(monkeypatch)
+        evaluator = Evaluator(wafer)
+        GeneticOptimizer(evaluator, workload, self.CONFIG).optimize(seed_plan)
+        assert evaluator.raw_evaluations > 0 and evaluator.cache.hits > 0
+        assert digested == []
+
+    def test_store_backed_ga_run_digests_each_flushed_entry_once(
+        self, wafer, workload, seed_plan, monkeypatch, tmp_path
+    ):
+        digested = _count_plan_digests(monkeypatch)
+        cache = EvaluationCache(store=str(tmp_path / "ga.jsonl"))
+        evaluator = Evaluator(wafer, cache=cache)
+        GeneticOptimizer(evaluator, workload, self.CONFIG).optimize(seed_plan)
+        assert digested == []  # nothing is digested before the flush
+        flushed = cache.flush()
+        assert flushed == evaluator.raw_evaluations > 0
+        assert len(digested) == flushed
+        assert len(set(map(id, digested))) == flushed
+        cache.close()

@@ -10,7 +10,7 @@ import pytest
 
 import repro
 from repro.api import open_result_store
-from repro.api.cli import main as repro_main
+from repro.api.cli import compact_store, main as repro_main
 from repro.core.evalcache import EvaluationCache, open_store
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -56,6 +56,21 @@ class TestRunCommand:
         warm = EvaluationCache(store=store)
         assert warm.stats.loaded > 0
         warm.close()
+
+    def test_run_reports_the_entries_it_flushed_to_the_store(self, tmp_path):
+        store = str(tmp_path / "w.jsonl")
+        argv = ["run", "--kind", "ga", "--wafer", "tiny", "--workload", "tiny",
+                "--population", "4", "--generations", "2", "--store", store, "--json"]
+        cold, warm = str(tmp_path / "r1.json"), str(tmp_path / "r2.json")
+        assert repro_main(argv + [cold]) == 0
+        stats = json.loads(open(cold).read())["cache_stats"]
+        entries = len(open_store(store).load())
+        assert stats["flushed"] == stats["misses"] == entries > 0
+        # A second run against the store is served by it and writes nothing.
+        assert repro_main(argv + [warm]) == 0
+        stats = json.loads(open(warm).read())["cache_stats"]
+        assert stats["loaded"] == entries
+        assert stats["misses"] == stats["flushed"] == 0
 
     def test_missing_wafer_is_a_clear_error(self):
         with pytest.raises(SystemExit):
@@ -277,10 +292,11 @@ class TestCacheCommand:
         assert stats == {"store": path, "entries": 2, "load_errors": 0}
 
         assert repro_main(["cache", "compact", path]) == 0
-        assert "2 kept" in capsys.readouterr().out
+        assert "3 rows -> 2 rows" in capsys.readouterr().out
         with open(path, encoding="utf-8") as handle:
             assert sum(1 for _ in handle) == 1 + 2  # header + one row per key
         assert open_store(path).load() == {"b": 2, "a": 1}
+        assert compact_store(path) == {"before": 2, "after": 2}
 
     @pytest.mark.parametrize(
         "verb, other", [("cache", "watos-evalcache-jsonl"), ("results", "watos-results-jsonl")]
