@@ -8,13 +8,15 @@ DRAM allocation), evaluates every surviving plan and keeps the best.  Plans are 
 in the calling process: a paper-scale search has a dozen or so candidates, too few to
 pay for shipping them to workers.
 
-Alg. 1's early pruning is an exact upper bound.  A memory-tight split's *ideal plan* —
-what :meth:`~CentralScheduler.build_plan` returns for a split that fits: serpentine
-placement, no recomputation and no Mem_pairs — priced on the same wafer with unbounded
-DRAM chiplets is never slower than any plan the downstream schedulers build for the
-split.  :meth:`CentralScheduler.search` (behind :meth:`~CentralScheduler.best` and every
-Watos point) builds memory-tight splits in decreasing bound order and skips each one
-whose bound is strictly below the best plan found so far;
+Alg. 1's early pruning is an exact upper bound on every split.  A split's *ideal plan*
+is what :meth:`~CentralScheduler.build_plan` returns for a split that fits: serpentine
+placement, no recomputation and no Mem_pairs.  Its bound (:meth:`Evaluator.bound`,
+priced on the scheduler's own evaluator) is the ideal plan's useful FLOPs over the 1F1B
+makespan of its TP-engine stage times with every pipeline boundary at its one-hop
+minimum; no plan of the split prices above it, and a split that fits prices exactly
+at it.  :meth:`CentralScheduler.search` (behind :meth:`~CentralScheduler.best` and
+every Watos point) builds splits in decreasing bound order and stops at the first
+whose bound is strictly below the best plan built so far;
 :meth:`~CentralScheduler.explore` stays exhaustive.
 """
 
@@ -46,8 +48,10 @@ class ExplorationRecord:
     """One evaluated point of the (TP, PP, split-strategy) space.
 
     A ``pruned`` record stands for a split the early pruning skipped: its plan is the
-    split's ideal plan and its result is that plan priced with unbounded DRAM, the
-    upper bound the split lost on.
+    split's ideal plan and its result is that plan's :meth:`Evaluator.bound`, the
+    upper bound the split lost on.  A bound holds the time fields (iteration time,
+    useful FLOPs, bubble fraction, TP and PP communication time) and no memory or
+    utilisation field.
     """
 
     plan: TrainingPlan
@@ -97,7 +101,6 @@ class CentralScheduler:
             self.evaluator = Evaluator(self.wafer, cache=cache)
         self._gcmr = GcmrScheduler(self.wafer)
         self._mesh = MeshTopology.from_wafer(self.wafer)
-        self._bound_evaluator: Optional[Evaluator] = None
 
     # ------------------------------------------------------------------ pruning
     def prunes(self, workload: TrainingWorkload, model_parallel_dies: int) -> bool:
@@ -114,26 +117,6 @@ class CentralScheduler:
             self.wafer.die.dram_capacity,
             pp, tp, workload.micro_batch_size, workload.seq_len, num_microbatches,
         )
-
-    def _bounds(self) -> Evaluator:
-        """The evaluator that prices bounds: the scheduler's, with unbounded DRAM chiplets.
-
-        It shares the scheduler evaluator's cache (or lack of one), predictor and
-        settings, so a warm store serves the bounds too.
-        """
-        if self._bound_evaluator is None:
-            evaluator = self.evaluator
-            wafer = evaluator.wafer
-            chiplet = replace(wafer.die.dram_chiplet, capacity_bytes=math.inf)
-            self._bound_evaluator = Evaluator(
-                replace(wafer, die=replace(wafer.die, dram_chiplet=chiplet)),
-                predictor=evaluator._predictor,
-                fault_aware=evaluator.fault_aware,
-                cache=evaluator.cache,
-                use_cache=evaluator.cache is not None,
-                memoize_stages=evaluator.memoize_stages,
-            )
-        return self._bound_evaluator
 
     # ------------------------------------------------------------------ plan building
     def _tp_shape(self, tp: int) -> Optional[Tuple[int, int]]:
@@ -168,23 +151,18 @@ class CentralScheduler:
         pp: int,
         split_strategy: TPSplitStrategy = TPSplitStrategy.HIDDEN,
         collective: Optional[CollectiveAlgorithm] = None,
-        *,
-        downstream: Optional[bool] = None,
     ) -> Optional[TrainingPlan]:
         """Build the best plan the deterministic schedulers produce for a (TP, PP) pair.
 
-        ``downstream`` is :meth:`needs_downstream`'s answer for the split, when the
-        caller already has it.  Returns ``None`` when the configuration cannot be made
-        memory-feasible even with full recomputation and checkpoint balancing.
+        Returns ``None`` when the configuration cannot be made memory-feasible even with
+        full recomputation and checkpoint balancing.
         """
         chosen_collective = collective or self.collective
         tp_shape = self._tp_shape(tp)
         if tp_shape is None:
             return None
         num_microbatches = workload.num_microbatches(1)
-        if downstream is None:
-            downstream = self.needs_downstream(workload, tp, pp, num_microbatches)
-        if not downstream:
+        if not self.needs_downstream(workload, tp, pp, num_microbatches):
             return self._ideal_plan(tp, pp, tp_shape, split_strategy, chosen_collective)
 
         gcmr = self._gcmr.schedule(workload, tp, pp, num_microbatches)
@@ -243,18 +221,19 @@ class CentralScheduler:
     def _collectives(self) -> Tuple[CollectiveAlgorithm, ...]:
         return tuple(self.search_collectives) or (self.collective,)
 
-    def _priced(
-        self, workload: TrainingWorkload, plan: TrainingPlan, evaluator: Evaluator, pruned: bool
-    ) -> List[ExplorationRecord]:
-        """``plan`` stamped with each searched collective, priced on ``evaluator``.
+    def _stamped(self, plan: TrainingPlan) -> List[TrainingPlan]:
+        """``plan`` stamped with each searched collective.
 
         GCMR, placement and DRAM allocation never read the collective, so a split's
         plan is built once and each searched collective stamped onto it.
         """
+        return [replace(plan, collective=c) for c in self._collectives()]
+
+    def _priced(self, workload: TrainingWorkload, plan: TrainingPlan) -> List[ExplorationRecord]:
+        """``plan`` under each searched collective, priced on the scheduler's evaluator."""
         return [
-            ExplorationRecord(plan=stamped, result=evaluator.evaluate(workload, stamped),
-                              pruned=pruned)
-            for stamped in (replace(plan, collective=c) for c in self._collectives())
+            ExplorationRecord(plan=stamped, result=self.evaluator.evaluate(workload, stamped))
+            for stamped in self._stamped(plan)
         ]
 
     def explore(
@@ -268,52 +247,50 @@ class CentralScheduler:
         for tp, pp, strategy in self._splits(workload, model_parallel_dies):
             plan = self.build_plan(workload, tp, pp, strategy, self._collectives()[0])
             if plan is not None:
-                records.extend(self._priced(workload, plan, self.evaluator, pruned=False))
+                records.extend(self._priced(workload, plan))
         return records
 
     def search(
         self, workload: TrainingWorkload, model_parallel_dies: Optional[int] = None
     ) -> List[ExplorationRecord]:
-        """:meth:`explore` with Alg. 1's early pruning (the bound :meth:`best` describes).
+        """:meth:`explore` with Alg. 1's early pruning, best-first over every split.
 
-        Splits that fit without the downstream schedulers are built and priced first,
-        in enumeration order.  The memory-tight ones follow in decreasing bound order;
-        one whose bound is strictly below the best plan found so far is not built.  The
-        records come in enumeration order: :meth:`explore`'s, except that a skipped
-        split is listed, once per searched collective, as its ideal plan priced with
-        unbounded DRAM and ``pruned=True``.  An evaluator with faults gets
+        Each split's bound is the highest :meth:`Evaluator.bound` of its ideal plan
+        under the searched collectives, priced on the scheduler's evaluator.  Splits
+        are built in decreasing bound order (ties in enumeration order), fitting and
+        memory-tight alike, until the first whose bound is strictly below the best
+        plan built so far (:meth:`best` says why none of them can win).  The records
+        come in enumeration order: :meth:`explore`'s, except that that split and
+        every later one are listed, once per searched collective, as their ideal
+        plan holding its bound, with ``pruned=True``.  An evaluator with faults gets
         :meth:`explore`'s records.
         """
         if not self.evaluator.faults.is_empty:
             return self.explore(workload, model_parallel_dies)
         collective = self._collectives()[0]
-        num_microbatches = workload.num_microbatches(1)
+        splits: List[Split] = []
         slots: List[List[ExplorationRecord]] = []  # each split's records
-        tight: List[Tuple[float, int, Split, List[ExplorationRecord]]] = []
-        best = -math.inf  # the best feasible throughput built so far
         for tp, pp, strategy in self._splits(workload, model_parallel_dies):
             tp_shape = self._tp_shape(tp)
             if tp_shape is None:
                 continue
-            slots.append([])
-            if not self.needs_downstream(workload, tp, pp, num_microbatches):
-                plan = self.build_plan(workload, tp, pp, strategy, collective, downstream=False)
-                slots[-1] = self._priced(workload, plan, self.evaluator, pruned=False)
-                best = max([best] + [r.throughput for r in slots[-1] if not r.result.oom])
-                continue
             ideal = self._ideal_plan(tp, pp, tp_shape, strategy, collective)
-            bounds = self._priced(workload, ideal, self._bounds(), pruned=True)
-            bound = max(record.throughput for record in bounds)
-            tight.append((bound, len(slots) - 1, (tp, pp, strategy), bounds))
+            splits.append((tp, pp, strategy))
+            slots.append(
+                [
+                    ExplorationRecord(plan=p, result=self.evaluator.bound(workload, p), pruned=True)
+                    for p in self._stamped(ideal)
+                ]
+            )
+        bounds = [max(record.throughput for record in records) for records in slots]
+        best = -math.inf  # the best feasible throughput built so far
         # The sort is stable: equal bounds keep enumeration order.
-        for bound, slot, (tp, pp, strategy), bounds in sorted(tight, key=lambda t: -t[0]):
-            if bound < best:
-                slots[slot] = bounds
-                continue
-            plan = self.build_plan(workload, tp, pp, strategy, collective, downstream=True)
-            if plan is not None:
-                slots[slot] = self._priced(workload, plan, self.evaluator, pruned=False)
-                best = max([best] + [r.throughput for r in slots[slot] if not r.result.oom])
+        for slot in sorted(range(len(slots)), key=lambda slot: -bounds[slot]):
+            if bounds[slot] < best:
+                break
+            plan = self.build_plan(workload, *splits[slot], collective)
+            slots[slot] = [] if plan is None else self._priced(workload, plan)
+            best = max([best] + [r.throughput for r in slots[slot] if not r.result.oom])
         return [record for records in slots for record in records]
 
     def best(
@@ -324,23 +301,30 @@ class CentralScheduler:
         Ties go to the first record in enumeration order, so this is exactly the best
         of :meth:`explore`'s records; :meth:`search`'s early pruning cannot change it.
 
-        The bound is admissible on a healthy mesh.  A memory-tight split's built plan
-        differs from its ideal plan in three ways, and each can only lengthen the
-        iteration:
+        The bound (:meth:`Evaluator.bound`) is admissible on a healthy mesh.  Any plan
+        built for a split does its ideal plan's useful work, and:
 
-        * GCMR recomputation adds to a stage's time and never shortens one;
-        * Mem_pair balancing traffic is routed after the pipeline traffic, so it keeps
-          the pipeline routes, can only add load to their links, and adds its own
-          exposed time;
-        * Eq. 2 placement permutes the serpentine blocks.  Consecutive serpentine
-          blocks are mesh-adjacent, so each serpentine boundary is one hop carrying
-          only its own activation, the least any boundary of any placement costs.
+        * each stage time is at least the ideal's: the TP engine prices the same
+          stages, and GCMR recomputation adds to a stage's time, never shortens one;
+        * each boundary time is at least the one-hop minimum
+          ``(a + a) / link_bandwidth + link_latency``.  A boundary joins two disjoint
+          die sets, so its route has at least one hop at ``link_latency`` each; every
+          link on it already carries the boundary's own activation ``a`` when ``a`` is
+          queued behind that load; and no healthy link is faster than
+          ``link_bandwidth``.  Mem_pair traffic only adds load, and its own exposed
+          time.  Consecutive serpentine blocks are mesh-adjacent, and each of their
+          links carries only its own activation, so an ideal plan's boundaries are
+          exactly the minimum;
+        * the 1F1B simulator computes the makespan with IEEE ``+`` and ``max`` only,
+          and both are monotone, so the makespan cannot fall when any stage or
+          boundary time grows, exactly, with no rounding slack; DRAM capacity enters
+          no time.
 
-        The 1F1B makespan is monotone in every stage and boundary time, DRAM capacity
-        enters no time, and both plans do the same useful work, so no built plan's
-        throughput exceeds its bound.  A skipped split's bound is strictly below a plan
-        already built, so none of its plans could be, or tie, the maximum.  On a
-        faulted mesh adjacent blocks may be joined only by degraded links, so an
+        So no built plan's throughput exceeds its bound, and a split that fits, which
+        is built as its ideal plan, prices exactly at it.  Splits are built in
+        decreasing bound order, so once a bound is strictly below a plan already
+        built, every later one is too, and none of their plans could be, or tie, the
+        maximum.  On a faulted mesh a boundary may cross degraded links, so an
         evaluator with faults is searched exhaustively.
         """
         return best_record(self.search(workload, model_parallel_dies))

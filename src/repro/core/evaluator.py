@@ -12,7 +12,10 @@ evaluator prices one training iteration:
 5. utilisation and throughput metrics are derived from the makespan.
 
 A plan that does not fit memory is returned with ``oom=True`` and an infinite iteration
-time so that searchers can still rank it (and prune it).
+time so that searchers can still rank it (and prune it).  :meth:`Evaluator.bound` runs
+steps 2 and 4 only, with every pipeline boundary at its one-hop minimum: an upper bound
+on the throughput of any plan of a (TP, PP, strategy, collective) split, which Alg. 1's
+early pruning ranks splits by.
 """
 
 from __future__ import annotations
@@ -48,6 +51,10 @@ Coord = Tuple[int, int]
 #: Distinct stage footprints, and distinct 1F1B schedules, one evaluator remembers
 #: (each); a full memo starts over.
 PRICING_MEMO_SIZE = 1024
+
+#: Prefix of the hardware half of a :meth:`Evaluator.bound` cache key; no hardware
+#: digest starts with it, so a bound and an evaluation never share a key or a row.
+BOUND_TAG = "bound:"
 
 
 @dataclass(frozen=True)
@@ -284,6 +291,52 @@ class Evaluator:
             footprints[pair.helper_stage] += pair.bytes_moved
         return footprints
 
+    def _stage_times(
+        self,
+        workload: TrainingWorkload,
+        plan: TrainingPlan,
+        placement: Optional[StagePlacement],
+        recompute: RecomputeConfig,
+        num_microbatches: int,
+    ) -> Tuple[List[float], List[float], float, float, float]:
+        """Each stage's forward and backward time per micro-batch from the TP engine,
+        and the iteration's TP communication time, useful FLOPs and recomputed FLOPs.
+
+        ``placement`` is read only on a mesh with faults (:meth:`_stage_hardware`).
+        """
+        engine = self._tp_engine(plan)
+        tp, pp = plan.parallelism.tp, plan.parallelism.pp
+        layers = self._memory_model(workload).layers_per_stage(pp)
+        operators = self._layer_ops(workload)
+        forward: List[float] = []
+        backward: List[float] = []
+        tp_comm_total = 0.0
+        useful_flops = 0.0
+        recompute_flops = 0.0
+        for stage in range(pp):
+            compute_q, link_q = self._stage_hardware(placement, stage)
+            times = engine.stage_times(
+                workload,
+                stage,
+                layers[stage],
+                tp,
+                pp,
+                recomputed_ops=recompute.stage(stage),
+                link_quality=link_q,
+                compute_throughput=compute_q,
+            )
+            forward.append(times.forward)
+            backward.append(times.backward_total)
+            tp_comm_total += times.tp_comm * 3.0 * num_microbatches
+            stage_fwd_flops = engine.stage_forward_flops(workload, stage, layers[stage], pp)
+            useful_flops += 3.0 * stage_fwd_flops * num_microbatches
+            recompute_flops += (
+                recompute.extra_forward_flops(stage, operators)
+                * layers[stage]
+                * num_microbatches
+            )
+        return forward, backward, tp_comm_total, useful_flops, recompute_flops
+
     def _pipeline(self, inputs: PipelineCostInputs) -> PipelineResult:
         """:func:`simulate_1f1b` of ``inputs``, memoised per distinct stage times."""
         if not self.memoize_stages:
@@ -324,11 +377,15 @@ class Evaluator:
     def cache_key(self, workload: TrainingWorkload, plan: TrainingPlan) -> CacheKey:
         """The :attr:`cache` key of one evaluation: ``(hardware digest, workload
         digest, plan)``, or the :meth:`fingerprint` of a plan that does not hash."""
+        return self._key(self._hardware_digest(), workload, plan)
+
+    def _key(self, hardware: str, workload: TrainingWorkload, plan: TrainingPlan) -> CacheKey:
+        workload_digest = self._texts.fingerprint(workload, hold=True)
         try:
             hash(plan)
         except TypeError:  # a placement or recompute config built on lists
-            return self.fingerprint(workload, plan)
-        return (self._hardware_digest(), self._texts.fingerprint(workload, hold=True), plan)
+            return combine_fingerprints(hardware, workload_digest, self._texts.fingerprint(plan))
+        return (hardware, workload_digest, plan)
 
     def evaluate(self, workload: TrainingWorkload, plan: TrainingPlan) -> EvaluationResult:
         """Price one training iteration of ``workload`` under ``plan``.
@@ -357,6 +414,65 @@ class Evaluator:
             _obs.add("pricing", t0, _obs.now())
         self.cache.put(key, result)
         return result
+
+    def bound(self, workload: TrainingWorkload, plan: TrainingPlan) -> EvaluationResult:
+        """An upper bound on the throughput of every plan of ``plan``'s split — its
+        parallelism, collective and split strategy — on this healthy mesh.
+
+        The bound is the split's useful FLOPs over the 1F1B makespan of its TP-engine
+        stage times without recomputation, with every pipeline boundary at its
+        one-hop minimum ``(a + a) / link_bandwidth + link_latency``: what
+        :meth:`~repro.interconnect.routing.LinkLoadTracker.congestion_time` gives a
+        one-hop boundary whose link carries only its own activation ``a``.  Nothing
+        is routed and no memory is checked, and ``plan``'s recomputation, placement,
+        Mem_pairs and host offload are not read.  On the split's ideal plan
+        (serpentine placement, no recomputation, no Mem_pairs) that fits memory, the
+        iteration time and throughput are exactly :meth:`evaluate`'s.  The result
+        holds the time fields; no memory or utilisation field is priced.
+
+        Cached in :attr:`cache` under a key of its own, whose hardware half is
+        tagged :data:`BOUND_TAG`, so no bound is served as an evaluation, and a
+        warm store serves bounds too.  An evaluator with faults raises
+        ``ValueError``: a faulted link can make a boundary cost more than one hop.
+        """
+        if not self.faults.is_empty:
+            raise ValueError("a throughput bound holds only on a mesh without faults")
+        if self.cache is None:
+            return self._bound_uncached(workload, plan)
+        key = self._key(BOUND_TAG + self._hardware_digest(), workload, plan)
+        result = self.cache.get(key)
+        if result is None:
+            result = self._bound_uncached(workload, plan)
+            self.cache.put(key, result)
+        return result
+
+    def _bound_uncached(self, workload: TrainingWorkload, plan: TrainingPlan) -> EvaluationResult:
+        pp = plan.parallelism.pp
+        num_microbatches = workload.num_microbatches(plan.parallelism.dp)
+        forward, backward, tp_comm_total, useful_flops, recompute_flops = self._stage_times(
+            workload, plan, None, RecomputeConfig.none(pp), num_microbatches
+        )
+        activation_bytes = PPEngine.activation_bytes(workload)
+        one_hop = (activation_bytes + activation_bytes) / self.mesh.link_bandwidth
+        boundary_times = [one_hop + self.mesh.link_latency] * (pp - 1)
+        pipeline = self._pipeline(
+            PipelineCostInputs(
+                forward=forward,
+                backward=backward,
+                comm=boundary_times,
+                num_microbatches=num_microbatches,
+            )
+        )
+        return EvaluationResult(
+            iteration_time=pipeline.iteration_time,
+            useful_flops=useful_flops,
+            recompute_flops=recompute_flops,
+            bubble_fraction=pipeline.bubble_fraction,
+            tp_comm_time=tp_comm_total,
+            pp_comm_time=sum(boundary_times) * num_microbatches,
+            plan_label=plan.label(),
+            system_label=self.wafer.name,
+        )
 
     def _evaluate_uncached(
         self, workload: TrainingWorkload, plan: TrainingPlan
@@ -391,39 +507,10 @@ class Evaluator:
             return EvaluationResult.out_of_memory(plan.label(), self.wafer.name)
 
         # ---------------------------------------------------------------- stage times
-        engine = self._tp_engine(plan)
-        memory = memory_model
-        layers = memory.layers_per_stage(pp)
-        operators = self._layer_ops(workload)
         recompute = plan.recompute if plan.recompute.num_stages == pp else RecomputeConfig.none(pp)
-
-        forward: List[float] = []
-        backward: List[float] = []
-        tp_comm_total = 0.0
-        useful_flops = 0.0
-        recompute_flops = 0.0
-        for stage in range(pp):
-            compute_q, link_q = self._stage_hardware(placement, stage)
-            times = engine.stage_times(
-                workload,
-                stage,
-                layers[stage],
-                tp,
-                pp,
-                recomputed_ops=recompute.stage(stage),
-                link_quality=link_q,
-                compute_throughput=compute_q,
-            )
-            forward.append(times.forward)
-            backward.append(times.backward_total)
-            tp_comm_total += times.tp_comm * 3.0 * num_microbatches
-            stage_fwd_flops = engine.stage_forward_flops(workload, stage, layers[stage], pp)
-            useful_flops += 3.0 * stage_fwd_flops * num_microbatches
-            recompute_flops += (
-                recompute.extra_forward_flops(stage, operators)
-                * layers[stage]
-                * num_microbatches
-            )
+        forward, backward, tp_comm_total, useful_flops, recompute_flops = self._stage_times(
+            workload, plan, placement, recompute, num_microbatches
+        )
 
         # ---------------------------------------------------------------- inter-stage comm
         pp_engine = self._pp_engine

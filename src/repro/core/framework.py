@@ -47,7 +47,8 @@ class WatosResult:
 
     outcomes: List[WorkloadOutcome] = field(default_factory=list)
     #: Each point's :meth:`CentralScheduler.search` records, the splits early pruning
-    #: skipped included (``pruned=True``, priced at their bound).
+    #: skipped included: ``pruned=True``, each the split's ideal plan holding its
+    #: :meth:`Evaluator.bound` (time fields only, no memory or utilisation field).
     exploration_records: Dict[str, List[ExplorationRecord]] = field(default_factory=dict)
 
     def outcomes_for_wafer(self, wafer_name: str) -> List[WorkloadOutcome]:

@@ -1,10 +1,12 @@
 """Core plan data structures, TP engine, PP engine and placement."""
 
 import itertools
+import random
 from dataclasses import replace
 
 import pytest
 
+from repro.api.registry import resolve_wafer
 from repro.core.placement import (
     PlacementOptimizer,
     global_cost,
@@ -15,7 +17,10 @@ from repro.core.plan import MemPair, RecomputeConfig, StagePlacement, TrainingPl
 from repro.core.pp_engine import PPEngine
 from repro.core.tp_engine import TPEngine
 from repro.interconnect.topology import MeshTopology
-from repro.parallelism.strategies import ParallelismConfig
+from repro.parallelism.partition import best_mesh_shape
+from repro.parallelism.strategies import ParallelismConfig, enumerate_tp_pp
+
+from repro_testlib import paper_workloads
 
 
 class TestRecomputeConfig:
@@ -283,3 +288,44 @@ class TestPPEngine:
         placement = serpentine_placement(4, 4, (1, 1), 2)
         with pytest.raises(ValueError):
             PPEngine(mesh).plan(placement, -1.0)
+
+    @pytest.mark.parametrize("wafer_ref", ["config2", "config3"])
+    def test_no_boundary_costs_less_than_one_hop(self, wafer_ref):
+        """The communication half of the early-pruning bound (``Evaluator.bound``):
+        whatever the order of the blocks and the Mem_pairs, no boundary is priced
+        below ``(a + a) / link_bandwidth + link_latency``, and the serpentine order
+        without pairs is priced exactly at it."""
+        wafer = resolve_wafer(wafer_ref)
+        mesh = MeshTopology.from_wafer(wafer)
+        workload = paper_workloads()["llama3-70b"]
+        activation = PPEngine.activation_bytes(workload)
+        minimum = (activation + activation) / mesh.link_bandwidth + mesh.link_latency
+        dram_time = activation / wafer.die.dram_bandwidth
+        rng = random.Random(wafer_ref)
+        checked = 0
+        for tp, pp in enumerate_tp_pp(wafer.num_dies, workload.model.num_layers):
+            try:
+                shape = best_mesh_shape(tp, wafer.dies_x, wafer.dies_y)
+            except ValueError:
+                continue
+            engine = PPEngine(mesh)
+            serpentine = serpentine_placement(wafer.dies_x, wafer.dies_y, shape, pp)
+            assert engine.plan(serpentine, activation).boundary_times == (minimum,) * (pp - 1)
+            if pp < 2:
+                continue
+            for _ in range(4):
+                order = list(range(pp))
+                rng.shuffle(order)
+                placement = serpentine.permuted(order)
+                pairs = tuple(
+                    MemPair(*rng.sample(range(pp), 2), rng.uniform(0.0, 8.0 * activation))
+                    for _ in range(rng.randint(1, pp))
+                )
+                for mem_pairs in ((), pairs):
+                    times = engine.plan(
+                        placement, activation, mem_pairs=mem_pairs, microbatch_dram_time=dram_time
+                    ).boundary_times
+                    assert len(times) == pp - 1
+                    assert all(time >= minimum for time in times), (tp, pp, order)
+                    checked += 1
+        assert checked > 0

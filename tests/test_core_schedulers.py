@@ -3,6 +3,7 @@
 import functools
 import math
 from dataclasses import replace
+from types import SimpleNamespace
 
 import pytest
 
@@ -10,6 +11,7 @@ from repro.api.registry import resolve_wafer, resolve_workload
 from repro.api.spec import ExperimentSpec
 from repro.core.central_scheduler import CentralScheduler
 from repro.core.dram_allocation import DramAllocator
+from repro.core.evalcache import EvaluationCache
 from repro.core.evaluator import EvaluationResult, Evaluator
 from repro.core.framework import Watos
 from repro.core.genetic import GAConfig, GeneticOptimizer
@@ -356,6 +358,13 @@ def explored():
     return records
 
 
+#: The fields of an :meth:`Evaluator.bound` result, each exactly the ideal plan's.
+BOUND_FIELDS = (
+    "iteration_time", "useful_flops", "recompute_flops", "bubble_fraction",
+    "tp_comm_time", "pp_comm_time",
+)
+
+
 def _first_maximum(records):
     feasible = [record for record in records if not record.result.oom]
     return max(feasible, key=lambda record: record.throughput) if feasible else None
@@ -395,19 +404,13 @@ class TestEarlyPruning:
 
     @pytest.mark.parametrize("setting", sorted(SCHEDULER_SETTINGS))
     def test_no_built_plan_prices_above_its_bound(self, setting, explored):
-        checked = fallback = 0
+        checked = exact = fallback = 0
         for wafer_ref, scale, model in PAPER_POINTS:
             wafer, workload = _paper_point(wafer_ref, scale, model)
-            scheduler = CentralScheduler(wafer, **SCHEDULER_SETTINGS[setting])
-            unbounded = Evaluator(scale_dram(wafer, math.inf))
+            evaluator = Evaluator(wafer)
             for record in explored(wafer_ref, scale, model, setting):
                 plan = record.plan
-                tp, pp = plan.parallelism.tp, plan.parallelism.pp
-                tight = scheduler.needs_downstream(
-                    workload, tp, pp, workload.num_microbatches(1)
-                )
-                if record.result.oom or not tight:
-                    continue
+                pp = plan.parallelism.pp
                 ideal = TrainingPlan(
                     parallelism=plan.parallelism,
                     tp_shape=plan.tp_shape,
@@ -416,13 +419,18 @@ class TestEarlyPruning:
                     recompute=RecomputeConfig.none(pp),
                     placement=serpentine_placement(wafer.dies_x, wafer.dies_y, plan.tp_shape, pp),
                 )
-                bound = unbounded.evaluate(workload, ideal)
+                bound = evaluator.bound(workload, ideal)
                 assert record.throughput <= bound.throughput, (wafer_ref, scale, plan.label())
                 checked += 1
+                if plan == ideal and not record.result.oom:
+                    # A split that fits is built as its ideal plan, priced at its bound.
+                    assert record.result.iteration_time == bound.iteration_time
+                    assert record.throughput == bound.throughput
+                    exact += 1
                 bx, by = plan.tp_shape
                 # mesh_blocks' non-rectangular fallback: the rectangles cannot host pp blocks.
                 fallback += (wafer.dies_x // bx) * (wafer.dies_y // by) < pp
-        assert checked > 0 and fallback > 0
+        assert checked > exact > 0 and fallback > 0
 
     def test_pruned_splits_are_listed_at_their_bound(self):
         wafer, workload = _paper_point("config3", 0.5, "llama3-70b")
@@ -435,7 +443,12 @@ class TestEarlyPruning:
         for record in pruned:
             assert record.plan.recompute == RecomputeConfig.none(record.plan.parallelism.pp)
             assert not record.plan.mem_pairs
-            assert record.result == unbounded.evaluate(workload, record.plan)
+            # A bound prices the time fields only: no memory or utilisation field.
+            ideal = unbounded.evaluate(workload, record.plan)
+            assert [getattr(record.result, name) for name in BOUND_FIELDS] == [
+                getattr(ideal, name) for name in BOUND_FIELDS
+            ]
+            assert record.throughput == ideal.throughput
             assert record.throughput < best.throughput
         # Every split builds here, so the records line up with the exhaustive ones.
         exhaustive = scheduler.explore(workload)
@@ -445,6 +458,35 @@ class TestEarlyPruning:
         assert [r for r in records if not r.pruned] == [
             r for r, s in zip(exhaustive, records) if not s.pruned
         ]
+
+    @pytest.mark.perf_smoke
+    def test_a_bound_never_answers_an_evaluation(self, tmp_path):
+        """Bounds share the evaluator's cache, and a store, under keys of their own."""
+        wafer, workload = _paper_point("config3", 0.5, "llama3-70b")
+        store = str(tmp_path / "cache.jsonl")
+        cache = EvaluationCache(store=store)
+        evaluator = Evaluator(wafer, cache=cache)
+        scheduler = CentralScheduler(wafer, evaluator=evaluator)
+        records = scheduler.search(workload)
+        built = {record.plan for record in records if not record.pruned}
+        evaluation = evaluator.cache_key(workload, records[0].plan)[:2]
+        assert {key[2] for key in cache._entries if key[:2] == evaluation} == built
+        tight = [
+            record for record in records
+            if record.pruned and scheduler.needs_downstream(
+                workload, record.plan.parallelism.tp, record.plan.parallelism.pp,
+                workload.num_microbatches(1),
+            )
+        ]
+        assert tight and all(record.throughput > 0 for record in tight)
+        cache.flush()
+        for record in tight:
+            assert evaluator.evaluate(workload, record.plan).oom
+        warm = EvaluationCache(store=store)
+        assert CentralScheduler(wafer, evaluator=Evaluator(wafer, cache=warm)).search(
+            workload
+        ) == records
+        assert warm.misses == 0 and warm.hits > 0
 
     def test_faulted_evaluator_searches_exhaustively(self, tight_wafer, heavy_workload):
         faults = FaultModel.random(4, 4, die_fault_rate=0.2, link_fault_rate=0.2, seed=5)
@@ -457,23 +499,48 @@ class TestEarlyPruning:
         records = scheduler.search(heavy_workload)
         assert records == reference and not any(record.pruned for record in records)
         assert _same_best(scheduler.best(heavy_workload), _first_maximum(reference))
+        with pytest.raises(ValueError, match="without faults"):
+            scheduler.evaluator.bound(heavy_workload, records[0].plan)
 
 
 @pytest.mark.perf_smoke
 def test_paper_cells_run_gcmr_once_and_list_the_pruned_splits(monkeypatch):
     """The four paper_cell points: 14 splits need the downstream schedulers, and only
-    config2 × gpt-175b at TP=14, PP=4 can win, so GCMR runs once, not 14 times."""
+    config2 × gpt-175b at TP=14, PP=4 can win, so GCMR runs once, not 14 times.  Each
+    point builds and prices only its winning split: one plan under each of the two
+    searched collectives, on the point's one evaluator."""
     calls = []
+    counts = {"pricings": 0, "built": 0, "evaluators": 0}
     schedule = GcmrScheduler.schedule
+    build_plan = CentralScheduler.build_plan
+    evaluate_uncached = Evaluator._evaluate_uncached
+    init = Evaluator.__init__
 
     def counting_schedule(self, workload, tp, pp, *args, **kwargs):
         calls.append((self.wafer.name, workload.model.name, tp, pp))
         return schedule(self, workload, tp, pp, *args, **kwargs)
 
+    def counting_build_plan(self, *args, **kwargs):
+        plan = build_plan(self, *args, **kwargs)
+        counts["built"] += plan is not None
+        return plan
+
+    def counting_evaluate_uncached(self, *args):
+        counts["pricings"] += 1
+        return evaluate_uncached(self, *args)
+
+    def counting_init(self, *args, **kwargs):
+        counts["evaluators"] += 1
+        init(self, *args, **kwargs)
+
     monkeypatch.setattr(GcmrScheduler, "schedule", counting_schedule)
+    monkeypatch.setattr(CentralScheduler, "build_plan", counting_build_plan)
+    monkeypatch.setattr(Evaluator, "_evaluate_uncached", counting_evaluate_uncached)
+    monkeypatch.setattr(Evaluator, "__init__", counting_init)
     wafers = [resolve_wafer("config2"), resolve_wafer("config3")]
     workloads = [paper_workloads()["llama2-30b"], paper_workloads()["gpt-175b"]]
-    result = Watos(candidates=wafers, use_ga=False).explore(workloads)
+    session = SimpleNamespace(cache=EvaluationCache(), parallel=None)  # a cold cache
+    result = Watos(candidates=wafers, use_ga=False, session=session).explore(workloads)
 
     assert calls == [("config2", "gpt-175b", 14, 4)]
     pruned = {
@@ -482,7 +549,8 @@ def test_paper_cells_run_gcmr_once_and_list_the_pruned_splits(monkeypatch):
         for record in records
         if record.pruned
     }
-    assert len(pruned) == 13
+    assert len(pruned) == 24
+    assert counts == {"pricings": 8, "built": 4, "evaluators": 4}
     assert len(result.outcomes) == 4
 
 

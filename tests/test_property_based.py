@@ -90,6 +90,38 @@ def test_1f1b_simulation_bounds(pp, n, fwd, bwd):
     assert 0.0 <= result.bubble_fraction < 1.0
 
 
+@st.composite
+def _grown_pipeline(draw):
+    """Heterogeneous 1F1B inputs, and a copy with one forward, backward or comm time
+    grown."""
+    pp = draw(st.integers(1, 6))
+    n = draw(st.integers(1, 10))
+    times = st.floats(0.0, 10.0)
+    inputs = {
+        "forward": draw(st.lists(times, min_size=pp, max_size=pp)),
+        "backward": draw(st.lists(times, min_size=pp, max_size=pp)),
+        "comm": draw(st.lists(times, min_size=pp - 1, max_size=pp - 1)),
+    }
+    kind = draw(st.sampled_from([name for name, values in inputs.items() if values]))
+    index = draw(st.integers(0, len(inputs[kind]) - 1))
+    grown = {name: list(values) for name, values in inputs.items()}
+    grown[kind][index] = draw(st.floats(inputs[kind][index], 20.0))
+    return (
+        PipelineCostInputs(num_microbatches=n, **inputs),
+        PipelineCostInputs(num_microbatches=n, **grown),
+    )
+
+
+@given(_grown_pipeline())
+@settings(max_examples=200, deadline=None)
+def test_1f1b_makespan_is_monotone_in_every_input(pair):
+    """IEEE ``+`` and ``max`` are monotone, so no finish time falls when an input grows;
+    the early-pruning bound (``Evaluator.bound``) rests on this, compared exactly."""
+    base, grown = (simulate_1f1b(inputs) for inputs in pair)
+    assert grown.iteration_time >= base.iteration_time
+    assert all(g >= b for g, b in zip(grown.stage_finish_time, base.stage_finish_time))
+
+
 @given(mp=st.integers(1, 128), layers=st.integers(1, 128))
 @settings(max_examples=60, deadline=None)
 def test_enumerate_tp_pp_products_and_constraints(mp, layers):
